@@ -3,8 +3,9 @@
 Matrices in {-1,+1}^(s x t) are encoded as (s*t)-bit integers (bit set
 means entry +1, row-major).  Chunks of codes are decoded and processed
 with vectorized exact integer arithmetic: condensation is a bitwise
-2x2-minor computation, rank a division-free batched elimination over
-int64 (intermediate values stay far below 2^63 at these sizes).  No
+2x2-minor computation, rank a batched Bareiss elimination with exact
+division, in the narrowest integer dtype that the Hadamard bound of the
+input proves safe (inputs whose bound overflows int64 are refused).  No
 floating point is used anywhere.
 
 Aggregates (rank histograms, condensate preimage counts, edge-marginal
@@ -71,42 +72,58 @@ class CensusConfig:
 def batch_rank(mats: np.ndarray) -> np.ndarray:
     """Exact integer rank of a batch of small matrices, vectorized.
 
-    Division-free elimination with full pivoting (first nonzero in the
-    trailing submatrix).  Entries must be small; for inputs bounded by 1
-    the intermediates stay below 2^16 even at 5x5.
+    The Bareiss recurrence of :func:`chio.matrix_core.rank_int` (full
+    pivoting, exact division by the previous pivot) on every matrix at
+    once; a matrix whose trailing block is zero keeps its previous pivot
+    as divisor, so the block stays zero.  Intermediates are minors, at
+    most the Hadamard bound ``H = M^k k^(k/2)`` (``M`` the largest entry
+    magnitude, ``k = min(rows, cols)``), and the work dtype is the
+    narrowest of int16, int32 and int64 that holds ``2 H^2``.
+
+    Raises:
+        ValueError: if ``2 H^2`` does not fit in int64.
     """
-    work = np.ascontiguousarray(mats, dtype=np.int64).copy()
-    n, r, c = work.shape
+    mats = np.asarray(mats)
+    n, r, c = mats.shape
+    k_max = min(r, c)
+    m = max(int(mats.max()), -int(mats.min())) if mats.size else 0
+    bound = 2 * m ** (2 * k_max) * k_max**k_max
+    fits = [d for d in (np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max]
+    if not fits:
+        raise ValueError(
+            f"batch_rank: Hadamard bound of {r}x{c} matrices with entries up to {m} "
+            "overflows int64"
+        )
+    work = mats.astype(fits[0])
     rank = np.zeros(n, dtype=np.int64)
-    alive = np.arange(n)
-    for k in range(min(r, c)):
-        if alive.size == 0:
+    prev = np.ones(n, dtype=work.dtype)
+    for k in range(k_max):
+        trailing = (work[:, k:, k:] != 0).reshape(n, (r - k) * (c - k))
+        has = trailing.any(axis=1)
+        rank += has
+        if k + 1 == k_max:
             break
-        block = work[alive]
-        flat = (block[:, k:, k:] != 0).reshape(block.shape[0], -1)
-        has = flat.any(axis=1)
-        alive = alive[has]
-        if alive.size == 0:
-            break
-        rank[alive] += 1
-        block = block[has]
-        first = flat[has].argmax(axis=1)
-        width = c - k
-        pi = first // width + k
-        pj = first % width + k
-        bidx = np.arange(block.shape[0])
-        row_k = block[bidx, k, :].copy()
-        block[bidx, k, :] = block[bidx, pi, :]
-        block[bidx, pi, :] = row_k
-        col_k = block[bidx, :, k].copy()
-        block[bidx, :, k] = block[bidx, :, pj]
-        block[bidx, :, pj] = col_k
-        if k + 1 < r:
-            pivot = block[:, k, k][:, None, None]
-            factor = block[:, k + 1 :, k][:, :, None]
-            head = block[:, k, k:][:, None, :]
-            block[:, k + 1 :, k:] = block[:, k + 1 :, k:] * pivot - factor * head
-        work[alive] = block
+        first = trailing.argmax(axis=1)
+        pi = first // (c - k) + k
+        pj = first % (c - k) + k
+        # Swap only where needed; rows above k and columns left of k are
+        # never read again.
+        rows = np.flatnonzero(pi != k)
+        p = pi[rows]
+        pivot_rows = work[rows, p, k:]
+        work[rows, p, k:] = work[rows, k, k:]
+        work[rows, k, k:] = pivot_rows
+        cols = np.flatnonzero(pj != k)
+        q = pj[cols]
+        pivot_cols = work[cols, k:, q]
+        work[cols, k:, q] = work[cols, k:, k]
+        work[cols, k:, k] = pivot_cols
+        pivot = work[:, k, k]
+        factor = work[:, k + 1 :, k, None]
+        head = work[:, None, k, k + 1 :]
+        block = work[:, k + 1 :, k + 1 :]
+        block[...] = (block * pivot[:, None, None] - factor * head) // prev[:, None, None]
+        prev = np.where(has, pivot, prev)
     return rank
 
 
@@ -287,42 +304,49 @@ def save_checkpoint(path: str, cfg: CensusConfig, result: CensusResult, next_chu
     os.replace(tmp, path)
 
 
+def _unpack(fmt: str, raw: bytes, off: int) -> tuple[tuple, int]:
+    """Unpack ``fmt`` at ``off``; running out of bytes means a bad checkpoint."""
+    try:
+        return struct.unpack_from(fmt, raw, off), off + struct.calcsize(fmt)
+    except struct.error:
+        raise ValueError("truncated or corrupt census checkpoint") from None
+
+
 def load_checkpoint(path: str, cfg: CensusConfig) -> tuple[CensusResult, int]:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Raises:
+        ValueError: if the file is not a checkpoint of this census, or is
+            truncated or corrupt.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ValueError("not a census checkpoint (bad magic)")
-    off = len(CHECKPOINT_MAGIC)
-    version, s, t, chunk_size, next_chunk, n_blobs = struct.unpack_from("<IIIQQI", raw, off)
-    off += struct.calcsize("<IIIQQI")
+    header, off = _unpack("<IIIQQI", raw, len(CHECKPOINT_MAGIC))
+    version, s, t, chunk_size, next_chunk, n_blobs = header
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     if (s, t) != cfg.dims or chunk_size != cfg.chunk_size:
         raise ValueError("checkpoint does not match the requested census")
     result = CensusResult(dims=(s, t))
     for _ in range(n_blobs):
-        (name_len,) = struct.unpack_from("<I", raw, off)
-        off += 4
+        (name_len,), off = _unpack("<I", raw, off)
         name = raw[off : off + name_len].decode()
         off += name_len
-        (kind,) = struct.unpack_from("<B", raw, off)
-        off += 1
+        if name != "visited" and name not in AGGREGATE_NAMES:
+            raise ValueError(f"corrupt census checkpoint: unknown entry {name!r}")
+        (kind,), off = _unpack("<B", raw, off)
         if kind == 0:
-            (value,) = struct.unpack_from("<Q", raw, off)
-            off += 8
-            if name == "visited":
-                result.visited = int(value)
-            else:
-                setattr(result, name, int(value))
+            (value,), off = _unpack("<Q", raw, off)
+            setattr(result, name, int(value))
         elif kind == 1:
-            (length,) = struct.unpack_from("<Q", raw, off)
-            off += 8
+            (length,), off = _unpack("<Q", raw, off)
             arr = np.frombuffer(raw, dtype="<u8", count=length, offset=off).astype(np.int64)
             off += 8 * length
             setattr(result, name, arr)
         elif kind == 2:
-            rows, cols = struct.unpack_from("<II", raw, off)
-            off += 8
+            (rows, cols), off = _unpack("<II", raw, off)
             arr = np.frombuffer(raw, dtype="<u8", count=rows * cols, offset=off)
             off += 8 * rows * cols
             setattr(result, name, arr.astype(np.int64).reshape(rows, cols))

@@ -21,7 +21,7 @@ from .matrix_core import (
     matrix_from_json_dict,
 )
 from .measures import Event, p_chio, p_lcf, ratio_chio_lcf, recipe_p_chio
-from .signed_graph import balance_and_betti, betti, build_graph, classify_isotype
+from .signed_graph import balance_and_betti, build_graph, classify_isotype
 from .failure_enum import (
     CountReport,
     check_linear_relations,
@@ -130,8 +130,7 @@ def cmd_recipe(args) -> int:
 def cmd_classify(args) -> int:
     matrix = parse_ternary_matrix(args.matrix, args.n)
     graph = build_graph(matrix)
-    data = betti(graph)
-    balanced, _, _ = balance_and_betti(graph)
+    balanced, _, data = balance_and_betti(graph)
     emit(
         {
             "graph": graph.to_json_dict(),

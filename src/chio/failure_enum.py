@@ -34,9 +34,10 @@ from .signed_graph import (
     IsoType,
     NONFOREST_TAGS,
     SignedBipartiteGraph,
-    betti,
     circuit_count_formula,
-    classify_isotype,
+    four_circuits,
+    is_six_circuit,
+    isotype_and_betti,
 )
 from . import parallel
 
@@ -128,38 +129,6 @@ def grid_positions(n: int) -> list[Index2]:
     return [(i, j) for i in range(1, n) for j in range(1, n)]
 
 
-def _four_circuit_masks(positions: tuple[Index2, ...]) -> list[int]:
-    """Bitmasks (over the position slots) of 2x2 rectangles inside the set."""
-    index = {pos: b for b, pos in enumerate(positions)}
-    by_row: dict[int, list[int]] = {}
-    for i, j in positions:
-        by_row.setdefault(i, []).append(j)
-    masks = []
-    for r1, r2 in combinations(sorted(by_row), 2):
-        common = sorted(set(by_row[r1]) & set(by_row[r2]))
-        for c1, c2 in combinations(common, 2):
-            masks.append(
-                (1 << index[(r1, c1)])
-                | (1 << index[(r1, c2)])
-                | (1 << index[(r2, c1)])
-                | (1 << index[(r2, c2)])
-            )
-    return masks
-
-
-def _is_six_circuit_positions(positions: tuple[Index2, ...]) -> bool:
-    if len(positions) != 6:
-        return False
-    row_deg: dict[int, int] = {}
-    col_deg: dict[int, int] = {}
-    for i, j in positions:
-        row_deg[i] = row_deg.get(i, 0) + 1
-        col_deg[j] = col_deg.get(j, 0) + 1
-    return all(d == 2 for d in row_deg.values()) and all(
-        d == 2 for d in col_deg.values()
-    )
-
-
 class _IndexSetContext:
     """Per-index-set scratch data: circuits and per-support metrics."""
 
@@ -169,12 +138,11 @@ class _IndexSetContext:
         self.n = n
         self.positions = positions
         self.k = len(positions)
-        self.circuit_masks = _four_circuit_masks(positions)
-        self.six_mask = (
-            (1 << self.k) - 1
-            if self.k == 6 and _is_six_circuit_positions(positions)
-            else 0
-        )
+        slot = {pos: b for b, pos in enumerate(positions)}
+        self.circuit_masks = [
+            sum(1 << slot[pos] for pos in c) for c in four_circuits(positions)
+        ]
+        self.six_mask = (1 << self.k) - 1 if is_six_circuit(positions) else 0
         self._cache: dict[int, tuple] = {}
 
     def circuits_in_support(self, mask: int) -> list[int] | None:
@@ -198,8 +166,7 @@ class _IndexSetContext:
             col_vertices=frozenset(j for _, j in self.positions),
             edges=edges,
         )
-        data = betti(graph)
-        isotype = classify_isotype(graph)
+        isotype, data = isotype_and_betti(graph)
         exponent = self.k + data.f0 - data.beta0
         circuits = self.circuits_in_support(mask) or []
         result = (isotype, exponent, data.beta1, circuits)

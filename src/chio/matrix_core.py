@@ -333,83 +333,59 @@ class IntMatrix:
         return f"IntMatrix({self.data!r})"
 
 
-def det_int(matrix: IntMatrix) -> int:
-    """Exact determinant over the integers.
+def _bareiss(data: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free elimination (Bareiss 1968) with full pivoting.
 
-    Fraction-free Bareiss elimination with full pivoting; every
-    intermediate value is a minor of the input, so all divisions are exact.
+    Each step takes the first nonzero entry of the trailing block as pivot
+    and updates ``a[i][j] = (a[i][j]*pivot - a[i][k]*a[k][j]) // prev``,
+    where ``prev`` is the previous pivot.  Every intermediate value is a
+    minor of the input, so each division is exact.  Returns the rank and
+    the last pivot signed by the row and column swaps; for a full-rank
+    square input that is the determinant.
+    """
+    a = [row[:] for row in data]
+    rows, cols = len(a), len(a[0]) if a else 0
+    rank, sign, prev = 0, 1, 1
+    for k in range(min(rows, cols)):
+        pivot_pos = next(
+            ((i, j) for i in range(k, rows) for j in range(k, cols) if a[i][j]), None
+        )
+        if pivot_pos is None:
+            break
+        pi, pj = pivot_pos
+        if pi != k:
+            a[k], a[pi] = a[pi], a[k]
+            sign = -sign
+        if pj != k:
+            for row in a:
+                row[k], row[pj] = row[pj], row[k]
+            sign = -sign
+        head = a[k]
+        pivot = head[k]
+        for row in a[k + 1 :]:
+            factor = row[k]
+            for j in range(k + 1, cols):
+                row[j] = (row[j] * pivot - factor * head[j]) // prev
+        prev = pivot
+        rank += 1
+    return rank, sign * prev
+
+
+def det_int(matrix: IntMatrix) -> int:
+    """Exact determinant over the integers, by :func:`_bareiss`.
 
     Raises:
         ValueError: if the matrix is not square.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("determinant requires a square matrix")
-    n = matrix.rows
-    if n == 0:
-        return 1
-    a = [row[:] for row in matrix.data]
-    sign = 1
-    prev_pivot = 1
-    for k in range(n - 1):
-        pivot_pos = None
-        for i in range(k, n):
-            for j in range(k, n):
-                if a[i][j] != 0:
-                    pivot_pos = (i, j)
-                    break
-            if pivot_pos:
-                break
-        if pivot_pos is None:
-            return 0
-        pi, pj = pivot_pos
-        if pi != k:
-            a[k], a[pi] = a[pi], a[k]
-            sign = -sign
-        if pj != k:
-            for row in a:
-                row[k], row[pj] = row[pj], row[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev_pivot
-            a[i][k] = 0
-        prev_pivot = pivot
-    return sign * a[n - 1][n - 1]
+    rank, last_pivot = _bareiss(matrix.data)
+    return last_pivot if rank == matrix.rows else 0
 
 
 def rank_int(matrix: IntMatrix) -> int:
     """Exact rank over the integers (equivalently over the rationals).
 
-    Fraction-free elimination with full pivoting; the rank is the number
-    of elimination steps that find a nonzero pivot.
+    The number of :func:`_bareiss` steps that find a nonzero pivot.
     """
-    rows, cols = matrix.rows, matrix.cols
-    a = [row[:] for row in matrix.data]
-    rank = 0
-    prev_pivot = 1
-    for k in range(min(rows, cols)):
-        pivot_pos = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if a[i][j] != 0:
-                    pivot_pos = (i, j)
-                    break
-            if pivot_pos:
-                break
-        if pivot_pos is None:
-            break
-        pi, pj = pivot_pos
-        if pi != k:
-            a[k], a[pi] = a[pi], a[k]
-        if pj != k:
-            for row in a:
-                row[k], row[pj] = row[pj], row[k]
-        pivot = a[k][k]
-        for i in range(k + 1, rows):
-            for j in range(k + 1, cols):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev_pivot
-            a[i][k] = 0
-        prev_pivot = pivot
-        rank += 1
-    return rank
+    return _bareiss(matrix.data)[0]

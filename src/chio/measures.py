@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable
 
 from .matrix_core import (
@@ -31,7 +31,7 @@ from .matrix_core import (
     chio_extend,
     full_inner_box,
 )
-from .signed_graph import balance_summary
+from .signed_graph import balance_summary, four_circuits, is_six_circuit
 
 
 @dataclass(frozen=True, order=False)
@@ -235,34 +235,6 @@ def p_chio_abs(matrix: PartialTernaryMatrix) -> DyadicProb:
 # --- independent recipe for at most six specified entries -------------------
 
 
-def _four_circuits_within(positions: Iterable[Index2]) -> list[frozenset[Index2]]:
-    """All 2x2 rectangles (matrix 4-circuits) inside a small position set."""
-    by_row: dict[int, set[int]] = {}
-    for i, j in positions:
-        by_row.setdefault(i, set()).add(j)
-    circuits = []
-    for r1, r2 in combinations(sorted(by_row), 2):
-        for c1, c2 in combinations(sorted(by_row[r1] & by_row[r2]), 2):
-            circuits.append(frozenset({(r1, c1), (r1, c2), (r2, c1), (r2, c2)}))
-    return circuits
-
-
-def _is_six_circuit(positions: frozenset[Index2]) -> bool:
-    """Six positions forming a single matrix 6-circuit (all degrees two)."""
-    if len(positions) != 6:
-        return False
-    row_deg: dict[int, int] = {}
-    col_deg: dict[int, int] = {}
-    for i, j in positions:
-        row_deg[i] = row_deg.get(i, 0) + 1
-        col_deg[j] = col_deg.get(j, 0) + 1
-    # With six edges, all degrees two forces one 6-circuit: the only other
-    # even split would need a 2-edge circuit, impossible in a simple graph.
-    return all(d == 2 for d in row_deg.values()) and all(
-        d == 2 for d in col_deg.values()
-    )
-
-
 def _odd_plus_count(matrix: PartialTernaryMatrix, positions: Iterable[Index2]) -> bool:
     return sum(1 for pos in positions if matrix[pos] == 1) % 2 == 1
 
@@ -291,7 +263,7 @@ def recipe_p_chio(matrix: PartialTernaryMatrix, ambient: IndexSet | None = None)
 
     domain = frozenset(matrix.entries)
     circuits = [
-        c for c in _four_circuits_within(domain) if all(matrix[p] != 0 for p in c)
+        c for c in four_circuits(domain) if all(matrix[p] != 0 for p in c)
     ]
 
     if k == 4:
@@ -314,7 +286,7 @@ def recipe_p_chio(matrix: PartialTernaryMatrix, ambient: IndexSet | None = None)
     if matrix.supp < 4:
         return lcf()
     if not circuits:
-        if _is_six_circuit(domain) and matrix.supp == 6:
+        if is_six_circuit(domain) and matrix.supp == 6:
             if _odd_plus_count(matrix, domain):
                 return DyadicProb.zero()
             return DyadicProb.pow_half(11)
@@ -337,7 +309,7 @@ def recipe_p_chio(matrix: PartialTernaryMatrix, ambient: IndexSet | None = None)
     )
     if not is_grid:
         return DyadicProb.pow_half(11)
-    others = [c for c in _four_circuits_within(domain) if c != circuit]
+    others = [c for c in four_circuits(domain) if c != circuit]
     if any(_odd_plus_count(matrix, c) for c in others):
         return DyadicProb.zero()
     return DyadicProb.pow_half(10)

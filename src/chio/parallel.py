@@ -27,15 +27,13 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def run_tasks(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> list[R]:
-    """Evaluate ``fn`` over tasks, in order; inline when one worker suffices."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
-        return list(pool.imap(fn, tasks))
+    """All results of :func:`run_tasks_iter`, as a list in task order."""
+    return list(run_tasks_iter(fn, tasks, workers))
 
 
 def run_tasks_iter(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> Iterable[R]:
-    """Like :func:`run_tasks` but yielding results as they complete, in order."""
+    """Evaluate ``fn`` over tasks, yielding results in task order; inline
+    when one worker suffices, else from a process pool."""
     if workers <= 1 or len(tasks) <= 1:
         for task in tasks:
             yield fn(task)

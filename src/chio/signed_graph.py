@@ -10,13 +10,17 @@ A signed graph is *balanced* when every circuit carries an even number of
 negative edges, equivalently when it admits a vertex 2-colouring that is
 constant across negative edges and proper across positive ones.  Balance,
 colouring counts (0 or 2^beta0), the number of balanced signings
-(2^(f0-beta0)) and the Betti data are all computed by one iterative
-depth-first search in vertex label order, so certificates are
-deterministic.
+(2^(f0-beta0)), the Betti data, the components and a spanning forest all
+come from one iterative depth-first search in vertex label order
+(``_scan``, the only graph traversal of the library), so certificates
+are deterministic.
 
 Isomorphism types of the bipartite nonforests with at most six edges are
 classified into a fixed catalogue ``t1 .. t20`` via per-component degree
 fingerprints; anything cyclic outside the catalogue reports ``other``.
+
+The matrix-circuit searches at the end use no traversal; the recipe and
+the failure enumerator share them.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .matrix_core import Index2, IndexSet, PartialTernaryMatrix
 
@@ -96,16 +100,6 @@ class SignedBipartiteGraph:
         return SignedBipartiteGraph(
             self.dims, self.row_vertices, self.col_vertices, self.edges, sign
         )
-
-    def adjacency(self) -> dict[Vertex, list[Vertex]]:
-        adj: dict[Vertex, list[Vertex]] = {v: [] for v in self.vertices}
-        for i, j in sorted(self.edges):
-            adj[("r", i)].append(("c", j))
-            adj[("c", j)].append(("r", i))
-        key = _vertex_sort_key(self.dims)
-        for v in adj:
-            adj[v].sort(key=key)
-        return adj
 
     def to_json_dict(self) -> dict:
         return {
@@ -196,58 +190,59 @@ def _scan(
     rows: Iterable[int],
     cols: Iterable[int],
     signed_edges: list[tuple[Index2, int]],
-    use_signs: bool,
-) -> tuple[bool, int, dict[int, int]]:
+) -> tuple[bool, int, dict[int, int], dict[int, int], dict[int, int]]:
     """One iterative DFS in label order over an integer-encoded graph.
 
-    Row vertex i is encoded as i, column vertex j as s + j, so numeric
-    order equals the lexicographic order of the labels (i,t) and (s,j).
-    Returns (balanced, component count, colouring); the colouring gives
-    +1 to the first vertex of each component and propagates greedily:
-    across a negative edge colours agree, across a positive one they
-    differ.  With ``use_signs`` false the colouring is just a traversal.
+    The only graph traversal of the library.  Row vertex i is encoded as
+    i, column vertex j as s + j, so numeric order equals the lexicographic
+    order of the labels (i,t) and (s,j).  Returns ``(balanced, beta0,
+    colour, component, parent)``.  The colouring gives +1 to the first
+    vertex of each component and propagates greedily: across a negative
+    edge colours agree, across a positive one they differ.  ``component``
+    numbers the components in discovery order; ``parent`` maps each
+    non-root vertex to the vertex it was discovered from, so its items
+    are the edges of a spanning forest.
     """
-    adj: dict[int, list[tuple[int, int]]] = {}
-    order = sorted(rows)
-    for i in order:
-        adj[i] = []
-    col_order = [s + j for j in sorted(cols)]
-    for v in col_order:
-        adj[v] = []
-    order += col_order
+    order = sorted(rows) + [s + j for j in sorted(cols)]
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in order}
     for (i, j), sg in signed_edges:
         adj[i].append((s + j, sg))
         adj[s + j].append((i, sg))
     colour: dict[int, int] = {}
+    component: dict[int, int] = {}
+    parent: dict[int, int] = {}
     balanced = True
     components = 0
     for start in order:
         if start in colour:
             continue
-        components += 1
         colour[start] = 1
+        component[start] = components
         stack = [start]
         while stack:
             u = stack.pop()
             cu = colour[u]
             for v, sg in adj[u]:
-                want = cu if (not use_signs or sg == -1) else -cu
+                want = cu if sg == -1 else -cu
                 known = colour.get(v)
                 if known is None:
                     colour[v] = want
+                    component[v] = components
+                    parent[v] = u
                     stack.append(v)
-                elif use_signs and known != want:
+                elif known != want:
                     balanced = False
-    return balanced, components, colour
+        components += 1
+    return balanced, components, colour, component, parent
 
 
 def _graph_scan(graph: SignedBipartiteGraph, use_signs: bool):
+    # An unsigned scan treats every edge as negative: one colour per
+    # component, never unbalanced.
     sign = graph.sign if use_signs else None
     edges = sorted(graph.edges)
-    signed_edges = [(e, 1 if sign is None else sign[e]) for e in edges]
-    return _scan(
-        graph.dims[0], graph.row_vertices, graph.col_vertices, signed_edges, use_signs
-    )
+    signed_edges = [(e, -1 if sign is None else sign[e]) for e in edges]
+    return _scan(graph.dims[0], graph.row_vertices, graph.col_vertices, signed_edges)
 
 
 def _decode_colour(s: int, colour: dict[int, int]) -> dict[Vertex, int]:
@@ -261,8 +256,9 @@ def balance_summary(
 ) -> tuple[bool, int, int]:
     """(balanced, f0, beta0) of the graph of an entries map, one DFS.
 
-    Fast path shared by the measure evaluations; identical traversal to
-    :func:`balance_and_betti` without materializing graph objects.
+    Fast path shared by the measure evaluations; the traversal of
+    :func:`balance_and_betti` without materializing graph objects.  Both
+    results are independent of the edge order, so edges are not sorted.
     """
     rows = set()
     cols = set()
@@ -272,14 +268,16 @@ def balance_summary(
         cols.add(pos[1])
         if v:
             signed_edges.append((pos, v))
-    signed_edges.sort()
-    balanced, beta0, _ = _scan(dims[0], rows, cols, signed_edges, True)
+    balanced, beta0, _, _, _ = _scan(dims[0], rows, cols, signed_edges)
     return balanced, len(rows) + len(cols), beta0
 
 
 def betti(graph: SignedBipartiteGraph) -> BettiData:
     """Component count by DFS; beta1 from the Euler relation."""
-    _, beta0, _ = _graph_scan(graph, use_signs=False)
+    return _betti_data(graph, _graph_scan(graph, use_signs=False)[1])
+
+
+def _betti_data(graph: SignedBipartiteGraph, beta0: int) -> BettiData:
     f0, f1 = graph.f0, graph.f1
     return BettiData(f0=f0, f1=f1, beta0=beta0, beta1=f1 - f0 + beta0)
 
@@ -290,10 +288,9 @@ def balance_and_betti(
     """Balance decision, certificate and Betti data from a single DFS."""
     if graph.sign is None:
         raise ValueError("balance requires a sign function")
-    balanced, beta0, colour = _graph_scan(graph, use_signs=True)
-    data = BettiData(graph.f0, graph.f1, beta0, graph.f1 - graph.f0 + beta0)
+    balanced, beta0, colour, _, _ = _graph_scan(graph, use_signs=True)
     certificate = Coloring(_decode_colour(graph.dims[0], colour)) if balanced else None
-    return balanced, certificate, data
+    return balanced, certificate, _betti_data(graph, beta0)
 
 
 def is_balanced(graph: SignedBipartiteGraph) -> tuple[bool, Coloring | None]:
@@ -310,6 +307,13 @@ def count_colorings(graph: SignedBipartiteGraph) -> int:
     """Number of (-)-constant (+)-proper 2-colourings: 0 or 2^beta0."""
     balanced, _, data = balance_and_betti(graph)
     return 2**data.beta0 if balanced else 0
+
+
+def spanning_forest(graph: SignedBipartiteGraph) -> list[Index2]:
+    """Sorted edges of the spanning forest that the label-order DFS takes."""
+    s = graph.dims[0]
+    parent = _graph_scan(graph, use_signs=False)[4]
+    return sorted((u, v - s) if u < s else (v, u - s) for v, u in parent.items())
 
 
 def count_balanced_signings(graph: SignedBipartiteGraph) -> int:
@@ -361,14 +365,11 @@ _CATALOGUE: dict[tuple[str, ...], IsoType] = {
 }
 
 
-def _component_shape(
-    vertices: list[Vertex], edges: list[Index2], adj: dict[Vertex, list[Vertex]]
-) -> str | None:
+def _component_shape(fc0: int, edges: list[Index2], s: int) -> str | None:
     """Fingerprint one connected component, or None if uncatalogued."""
-    fc0, fc1 = len(vertices), len(edges)
+    fc1 = len(edges)
     if fc1 == 0:
         return _COMPONENT_ISO
-    degrees = sorted((len(adj[v]) for v in vertices), reverse=True)
     if (fc0, fc1) == (2, 1):
         return _COMPONENT_EDGE
     if (fc0, fc1) == (3, 2):
@@ -380,6 +381,12 @@ def _component_shape(
     if (fc0, fc1) == (5, 6):
         return _COMPONENT_K23
     if (fc0, fc1) == (6, 6):
+        # Vertices in the integer encoding of _scan: row i, column s + j.
+        degree: dict[int, int] = {}
+        for i, j in edges:
+            degree[i] = degree.get(i, 0) + 1
+            degree[s + j] = degree.get(s + j, 0) + 1
+        degrees = sorted(degree.values(), reverse=True)
         if degrees == [2, 2, 2, 2, 2, 2]:
             return _COMPONENT_C6
         if degrees == [4, 2, 2, 2, 1, 1]:
@@ -387,48 +394,40 @@ def _component_shape(
         if degrees == [3, 2, 2, 2, 2, 1]:
             return _COMPONENT_C4_TAIL2
         if degrees == [3, 3, 2, 2, 1, 1]:
-            hubs = [v for v in vertices if len(adj[v]) == 3]
-            adjacent = hubs[1] in adj[hubs[0]]
+            h0, h1 = sorted(v for v, d in degree.items() if d == 3)
+            adjacent = h0 < s < h1 and (h0, h1 - s) in edges
             return _COMPONENT_C4_PP_ADJ if adjacent else _COMPONENT_C4_PP_OPP
     return None
 
 
-def classify_isotype(graph: SignedBipartiteGraph) -> IsoType:
-    """Catalogue tag of the isomorphism type.
+def isotype_and_betti(graph: SignedBipartiteGraph) -> tuple[IsoType, BettiData]:
+    """Catalogue tag of the isomorphism type and the Betti data, one DFS.
 
     Forests always report FOREST.  Graphs containing a circuit match one
     of the twenty catalogued nonforest types when they have at most six
     edges; everything else reports OTHER_NONFOREST.
     """
-    data = betti(graph)
+    _, beta0, _, component, _ = _graph_scan(graph, use_signs=False)
+    data = _betti_data(graph, beta0)
     if data.beta1 == 0:
-        return IsoType.FOREST
+        return IsoType.FOREST, data
     if data.f1 > 6:
-        return IsoType.OTHER_NONFOREST
+        return IsoType.OTHER_NONFOREST, data
+    sizes = [0] * beta0
+    for c in component.values():
+        sizes[c] += 1
+    edges: list[list[Index2]] = [[] for _ in sizes]
+    for i, j in graph.edges:
+        edges[component[i]].append((i, j))
+    shapes = [_component_shape(fc0, es, graph.dims[0]) for fc0, es in zip(sizes, edges)]
+    if None in shapes:
+        return IsoType.OTHER_NONFOREST, data
+    return _CATALOGUE.get(tuple(sorted(shapes)), IsoType.OTHER_NONFOREST), data
 
-    adj = graph.adjacency()
-    seen: set[Vertex] = set()
-    shapes: list[str] = []
-    for start in graph.vertices:
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        comp_edges = [
-            (i, j) for i, j in graph.edges if ("r", i) in comp or ("c", j) in comp
-        ]
-        shape = _component_shape(comp, comp_edges, adj)
-        if shape is None:
-            return IsoType.OTHER_NONFOREST
-        shapes.append(shape)
-    return _CATALOGUE.get(tuple(sorted(shapes)), IsoType.OTHER_NONFOREST)
+
+def classify_isotype(graph: SignedBipartiteGraph) -> IsoType:
+    """Catalogue tag of the isomorphism type; see :func:`isotype_and_betti`."""
+    return isotype_and_betti(graph)[0]
 
 
 # --- matrix circuits --------------------------------------------------------
@@ -444,21 +443,49 @@ def is_matrix_circuit(positions: IndexSet) -> bool:
     length = len(members)
     if length % 2 != 0:
         raise ValueError("a matrix circuit needs an even number of positions")
-    if length < 4:
-        return False
-    row_degree: dict[int, int] = {}
-    col_degree: dict[int, int] = {}
-    for i, j in members:
-        row_degree[i] = row_degree.get(i, 0) + 1
-        col_degree[j] = col_degree.get(j, 0) + 1
-    if any(d != 2 for d in row_degree.values()):
-        return False
-    if any(d != 2 for d in col_degree.values()):
+    if length < 4 or not _all_degrees_two(members):
         return False
     # All degrees are 2, so the graph is a disjoint union of circuits;
     # a single circuit is exactly the connected case.
     matrix = PartialTernaryMatrix(positions.dims, {pos: 1 for pos in members})
     return betti(build_graph(matrix)).beta0 == 1
+
+
+def _all_degrees_two(positions: Iterable[Index2]) -> bool:
+    """Every row and every column of the positions holds exactly two."""
+    row_degree: dict[int, int] = {}
+    col_degree: dict[int, int] = {}
+    for i, j in positions:
+        row_degree[i] = row_degree.get(i, 0) + 1
+        col_degree[j] = col_degree.get(j, 0) + 1
+    return all(d == 2 for d in row_degree.values()) and all(
+        d == 2 for d in col_degree.values()
+    )
+
+
+def is_six_circuit(positions: Collection[Index2]) -> bool:
+    """Six positions forming a single matrix 6-circuit, by degrees alone.
+
+    With six edges, all degrees two forces one 6-circuit: the only other
+    even split would need a 2-edge circuit, impossible in a simple graph.
+    No traversal is involved, so the recipe can use it.
+    """
+    return len(positions) == 6 and _all_degrees_two(positions)
+
+
+def four_circuits(positions: Iterable[Index2]) -> list[frozenset[Index2]]:
+    """All 2x2 rectangles (matrix 4-circuits) inside a set of positions.
+
+    Ordered by row pair, then by column pair.
+    """
+    by_row: dict[int, set[int]] = {}
+    for i, j in positions:
+        by_row.setdefault(i, set()).add(j)
+    return [
+        frozenset({(r1, c1), (r1, c2), (r2, c1), (r2, c2)})
+        for r1, r2 in combinations(sorted(by_row), 2)
+        for c1, c2 in combinations(sorted(by_row[r1] & by_row[r2]), 2)
+    ]
 
 
 def enumerate_circuits(length: int, s: int, t: int) -> Iterator[IndexSet]:

@@ -9,6 +9,8 @@ signing is the whole set of balanced signings.
 Balanced signings are rigid: the signing of a spanning forest extends in
 exactly one balanced way, which both constructs orbits without search
 and shows that all balanced signings of a {0,1} pattern share its rank.
+The forest comes from the signed-graph depth-first search, and one scan
+of the signed forest gives the colouring that forces every other sign.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ from itertools import product
 from typing import Iterator, Mapping
 
 from .matrix_core import Index2, IntMatrix, PartialTernaryMatrix, rank_int
-from .signed_graph import SignedBipartiteGraph, balance_and_betti, betti, build_graph
+from .signed_graph import (
+    SignedBipartiteGraph,
+    balance_and_betti,
+    betti,
+    build_graph,
+    spanning_forest,
+)
 
 
 @dataclass(frozen=True)
@@ -100,104 +108,41 @@ def balanced_extension(
 ) -> SignedBipartiteGraph:
     """The unique balanced signing extending a spanning-forest signing.
 
-    The forest pins a potential (vertex colour) per component; every
-    remaining edge is forced.  Non-forest edges are filled in
-    lexicographic order, but rigidity makes the result order-free.
+    One scan of the signed forest colours every vertex, constant across
+    negative forest edges and proper across positive ones; every edge then
+    gets the sign ``-colour(u) * colour(v)``, which keeps the forest's own
+    signs.  The forest is acyclic iff its beta1 is zero, and spans iff its
+    beta0 equals that of the graph.
 
     Raises:
         ValueError: if the given edges are not a spanning forest of the
-            graph (cycle, missing coverage, or unknown edge).
+            graph (cycle, missing coverage, or unknown edge), or a sign
+            is not -1 or +1.
     """
     forest = dict(forest_signing)
     if not set(forest) <= set(graph.edges):
         raise ValueError("forest edges must be edges of the graph")
-    if any(v not in (-1, 1) for v in forest.values()):
-        raise ValueError("forest signs must be -1 or +1")
-
-    adj: dict[tuple[str, int], list[tuple[tuple[str, int], Index2]]] = {
-        v: [] for v in graph.vertices
-    }
-    for i, j in sorted(forest):
-        adj[("r", i)].append((("c", j), (i, j)))
-        adj[("c", j)].append((("r", i), (i, j)))
-
-    data = betti(graph)
-    if len(forest) != data.f0 - data.beta0:
-        raise ValueError("not a spanning forest: wrong edge count")
-
-    # Propagate potentials over the forest; a repeat visit means a cycle.
-    potential: dict[tuple[str, int], int] = {}
-    for start in graph.vertices:
-        if start in potential:
-            continue
-        potential[start] = 1
-        stack = [(start, None)]
-        while stack:
-            u, via = stack.pop()
-            for v, edge in adj[u]:
-                if edge == via:
-                    continue
-                if v in potential:
-                    raise ValueError("not a spanning forest: contains a cycle")
-                # A negative edge keeps the potential, a positive one flips it.
-                potential[v] = potential[u] if forest[edge] == -1 else -potential[u]
-                stack.append((v, edge))
-
-    # An acyclic forest with f0 - beta0 edges inside the graph necessarily
-    # spans every component; the root comparison is a defensive assertion.
-    sign = dict(forest)
-    for edge in sorted(graph.edges):
-        if edge in sign:
-            continue
-        i, j = edge
-        u, v = ("r", i), ("c", j)
-        if _forest_root(u, adj, graph) != _forest_root(v, adj, graph):
-            raise ValueError("not a spanning forest: component split")
-        sign[edge] = -potential[u] * potential[v]
-    return graph.with_sign(sign)
-
-
-def _forest_root(
-    vertex: tuple[str, int],
-    adj: dict[tuple[str, int], list[tuple[tuple[str, int], Index2]]],
-    graph: SignedBipartiteGraph,
-) -> tuple[str, int]:
-    """Smallest vertex reachable from ``vertex`` through forest edges."""
-    seen = {vertex}
-    stack = [vertex]
-    while stack:
-        u = stack.pop()
-        for v, _ in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return min(seen)
+    tree = SignedBipartiteGraph(
+        graph.dims, graph.row_vertices, graph.col_vertices, frozenset(forest), forest
+    )
+    _, colouring, data = balance_and_betti(tree)
+    if data.beta1:
+        raise ValueError("not a spanning forest: contains a cycle")
+    if data.beta0 != betti(graph).beta0:
+        raise ValueError("not a spanning forest: component split")
+    return graph.with_sign(
+        {(i, j): -colouring[("r", i)] * colouring[("c", j)] for i, j in graph.edges}
+    )
 
 
 def balanced_signings(graph: SignedBipartiteGraph) -> Iterator[SignedBipartiteGraph]:
     """All balanced signings, via the forest-signing bijection.
 
-    Picks a deterministic spanning forest (DFS in label order) and runs
-    every forest signing through :func:`balanced_extension`; yields
-    2^(f0 - beta0) graphs.
+    Takes the spanning forest of the label-order DFS and runs every forest
+    signing through :func:`balanced_extension`; yields 2^(f0 - beta0)
+    graphs.
     """
-    adj = graph.adjacency()
-    forest_edges: list[Index2] = []
-    seen: set[tuple[str, int]] = set()
-    for start in graph.vertices:
-        if start in seen:
-            continue
-        seen.add(start)
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    edge = (u[1], v[1]) if u[0] == "r" else (v[1], u[1])
-                    forest_edges.append(edge)
-                    stack.append(v)
-    forest_edges.sort()
+    forest_edges = spanning_forest(graph)
     for signs in product((-1, 1), repeat=len(forest_edges)):
         yield balanced_extension(graph, dict(zip(forest_edges, signs)))
 
