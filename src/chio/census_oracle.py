@@ -1,27 +1,33 @@
 """Exhaustive censuses over sign matrices: empirical ground truth.
 
 Matrices in {-1,+1}^(s x t) are encoded as (s*t)-bit integers (bit set
-means entry +1, row-major).  Chunks of codes are decoded and processed
-with vectorized exact integer arithmetic: condensation is a bitwise
-2x2-minor computation, rank a batched Bareiss elimination with exact
-division, in the narrowest integer dtype that the Hadamard bound of the
-input proves safe (inputs whose bound overflows int64 are refused).  No
-floating point is used anywhere.
+means entry +1, row-major), and the census walks the code range in
+fixed chunks.  Entry filters fix some code bits; a chunk generates only
+the codes that agree with them, by depositing a range of integers into
+the free bits (an unfiltered chunk is its code range itself).  Codes
+are decoded and processed with vectorized exact integer arithmetic:
+condensation is a bitwise 2x2-minor computation, rank a batched Bareiss
+elimination with exact division, in the narrowest integer dtype that
+the Hadamard bound of the input proves safe (inputs whose bound
+overflows int64 are refused).  No floating point is used anywhere.
 
 Aggregates (rank histograms, condensate preimage counts, edge-marginal
 pair counts, rank-drop violations) are merged per chunk in a fixed
-order, so results are bit-identical for any worker count, and may be
-flushed to a versioned binary checkpoint for resumable large runs.
+order, so results are bit-identical for any worker count and chunk
+size.  Condensate counts are sparse: the sorted codes of the condensates
+seen, with their counts.  Partial aggregates may be flushed to a
+versioned binary checkpoint that records the filters and the aggregates
+it holds, so a run resumes only into the census that wrote it.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -30,7 +36,7 @@ from . import parallel
 
 DEFAULT_BUDGET_LOG2 = 25
 CHECKPOINT_MAGIC = b"CHIOCENS\0"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 AGGREGATE_NAMES = (
     "rank_pm",
@@ -67,6 +73,9 @@ class CensusConfig:
             )
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be positive")
+        for (i, j), sign in (self.filters or {}).items():
+            if not (1 <= i <= s and 1 <= j <= t) or sign not in (-1, 1):
+                raise ValueError(f"bad census filter: entry {(i, j)} fixed to {sign}")
 
 
 def batch_rank(mats: np.ndarray) -> np.ndarray:
@@ -152,21 +161,68 @@ def decode_condensate(code: int, s: int, t: int) -> PartialTernaryMatrix:
     return PartialTernaryMatrix((s, t), entries)
 
 
+def _fixed_bits(filters: dict[Index2, int] | None, t: int) -> tuple[int, int]:
+    """``(mask, value)``: the code bits the filters fix, and what they read."""
+    mask = value = 0
+    for (i, j), sign in (filters or {}).items():
+        bit = 1 << _bit_index(i, j, t)
+        mask |= bit
+        if sign == 1:
+            value |= bit
+    return mask, value
+
+
+def _free_runs(st: int, mask: int) -> list[tuple[int, int, int]]:
+    """Maximal runs of free code bits, as ``(first bit of x, first code bit, width)``."""
+    runs = []
+    src = bit = 0
+    while bit < st:
+        width = 0
+        while bit + width < st and not (mask >> (bit + width)) & 1:
+            width += 1
+        if width:
+            runs.append((src, bit, width))
+            src += width
+        bit += width + 1
+    return runs
+
+
+def _deposit(x, runs: list[tuple[int, int, int]], value: int):
+    """The code whose free bits, low to high, are the bits of ``x``.
+
+    Works on Python ints and int64 arrays alike, and is strictly
+    increasing in ``x``.
+    """
+    for src, dst, width in runs:
+        value = value | ((x >> src) & ((1 << width) - 1)) << dst
+    return value
+
+
+def _count_below(bound: int, runs: list[tuple[int, int, int]], value: int) -> int:
+    """Number of admissible codes below ``bound``, by bisection on ``x``."""
+    lo, hi = 0, 1 << sum(width for _, _, width in runs)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _deposit(mid, runs, value) < bound:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def _chunk_task(args: tuple) -> dict:
-    """Process one contiguous range of matrix codes."""
+    """Process the admissible codes of one contiguous code range."""
     s, t, lo, hi, names, filters = args
     st = s * t
     m = (s - 1) * (t - 1)
-    codes = np.arange(lo, hi, dtype=np.int64)
-    if filters:
-        keep = np.ones(codes.shape, dtype=bool)
-        for (i, j), sign in filters.items():
-            bit = (codes >> _bit_index(i, j, t)) & 1
-            keep &= bit == (1 if sign == 1 else 0)
-        codes = codes[keep]
-    out: dict[str, object] = {"visited": int(codes.size)}
-    if codes.size == 0:
+    mask, value = _fixed_bits(filters, t)
+    runs = _free_runs(st, mask)
+    x = np.arange(_count_below(lo, runs, value), _count_below(hi, runs, value), dtype=np.int64)
+    out: dict[str, object] = {"visited": int(x.size)}
+    if x.size == 0:
         return out
+    # With every bit fixed, _deposit returns a plain int.
+    codes = np.broadcast_to(_deposit(x, runs, value), x.shape)
 
     shifts = np.arange(st, dtype=np.int64)
     entries = (2 * ((codes[:, None] >> shifts) & 1) - 1).astype(np.int8)
@@ -212,40 +268,67 @@ def _chunk_task(args: tuple) -> dict:
 
 @dataclass
 class CensusResult:
-    """Merged aggregates of one census run."""
+    """Merged aggregates of one census run; ``None`` marks one not computed."""
 
     dims: tuple[int, int]
     visited: int = 0
+    # Matrices per rank, indexed 0..min(s, t).
     rank_pm: np.ndarray | None = None
+    # Condensates per rank, indexed 0..min(s-1, t-1).
     rank_cond: np.ndarray | None = None
-    cond_counts: np.ndarray | None = None  # dense int64, length 3^((s-1)(t-1))
+    # Sorted unique base-3 codes of the condensates seen (int64).
+    cond_codes: np.ndarray | None = None
+    # Preimage count of each code in cond_codes (int64, aligned with it).
+    cond_counts: np.ndarray | None = None
+    # m x m, m = (s-1)(t-1): matrices whose condensate is nonzero at both entries.
     edge_pairs: np.ndarray | None = None
+    # Matrices whose rank is not their condensate's rank plus one.
     rank_drop_violations: int | None = None
+    # Chunk (codes, counts) pairs not yet folded into cond_codes/cond_counts.
+    _pending: list = field(default_factory=list, repr=False, compare=False)
+    _pending_size: int = field(default=0, repr=False, compare=False)
+
+    @classmethod
+    def empty(cls, dims: tuple[int, int], aggregates: tuple[str, ...]) -> CensusResult:
+        """A result holding zero for each named aggregate."""
+        layouts = _entry_layouts(*dims)
+        result = cls(dims=dims)
+        for name in _entry_names(aggregates)[1:]:
+            kind, shape = layouts[name]
+            setattr(result, name, 0 if kind == 0 else np.zeros(shape or 0, dtype=np.int64))
+        return result
+
+    def aggregate_names(self) -> tuple[str, ...]:
+        """The aggregates this result holds, in ``AGGREGATE_NAMES`` order."""
+        return tuple(name for name in AGGREGATE_NAMES if getattr(self, name) is not None)
 
     def merge_chunk(self, chunk: dict) -> None:
+        """Add one chunk's aggregates; each must already be held (see :meth:`empty`)."""
         self.visited += chunk["visited"]
-        if "rank_pm" in chunk:
-            if self.rank_pm is None:
-                self.rank_pm = np.zeros_like(chunk["rank_pm"])
-            self.rank_pm += chunk["rank_pm"]
-        if "rank_cond" in chunk:
-            if self.rank_cond is None:
-                self.rank_cond = np.zeros_like(chunk["rank_cond"])
-            self.rank_cond += chunk["rank_cond"]
-        if "rank_drop_violations" in chunk:
-            if self.rank_drop_violations is None:
-                self.rank_drop_violations = 0
-            self.rank_drop_violations += chunk["rank_drop_violations"]
-        if "cond_counts" in chunk:
-            s, t = self.dims
-            if self.cond_counts is None:
-                self.cond_counts = np.zeros(3 ** ((s - 1) * (t - 1)), dtype=np.int64)
-            uniq, counts = chunk["cond_counts"]
-            np.add.at(self.cond_counts, uniq, counts)
-        if "edge_pairs" in chunk:
-            if self.edge_pairs is None:
-                self.edge_pairs = np.zeros_like(chunk["edge_pairs"])
-            self.edge_pairs += chunk["edge_pairs"]
+        for name, value in chunk.items():
+            if name == "cond_counts":
+                self._pending.append(value)
+                self._pending_size += value[0].size
+                if self._pending_size >= self.cond_codes.size:
+                    self.settle()
+            elif name != "visited":
+                setattr(self, name, getattr(self, name) + value)
+
+    def settle(self) -> None:
+        """Fold the pending chunk counts into ``cond_codes``/``cond_counts``.
+
+        Merging only once the pending pairs are as large as the merged
+        ones keeps the total cost at O(N log N) for N codes seen.
+        """
+        if not self._pending:
+            return
+        codes = np.concatenate([self.cond_codes] + [c for c, _ in self._pending])
+        counts = np.concatenate([self.cond_counts] + [n for _, n in self._pending])
+        self.cond_codes, inverse = np.unique(codes, return_inverse=True)
+        self.cond_counts = np.zeros(self.cond_codes.size, dtype=np.int64)
+        np.add.at(self.cond_counts, inverse, counts)
+        self._pending = []
+        self._pending_size = 0
 
     def to_json_dict(self) -> dict:
         data: dict = {"dims": list(self.dims), "visited": self.visited}
@@ -261,6 +344,12 @@ class CensusResult:
 
 
 # --- checkpointing -----------------------------------------------------------
+#
+# Layout (little-endian): magic; u32 version, s, t; u64 chunk size, next
+# chunk, fixed-bit mask, fixed-bit value; u32 entry count; entries.  An
+# entry is u32 length + name, then kind 0 (u64 scalar), 1 (u64 length +
+# u64 values) or 2 (u32 rows, u32 cols + u64 values, row-major).  The
+# entries are ``visited`` and the held aggregates (see _entry_names).
 
 
 def _pack_array(name: str, arr: np.ndarray) -> bytes:
@@ -280,21 +369,33 @@ def _pack_scalar(name: str, value: int) -> bytes:
     return struct.pack("<I", len(encoded)) + encoded + struct.pack("<BQ", 0, value)
 
 
-def save_checkpoint(path: str, cfg: CensusConfig, result: CensusResult, next_chunk: int) -> None:
+def _entry_names(aggregates: tuple[str, ...]) -> list[str]:
+    """Checkpoint entries that hold ``visited`` and the named aggregates."""
+    names = ["visited"]
+    for name in aggregates:
+        names.extend(("cond_codes", "cond_counts") if name == "cond_counts" else (name,))
+    return names
+
+
+def _entry_layouts(s: int, t: int) -> dict[str, tuple[int, tuple[int, ...] | None]]:
+    """Kind and shape of each checkpoint entry; ``None`` is any length."""
+    m = (s - 1) * (t - 1)
+    return {
+        "visited": (0, ()),
+        "rank_drop_violations": (0, ()),
+        "rank_pm": (1, (min(s, t) + 1,)),
+        "rank_cond": (1, (min(s - 1, t - 1) + 1,)),
+        "cond_codes": (1, None),
+        "cond_counts": (1, None),
+        "edge_pairs": (2, (m, m)),
+    }
+
+
+def _write_checkpoint(path: str, cfg: CensusConfig, next_chunk: int, blobs: list[bytes]) -> None:
     s, t = cfg.dims
-    blobs = [_pack_scalar("visited", result.visited)]
-    if result.rank_pm is not None:
-        blobs.append(_pack_array("rank_pm", result.rank_pm))
-    if result.rank_cond is not None:
-        blobs.append(_pack_array("rank_cond", result.rank_cond))
-    if result.rank_drop_violations is not None:
-        blobs.append(_pack_scalar("rank_drop_violations", result.rank_drop_violations))
-    if result.cond_counts is not None:
-        blobs.append(_pack_array("cond_counts", result.cond_counts))
-    if result.edge_pairs is not None:
-        blobs.append(_pack_array("edge_pairs", result.edge_pairs))
+    mask, value = _fixed_bits(cfg.filters, t)
     header = CHECKPOINT_MAGIC + struct.pack(
-        "<IIIQQI", CHECKPOINT_VERSION, s, t, cfg.chunk_size, next_chunk, len(blobs)
+        "<IIIQQQQI", CHECKPOINT_VERSION, s, t, cfg.chunk_size, next_chunk, mask, value, len(blobs)
     )
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
@@ -302,6 +403,17 @@ def save_checkpoint(path: str, cfg: CensusConfig, result: CensusResult, next_chu
         for blob in blobs:
             fh.write(blob)
     os.replace(tmp, path)
+
+
+def save_checkpoint(path: str, cfg: CensusConfig, result: CensusResult, next_chunk: int) -> None:
+    """Write ``result`` as the state of ``cfg``'s census before chunk ``next_chunk``."""
+    result.settle()
+    layouts = _entry_layouts(*cfg.dims)
+    blobs = [
+        (_pack_array if layouts[name][0] else _pack_scalar)(name, getattr(result, name))
+        for name in _entry_names(result.aggregate_names())
+    ]
+    _write_checkpoint(path, cfg, next_chunk, blobs)
 
 
 def _unpack(fmt: str, raw: bytes, off: int) -> tuple[tuple, int]:
@@ -312,46 +424,72 @@ def _unpack(fmt: str, raw: bytes, off: int) -> tuple[tuple, int]:
         raise ValueError("truncated or corrupt census checkpoint") from None
 
 
+def _read_bytes(raw: bytes, off: int, size: int) -> tuple[bytes, int]:
+    if off + size > len(raw):
+        raise ValueError("truncated or corrupt census checkpoint")
+    return raw[off : off + size], off + size
+
+
 def load_checkpoint(path: str, cfg: CensusConfig) -> tuple[CensusResult, int]:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     Raises:
-        ValueError: if the file is not a checkpoint of this census, or is
-            truncated or corrupt.
+        ValueError: if the file is not a checkpoint of this census (other
+            version, dimensions, chunk size or filters), or is truncated or
+            corrupt.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ValueError("not a census checkpoint (bad magic)")
-    header, off = _unpack("<IIIQQI", raw, len(CHECKPOINT_MAGIC))
-    version, s, t, chunk_size, next_chunk, n_blobs = header
+    (version,), off = _unpack("<I", raw, len(CHECKPOINT_MAGIC))
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise ValueError(
+            f"unsupported checkpoint version {version} (this build reads {CHECKPOINT_VERSION})"
+        )
+    header, off = _unpack("<IIQQQQI", raw, off)
+    s, t, chunk_size, next_chunk, mask, value, n_blobs = header
     if (s, t) != cfg.dims or chunk_size != cfg.chunk_size:
         raise ValueError("checkpoint does not match the requested census")
+    if (mask, value) != _fixed_bits(cfg.filters, t):
+        raise ValueError("checkpoint was written by a census with other entry filters")
+    if next_chunk > -(-(1 << (s * t)) // chunk_size):
+        raise ValueError("corrupt census checkpoint: next chunk past the end")
+
+    layouts = _entry_layouts(s, t)
     result = CensusResult(dims=(s, t))
+    seen: set[str] = set()
     for _ in range(n_blobs):
         (name_len,), off = _unpack("<I", raw, off)
-        name = raw[off : off + name_len].decode()
-        off += name_len
-        if name != "visited" and name not in AGGREGATE_NAMES:
-            raise ValueError(f"corrupt census checkpoint: unknown entry {name!r}")
+        name, off = _read_bytes(raw, off, name_len)
+        name = name.decode()
+        if name not in layouts or name in seen:
+            raise ValueError(f"corrupt census checkpoint: unexpected entry {name!r}")
+        seen.add(name)
         (kind,), off = _unpack("<B", raw, off)
+        want_kind, want_shape = layouts[name]
+        if kind != want_kind:
+            raise ValueError(f"corrupt census checkpoint: entry {name!r} has kind {kind}")
         if kind == 0:
-            (value,), off = _unpack("<Q", raw, off)
-            setattr(result, name, int(value))
-        elif kind == 1:
-            (length,), off = _unpack("<Q", raw, off)
-            arr = np.frombuffer(raw, dtype="<u8", count=length, offset=off).astype(np.int64)
-            off += 8 * length
-            setattr(result, name, arr)
-        elif kind == 2:
-            (rows, cols), off = _unpack("<II", raw, off)
-            arr = np.frombuffer(raw, dtype="<u8", count=rows * cols, offset=off)
-            off += 8 * rows * cols
-            setattr(result, name, arr.astype(np.int64).reshape(rows, cols))
-        else:
-            raise ValueError(f"unknown checkpoint blob kind {kind}")
+            (scalar,), off = _unpack("<Q", raw, off)
+            setattr(result, name, int(scalar))
+            continue
+        shape, off = _unpack("<Q" if kind == 1 else "<II", raw, off)
+        if want_shape is not None and shape != want_shape:
+            raise ValueError(f"corrupt census checkpoint: entry {name!r} has shape {shape}")
+        payload, off = _read_bytes(raw, off, 8 * prod(shape))
+        arr = np.frombuffer(payload, dtype="<u8").astype(np.int64).reshape(shape)
+        setattr(result, name, arr)
+    if "visited" not in seen or ("cond_codes" in seen) != ("cond_counts" in seen):
+        raise ValueError(f"corrupt census checkpoint: entries {sorted(seen)}")
+    if result.cond_codes is not None:
+        codes = result.cond_codes
+        if (
+            codes.size != result.cond_counts.size
+            or (codes.size and (codes[0] < 0 or codes[-1] >= 3 ** ((s - 1) * (t - 1))))
+            or (np.diff(codes) <= 0).any()
+        ):
+            raise ValueError("corrupt census checkpoint: bad condensate codes")
     return result, next_chunk
 
 
@@ -365,6 +503,10 @@ def run_census(
     Chunk results are merged in code order regardless of the worker
     count; with a checkpoint path, partial aggregates are flushed every
     ``flush_every`` chunks and a run can resume from the saved state.
+
+    Raises:
+        ValueError: on resume, if the checkpoint is not one of this census
+            with these aggregates, or is corrupt.
     """
     cfg.validate()
     unknown = set(aggregates) - set(AGGREGATE_NAMES)
@@ -375,9 +517,14 @@ def run_census(
     n_chunks = (total + cfg.chunk_size - 1) // cfg.chunk_size
 
     start_chunk = 0
-    result = CensusResult(dims=cfg.dims)
+    result = CensusResult.empty(cfg.dims, aggregates)
     if resume and cfg.checkpoint_path and os.path.exists(cfg.checkpoint_path):
         result, start_chunk = load_checkpoint(cfg.checkpoint_path, cfg)
+        held = result.aggregate_names()
+        if set(held) != set(aggregates):
+            raise ValueError(
+                f"checkpoint holds aggregates {list(held)}, not the requested {sorted(aggregates)}"
+            )
 
     tasks = [
         (
@@ -399,6 +546,7 @@ def run_census(
             done % cfg.flush_every == 0 or done == n_chunks
         ):
             save_checkpoint(cfg.checkpoint_path, cfg, result, done)
+    result.settle()
     return result
 
 
@@ -418,7 +566,9 @@ def empirical_p_chio(n: int, workers: int | None = None) -> np.ndarray:
         raise BudgetExceeded("empirical condensate census supports n <= 5")
     cfg = CensusConfig(dims=(n, n), worker_count=workers)
     result = run_census(cfg, aggregates=("cond_counts",))
-    return result.cond_counts
+    counts = np.zeros(3 ** ((n - 1) ** 2), dtype=np.int64)
+    counts[result.cond_codes] = result.cond_counts
+    return counts
 
 
 def binary_rank_counts(rows: int, cols: int) -> np.ndarray:

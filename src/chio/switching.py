@@ -119,6 +119,13 @@ def balanced_extension(
             graph (cycle, missing coverage, or unknown edge), or a sign
             is not -1 or +1.
     """
+    return _extend_forest_signing(graph, forest_signing, betti(graph).beta0)
+
+
+def _extend_forest_signing(
+    graph: SignedBipartiteGraph, forest_signing: Mapping[Index2, int], beta0: int
+) -> SignedBipartiteGraph:
+    """:func:`balanced_extension`, given the graph's component count."""
     forest = dict(forest_signing)
     if not set(forest) <= set(graph.edges):
         raise ValueError("forest edges must be edges of the graph")
@@ -128,7 +135,7 @@ def balanced_extension(
     _, colouring, data = balance_and_betti(tree)
     if data.beta1:
         raise ValueError("not a spanning forest: contains a cycle")
-    if data.beta0 != betti(graph).beta0:
+    if data.beta0 != beta0:
         raise ValueError("not a spanning forest: component split")
     return graph.with_sign(
         {(i, j): -colouring[("r", i)] * colouring[("c", j)] for i, j in graph.edges}
@@ -140,11 +147,13 @@ def balanced_signings(graph: SignedBipartiteGraph) -> Iterator[SignedBipartiteGr
 
     Takes the spanning forest of the label-order DFS and runs every forest
     signing through :func:`balanced_extension`; yields 2^(f0 - beta0)
-    graphs.
+    graphs.  The graph is traversed once: a spanning forest has f0 - beta0
+    edges.
     """
     forest_edges = spanning_forest(graph)
+    beta0 = graph.f0 - len(forest_edges)
     for signs in product((-1, 1), repeat=len(forest_edges)):
-        yield balanced_extension(graph, dict(zip(forest_edges, signs)))
+        yield _extend_forest_signing(graph, dict(zip(forest_edges, signs)), beta0)
 
 
 @dataclass

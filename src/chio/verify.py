@@ -398,7 +398,8 @@ def suite_failures(big: bool = False, workers: int | None = None) -> list[dict]:
 
 
 def census_determinism(dims: tuple[int, int] = (4, 4)) -> dict:
-    """Aggregates are bit-identical for worker counts 1, 2 and 8."""
+    """Aggregates, condensate codes included, are bit-identical for worker
+    counts 1, 2 and 8."""
     outputs = []
     for w in (1, 2, 8):
         res = run_census(
@@ -409,6 +410,7 @@ def census_determinism(dims: tuple[int, int] = (4, 4)) -> dict:
             (
                 tuple(int(v) for v in res.rank_pm),
                 tuple(int(v) for v in res.rank_cond),
+                res.cond_codes.tobytes(),
                 res.cond_counts.tobytes(),
             )
         )

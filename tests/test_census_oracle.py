@@ -1,6 +1,7 @@
 """Census engine: preimage counts, rank histograms, checkpoints, determinism."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -10,8 +11,13 @@ from hypothesis import strategies as st
 from chio.matrix_core import IntMatrix, PartialTernaryMatrix, rank_int
 from chio.measures import Event, fibre_cardinality
 from chio.census_oracle import (
+    AGGREGATE_NAMES,
+    CHECKPOINT_MAGIC,
     BudgetExceeded,
     CensusConfig,
+    _pack_array,
+    _pack_scalar,
+    _write_checkpoint,
     batch_rank,
     binary_rank_counts,
     condensate_code,
@@ -21,6 +27,7 @@ from chio.census_oracle import (
     load_checkpoint,
     rank_census,
     run_census,
+    save_checkpoint,
     singular_count,
     ternary_rank_supp_counts,
 )
@@ -235,3 +242,225 @@ class TestCheckpoints:
         run_census(cfg, aggregates=("rank_pm",))
         with pytest.raises(ValueError):
             load_checkpoint(path, CensusConfig(dims=(4, 4), worker_count=1))
+
+
+def _masked_reference(dims, filters):
+    """Every aggregate of the filtered census, from a mask over all codes."""
+    s, t = dims
+    m = (s - 1) * (t - 1)
+    codes = np.arange(1 << (s * t), dtype=np.int64)
+    for (i, j), sign in filters.items():
+        codes = codes[((codes >> ((i - 1) * t + j - 1)) & 1) == (sign == 1)]
+    a = (2 * ((codes[:, None] >> np.arange(s * t)) & 1) - 1).reshape(-1, s, t)
+    cond = (a[:, :-1, :-1] * a[:, -1:, -1:] - a[:, :-1, -1:] * a[:, -1:, :-1]) // 2
+    flat = cond.reshape(-1, m)
+    dense = np.bincount((flat + 1) @ 3 ** np.arange(m), minlength=3**m)
+    rank_pm = batch_rank(a)
+    rank_cond = batch_rank(cond)
+    nz = (flat != 0).astype(np.int64)
+    return {
+        "visited": int(codes.size),
+        "rank_pm": np.bincount(rank_pm, minlength=min(s, t) + 1),
+        "rank_cond": np.bincount(rank_cond, minlength=min(s - 1, t - 1) + 1),
+        "dense": dense,
+        "edge_pairs": nz.T @ nz,
+        "rank_drop_violations": int((rank_pm != rank_cond + 1).sum()),
+    }
+
+
+def _random_filters(rng, dims, size, high_only=False):
+    s, t = dims
+    cells = [(i, j) for i in range(1, s + 1) for j in range(1, t + 1)]
+    if high_only:
+        cells = cells[-t:]
+    picks = rng.choice(len(cells), size=min(size, len(cells)), replace=False)
+    return {cells[p]: int(rng.choice((-1, 1))) for p in picks}
+
+
+def _assert_matches(res, ref):
+    assert res.visited == ref["visited"]
+    assert list(res.rank_pm) == list(ref["rank_pm"])
+    assert list(res.rank_cond) == list(ref["rank_cond"])
+    assert res.rank_drop_violations == ref["rank_drop_violations"] == 0
+    assert res.edge_pairs.tolist() == ref["edge_pairs"].tolist()
+    dense = ref["dense"]
+    assert list(res.cond_codes) == list(np.flatnonzero(dense))
+    assert list(res.cond_counts) == list(dense[res.cond_codes])
+
+
+class TestDirectEnumeration:
+    @pytest.mark.parametrize("dims", [(3, 3), (3, 4), (4, 4)])
+    def test_filters_and_chunk_sizes_match_mask_scan(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        cases = [
+            {},
+            _random_filters(rng, dims, 2),
+            _random_filters(rng, dims, 5),
+            # Fixed bits above the chunk size leave whole chunks empty.
+            _random_filters(rng, dims, 2, high_only=True),
+        ]
+        for filters in cases:
+            ref = _masked_reference(dims, filters)
+            for chunk_size in (1, 7, 64, 512):
+                if ref["visited"] > 2048 * chunk_size:
+                    continue  # over 2^11 nonempty chunks: too slow for a unit test
+                res = run_census(
+                    CensusConfig(dims=dims, worker_count=1, chunk_size=chunk_size, filters=filters),
+                    aggregates=AGGREGATE_NAMES,
+                )
+                _assert_matches(res, ref)
+
+    def test_every_entry_fixed(self):
+        filters = {(i, j): 1 if (i + j) % 2 else -1 for i in range(1, 4) for j in range(1, 4)}
+        res = run_census(
+            CensusConfig(dims=(3, 3), worker_count=1, chunk_size=7, filters=filters),
+            aggregates=AGGREGATE_NAMES,
+        )
+        _assert_matches(res, _masked_reference((3, 3), filters))
+
+    def test_bad_filters_refused(self):
+        for filters in ({(4, 1): 1}, {(1, 0): -1}, {(1, 1): 0}):
+            with pytest.raises(ValueError):
+                run_census(CensusConfig(dims=(3, 3), filters=filters), aggregates=("rank_pm",))
+
+    def test_sparse_counts_match_dense(self):
+        ref = _masked_reference((4, 4), {})
+        res = run_census(
+            CensusConfig(dims=(4, 4), worker_count=1, chunk_size=1000),
+            aggregates=("cond_counts",),
+        )
+        assert res.cond_codes.dtype == np.int64 and res.cond_counts.dtype == np.int64
+        assert (np.diff(res.cond_codes) > 0).all()
+        assert list(res.cond_codes) == list(np.flatnonzero(ref["dense"]))
+        assert list(res.cond_counts) == list(ref["dense"][res.cond_codes])
+        assert empirical_p_chio(4, workers=1).tolist() == ref["dense"].tolist()
+
+
+class _Crash(Exception):
+    pass
+
+
+class TestCheckpointV2:
+    def _crash_after(self, monkeypatch, n):
+        """Make the next census stop, as if killed, after ``n`` chunks."""
+        import chio.census_oracle as co
+
+        real = co.parallel.run_tasks_iter
+
+        def stopping(fn, tasks, workers):
+            for k, out in enumerate(real(fn, tasks, workers)):
+                if k == n:
+                    raise _Crash
+                yield out
+
+        monkeypatch.setattr(co.parallel, "run_tasks_iter", stopping)
+
+    def test_resume_cond_counts_mid_run(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "census.ckpt")
+        cfg = CensusConfig(
+            dims=(3, 4), worker_count=1, chunk_size=100, checkpoint_path=path, flush_every=7,
+            filters={(2, 3): -1},
+        )
+        full = run_census(CensusConfig(dims=(3, 4), worker_count=1, filters={(2, 3): -1}),
+                          aggregates=AGGREGATE_NAMES)
+        self._crash_after(monkeypatch, 30)
+        with pytest.raises(_Crash):
+            run_census(cfg, aggregates=AGGREGATE_NAMES)
+        monkeypatch.undo()
+        head, next_chunk = load_checkpoint(path, cfg)
+        assert next_chunk == 28 and 0 < head.visited < full.visited
+        resumed = run_census(cfg, aggregates=AGGREGATE_NAMES, resume=True)
+        assert resumed.to_json_dict() == full.to_json_dict()
+        assert resumed.cond_codes.tobytes() == full.cond_codes.tobytes()
+        assert resumed.cond_counts.tobytes() == full.cond_counts.tobytes()
+
+    def test_v1_file_refused(self, tmp_path):
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(
+            CHECKPOINT_MAGIC
+            + struct.pack("<IIIQQI", 1, 3, 3, 1 << 18, 1, 1)
+            + _pack_scalar("visited", 512)
+        )
+        with pytest.raises(ValueError, match="version 1"):
+            load_checkpoint(str(path), CensusConfig(dims=(3, 3)))
+
+    def test_filter_mismatch_refused(self, tmp_path):
+        path = str(tmp_path / "census.ckpt")
+        sliced = CensusConfig(dims=(3, 3), worker_count=1, checkpoint_path=path, filters={(1, 1): 1})
+        assert run_census(sliced, aggregates=("rank_pm",)).visited == 256
+        for filters in (None, {(1, 1): -1}, {(1, 1): 1, (2, 2): 1}):
+            cfg = CensusConfig(dims=(3, 3), worker_count=1, checkpoint_path=path, filters=filters)
+            with pytest.raises(ValueError, match="filters"):
+                run_census(cfg, aggregates=("rank_pm",), resume=True)
+        assert run_census(sliced, aggregates=("rank_pm",), resume=True).visited == 256
+
+    def test_aggregate_mismatch_refused(self, tmp_path):
+        path = str(tmp_path / "census.ckpt")
+        cfg = CensusConfig(dims=(3, 3), worker_count=1, checkpoint_path=path)
+        run_census(cfg, aggregates=("rank_pm",))
+        for aggregates in (("rank_pm", "rank_cond"), ("rank_cond",), ("cond_counts",)):
+            with pytest.raises(ValueError, match="aggregates"):
+                run_census(cfg, aggregates=aggregates, resume=True)
+        assert run_census(cfg, aggregates=("rank_pm",), resume=True).visited == 512
+
+    def test_tampered_entries_refused(self, tmp_path):
+        path = str(tmp_path / "census.ckpt")
+        cfg = CensusConfig(dims=(3, 3), worker_count=1, checkpoint_path=path)
+        good = run_census(cfg, aggregates=AGGREGATE_NAMES)
+        visited = _pack_scalar("visited", 512)
+        entries = {
+            "rank_pm": _pack_array("rank_pm", good.rank_pm),
+            "rank_cond": _pack_array("rank_cond", good.rank_cond),
+            "cond_codes": _pack_array("cond_codes", good.cond_codes),
+            "cond_counts": _pack_array("cond_counts", good.cond_counts),
+            "edge_pairs": _pack_array("edge_pairs", good.edge_pairs),
+            "rank_drop_violations": _pack_scalar("rank_drop_violations", 0),
+        }
+
+        def load(replace, head=(visited,)):
+            blobs = list(head) + [replace.get(name, blob) for name, blob in entries.items()]
+            _write_checkpoint(path, cfg, 1, [b for b in blobs if b is not None])
+            return run_census(cfg, aggregates=AGGREGATE_NAMES, resume=True)
+
+        loaded = load({})
+        assert loaded.to_json_dict() == good.to_json_dict()
+        assert loaded.cond_codes.tolist() == good.cond_codes.tolist()
+        codes = good.cond_codes
+        tampered = [
+            {"rank_pm": _pack_array("rank_pm", np.zeros(8, dtype=np.int64))},
+            {"rank_cond": _pack_array("rank_cond", np.zeros((3, 1), dtype=np.int64))},
+            {"rank_drop_violations": _pack_array("rank_drop_violations", np.zeros(1, np.int64))},
+            {"edge_pairs": _pack_array("edge_pairs", np.zeros((4, 3), dtype=np.int64))},
+            {"edge_pairs": _pack_array("edge_pairs", np.zeros(16, dtype=np.int64))},
+            {"cond_counts": _pack_array("cond_counts", good.cond_counts[1:])},
+            {"cond_codes": _pack_array("cond_codes", codes[::-1])},
+            {"cond_codes": _pack_array("cond_codes", np.r_[codes[:-1], 3**4])},
+            {"cond_codes": _pack_array("cond_codes", np.r_[codes[:1], codes[:-1]])},
+            {"edge_pairs": None},
+            {"cond_counts": None},
+            {"cond_codes": None, "cond_counts": None},
+            {"rank_pm": _pack_scalar("bogus", 1)},
+        ]
+        for replace in tampered:
+            with pytest.raises(ValueError):
+                load(replace)
+        with pytest.raises(ValueError):
+            load({}, head=(_pack_array("visited", np.array([512, 0])),))
+        with pytest.raises(ValueError):
+            load({}, head=(visited, visited))
+        with pytest.raises(ValueError):
+            load({}, head=())
+        _write_checkpoint(path, cfg, 1, [visited, entries["cond_codes"]])
+        with pytest.raises(ValueError, match="entries"):
+            load_checkpoint(path, cfg)
+
+    def test_save_load_roundtrip_is_exact(self, tmp_path):
+        path = str(tmp_path / "census.ckpt")
+        cfg = CensusConfig(dims=(4, 3), worker_count=1, chunk_size=512, filters={(4, 3): 1})
+        full = run_census(cfg, aggregates=AGGREGATE_NAMES)
+        save_checkpoint(path, cfg, full, 8)
+        loaded, next_chunk = load_checkpoint(path, cfg)
+        assert next_chunk == 8
+        assert loaded.to_json_dict() == full.to_json_dict()
+        assert loaded.cond_codes.tolist() == full.cond_codes.tolist()
+        assert loaded.cond_counts.tolist() == full.cond_counts.tolist()

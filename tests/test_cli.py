@@ -119,6 +119,24 @@ class TestExitCodes:
         code, _, err = run(capsys, "census", "--n", "5")
         assert code == 2 and "--big" in err
 
+    def test_census_resume_bad_checkpoint(self, capsys, tmp_path):
+        from chio.census_oracle import CensusConfig, run_census
+
+        garbage = tmp_path / "garbage.ckpt"
+        garbage.write_bytes(b"CHIOCENS\0" + bytes(12))
+        # A complete census of the (1,1) = +1 slice, with the aggregates
+        # `chio census --n 3` asks for: the CLI runs unfiltered.
+        sliced = str(tmp_path / "sliced.ckpt")
+        run_census(
+            CensusConfig(dims=(3, 3), worker_count=1, checkpoint_path=sliced, filters={(1, 1): 1}),
+            aggregates=("rank_pm", "rank_cond", "rank_drop_violations", "edge_pairs"),
+        )
+        for path in (str(garbage), sliced):
+            code, out, err = run(
+                capsys, "census", "--n", "3", "--workers", "1", "--checkpoint", path, "--resume"
+            )
+            assert code == 2 and "error" in err and out == ""
+
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
