@@ -500,9 +500,11 @@ def run_census(
 ) -> CensusResult:
     """Visit every admissible sign matrix once and merge the aggregates.
 
-    Chunk results are merged in code order regardless of the worker
-    count; with a checkpoint path, partial aggregates are flushed every
-    ``flush_every`` chunks and a run can resume from the saved state.
+    Chunks that hold no admissible code get no task.  Chunk results are
+    merged in code order regardless of the worker count; with a
+    checkpoint path, partial aggregates are flushed once the run passes
+    each multiple of ``flush_every`` chunks and at the end, and a run can
+    resume from the saved state.
 
     Raises:
         ValueError: on resume, if the checkpoint is not one of this census
@@ -526,6 +528,7 @@ def run_census(
                 f"checkpoint holds aggregates {list(held)}, not the requested {sorted(aggregates)}"
             )
 
+    chunks = _nonempty_chunks(cfg, start_chunk, n_chunks)
     tasks = [
         (
             s,
@@ -535,19 +538,41 @@ def run_census(
             tuple(aggregates),
             cfg.filters,
         )
-        for c in range(start_chunk, n_chunks)
+        for c in chunks
     ]
     workers = parallel.resolve_workers(cfg.worker_count)
-    done = start_chunk
-    for chunk in parallel.run_tasks_iter(_chunk_task, tasks, workers):
+    saved = start_chunk
+    for c, chunk in zip(chunks, parallel.run_tasks_iter(_chunk_task, tasks, workers)):
         result.merge_chunk(chunk)
-        done += 1
-        if cfg.checkpoint_path and (
-            done % cfg.flush_every == 0 or done == n_chunks
-        ):
-            save_checkpoint(cfg.checkpoint_path, cfg, result, done)
+        if cfg.checkpoint_path and (c + 1) // cfg.flush_every > saved // cfg.flush_every:
+            saved = c + 1
+            save_checkpoint(cfg.checkpoint_path, cfg, result, saved)
+    if cfg.checkpoint_path and saved < n_chunks:
+        save_checkpoint(cfg.checkpoint_path, cfg, result, n_chunks)
     result.settle()
     return result
+
+
+def _nonempty_chunks(cfg: CensusConfig, start: int, stop: int) -> list[int]:
+    """The chunks in ``[start, stop)`` that hold an admissible code.
+
+    From each chunk, jump to the chunk of the next admissible code, so
+    chunks that the filters leave empty cost nothing.
+    """
+    s, t = cfg.dims
+    mask, value = _fixed_bits(cfg.filters, t)
+    runs = _free_runs(s * t, mask)
+    admissible = 1 << (s * t - mask.bit_count())
+    chunks = []
+    c = start
+    while c < stop:
+        x = _count_below(c * cfg.chunk_size, runs, value)
+        if x == admissible:
+            break
+        c = _deposit(x, runs, value) // cfg.chunk_size
+        chunks.append(c)
+        c += 1
+    return chunks
 
 
 # --- derived censuses --------------------------------------------------------
@@ -748,10 +773,8 @@ def kwise_agreement_check(n: int, k_max: int = 6, workers: int | None = None) ->
         raise BudgetExceeded("empirical k-wise check supports n <= 4")
     m = (n - 1) ** 2
     k_max = min(k_max, m, 6)
-    counts = empirical_p_chio(n, workers=workers)
-    codes = np.arange(counts.size, dtype=np.int64)
-    powers = 3 ** np.arange(m, dtype=np.int64)
-    digits = ((codes[:, None] // powers) % 3).astype(np.int64)
+    # Base-3 digit b of a condensate code is axis m-1-b of the cube.
+    cube = empirical_p_chio(n, workers=workers).reshape((3,) * m)
 
     positions = [(i, j) for i in range(1, n) for j in range(1, n)]
     report: dict = {"n": n, "per_k": []}
@@ -760,12 +783,10 @@ def kwise_agreement_check(n: int, k_max: int = 6, workers: int | None = None) ->
         disagreements: set[tuple] = set()
         formula_mismatches = 0
         for subset in combinations(range(m), k):
-            if k:
-                proj = digits[:, subset] @ (3 ** np.arange(k, dtype=np.int64))
-            else:
-                proj = np.zeros(counts.size, dtype=np.int64)
-            marg = np.zeros(3**k, dtype=np.int64)
-            np.add.at(marg, proj, counts)
+            # Summing out the other digits, in int64, leaves the kept axes
+            # highest digit first, so marg[a] is indexed like the codes.
+            summed = tuple(m - 1 - b for b in range(m) if b not in subset)
+            marg = cube.sum(axis=summed).reshape(-1)
             for a in range(3**k):
                 values = tuple((a // 3**b) % 3 - 1 for b in range(k))
                 supp = sum(1 for v in values if v)

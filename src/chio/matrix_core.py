@@ -33,17 +33,24 @@ def project_cols(members: Iterable[Index2]) -> frozenset[int]:
     return frozenset(j for _, j in members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexSet:
     """A finite set of matrix positions inside a declared ``[s] x [t]`` box.
 
     ``dims`` is the pivot pair ``(s, t)``; both must be at least 2.  Members
     may live anywhere in ``[s] x [t]``; most call sites restrict them to
     ``[s-1] x [t-1]`` and the restriction is checked where it matters.
+
+    The projections, the inner-box flag and the Chio extension are
+    computed on first use and kept; they take no part in equality.
     """
 
     dims: tuple[int, int]
     members: frozenset[Index2] = field(default_factory=frozenset)
+    _rows: frozenset[int] | None = field(default=None, init=False, repr=False, compare=False)
+    _cols: frozenset[int] | None = field(default=None, init=False, repr=False, compare=False)
+    _inner: bool | None = field(default=None, init=False, repr=False, compare=False)
+    _extension: IndexSet | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         s, t = self.dims
@@ -65,11 +72,15 @@ class IndexSet:
 
     @property
     def rows(self) -> frozenset[int]:
-        return project_rows(self.members)
+        if self._rows is None:
+            object.__setattr__(self, "_rows", project_rows(self.members))
+        return self._rows
 
     @property
     def cols(self) -> frozenset[int]:
-        return project_cols(self.members)
+        if self._cols is None:
+            object.__setattr__(self, "_cols", project_cols(self.members))
+        return self._cols
 
     def is_rectangular(self) -> bool:
         """True iff the set equals the product of its two projections."""
@@ -77,16 +88,30 @@ class IndexSet:
 
     def in_inner_box(self) -> bool:
         """True iff all members lie in ``[s-1] x [t-1]``."""
-        s, t = self.dims
-        return all(i <= s - 1 and j <= t - 1 for i, j in self.members)
+        if self._inner is None:
+            s, t = self.dims
+            inner = all(i <= s - 1 and j <= t - 1 for i, j in self.members)
+            object.__setattr__(self, "_inner", inner)
+        return self._inner
+
+
+_FULL_INNER_BOXES: dict[tuple[int, int], IndexSet] = {}
 
 
 def full_inner_box(s: int, t: int) -> IndexSet:
-    """The full index set ``[s-1] x [t-1]`` with pivot dims ``(s, t)``."""
-    return IndexSet(
-        (s, t),
-        frozenset((i, j) for i in range(1, s) for j in range(1, t)),
-    )
+    """The full index set ``[s-1] x [t-1]`` with pivot dims ``(s, t)``.
+
+    One shared instance per ``(s, t)``, so its projections and Chio
+    extension are computed once.
+    """
+    box = _FULL_INNER_BOXES.get((s, t))
+    if box is None:
+        box = IndexSet(
+            (s, t),
+            frozenset((i, j) for i in range(1, s) for j in range(1, t)),
+        )
+        _FULL_INNER_BOXES[(s, t)] = box
+    return box
 
 
 def chio_extend(index_set: IndexSet) -> IndexSet:
@@ -96,9 +121,13 @@ def chio_extend(index_set: IndexSet) -> IndexSet:
     in p1, and one pivot-row position ``(s, j)`` per column in p2, so
     ``|extension| = 1 + |p1| + |p2| + |I|``.
 
+    Built on the first call for an index set and kept on it.
+
     Raises:
         ValueError: if a member lies outside ``[s-1] x [t-1]``.
     """
+    if index_set._extension is not None:
+        return index_set._extension
     s, t = index_set.dims
     if not index_set.in_inner_box():
         raise ValueError("Chio extension requires members inside [s-1] x [t-1]")
@@ -106,7 +135,9 @@ def chio_extend(index_set: IndexSet) -> IndexSet:
     extended.update((i, t) for i in index_set.rows)
     extended.update((s, j) for j in index_set.cols)
     extended.update(index_set.members)
-    return IndexSet((s, t), frozenset(extended))
+    extension = IndexSet((s, t), frozenset(extended))
+    object.__setattr__(index_set, "_extension", extension)
+    return extension
 
 
 def is_chio_set(index_set: IndexSet) -> bool:
@@ -183,16 +214,23 @@ class SignMatrix:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartialTernaryMatrix:
     """A matrix with entries in {-1,0,+1} on a domain inside ``[s-1] x [t-1]``.
 
     ``dom`` is the number of specified positions, ``supp`` the number of
     nonzero ones; the empty matrix (dom = supp = 0) is allowed.
+
+    ``_balance`` keeps the ``(balanced, f0, beta0)`` triple of the signed
+    graph once :func:`chio.signed_graph.matrix_balance` has computed it;
+    it takes no part in equality or ``repr``.
     """
 
     dims: tuple[int, int]
     entries: Mapping[Index2, int]
+    _balance: tuple[bool, int, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         entries = dict(self.entries)

@@ -9,7 +9,14 @@ Every value is an exact dyadic probability: zero or a power 2^-e.  The
 condensation measure of an event specifying ``B`` is zero unless the
 signed graph of ``B`` is balanced, in which case it equals
 ``2^-(dom + f0 - beta0)`` independently of the ambient index set; its
-ratio to the lazy coin flip value is ``2^beta1``.
+ratio to the lazy coin flip value is ``2^beta1``.  The graph is scanned
+once per matrix: the balance triple is kept on the matrix and read by
+``p_chio``, ``ratio_chio_lcf`` and ``fibre_cardinality``.
+
+``p_chio_sign_patterns`` gives ``p_chio`` of all 2^supp sign patterns on
+one support from a single scan, through the minus-parity of each
+fundamental cycle.  ``p_chio_averaged`` sums that list literally over the
+patterns; it never uses the closed form of the lazy coin flip value.
 
 ``recipe_p_chio`` re-derives the same value for at most six specified
 entries by a literal case split on matrix circuits and sign parities,
@@ -21,8 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterable
+from typing import Collection, Iterable, Sequence
 
 from .matrix_core import (
     Index2,
@@ -31,7 +37,7 @@ from .matrix_core import (
     chio_extend,
     full_inner_box,
 )
-from .signed_graph import balance_summary, four_circuits, is_six_circuit
+from .signed_graph import cycle_masks, four_circuits, is_six_circuit, matrix_balance
 
 
 @dataclass(frozen=True, order=False)
@@ -125,7 +131,7 @@ class Event:
             raise ValueError("ambient index set has mismatched dims")
         if not amb.in_inner_box():
             raise ValueError("ambient index set must lie inside [s-1] x [t-1]")
-        if not self.matrix.domain.members <= amb.members:
+        if not self.matrix.entries.keys() <= amb.members:
             raise ValueError("event domain must be contained in the ambient set")
 
     @classmethod
@@ -166,11 +172,11 @@ def p_chio(event: Event) -> DyadicProb:
 
     Zero iff the signed graph of the matrix is unbalanced, else
     ``2^-(dom + f0 - beta0)``; balance and the component count come out
-    of one depth-first search.  The value does not depend on the ambient
-    index set.
+    of one depth-first search, kept on the matrix.  The value does not
+    depend on the ambient index set.
     """
     m = event.matrix
-    balanced, f0, beta0 = balance_summary(m.dims, m.entries)
+    balanced, f0, beta0 = matrix_balance(m)
     if not balanced:
         return DyadicProb.zero()
     return DyadicProb.pow_half(m.dom + f0 - beta0)
@@ -182,7 +188,7 @@ def ratio_chio_lcf(event: Event) -> int:
     Equals 1 exactly when the graph of the matrix is a forest.
     """
     m = event.matrix
-    balanced, f0, beta0 = balance_summary(m.dims, m.entries)
+    balanced, f0, beta0 = matrix_balance(m)
     if not balanced:
         return 0
     beta1 = m.supp - f0 + beta0
@@ -196,29 +202,54 @@ def fibre_cardinality(event: Event) -> int:
     dividing by ``2^|ambient~|`` recovers the condensation measure.
     """
     m = event.matrix
-    balanced, f0, beta0 = balance_summary(m.dims, m.entries)
+    balanced, f0, beta0 = matrix_balance(m)
     if not balanced:
         return 0
     extended = chio_extend(event.ambient)
     return 2 ** (len(extended) - m.dom - f0 + beta0)
 
 
+def p_chio_sign_patterns(
+    dims: tuple[int, int], domain: Collection[Index2], support: Sequence[Index2]
+) -> list[DyadicProb]:
+    """p_chio of every sign pattern on one support, from one graph scan.
+
+    ``domain`` holds the specified positions and ``support`` the nonzero
+    ones among them.  Entry ``p`` of the result is p_chio of the matrix
+    that is -1 on the e-th support position when bit e of ``p`` is set,
+    +1 on the other support positions and 0 on the rest of the domain.
+    A pattern is balanced iff every fundamental cycle of the support
+    holds an even number of its -1 entries.  Those parities are linear
+    in the pattern, so the parity vector of each pattern is built from
+    one with a lower bit cleared, one support position at a time.
+    """
+    f0, beta0, masks = cycle_masks(dims, domain, support)
+    balanced = DyadicProb.pow_half(len(domain) + f0 - beta0)
+    zero = DyadicProb.zero()
+    # parities[p] has bit c set when cycle c holds an odd number of the
+    # -1 entries of pattern p.
+    parities = [0]
+    for e in range(len(support)):
+        flips = sum(1 << c for c, mask in enumerate(masks) if mask >> e & 1)
+        parities += [x ^ flips for x in parities]
+    return [zero if x else balanced for x in parities]
+
+
 def p_chio_averaged(matrix: PartialTernaryMatrix) -> DyadicProb:
     """Support-averaged condensation measure of a fully specified event.
 
     Averages p_chio over all matrices with the same support, weighting by
-    2^-supp.  The sum is computed literally over the 2^supp sign
-    patterns; the result is always a single dyadic value (and equals the
-    lazy coin flip value).
+    2^-supp.  The sum is computed literally over the 2^supp sign patterns
+    of :func:`p_chio_sign_patterns`, exactly, as an integer over the
+    largest power of two among the terms; the result is always a single
+    dyadic value (and equals the lazy coin flip value).
     """
     support = sorted(matrix.support)
-    total = Fraction(0)
-    for signs in product((-1, 1), repeat=len(support)):
-        entries = dict(matrix.entries)
-        for pos, sign in zip(support, signs):
-            entries[pos] = sign
-        total += p_chio(Event(PartialTernaryMatrix(matrix.dims, entries))).as_fraction()
-    return DyadicProb.from_fraction(total / 2 ** len(support))
+    values = p_chio_sign_patterns(matrix.dims, matrix.entries, support)
+    exponents = [v.exponent for v in values if not v.is_zero]
+    top = max(exponents, default=0)
+    total = sum(1 << (top - e) for e in exponents)
+    return DyadicProb.from_fraction(Fraction(total, 2 ** (top + len(support))))
 
 
 def p_chio_abs(matrix: PartialTernaryMatrix) -> DyadicProb:

@@ -10,10 +10,13 @@ A signed graph is *balanced* when every circuit carries an even number of
 negative edges, equivalently when it admits a vertex 2-colouring that is
 constant across negative edges and proper across positive ones.  Balance,
 colouring counts (0 or 2^beta0), the number of balanced signings
-(2^(f0-beta0)), the Betti data, the components and a spanning forest all
-come from one iterative depth-first search in vertex label order
-(``_scan``, the only graph traversal of the library), so certificates
-are deterministic.
+(2^(f0-beta0)), the Betti data, the components, a spanning forest and
+the fundamental cycles of that forest all come from one iterative
+depth-first search in vertex label order (``_scan``, the only graph
+traversal of the library), so certificates are deterministic.  The
+fundamental cycles are edge bitmasks; a signing is balanced iff each of
+them holds an even number of negative edges (Harary 1953, Zaslavsky
+1982), which decides every signing of one edge set from one scan.
 
 Isomorphism types of the bipartite nonforests with at most six edges are
 classified into a fixed catalogue ``t1 .. t20`` via per-component degree
@@ -28,7 +31,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .matrix_core import Index2, IndexSet, PartialTernaryMatrix
 
@@ -270,6 +273,52 @@ def balance_summary(
             signed_edges.append((pos, v))
     balanced, beta0, _, _, _ = _scan(dims[0], rows, cols, signed_edges)
     return balanced, len(rows) + len(cols), beta0
+
+
+def matrix_balance(matrix: PartialTernaryMatrix) -> tuple[bool, int, int]:
+    """:func:`balance_summary` of a matrix, computed once and kept on it."""
+    summary = matrix._balance
+    if summary is None:
+        summary = balance_summary(matrix.dims, matrix.entries)
+        object.__setattr__(matrix, "_balance", summary)
+    return summary
+
+
+def cycle_masks(
+    dims: tuple[int, int], domain: Iterable[Index2], support: Sequence[Index2]
+) -> tuple[int, int, list[int]]:
+    """``(f0, beta0, masks)`` of the graph with the rows and columns of
+    ``domain`` as vertices and the positions of ``support`` as edges.
+
+    One mask per edge outside the spanning forest of :func:`_scan`, in
+    ``support`` order: bit e is set when the e-th edge of ``support``
+    lies on the circuit that edge closes with the forest.  There are
+    beta1 masks and they form a basis of the cycle space.
+
+    Raises:
+        ValueError: if a support position is not in the domain.
+    """
+    s = dims[0]
+    positions = set(domain)
+    rows = {i for i, _ in positions}
+    cols = {j for _, j in positions}
+    bit = {}
+    for e, pos in enumerate(support):
+        if pos not in positions:
+            raise ValueError(f"support position {pos} is not in the domain")
+        bit[pos] = 1 << e
+    _, beta0, _, _, parent = _scan(s, rows, cols, [(pos, -1) for pos in support])
+    # Forest path from each vertex to its root, as an edge mask.  Parents
+    # are discovered before their children, and roots have path 0.  The
+    # forest edges leave ``bit``; each edge left closes one cycle.
+    path: dict[int, int] = {}
+    for v, u in parent.items():
+        edge = (u, v - s) if u < s else (v, u - s)
+        path[v] = path.get(u, 0) ^ bit.pop(edge)
+    masks = [
+        path.get(i, 0) ^ path.get(s + j, 0) ^ b for (i, j), b in bit.items()
+    ]
+    return len(rows) + len(cols), beta0, masks
 
 
 def betti(graph: SignedBipartiteGraph) -> BettiData:

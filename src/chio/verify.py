@@ -26,6 +26,7 @@ from .measures import (
     p_chio,
     p_chio_abs,
     p_chio_averaged,
+    p_chio_sign_patterns,
     p_lcf,
     recipe_p_chio,
 )
@@ -171,19 +172,40 @@ def census_measure_agreement(n: int, workers: int | None = None) -> dict:
 def _recipe_chunk(args: tuple[int, int, int, int]) -> tuple[int, int]:
     n, k, start, stop = args
     positions = [(i, j) for i in range(1, n) for j in range(1, n)]
+    # Each assignment as (values, support, pattern): bit a of support marks
+    # a nonzero a-th value, bit e of pattern a -1 on the e-th nonzero one,
+    # as p_chio_sign_patterns indexes its patterns.
+    assignments = []
+    for values in product((-1, 0, 1), repeat=k):
+        support = pattern = e = 0
+        for a, v in enumerate(values):
+            if v:
+                support |= 1 << a
+                pattern |= (v < 0) << e
+                e += 1
+        assignments.append((values, support, pattern))
     total = 0
     mismatches = 0
     for chosen in islice(combinations(positions, k), start, stop):
-        for values in product((-1, 0, 1), repeat=k):
+        by_support: dict[int, list] = {}
+        for values, support, pattern in assignments:
+            chio = by_support.get(support)
+            if chio is None:
+                nonzero = [p for a, p in enumerate(chosen) if support >> a & 1]
+                chio = by_support[support] = p_chio_sign_patterns((n, n), chosen, nonzero)
             matrix = PartialTernaryMatrix((n, n), dict(zip(chosen, values)))
             total += 1
-            if recipe_p_chio(matrix) != p_chio(Event(matrix)):
+            if recipe_p_chio(matrix) != chio[pattern]:
                 mismatches += 1
     return total, mismatches
 
 
 def recipe_equivalence_scan(n: int, workers: int | None = None) -> dict:
-    """Compare the recipe against the graph formula on every |I| <= 6 event."""
+    """Compare the recipe against the graph formula on every |I| <= 6 event.
+
+    The graph side comes from :func:`p_chio_sign_patterns`, one scan per
+    index set and support; the comparison is per event.
+    """
     workers = parallel.resolve_workers(workers)
     m = (n - 1) ** 2
     tasks = []

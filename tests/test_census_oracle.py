@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chio.matrix_core import IntMatrix, PartialTernaryMatrix, rank_int
+from chio import census_oracle
 from chio.measures import Event, fibre_cardinality
 from chio.census_oracle import (
     AGGREGATE_NAMES,
@@ -309,6 +310,56 @@ class TestDirectEnumeration:
                     aggregates=AGGREGATE_NAMES,
                 )
                 _assert_matches(res, ref)
+
+    def test_empty_chunks_get_no_task(self, monkeypatch):
+        dims = (4, 4)
+        filters = _random_filters(np.random.default_rng(11), dims, 5)
+        ref = _masked_reference(dims, filters)
+        starts = []
+        real = census_oracle._chunk_task
+        monkeypatch.setattr(
+            census_oracle, "_chunk_task", lambda args: starts.append(args[2]) or real(args)
+        )
+        res = run_census(
+            CensusConfig(dims=dims, worker_count=1, chunk_size=1, filters=filters),
+            aggregates=AGGREGATE_NAMES,
+        )
+        # One task per admissible code: 2,048 of the 65,536 chunks.
+        mask, value = census_oracle._fixed_bits(filters, dims[1])
+        assert ref["visited"] == 2048 and len(starts) == 2048
+        assert all(code & mask == value for code in starts)
+        _assert_matches(res, ref)
+
+    def test_checkpoints_across_empty_chunks(self, tmp_path, monkeypatch):
+        # Row 2 fixed: one chunk of 16 codes in every 16 holds admissible codes.
+        dims = (4, 4)
+        filters = {(2, j): 1 for j in range(1, 5)}
+        path = str(tmp_path / "census.ckpt")
+        cfg = CensusConfig(
+            dims=dims, worker_count=1, chunk_size=16, filters=filters,
+            checkpoint_path=path, flush_every=4,
+        )
+        saves = []
+        real = census_oracle.save_checkpoint
+
+        def save(p, c, result, next_chunk):
+            real(p, c, result, next_chunk)
+            saves.append(next_chunk)
+            if next_chunk == 256:
+                os.replace(p, p + ".mid")
+
+        monkeypatch.setattr(census_oracle, "save_checkpoint", save)
+        full = run_census(cfg, aggregates=AGGREGATE_NAMES)
+        _assert_matches(full, _masked_reference(dims, filters))
+        # A flush each time the run passes a multiple of 4 chunks with a task.
+        assert saves == list(range(16, 4097, 16))
+        os.replace(path + ".mid", path)
+        head, next_chunk = load_checkpoint(path, cfg)
+        assert next_chunk == 256 and head.visited == 16 * 16
+        resumed = run_census(cfg, aggregates=AGGREGATE_NAMES, resume=True)
+        assert resumed.to_json_dict() == full.to_json_dict()
+        assert resumed.cond_codes.tolist() == full.cond_codes.tolist()
+        assert resumed.cond_counts.tolist() == full.cond_counts.tolist()
 
     def test_every_entry_fixed(self):
         filters = {(i, j): 1 if (i + j) % 2 else -1 for i in range(1, 4) for j in range(1, 4)}

@@ -1,5 +1,7 @@
 """Chio sets, condensation, exact determinant and rank."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -204,3 +206,48 @@ class TestSerialization:
             PartialTernaryMatrix((3, 3), {(3, 3): 1})
         with pytest.raises(ValueError):
             SignMatrix.from_rows([[1, 0], [1, 1]])
+
+
+class TestMemoisedData:
+    """Data kept on immutable objects never shows in equality, repr or pickles."""
+
+    def test_memoised_extension_equals_fresh_build(self):
+        for members in (set(), {(1, 1)}, {(1, 2), (3, 1)}, {(i, j) for i in (1, 2) for j in (1, 3)}):
+            index_set = IndexSet((4, 4), frozenset(members))
+            first = chio_extend(index_set)
+            assert chio_extend(index_set) is first
+            fresh = chio_extend(IndexSet((4, 4), frozenset(members)))
+            assert first == fresh and repr(first) == repr(fresh)
+            assert first.members == {(4, 4)} | {(i, 4) for i, _ in members} | {
+                (4, j) for _, j in members
+            } | members
+
+    def test_full_inner_box_is_shared(self):
+        box = full_inner_box(5, 4)
+        assert box is full_inner_box(5, 4)
+        assert box == IndexSet((5, 4), frozenset((i, j) for i in range(1, 5) for j in range(1, 4)))
+        assert box.rows == {1, 2, 3, 4} and box.cols == {1, 2, 3} and box.in_inner_box()
+        assert chio_extend(box) is chio_extend(full_inner_box(5, 4))
+
+    def test_index_set_memo_is_invisible(self):
+        fresh = IndexSet((3, 3), frozenset({(1, 2), (2, 1)}))
+        used = IndexSet((3, 3), frozenset({(1, 2), (2, 1)}))
+        used.rows, used.cols, used.in_inner_box(), chio_extend(used)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert pickle.loads(pickle.dumps(used)) == fresh
+
+    def test_matrix_with_filled_memo_equals_fresh(self):
+        from chio.signed_graph import matrix_balance
+
+        entries = {(1, 1): -1, (1, 2): 1, (2, 1): 1, (2, 2): 1, (3, 3): 0}
+        used = PartialTernaryMatrix((4, 4), entries)
+        assert matrix_balance(used) == (False, 6, 3)
+        fresh = PartialTernaryMatrix((4, 4), entries)
+        assert used == fresh and repr(used) == repr(fresh)
+        for copy in (pickle.loads(pickle.dumps(used)), pickle.loads(pickle.dumps(fresh))):
+            assert copy == fresh and repr(copy) == repr(fresh)
+            assert matrix_balance(copy) == (False, 6, 3)
+
+    def test_instances_have_no_dict(self):
+        assert not hasattr(PartialTernaryMatrix((3, 3), {}), "__dict__")
+        assert not hasattr(IndexSet((3, 3)), "__dict__")

@@ -1,5 +1,6 @@
 """Dyadic probabilities and the three measures on specification events."""
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -16,10 +17,12 @@ from chio.measures import (
     p_chio,
     p_chio_abs,
     p_chio_averaged,
+    p_chio_sign_patterns,
     p_lcf,
     ratio_chio_lcf,
     recipe_p_chio,
 )
+from chio import signed_graph
 from chio.signed_graph import build_graph, count_colorings
 
 from oracles import brute_fibre_count
@@ -212,6 +215,63 @@ class TestFibres:
         )
         ambient = IndexSet((4, 4), frozenset(domain) | frozenset(extra))
         assert p_chio(Event(matrix, ambient)) == p_chio(Event(matrix))
+
+
+def assert_kernel_matches_p_chio(dims, domain):
+    """Every support of ``domain``, every sign pattern, against p_chio."""
+    for r in range(len(domain) + 1):
+        for support in combinations(domain, r):
+            values = p_chio_sign_patterns(dims, domain, list(support))
+            assert len(values) == 1 << r
+            for pattern, value in enumerate(values):
+                entries = dict.fromkeys(domain, 0)
+                for e, pos in enumerate(support):
+                    entries[pos] = -1 if pattern >> e & 1 else 1
+                assert value == p_chio(Event(PartialTernaryMatrix(dims, entries)))
+
+
+class TestSignPatternKernel:
+    def test_matches_p_chio_n4_every_domain_up_to_six(self):
+        grid = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+        for k in range(7):
+            for domain in combinations(grid, k):
+                assert_kernel_matches_p_chio((4, 4), domain)
+
+    def test_matches_p_chio_random_n5_domains(self):
+        rng = random.Random(5)
+        grid = [(i, j) for i in range(1, 5) for j in range(1, 5)]
+        for _ in range(12):
+            domain = sorted(rng.sample(grid, rng.randint(5, 8)))
+            assert_kernel_matches_p_chio((5, 5), domain)
+
+    def test_pattern_bits(self):
+        # The all -1 four-circuit is balanced, one +1 on it is not.
+        values = p_chio_sign_patterns((4, 4), sorted(C4), sorted(C4))
+        assert values[0b1111] == DyadicProb.pow_half(7)
+        assert values[0b1110].is_zero and values[0b0000] == DyadicProb.pow_half(7)
+
+
+class TestOneScanPerMatrix:
+    def test_measures_share_one_scan(self, monkeypatch):
+        calls = []
+        real = signed_graph._scan
+        monkeypatch.setattr(signed_graph, "_scan", lambda *args: calls.append(1) or real(*args))
+        ambient = full_inner_box(4, 4)
+        for matrix in all_matrices(4, 4):
+            event = Event(matrix, ambient)
+            p_chio(event)
+            ratio_chio_lcf(event)
+            fibre_cardinality(event)
+            p_chio(Event(matrix))
+        assert len(calls) == 126 * 3**4
+
+    def test_averaged_scans_once_per_matrix(self, monkeypatch):
+        calls = []
+        real = signed_graph._scan
+        monkeypatch.setattr(signed_graph, "_scan", lambda *args: calls.append(1) or real(*args))
+        matrix = ternary(4, {(i, j): 1 for i in range(1, 4) for j in range(1, 4)})
+        assert p_chio_averaged(matrix) == p_lcf(Event(matrix))
+        assert len(calls) == 1
 
 
 class TestAveragedAndForgetting:

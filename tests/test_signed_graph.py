@@ -16,6 +16,7 @@ from chio.signed_graph import (
     classify_isotype,
     count_balanced_signings,
     count_colorings,
+    cycle_masks,
     enumerate_circuits,
     is_balanced,
     is_matrix_circuit,
@@ -313,3 +314,48 @@ class TestMatrixCircuits:
                 for j in (2, 3):
                     count = sum(1 for _ in enumerate_circuits(2 * j, s, t))
                     assert count == circuit_count_formula(2 * j, s, t)
+
+
+class TestCycleMasks:
+    @staticmethod
+    def check(dims, domain, support):
+        f0, beta0, masks = cycle_masks(dims, domain, support)
+        graph = unsigned(
+            {i for i, _ in domain}, {j for _, j in domain}, set(support), dims
+        )
+        data = betti(graph)
+        assert (f0, beta0) == (data.f0, data.beta0)
+        assert len(masks) == data.beta1
+        for mask in masks:
+            cycle = [pos for e, pos in enumerate(support) if mask >> e & 1]
+            degree: dict = {}
+            for i, j in cycle:
+                degree[("r", i)] = degree.get(("r", i), 0) + 1
+                degree[("c", j)] = degree.get(("c", j), 0) + 1
+            assert cycle and all(d % 2 == 0 for d in degree.values())
+        # A cycle basis: the masks are independent over GF(2).
+        basis: list[int] = []
+        for mask in masks:
+            for b in basis:
+                mask = min(mask, mask ^ b)
+            assert mask
+            basis.append(mask)
+
+    def test_every_support_of_the_n4_grid(self):
+        grid = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+        for k in range(len(grid) + 1):
+            for support in combinations(grid, k):
+                self.check((4, 4), grid, list(support))
+                self.check((4, 4), support, list(support))
+
+    def test_complete_bipartite_k45(self):
+        grid = [(i, j) for i in range(1, 5) for j in range(1, 6)]
+        f0, beta0, masks = cycle_masks((5, 6), grid, grid)
+        assert (f0, beta0, len(masks)) == (9, 1, 12)
+        self.check((5, 6), grid, grid)
+
+    def test_support_outside_domain_refused(self):
+        with pytest.raises(ValueError):
+            cycle_masks((4, 4), [(1, 1)], [(1, 1), (2, 2)])
+        with pytest.raises(ValueError):
+            cycle_masks((4, 4), [(1, 1), (2, 2)], [(1, 2)])
