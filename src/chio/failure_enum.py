@@ -16,8 +16,19 @@ and closed-form counts exist for ``k`` in {4, 5, 6}:
 The enumerator is honest: it walks index sets in lexicographic order and
 value assignments in base-3 order, decides balance per assignment from
 circuit sign parities, and classifies isomorphism types through the
-graph module.  The closed forms are evaluated over exact rationals and
-asserted integral, so a transcribed coefficient error fails loudly.
+graph module.  An index set without a circuit has no failure and is
+skipped before any work.  Whatever depends only on a set's shape, its
+rows and columns relabelled by rank, is worked out once per shape and
+kept for one call (nothing is cached across calls): the failing
+assignments with their isotype, ratio and value for the record stream,
+and the failing supports with their balanced-signing counts for the
+counter.  That is exact because the relabelling is monotone, so every
+slot keeps its position and every circuit its mask, and it is a graph
+isomorphism, so isotype, f0, beta0 and beta1 do not change.  The
+counter still tests every signing of every circuit-containing support
+for balance, once per distinct circuit pattern.  The closed forms are
+evaluated over exact rationals and asserted integral, so a transcribed
+coefficient error fails loudly.
 """
 
 from __future__ import annotations
@@ -129,8 +140,47 @@ def grid_positions(n: int) -> list[Index2]:
     return [(i, j) for i in range(1, n) for j in range(1, n)]
 
 
+def _holds_circuit(chosen: tuple[Index2, ...]) -> bool:
+    """Whether at most six positions, sorted by row, contain a matrix circuit.
+
+    With at most six positions every circuit has length four or six.  A
+    4-circuit is two rows sharing two columns; a 6-circuit spans three
+    rows with every degree two (:func:`is_six_circuit`).  Existence is
+    decided from per-row column bitmasks; no circuit is listed.
+    """
+    masks: list[int] = []
+    last = None
+    for i, j in chosen:
+        if i == last:
+            masks[-1] |= 1 << j
+        else:
+            masks.append(1 << j)
+            last = i
+    for a, mask in enumerate(masks):
+        if mask & (mask - 1):
+            for other in masks[a + 1 :]:
+                if (mask & other).bit_count() > 1:
+                    return True
+    return len(masks) == 3 and is_six_circuit(chosen)
+
+
+def _shape(chosen: tuple[Index2, ...]) -> tuple[Index2, ...]:
+    """The index set with its rows and its columns relabelled 1, 2, ... by rank.
+
+    The relabelling is monotone, so the positions keep their order (and
+    each slot its position), and it is a graph isomorphism that keeps
+    every vertex: circuit masks, isotype, f0, beta0 and beta1 of every
+    support are those of the original set.
+    """
+    row_rank = {i: r for r, i in enumerate(sorted({i for i, _ in chosen}), 1)}
+    col_rank = {j: c for c, j in enumerate(sorted({j for _, j in chosen}), 1)}
+    # From a list, not a generator: tuple(generator) over-allocates and
+    # shrinks, which fills the interpreter's free list of small tuples.
+    return tuple([(row_rank[i], col_rank[j]) for i, j in chosen])
+
+
 class _IndexSetContext:
-    """Per-index-set scratch data: circuits and per-support metrics."""
+    """Per-index-set scratch data (built on shapes): circuits and per-support metrics."""
 
     __slots__ = ("n", "positions", "k", "circuit_masks", "six_mask", "_cache")
 
@@ -179,93 +229,134 @@ def _balanced(minus_mask: int, circuits: list[int]) -> bool:
     return all((minus_mask & c).bit_count() % 2 == 0 for c in circuits)
 
 
+def _check_range(k: int, n: int) -> None:
+    if not 0 <= k <= 6:
+        raise ValueError("enumeration supports 0 <= k <= 6")
+    if n < 2:
+        raise ValueError("n must be at least 2")
+
+
+def _circuit_sets(k: int, n: int, start: int = 0, stop: int | None = None):
+    """(index set, shape) of each circuit-bearing set among combinations [start, stop)."""
+    for chosen in islice(combinations(grid_positions(n), k), start, stop):
+        if _holds_circuit(chosen):
+            yield chosen, _shape(chosen)
+
+
+def _failing_assignments(n: int, shape: tuple[Index2, ...]) -> list[tuple]:
+    """(values, isotype, ratio, value) of every failing assignment, in base-3 order."""
+    ctx = _IndexSetContext(n, shape)
+    failing = []
+    for values in product((-1, 0, 1), repeat=ctx.k):
+        support_mask = 0
+        minus_mask = 0
+        for b, v in enumerate(values):
+            if v != 0:
+                support_mask |= 1 << b
+                if v == -1:
+                    minus_mask |= 1 << b
+        circuits = ctx.circuits_in_support(support_mask)
+        if circuits is None:
+            continue
+        isotype, exponent, beta1, _ = ctx.support_metrics(support_mask)
+        if _balanced(minus_mask, circuits):
+            failing.append((values, isotype, 2**beta1, DyadicProb.pow_half(exponent)))
+        else:
+            failing.append((values, isotype, 0, DyadicProb.zero()))
+    return failing
+
+
 def enumerate_failures(k: int, n: int) -> Iterator[FailureRecord]:
     """Yield every k-entry specification with a cyclic graph, exactly once.
 
     Index sets run in lexicographic order of their sorted position lists,
-    assignments in base-3 order (digit values -1, 0, +1).
+    assignments in base-3 order (digit values -1, 0, +1).  The failing
+    assignments of an index set, with their isotype, ratio and value, are
+    worked out once per shape (see :func:`_shape`) and kept for the
+    length of the call; each record is then built on the set's own
+    positions.
 
     Raises:
         ValueError: for k > 6 (isotype classification is catalogue-backed)
             or k < 0 or n < 2.
     """
-    if not 0 <= k <= 6:
-        raise ValueError("enumeration supports 0 <= k <= 6")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    positions = grid_positions(n)
-    for chosen in combinations(positions, k):
-        ctx = _IndexSetContext(n, chosen)
-        if not ctx.circuit_masks and not ctx.six_mask:
-            continue
-        for values in product((-1, 0, 1), repeat=k):
-            support_mask = 0
-            minus_mask = 0
-            for b, v in enumerate(values):
-                if v != 0:
-                    support_mask |= 1 << b
-                    if v == -1:
-                        minus_mask |= 1 << b
-            circuits = ctx.circuits_in_support(support_mask)
-            if circuits is None:
-                continue
-            isotype, exponent, beta1, _ = ctx.support_metrics(support_mask)
-            balanced = _balanced(minus_mask, circuits)
-            matrix = PartialTernaryMatrix(
-                (n, n), dict(zip(chosen, values))
-            )
+    _check_range(k, n)
+    memo: dict[tuple[Index2, ...], list[tuple]] = {}
+    for chosen, shape in _circuit_sets(k, n):
+        failing = memo.get(shape)
+        if failing is None:
+            failing = memo[shape] = _failing_assignments(n, shape)
+        for values, isotype, ratio, value in failing:
             yield FailureRecord(
-                matrix=matrix,
+                matrix=PartialTernaryMatrix((n, n), dict(zip(chosen, values))),
                 isotype=isotype,
-                ratio=2**beta1 if balanced else 0,
-                value=DyadicProb.pow_half(exponent) if balanced else DyadicProb.zero(),
+                ratio=ratio,
+                value=value,
             )
+
+
+def _balanced_signings(support_mask: int, circuits: tuple[int, ...]) -> int:
+    """Balanced signings of a support, each of its 2^size signings tested.
+
+    The signings run over the submasks of the support; a set bit means
+    entry -1.
+    """
+    count = 0
+    minus_mask = support_mask
+    while True:
+        count += _balanced(minus_mask, circuits)
+        if not minus_mask:
+            return count
+        minus_mask = (minus_mask - 1) & support_mask
+
+
+def _failing_supports(
+    n: int, shape: tuple[Index2, ...], walks: dict[tuple, int]
+) -> Iterator[tuple[int, int, str, int, int]]:
+    """(size, balanced signings, isotype label, exponent, beta1) per failing support.
+
+    ``walks`` maps a support and its circuit masks to the support's
+    balanced-signing count, so each circuit pattern is walked once.
+    """
+    ctx = _IndexSetContext(n, shape)
+    for support_mask in range(1 << ctx.k):
+        circuits = ctx.circuits_in_support(support_mask)
+        if circuits is None:
+            continue
+        isotype, exponent, beta1, _ = ctx.support_metrics(support_mask)
+        pattern = (support_mask, tuple(circuits))
+        balanced = walks.get(pattern)
+        if balanced is None:
+            balanced = walks[pattern] = _balanced_signings(*pattern)
+        yield support_mask.bit_count(), balanced, isotype.label, exponent, beta1
 
 
 def _count_range(args: tuple[int, int, int, int]) -> dict:
-    """Counting worker over a contiguous range of index sets."""
+    """Counting worker over a contiguous range of index sets.
+
+    The range's circuit-bearing sets are tallied by shape, and each shape's
+    failing supports are then worked out once and weighted by its tally.
+    """
     k, n, start, stop = args
-    positions = grid_positions(n)
+    shapes: dict[tuple[Index2, ...], int] = {}
+    for _, shape in _circuit_sets(k, n, start, stop):
+        shapes[shape] = shapes.get(shape, 0) + 1
     by_ratio: dict[int, int] = {}
     by_value: dict[int | None, int] = {}
     by_isotype: dict[str, int] = {}
     failures = 0
-    chosen_iter = islice(combinations(positions, k), start, stop)
-    for chosen in chosen_iter:
-        ctx = _IndexSetContext(n, chosen)
-        if not ctx.circuit_masks and not ctx.six_mask:
-            continue
-        full = 1 << k
-        for support_mask in range(full):
-            if support_mask.bit_count() < 4:
-                continue
-            circuits = ctx.circuits_in_support(support_mask)
-            if circuits is None:
-                continue
-            isotype, exponent, beta1, _ = ctx.support_metrics(support_mask)
-            size = support_mask.bit_count()
-            balanced_count = 0
-            # Walk every signing of the support; a set bit means entry -1.
-            for minus in range(1 << size):
-                minus_mask = 0
-                bit = 0
-                m = support_mask
-                while m:
-                    low = m & -m
-                    if minus >> bit & 1:
-                        minus_mask |= low
-                    m ^= low
-                    bit += 1
-                if _balanced(minus_mask, circuits):
-                    balanced_count += 1
-            total = 1 << size
+    walks: dict[tuple, int] = {}
+    for shape, sets in shapes.items():
+        for size, balanced, label, exponent, beta1 in _failing_supports(n, shape, walks):
+            total = sets << size
+            balanced *= sets
             failures += total
             ratio = 2**beta1
-            by_ratio[ratio] = by_ratio.get(ratio, 0) + balanced_count
-            by_ratio[0] = by_ratio.get(0, 0) + total - balanced_count
-            by_value[exponent] = by_value.get(exponent, 0) + balanced_count
-            by_value[None] = by_value.get(None, 0) + total - balanced_count
-            by_isotype[isotype.label] = by_isotype.get(isotype.label, 0) + total
+            by_ratio[ratio] = by_ratio.get(ratio, 0) + balanced
+            by_ratio[0] = by_ratio.get(0, 0) + total - balanced
+            by_value[exponent] = by_value.get(exponent, 0) + balanced
+            by_value[None] = by_value.get(None, 0) + total - balanced
+            by_isotype[label] = by_isotype.get(label, 0) + total
     return {
         "failures": failures,
         "by_ratio": by_ratio,
@@ -277,13 +368,22 @@ def _count_range(args: tuple[int, int, int, int]) -> dict:
 def count_failures(k: int, n: int, workers: int | None = None) -> CountReport:
     """Count failures by exhaustive enumeration, aggregated per class.
 
-    Every signing of every circuit-containing support is visited and its
-    balance decided from circuit parities; the index-set space is split
-    into contiguous ranges merged in fixed order, so the result does not
+    Every index set is visited.  Those without a circuit are skipped at
+    once; the others are tallied by shape (:func:`_shape`), and each shape
+    is worked out once per range and weighted by its tally: that is exact
+    because the rank relabelling is an isomorphism that keeps the slot
+    order, so every set of a shape has the same circuit masks and the same
+    isotype and Betti data on every support.  Per shape, every signing of
+    every circuit-containing support is still decided from circuit
+    parities, each distinct circuit pattern (a support with its circuit
+    masks) walked once per range.  The index-set space is split into
+    contiguous ranges merged in fixed order, so the result does not
     depend on the worker count.
+
+    Raises:
+        ValueError: for k outside 0..6 or n < 2.
     """
-    if not 0 <= k <= 6:
-        raise ValueError("enumeration supports 0 <= k <= 6")
+    _check_range(k, n)
     n_sets = comb((n - 1) ** 2, k)
     workers = parallel.resolve_workers(workers)
     n_chunks = 1 if workers == 1 else min(n_sets, workers * 8) or 1
@@ -454,10 +554,12 @@ def failure_count_formula(k: int, n: int) -> CountReport:
     combinatorial construction and the realization-count tables.
 
     Raises:
-        ValueError: for k outside {4, 5, 6}.
+        ValueError: for k outside {4, 5, 6} or n < 2.
     """
     if k not in (4, 5, 6):
         raise ValueError("closed forms exist for k in {4, 5, 6}")
+    if n < 2:
+        raise ValueError("n must be at least 2")
     total = total_event_count(k, n)
     if k == 4:
         failures = xi(n)

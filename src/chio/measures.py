@@ -286,8 +286,10 @@ def recipe_p_chio(matrix: PartialTernaryMatrix, ambient: IndexSet | None = None)
     if k > 6:
         raise ValueError("recipe applies to at most six specified entries")
 
+    supp = matrix.supp
+
     def lcf() -> DyadicProb:
-        return DyadicProb.pow_half(k + matrix.supp)
+        return DyadicProb.pow_half(k + supp)
 
     if k <= 3:
         return lcf()
@@ -314,10 +316,10 @@ def recipe_p_chio(matrix: PartialTernaryMatrix, ambient: IndexSet | None = None)
         return DyadicProb.pow_half(8 if matrix[off_pos] == 0 else 9)
 
     # k == 6
-    if matrix.supp < 4:
+    if supp < 4:
         return lcf()
     if not circuits:
-        if is_six_circuit(domain) and matrix.supp == 6:
+        if is_six_circuit(domain) and supp == 6:
             if _odd_plus_count(matrix, domain):
                 return DyadicProb.zero()
             return DyadicProb.pow_half(11)

@@ -405,14 +405,10 @@ def h_identity_check(n: int) -> dict:
 
 def suite_failures(big: bool = False, workers: int | None = None) -> list[dict]:
     checks = []
-    for n in (4, 5):
+    for n in (4, 5, 6):
         for k in (4, 5, 6):
             checks.append(failure_agreement(k, n, workers))
-    for k in (4, 5):
-        checks.append(failure_agreement(k, 6, workers))
     checks.append(h_identity_check(6))
-    if big:
-        checks.append(failure_agreement(6, 6, workers))
     return checks
 
 

@@ -144,6 +144,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "failures", "--k", "9", "--n", "4", "--formula-only")
         assert code == 2
 
+    def test_failures_bad_n(self, capsys):
+        for n in ("-1", "1"):
+            for extra in ((), ("--formula-only",)):
+                code, out, err = run(capsys, "failures", "--k", "4", "--n", n, *extra)
+                assert code == 2 and out == "" and "n must be at least 2" in err
+
     def test_recipe_rejects_seven_entries(self, capsys):
         code, _, err = run(capsys, "recipe", "--matrix=+++/+++/+..")
         assert code == 2 and "six" in err

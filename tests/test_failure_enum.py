@@ -1,20 +1,27 @@
 """Failure censuses against closed forms, realization tables, relations."""
 
 import json
+import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
-from chio.measures import DyadicProb
-from chio.signed_graph import IsoType
+from chio.matrix_core import PartialTernaryMatrix
+from chio.measures import DyadicProb, Event, p_chio, p_lcf, ratio_chio_lcf
+from chio.signed_graph import IsoType, build_graph, classify_isotype, four_circuits, is_six_circuit
 from chio.failure_enum import (
     CountReport,
+    _IndexSetContext,
+    _holds_circuit,
+    _shape,
     check_linear_relations,
     count_failures,
     enumerate_failures,
     failure_count_formula,
     failure_density,
     failure_density_bound,
+    grid_positions,
     h_counts,
     realization_count_formula,
     realization_table,
@@ -62,14 +69,82 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             count_failures(7, 4)
 
-    @pytest.mark.parametrize("k", [4, 5, 6])
-    def test_counter_agrees_with_generator(self, k):
-        report = count_failures(k, 4, workers=1)
-        count, by_ratio, by_value, by_isotype = aggregate(enumerate_failures(k, 4))
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_rejects_small_n(self, n):
+        with pytest.raises(ValueError, match="at least 2"):
+            list(enumerate_failures(4, n))
+        with pytest.raises(ValueError, match="at least 2"):
+            count_failures(4, n, workers=1)
+        with pytest.raises(ValueError, match="at least 2"):
+            failure_count_formula(4, n)
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_records_match_per_event_path(self, k):
+        # Every specification where the measures differ, in index-set then
+        # base-3 order, each record re-derived on its own matrix.
+        expected = []
+        for chosen in combinations(grid_positions(4), k):
+            for values in product((-1, 0, 1), repeat=k):
+                matrix = PartialTernaryMatrix((4, 4), dict(zip(chosen, values)))
+                event = Event(matrix)
+                if p_chio(event) != p_lcf(event):
+                    expected.append(list(matrix.entries.items()))
+        records = list(enumerate_failures(k, 4))
+        assert [list(rec.matrix.entries.items()) for rec in records] == expected
+        for rec in records:
+            assert rec.matrix.dims == (4, 4)
+            assert rec.value == p_chio(Event(rec.matrix))
+            assert rec.ratio == ratio_chio_lcf(Event(rec.matrix))
+            assert rec.isotype is classify_isotype(build_graph(rec.matrix))
+
+    @pytest.mark.parametrize(
+        "k, n",
+        [(4, 4), (5, 4), (6, 4), (5, 5), (6, 5)],
+        ids=["4", "5", "6", "5-5", "6-5"],
+    )
+    def test_counter_agrees_with_generator(self, k, n):
+        report = count_failures(k, n, workers=1)
+        count, by_ratio, by_value, by_isotype = aggregate(enumerate_failures(k, n))
         assert report.failure_count == count
         assert report.by_ratio == by_ratio
         assert report.by_value == by_value
         assert report.by_isotype == by_isotype
+
+
+class TestShapes:
+    @pytest.mark.parametrize("k, n", [(k, 5) for k in range(7)] + [(5, 6)])
+    def test_skip_agrees_with_circuit_listing(self, k, n):
+        for chosen in combinations(grid_positions(n), k):
+            listed = bool(four_circuits(chosen)) or is_six_circuit(chosen)
+            assert _holds_circuit(chosen) == listed, chosen
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_shape_keeps_circuits_and_support_metrics(self, n):
+        # Random sets, sets built around a 4-circuit, and 6-circuits.
+        rng = random.Random(n)
+        positions = grid_positions(n)
+        for trial in range(150):
+            k = rng.randint(4, 6)
+            rows = rng.sample(range(1, n), 3)
+            cols = rng.sample(range(1, n), 3)
+            if trial % 3 == 0:
+                chosen = set(rng.sample(positions, k))
+            elif trial % 3 == 1:
+                chosen = {(i, j) for i in rows[:2] for j in cols[:2]}
+                chosen |= set(rng.sample(sorted(set(positions) - chosen), k - 4))
+            else:
+                chosen = {(rows[a], cols[b]) for a in range(3) for b in (a, (a + 1) % 3)}
+            chosen = tuple(sorted(chosen))
+            shape = _shape(chosen)
+            assert shape == tuple(sorted(shape))
+            assert {i for i, _ in shape} == set(range(1, len({i for i, _ in chosen}) + 1))
+            assert {j for _, j in shape} == set(range(1, len({j for _, j in chosen}) + 1))
+            original = _IndexSetContext(n, chosen)
+            relabelled = _IndexSetContext(n, shape)
+            assert original.circuit_masks == relabelled.circuit_masks
+            assert original.six_mask == relabelled.six_mask
+            for mask in range(1 << len(chosen)):
+                assert original.support_metrics(mask) == relabelled.support_metrics(mask)
 
 
 class TestClosedForms:
@@ -243,8 +318,10 @@ class TestReports:
         assert csv_map["t4"] == 384 and csv_map["t12"] == 384
 
     def test_worker_determinism(self):
-        single = count_failures(5, 4, workers=1)
-        multi = count_failures(5, 4, workers=2)
-        assert json.dumps(single.to_json_dict(), sort_keys=True) == json.dumps(
-            multi.to_json_dict(), sort_keys=True
-        )
+        # Each chunk of the index sets builds its own shape memo.
+        for k, n in ((5, 4), (6, 5)):
+            single = count_failures(k, n, workers=1)
+            multi = count_failures(k, n, workers=2)
+            assert json.dumps(single.to_json_dict(), sort_keys=True) == json.dumps(
+                multi.to_json_dict(), sort_keys=True
+            )
