@@ -5,11 +5,14 @@ means entry +1, row-major), and the census walks the code range in
 fixed chunks.  Entry filters fix some code bits; a chunk generates only
 the codes that agree with them, by depositing a range of integers into
 the free bits (an unfiltered chunk is its code range itself).  Codes
-are decoded and processed with vectorized exact integer arithmetic:
-condensation is a bitwise 2x2-minor computation, rank a batched Bareiss
-elimination with exact division, in the narrowest integer dtype that
-the Hadamard bound of the input proves safe (inputs whose bound
-overflows int64 are refused).  No floating point is used anywhere.
+are decoded into a structure-of-arrays batch, one contiguous length-N
+int8 vector per matrix entry, so that every vectorized step runs over
+whole batch vectors.  Condensation is a 2x2-minor computation on those
+vectors.  Rank is a batched Bareiss elimination with column pivoting
+(:func:`_rank_soa`) in the narrowest integer dtype that the Hadamard
+bound of the input proves safe (inputs whose bound overflows int64 are
+refused); its exact divisions are a shift and a multiplication by a
+2-adic inverse.  No floating point is used anywhere.
 
 Aggregates (rank histograms, condensate preimage counts, edge-marginal
 pair counts, rank-drop violations) are merged per chunk in a fixed
@@ -79,61 +82,114 @@ class CensusConfig:
 
 
 def batch_rank(mats: np.ndarray) -> np.ndarray:
-    """Exact integer rank of a batch of small matrices, vectorized.
+    """Exact integer rank of each matrix of an ``(n, rows, cols)`` batch.
 
-    The Bareiss recurrence of :func:`chio.matrix_core.rank_int` (full
-    pivoting, exact division by the previous pivot) on every matrix at
-    once; a matrix whose trailing block is zero keeps its previous pivot
-    as divisor, so the block stays zero.  Intermediates are minors, at
-    most the Hadamard bound ``H = M^k k^(k/2)`` (``M`` the largest entry
-    magnitude, ``k = min(rows, cols)``), and the work dtype is the
-    narrowest of int16, int32 and int64 that holds ``2 H^2``.
+    The batch is transposed once into a structure-of-arrays (SoA) layout,
+    ``(rows, cols, n)``: one length-n vector per matrix entry, so every
+    step is a ufunc over whole length-n vectors (see :func:`_rank_soa`).
+    The recurrence is the Bareiss elimination of
+    :func:`chio.matrix_core.rank_int` with column pivoting: at column j,
+    each matrix's pivot row is its first row with a nonzero in column j,
+    and every row is updated by
+    ``a[i][l] = (a[i][l]*pivot - a[i][j]*head[l]) / prev`` for l > j,
+    ``head`` the pivot row and ``prev`` the previous pivot.  The update
+    zeroes the pivot row, and rows already zero stay zero, so no row is
+    swapped or marked used: the next column's first nonzero row is always
+    a fresh one.  A matrix with no pivot in column j takes an identity
+    step (its column is zero, and its pivot stays ``prev``).  The rank is
+    the number of pivots found.  Columns run along the shorter side,
+    since rank(A) = rank(A^T).
+
+    By Sylvester's identity every intermediate value is a minor of the
+    input, so ``prev`` divides each ``x = a[i][l]*pivot - a[i][j]*head[l]``
+    and the minors are at most the Hadamard bound ``H = M^k k^(k/2)``
+    (``M`` the largest entry magnitude, ``k`` the shorter side).  The work
+    dtype is the narrowest of int16, int32 and int64, of ``w`` bits, that
+    holds ``2 H^2``, so ``x`` never wraps.  The division uses no ``//``:
+    write ``prev = 2^e o`` with ``o`` odd.  Then ``x >> e`` is exact, and
+    ``x / prev = (x >> e) * o^-1 mod 2^w``, computed in the unsigned view
+    of the dtype, with ``o^-1`` the inverse of ``o`` mod 2^w from Newton's
+    iteration ``inv *= 2 - o*inv`` (:func:`_odd_inverse`).  The true
+    quotient q is a minor, so ``|q| <= H < 2^(w-1)``, and the signed
+    reading of the wrapped product, congruent to q mod 2^w, is q itself.
+    No floating point is used.
 
     Raises:
         ValueError: if ``2 H^2`` does not fit in int64.
     """
-    mats = np.asarray(mats)
-    n, r, c = mats.shape
-    k_max = min(r, c)
-    m = max(int(mats.max()), -int(mats.min())) if mats.size else 0
-    bound = 2 * m ** (2 * k_max) * k_max**k_max
+    return _rank_soa(np.asarray(mats).transpose(1, 2, 0))
+
+
+# 2 is a primitive root mod 67, so 2^e mod 67 tells apart every e < 66.
+_LOG2_MOD67 = np.zeros(67, dtype=np.int8)
+_LOG2_MOD67[[pow(2, e, 67) for e in range(63)]] = np.arange(63)
+
+
+def _rank_soa(entries: np.ndarray) -> np.ndarray:
+    """:func:`batch_rank` of a ``(rows, cols, n)`` batch.
+
+    ``entries[i, j]`` is the length-n vector of entry (i, j) across the
+    batch; the input is copied, never written.
+    """
+    r, c, n = entries.shape
+    k = min(r, c)
+    m = max(int(entries.max()), -int(entries.min())) if entries.size else 0
+    bound = 2 * m ** (2 * k) * k**k
     fits = [d for d in (np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max]
     if not fits:
         raise ValueError(
             f"batch_rank: Hadamard bound of {r}x{c} matrices with entries up to {m} "
             "overflows int64"
         )
-    work = mats.astype(fits[0])
+    dtype = np.dtype(fits[0])
+    unsigned = np.dtype(f"u{dtype.itemsize}")
+    work = np.array(entries if r >= c else entries.transpose(1, 0, 2), dtype=dtype, order="C")
     rank = np.zeros(n, dtype=np.int64)
-    prev = np.ones(n, dtype=work.dtype)
-    for k in range(k_max):
-        trailing = (work[:, k:, k:] != 0).reshape(n, (r - k) * (c - k))
-        has = trailing.any(axis=1)
+    prev = np.ones(n, dtype=dtype)
+    for j in range(k):
+        col = work[:, j]
+        # first[i]: row i is the matrix's first row with a nonzero here.
+        first = col != 0
+        has = first[0].copy()
+        for i in range(1, first.shape[0]):
+            first[i] &= ~has
+            has |= first[i]
         rank += has
-        if k + 1 == k_max:
+        if j + 1 == k:
             break
-        first = trailing.argmax(axis=1)
-        pi = first // (c - k) + k
-        pj = first % (c - k) + k
-        # Swap only where needed; rows above k and columns left of k are
-        # never read again.
-        rows = np.flatnonzero(pi != k)
-        p = pi[rows]
-        pivot_rows = work[rows, p, k:]
-        work[rows, p, k:] = work[rows, k, k:]
-        work[rows, k, k:] = pivot_rows
-        cols = np.flatnonzero(pj != k)
-        q = pj[cols]
-        pivot_cols = work[cols, k:, q]
-        work[cols, k:, q] = work[cols, k:, k]
-        work[cols, k:, k] = pivot_cols
-        pivot = work[:, k, k]
-        factor = work[:, k + 1 :, k, None]
-        head = work[:, None, k, k + 1 :]
-        block = work[:, k + 1 :, k + 1 :]
-        block[...] = (block * pivot[:, None, None] - factor * head) // prev[:, None, None]
-        prev = np.where(has, pivot, prev)
+        first = first.astype(dtype)
+        pivot = np.where(has, np.einsum("in,in->n", col, first), prev)
+        head = np.einsum("iln,in->ln", work[:, j + 1 :], first)
+        block = work[:, j + 1 :]
+        block *= pivot
+        block -= col[:, None] * head
+        if j:
+            # The first step divides by 1.
+            block >>= shift
+            quotient = block.view(unsigned)
+            quotient *= inv
+        prev = pivot
+        shift, inv = _odd_inverse(prev)
     return rank
+
+
+def _odd_inverse(prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(e, o^-1)`` for each ``prev = 2^e o``, o odd, with o^-1 its inverse mod 2^w.
+
+    ``e`` has the signed dtype of ``prev`` (``w`` bits), and ``o^-1`` its
+    unsigned counterpart.  Each ``prev`` must be nonzero, with
+    ``|prev| < 2^(w-1)``.
+    """
+    unsigned = np.dtype(f"u{prev.dtype.itemsize}")
+    shift = _LOG2_MOD67[(prev & -prev) % 67].astype(prev.dtype)
+    odd = (prev >> shift).view(unsigned)
+    inv = odd.copy()
+    # o * o = 1 mod 8 for odd o, and each Newton step doubles the correct bits.
+    correct_bits = 3
+    while correct_bits < 8 * prev.dtype.itemsize:
+        inv *= 2 - odd * inv
+        correct_bits *= 2
+    return shift, inv
 
 
 def _bit_index(i: int, j: int, t: int) -> int:
@@ -210,6 +266,16 @@ def _count_below(bound: int, runs: list[tuple[int, int, int]], value: int) -> in
     return lo
 
 
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _bits(codes: np.ndarray, width: int) -> np.ndarray:
+    """Bits ``0..width-1`` of int64 codes, as a C-contiguous ``(width, N)`` int8 array of 0/1."""
+    raw = codes.astype("<i8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(raw, axis=1, count=width, bitorder="little")
+    return np.ascontiguousarray(bits.T).view(np.int8)
+
+
 def _chunk_task(args: tuple) -> dict:
     """Process the admissible codes of one contiguous code range."""
     s, t, lo, hi, names, filters = args
@@ -224,29 +290,25 @@ def _chunk_task(args: tuple) -> dict:
     # With every bit fixed, _deposit returns a plain int.
     codes = np.broadcast_to(_deposit(x, runs, value), x.shape)
 
-    shifts = np.arange(st, dtype=np.int64)
-    entries = (2 * ((codes[:, None] >> shifts) & 1) - 1).astype(np.int8)
+    entries = _bits(codes, st).reshape(s, t, -1)
+    entries <<= 1
+    entries -= 1
 
     cond = None
     if {"rank_cond", "cond_counts", "edge_pairs", "rank_drop_violations"} & set(names):
-        cond = np.empty((codes.size, m), dtype=np.int8)
-        pivot = entries[:, _bit_index(s, t, t)]
-        for i in range(1, s):
-            for j in range(1, t):
-                minor = entries[:, _bit_index(i, j, t)] * pivot - entries[
-                    :, _bit_index(i, t, t)
-                ] * entries[:, _bit_index(s, j, t)]
-                cond[:, (i - 1) * (t - 1) + (j - 1)] = minor >> 1
+        # Halved 2x2 minors against the corner entry (s, t), each in {-1, 0, 1}.
+        minors = entries[:-1, :-1] * entries[-1, -1] - entries[:-1, -1:] * entries[-1:, :-1]
+        cond = (minors >> 1).reshape(m, -1)
 
     rank_pm = None
     if {"rank_pm", "rank_drop_violations"} & set(names):
-        rank_pm = batch_rank(entries.reshape(-1, s, t))
+        rank_pm = _rank_soa(entries)
         if "rank_pm" in names:
             out["rank_pm"] = np.bincount(rank_pm, minlength=min(s, t) + 1)
 
     rank_cond = None
     if {"rank_cond", "rank_drop_violations"} & set(names):
-        rank_cond = batch_rank(cond.reshape(-1, s - 1, t - 1))
+        rank_cond = _rank_soa(cond.reshape(s - 1, t - 1, -1))
         if "rank_cond" in names:
             out["rank_cond"] = np.bincount(rank_cond, minlength=min(s - 1, t - 1) + 1)
 
@@ -255,13 +317,14 @@ def _chunk_task(args: tuple) -> dict:
 
     if "cond_counts" in names:
         powers = 3 ** np.arange(m, dtype=np.int64)
-        codes3 = (cond.astype(np.int64) + 1) @ powers
-        uniq, counts = np.unique(codes3, return_counts=True)
+        uniq, counts = np.unique(powers @ (cond + 1), return_counts=True)
         out["cond_counts"] = (uniq, counts.astype(np.int64))
 
     if "edge_pairs" in names:
-        nz = (cond != 0).astype(np.int64)
-        out["edge_pairs"] = nz.T @ nz
+        # Pair counts of the nonzero patterns, eight matrices to a byte.
+        packed = np.packbits(cond != 0, axis=1)
+        both = packed[:, None] & packed[None]
+        out["edge_pairs"] = np.take(_POPCOUNT8, both).sum(axis=2, dtype=np.int64)
 
     return out
 
@@ -324,9 +387,16 @@ class CensusResult:
             return
         codes = np.concatenate([self.cond_codes] + [c for c, _ in self._pending])
         counts = np.concatenate([self.cond_counts] + [n for _, n in self._pending])
-        self.cond_codes, inverse = np.unique(codes, return_inverse=True)
-        self.cond_counts = np.zeros(self.cond_codes.size, dtype=np.int64)
-        np.add.at(self.cond_counts, inverse, counts)
+        # The pieces are sorted runs, which a stable sort merges; sorting
+        # and summing runs of equal codes needs about half the temporary
+        # memory of np.unique(return_inverse=True) with np.add.at.
+        order = codes.argsort(kind="stable")
+        codes = codes[order]
+        counts = counts[order]
+        del order
+        starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+        self.cond_codes = codes[starts]
+        self.cond_counts = np.add.reduceat(counts, starts)
         self._pending = []
         self._pending_size = 0
 
@@ -596,16 +666,21 @@ def empirical_p_chio(n: int, workers: int | None = None) -> np.ndarray:
     return counts
 
 
-def binary_rank_counts(rows: int, cols: int) -> np.ndarray:
-    """Rank histogram of all {0,1} matrices of the given shape."""
+def binary_rank_counts(rows: int, cols: int, chunk: int = 1 << 18) -> np.ndarray:
+    """Rank histogram of all {0,1} matrices of the given shape.
+
+    Codes are decoded ``chunk`` at a time, so memory is O(chunk).
+    """
     cells = rows * cols
     if cells > DEFAULT_BUDGET_LOG2:
         raise BudgetExceeded("binary census too large")
-    codes = np.arange(1 << cells, dtype=np.int64)
-    shifts = np.arange(cells, dtype=np.int64)
-    entries = ((codes[:, None] >> shifts) & 1).astype(np.int64)
-    ranks = batch_rank(entries.reshape(-1, rows, cols))
-    return np.bincount(ranks, minlength=min(rows, cols) + 1)
+    counts = np.zeros(min(rows, cols) + 1, dtype=np.int64)
+    total = 1 << cells
+    for lo in range(0, total, chunk):
+        codes = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+        ranks = _rank_soa(_bits(codes, cells).reshape(rows, cols, -1))
+        counts += np.bincount(ranks, minlength=counts.size)
+    return counts
 
 
 def ternary_rank_supp_counts(rows: int, cols: int, chunk: int = 1 << 18) -> np.ndarray:
@@ -613,18 +688,17 @@ def ternary_rank_supp_counts(rows: int, cols: int, chunk: int = 1 << 18) -> np.n
     cells = rows * cols
     if 3**cells > (1 << 27):
         raise BudgetExceeded("ternary census too large")
-    powers = 3 ** np.arange(cells, dtype=np.int64)
     joint = np.zeros((min(rows, cols) + 1, cells + 1), dtype=np.int64)
     total = 3**cells
     for lo in range(0, total, chunk):
-        codes = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        digits = (codes[:, None] // powers) % 3 - 1
-        supp = (digits != 0).sum(axis=1)
-        ranks = batch_rank(digits.reshape(-1, rows, cols))
-        flat = ranks * (cells + 1) + supp
-        joint += np.bincount(
-            flat, minlength=joint.size
-        ).reshape(joint.shape)
+        rest = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+        digits = np.empty((cells, rest.size), dtype=np.int8)
+        for b in range(cells):
+            rest, digits[b] = np.divmod(rest, 3)
+        digits -= 1
+        supp = np.count_nonzero(digits, axis=0)
+        ranks = _rank_soa(digits.reshape(rows, cols, -1))
+        joint += np.bincount(ranks * (cells + 1) + supp, minlength=joint.size).reshape(joint.shape)
     return joint
 
 

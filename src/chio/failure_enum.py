@@ -551,7 +551,9 @@ def failure_count_formula(k: int, n: int) -> CountReport:
     """Closed-form failure report for k in {4, 5, 6}; no enumeration.
 
     Internally cross-checks the degree-8 polynomial forms against the
-    combinatorial construction and the realization-count tables.
+    combinatorial construction and the realization-count tables.  When
+    the (n-1) x (n-1) grid has fewer than k entries the report is all
+    zero, as from :func:`count_failures`.
 
     Raises:
         ValueError: for k outside {4, 5, 6} or n < 2.
@@ -560,6 +562,9 @@ def failure_count_formula(k: int, n: int) -> CountReport:
         raise ValueError("closed forms exist for k in {4, 5, 6}")
     if n < 2:
         raise ValueError("n must be at least 2")
+    if (n - 1) ** 2 < k:
+        # The closed forms would take comb of negative arguments here.
+        return CountReport(k, n, total_events=0, failure_count=0)
     total = total_event_count(k, n)
     if k == 4:
         failures = xi(n)

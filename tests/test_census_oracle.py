@@ -2,6 +2,7 @@
 
 import os
 import struct
+from itertools import product
 
 import numpy as np
 import pytest
@@ -67,6 +68,72 @@ class TestBatchRank:
         # 16x16 +-1: Hadamard bound 16^8 = 2^32, so 2 H^2 = 2^65.
         with pytest.raises(ValueError):
             batch_rank(np.ones((2, 16, 16), dtype=np.int64))
+
+    @given(st.integers(1, 8), st.integers(1, 8), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_tall_and_wide_shapes(self, r, c, data):
+        row = st.lists(st.integers(-3, 3), min_size=c, max_size=c)
+        mats = data.draw(st.lists(st.lists(row, min_size=r, max_size=r), min_size=1, max_size=12))
+        # Each matrix again with a zero column, so that some elimination
+        # steps find no pivot; and an all-zero matrix.
+        zero_col = data.draw(st.integers(0, c - 1))
+        mats += [[[0 if j == zero_col else v for j, v in enumerate(line)] for line in m] for m in mats]
+        mats.append([[0] * c for _ in range(r)])
+        got = batch_rank(np.array(mats, dtype=np.int64))
+        assert list(got) == [rank_int(IntMatrix(m)) for m in mats]
+
+    def test_no_pivot_step_keeps_the_divisor(self):
+        # Column 2 has no pivot after the first step; column 3 must still
+        # be divided by the first pivot, 2.
+        mats = [[[2, 0, 1], [1, 0, 1], [0, 0, 0]]]
+        assert list(batch_rank(np.array(mats))) == [2]
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    def test_two_adic_division_is_exact(self, dtype):
+        # In the kernel |prev| and |q| are minors below 2^(w/2-1), so
+        # x = prev * q fits in w bits.
+        w = np.iinfo(dtype).bits
+        half = 1 << (w // 2 - 1)
+        rng = np.random.default_rng(w)
+        e = rng.integers(0, w // 2 - 1, 4000)
+        odd = 2 * rng.integers(0, half >> (e + 1)) + 1
+        prev = rng.choice([-1, 1], e.size) * (odd << e)
+        q = rng.integers(1 - half, half, e.size)
+        x = (prev * q).astype(dtype)
+        shift, inv = census_oracle._odd_inverse(prev.astype(dtype))
+        got = ((x >> shift).view(inv.dtype) * inv).view(dtype)
+        assert got.tolist() == q.tolist()
+
+    @pytest.mark.parametrize(
+        "r, c, m, dtype",
+        [(5, 5, 1, np.int16), (8, 8, 1, np.int32), (6, 6, 3, np.int64), (3, 7, 3, np.int32)],
+    )
+    def test_each_work_dtype(self, r, c, m, dtype):
+        k = min(r, c)
+        bound = 2 * m ** (2 * k) * k**k
+        narrower = {np.int16: np.int8, np.int32: np.int16, np.int64: np.int32}[dtype]
+        assert np.iinfo(narrower).max < bound <= np.iinfo(dtype).max
+        rng = np.random.default_rng(r * c * m)
+        values = np.array([-1, 1] if m == 1 else range(-m, m + 1))
+        mats = rng.choice(values, size=(400, r, c))
+        mats[0, 0, 0] = m
+        # Rank-deficient cases with the same entries: a repeated row, a
+        # negated column.
+        mats[1:100, 1] = mats[1:100, 0]
+        mats[100:200, :, 1] = -mats[100:200, :, 0]
+        got = batch_rank(mats)
+        assert list(got) == [rank_int(IntMatrix(a.tolist())) for a in mats]
+
+    def test_all_4x4_sign_matrices(self):
+        codes = np.arange(1 << 16)
+        mats = (2 * ((codes[:, None] >> np.arange(16)) & 1) - 1).reshape(-1, 4, 4)
+        got = batch_rank(mats)
+        assert list(got) == [rank_int(IntMatrix(a.tolist())) for a in mats]
+
+    def test_all_3x3_ternary_matrices(self):
+        mats = np.array(list(product((-1, 0, 1), repeat=9))).reshape(-1, 3, 3)
+        got = batch_rank(mats)
+        assert list(got) == [rank_int(IntMatrix(a.tolist())) for a in mats]
 
 
 class TestCondensateCounts:
@@ -150,6 +217,29 @@ class TestSingular:
     def test_ternary_joint_counts_partition(self):
         joint = ternary_rank_supp_counts(2, 2)
         assert int(joint.sum()) == 81
+
+
+class TestRankHistograms:
+    @pytest.mark.parametrize("rows, cols, chunk", [(3, 4, 7), (4, 4, 4093)])
+    def test_binary_counts_in_small_chunks(self, rows, cols, chunk):
+        cells = rows * cols
+        ranks = [
+            rank_int(IntMatrix([[(code >> (i * cols + j)) & 1 for j in range(cols)] for i in range(rows)]))
+            for code in range(1 << cells)
+        ]
+        expected = np.bincount(ranks, minlength=min(rows, cols) + 1).tolist()
+        assert binary_rank_counts(rows, cols).tolist() == expected
+        assert binary_rank_counts(rows, cols, chunk=chunk).tolist() == expected
+
+    @pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2)])
+    def test_ternary_joint_matches_scalar_rank(self, rows, cols):
+        cells = rows * cols
+        expected = np.zeros((min(rows, cols) + 1, cells + 1), dtype=np.int64)
+        for values in product((-1, 0, 1), repeat=cells):
+            matrix = IntMatrix([list(values[i * cols : (i + 1) * cols]) for i in range(rows)])
+            expected[rank_int(matrix), sum(v != 0 for v in values)] += 1
+        assert ternary_rank_supp_counts(rows, cols).tolist() == expected.tolist()
+        assert ternary_rank_supp_counts(rows, cols, chunk=50).tolist() == expected.tolist()
 
 
 class TestKwise:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from chio.cli import main, parse_sign_matrix, parse_ternary_matrix
 
 
@@ -82,6 +84,14 @@ class TestCommands:
     def test_failures_enumerated_matches_formula(self, capsys):
         code, enumerated, _ = run(capsys, "failures", "--k", "4", "--n", "4", "--workers", "1")
         code2, formula, _ = run(capsys, "failures", "--k", "4", "--n", "4", "--formula-only")
+        assert code == code2 == 0
+        assert json.loads(enumerated) == json.loads(formula)
+
+    @pytest.mark.parametrize("n", ["2", "3"])
+    @pytest.mark.parametrize("k", ["4", "5", "6"])
+    def test_failures_formula_on_small_grids(self, capsys, k, n):
+        code, enumerated, _ = run(capsys, "failures", "--k", k, "--n", n, "--workers", "1")
+        code2, formula, _ = run(capsys, "failures", "--k", k, "--n", n, "--formula-only")
         assert code == code2 == 0
         assert json.loads(enumerated) == json.loads(formula)
 

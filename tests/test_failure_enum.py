@@ -148,11 +148,12 @@ class TestShapes:
 
 
 class TestClosedForms:
-    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("k", [4, 5, 6])
     def test_formula_matches_enumeration(self, k, n):
         enum = count_failures(k, n, workers=1)
         form = failure_count_formula(k, n)
+        assert enum.total_events == form.total_events
         assert enum.failure_count == form.failure_count
         assert enum.by_ratio == form.by_ratio
         assert enum.by_value == form.by_value
