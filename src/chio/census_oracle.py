@@ -329,6 +329,22 @@ def _chunk_task(args: tuple) -> dict:
     return out
 
 
+# Codes per piece between two cuts of the condensate-count merge.
+_MERGE_SLICE = 1 << 15
+
+
+def _mapped(n: int, dtype) -> np.ndarray:
+    """A zeroed length-n array in its own anonymous memory map.
+
+    Pages are taken as they are first written, and all are given back
+    when the array is dropped, whatever the state of the malloc heap.
+    """
+    import mmap
+
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, max(n, 1) * dtype.itemsize), dtype=dtype, count=n)
+
+
 @dataclass
 class CensusResult:
     """Merged aggregates of one census run; ``None`` marks one not computed."""
@@ -381,24 +397,40 @@ class CensusResult:
         """Fold the pending chunk counts into ``cond_codes``/``cond_counts``.
 
         Merging only once the pending pairs are as large as the merged
-        ones keeps the total cost at O(N log N) for N codes seen.
+        ones keeps the total cost at O(N log N) for N codes seen.  Every
+        piece is a sorted run of distinct codes.  The code range is cut at
+        every ``_MERGE_SLICE``-th code of each piece, so between two cuts
+        each piece holds at most that many codes; the runs are merged one
+        stretch at a time (a stable sort of the stretch, then sums over
+        equal codes) and written in order into two arrays of the pieces'
+        total length.  Those arrays are memory maps (:func:`_mapped`), so
+        the unused tail takes no memory, and the only heap allocations are
+        the small per-stretch temporaries: on the heap, arrays of a few MB
+        land in freed holes or not depending on earlier allocations, which
+        made the process's peak RSS vary from run to run by several MB.
         """
         if not self._pending:
             return
-        codes = np.concatenate([self.cond_codes] + [c for c, _ in self._pending])
-        counts = np.concatenate([self.cond_counts] + [n for _, n in self._pending])
-        # The pieces are sorted runs, which a stable sort merges; sorting
-        # and summing runs of equal codes needs about half the temporary
-        # memory of np.unique(return_inverse=True) with np.add.at.
-        order = codes.argsort(kind="stable")
-        codes = codes[order]
-        counts = counts[order]
-        del order
-        starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-        self.cond_codes = codes[starts]
-        self.cond_counts = np.add.reduceat(counts, starts)
+        pieces = [(self.cond_codes, self.cond_counts)] + self._pending
+        self.cond_codes = self.cond_counts = None
         self._pending = []
         self._pending_size = 0
+        total = sum(c.size for c, _ in pieces)
+        codes = _mapped(total, np.int64)
+        counts = _mapped(total, np.int64)
+        cuts = np.unique(np.concatenate([c[_MERGE_SLICE::_MERGE_SLICE] for c, _ in pieces]))
+        bounds = [np.concatenate(([0], np.searchsorted(c, cuts), [c.size])) for c, _ in pieces]
+        at = 0
+        for r in range(cuts.size + 1):
+            part = np.concatenate([c[b[r] : b[r + 1]] for (c, _), b in zip(pieces, bounds)])
+            weight = np.concatenate([n[b[r] : b[r + 1]] for (_, n), b in zip(pieces, bounds)])
+            order = part.argsort(kind="stable")
+            part = part[order]
+            starts = np.flatnonzero(np.concatenate(([True], part[1:] != part[:-1])))
+            codes[at : at + starts.size] = part[starts]
+            np.add.reduceat(weight[order], starts, out=counts[at : at + starts.size])
+            at += starts.size
+        self.cond_codes, self.cond_counts = codes[:at], counts[:at]
 
     def to_json_dict(self) -> dict:
         data: dict = {"dims": list(self.dims), "visited": self.visited}

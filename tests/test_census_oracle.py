@@ -476,6 +476,19 @@ class TestDirectEnumeration:
         assert list(res.cond_counts) == list(ref["dense"][res.cond_codes])
         assert empirical_p_chio(4, workers=1).tolist() == ref["dense"].tolist()
 
+    @pytest.mark.parametrize("merge_slice", [1, 5, 64])
+    def test_merge_cuts_keep_counts(self, monkeypatch, merge_slice):
+        # Small slices cut every merge into many stretches.
+        ref = _masked_reference((3, 4), {(2, 2): -1})
+        monkeypatch.setattr(census_oracle, "_MERGE_SLICE", merge_slice)
+        res = run_census(
+            CensusConfig(dims=(3, 4), worker_count=1, chunk_size=300, filters={(2, 2): -1}),
+            aggregates=("cond_counts",),
+        )
+        assert res.visited == ref["visited"]
+        assert list(res.cond_codes) == list(np.flatnonzero(ref["dense"]))
+        assert list(res.cond_counts) == list(ref["dense"][res.cond_codes])
+
 
 class _Crash(Exception):
     pass
