@@ -20,7 +20,14 @@ order, so results are bit-identical for any worker count and chunk
 size.  Condensate counts are sparse: the sorted codes of the condensates
 seen, with their counts.  Partial aggregates may be flushed to a
 versioned binary checkpoint that records the filters and the aggregates
-it holds, so a run resumes only into the census that wrote it.
+it holds, so a run resumes only into the census that wrote it.  One
+table (``_ENTRIES``) names the aggregates and gives each checkpoint
+entry its kind and shape; the result's empty state, its JSON form and
+the checkpoint's writer and reader all follow it.
+
+The {0,1} and {-1,0,+1} rank histograms, which the rank identities
+compare against the census, come from one brute-force loop over all
+base-b codes (:func:`_rank_supp_counts`).
 """
 
 from __future__ import annotations
@@ -37,17 +44,25 @@ import numpy as np
 from .matrix_core import Index2, PartialTernaryMatrix
 from . import parallel
 
-DEFAULT_BUDGET_LOG2 = 25
+BUDGET_LOG2 = 25
 CHECKPOINT_MAGIC = b"CHIOCENS\0"
 CHECKPOINT_VERSION = 2
 
-AGGREGATE_NAMES = (
-    "rank_pm",
-    "rank_cond",
-    "cond_counts",
-    "edge_pairs",
-    "rank_drop_violations",
-)
+# Checkpoint entries in file order: name -> (aggregate it belongs to, kind,
+# shape for (s, t)).  Kind 0 is a u64 scalar, 1 a u64 vector and 2 a u64
+# matrix; a shape of None is any length.  ``cond_codes`` is the code half
+# of the sparse ``cond_counts`` aggregate.
+_ENTRIES = {
+    "visited": (None, 0, lambda s, t: ()),
+    "rank_pm": ("rank_pm", 1, lambda s, t: (min(s, t) + 1,)),
+    "rank_cond": ("rank_cond", 1, lambda s, t: (min(s - 1, t - 1) + 1,)),
+    "cond_codes": ("cond_counts", 1, lambda s, t: None),
+    "cond_counts": ("cond_counts", 1, lambda s, t: None),
+    "edge_pairs": ("edge_pairs", 2, lambda s, t: ((s - 1) * (t - 1),) * 2),
+    "rank_drop_violations": ("rank_drop_violations", 0, lambda s, t: ()),
+}
+
+AGGREGATE_NAMES = tuple(dict.fromkeys(agg for agg, _, _ in _ENTRIES.values() if agg))
 
 
 class BudgetExceeded(Exception):
@@ -61,7 +76,6 @@ class CensusConfig:
     dims: tuple[int, int]
     worker_count: int | None = None
     chunk_size: int = 1 << 18
-    budget_log2: int = DEFAULT_BUDGET_LOG2
     checkpoint_path: str | None = None
     flush_every: int = 16
     filters: dict[Index2, int] | None = None
@@ -70,10 +84,8 @@ class CensusConfig:
         s, t = self.dims
         if s < 2 or t < 2:
             raise ValueError("census dims must both be >= 2")
-        if s * t > self.budget_log2:
-            raise BudgetExceeded(
-                f"2^{s * t} matrices exceed the 2^{self.budget_log2} budget"
-            )
+        if s * t > BUDGET_LOG2:
+            raise BudgetExceeded(f"2^{s * t} matrices exceed the 2^{BUDGET_LOG2} budget")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be positive")
         for (i, j), sign in (self.filters or {}).items():
@@ -370,11 +382,11 @@ class CensusResult:
     @classmethod
     def empty(cls, dims: tuple[int, int], aggregates: tuple[str, ...]) -> CensusResult:
         """A result holding zero for each named aggregate."""
-        layouts = _entry_layouts(*dims)
         result = cls(dims=dims)
-        for name in _entry_names(aggregates)[1:]:
-            kind, shape = layouts[name]
-            setattr(result, name, 0 if kind == 0 else np.zeros(shape or 0, dtype=np.int64))
+        for name, (aggregate, kind, shape) in _ENTRIES.items():
+            if aggregate in aggregates:
+                zero = 0 if kind == 0 else np.zeros(shape(*dims) or 0, dtype=np.int64)
+                setattr(result, name, zero)
         return result
 
     def aggregate_names(self) -> tuple[str, ...]:
@@ -433,15 +445,12 @@ class CensusResult:
         self.cond_codes, self.cond_counts = codes[:at], counts[:at]
 
     def to_json_dict(self) -> dict:
-        data: dict = {"dims": list(self.dims), "visited": self.visited}
-        if self.rank_pm is not None:
-            data["rank_pm"] = [int(v) for v in self.rank_pm]
-        if self.rank_cond is not None:
-            data["rank_cond"] = [int(v) for v in self.rank_cond]
-        if self.rank_drop_violations is not None:
-            data["rank_drop_violations"] = self.rank_drop_violations
-        if self.edge_pairs is not None:
-            data["edge_pairs"] = [[int(v) for v in row] for row in self.edge_pairs]
+        """``dims``, ``visited`` and every held aggregate but the condensate counts."""
+        data: dict = {"dims": list(self.dims)}
+        for name, (aggregate, kind, _) in _ENTRIES.items():
+            value = getattr(self, name)
+            if aggregate != "cond_counts" and value is not None:
+                data[name] = value if kind == 0 else value.tolist()
         return data
 
 
@@ -451,7 +460,7 @@ class CensusResult:
 # chunk, fixed-bit mask, fixed-bit value; u32 entry count; entries.  An
 # entry is u32 length + name, then kind 0 (u64 scalar), 1 (u64 length +
 # u64 values) or 2 (u32 rows, u32 cols + u64 values, row-major).  The
-# entries are ``visited`` and the held aggregates (see _entry_names).
+# entries are those of _ENTRIES that the result holds, in its order.
 
 
 def _pack_array(name: str, arr: np.ndarray) -> bytes:
@@ -471,28 +480,6 @@ def _pack_scalar(name: str, value: int) -> bytes:
     return struct.pack("<I", len(encoded)) + encoded + struct.pack("<BQ", 0, value)
 
 
-def _entry_names(aggregates: tuple[str, ...]) -> list[str]:
-    """Checkpoint entries that hold ``visited`` and the named aggregates."""
-    names = ["visited"]
-    for name in aggregates:
-        names.extend(("cond_codes", "cond_counts") if name == "cond_counts" else (name,))
-    return names
-
-
-def _entry_layouts(s: int, t: int) -> dict[str, tuple[int, tuple[int, ...] | None]]:
-    """Kind and shape of each checkpoint entry; ``None`` is any length."""
-    m = (s - 1) * (t - 1)
-    return {
-        "visited": (0, ()),
-        "rank_drop_violations": (0, ()),
-        "rank_pm": (1, (min(s, t) + 1,)),
-        "rank_cond": (1, (min(s - 1, t - 1) + 1,)),
-        "cond_codes": (1, None),
-        "cond_counts": (1, None),
-        "edge_pairs": (2, (m, m)),
-    }
-
-
 def _write_checkpoint(path: str, cfg: CensusConfig, next_chunk: int, blobs: list[bytes]) -> None:
     s, t = cfg.dims
     mask, value = _fixed_bits(cfg.filters, t)
@@ -510,10 +497,10 @@ def _write_checkpoint(path: str, cfg: CensusConfig, next_chunk: int, blobs: list
 def save_checkpoint(path: str, cfg: CensusConfig, result: CensusResult, next_chunk: int) -> None:
     """Write ``result`` as the state of ``cfg``'s census before chunk ``next_chunk``."""
     result.settle()
-    layouts = _entry_layouts(*cfg.dims)
     blobs = [
-        (_pack_array if layouts[name][0] else _pack_scalar)(name, getattr(result, name))
-        for name in _entry_names(result.aggregate_names())
+        (_pack_array if kind else _pack_scalar)(name, getattr(result, name))
+        for name, (_, kind, _) in _ENTRIES.items()
+        if getattr(result, name) is not None
     ]
     _write_checkpoint(path, cfg, next_chunk, blobs)
 
@@ -558,18 +545,17 @@ def load_checkpoint(path: str, cfg: CensusConfig) -> tuple[CensusResult, int]:
     if next_chunk > -(-(1 << (s * t)) // chunk_size):
         raise ValueError("corrupt census checkpoint: next chunk past the end")
 
-    layouts = _entry_layouts(s, t)
     result = CensusResult(dims=(s, t))
     seen: set[str] = set()
     for _ in range(n_blobs):
         (name_len,), off = _unpack("<I", raw, off)
         name, off = _read_bytes(raw, off, name_len)
         name = name.decode()
-        if name not in layouts or name in seen:
+        if name not in _ENTRIES or name in seen:
             raise ValueError(f"corrupt census checkpoint: unexpected entry {name!r}")
         seen.add(name)
         (kind,), off = _unpack("<B", raw, off)
-        want_kind, want_shape = layouts[name]
+        _, want_kind, want_shape = _ENTRIES[name]
         if kind != want_kind:
             raise ValueError(f"corrupt census checkpoint: entry {name!r} has kind {kind}")
         if kind == 0:
@@ -577,7 +563,8 @@ def load_checkpoint(path: str, cfg: CensusConfig) -> tuple[CensusResult, int]:
             setattr(result, name, int(scalar))
             continue
         shape, off = _unpack("<Q" if kind == 1 else "<II", raw, off)
-        if want_shape is not None and shape != want_shape:
+        want = want_shape(s, t)
+        if want is not None and shape != want:
             raise ValueError(f"corrupt census checkpoint: entry {name!r} has shape {shape}")
         payload, off = _read_bytes(raw, off, 8 * prod(shape))
         arr = np.frombuffer(payload, dtype="<u8").astype(np.int64).reshape(shape)
@@ -703,31 +690,34 @@ def binary_rank_counts(rows: int, cols: int, chunk: int = 1 << 18) -> np.ndarray
 
     Codes are decoded ``chunk`` at a time, so memory is O(chunk).
     """
-    cells = rows * cols
-    if cells > DEFAULT_BUDGET_LOG2:
+    if rows * cols > BUDGET_LOG2:
         raise BudgetExceeded("binary census too large")
-    counts = np.zeros(min(rows, cols) + 1, dtype=np.int64)
-    total = 1 << cells
-    for lo in range(0, total, chunk):
-        codes = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        ranks = _rank_soa(_bits(codes, cells).reshape(rows, cols, -1))
-        counts += np.bincount(ranks, minlength=counts.size)
-    return counts
+    return _rank_supp_counts(rows, cols, 2, 0, chunk).sum(axis=1)
 
 
 def ternary_rank_supp_counts(rows: int, cols: int, chunk: int = 1 << 18) -> np.ndarray:
     """Joint (rank, support size) histogram of all {-1,0,+1} matrices."""
-    cells = rows * cols
-    if 3**cells > (1 << 27):
+    if 3 ** (rows * cols) > (1 << 27):
         raise BudgetExceeded("ternary census too large")
+    return _rank_supp_counts(rows, cols, 3, -1, chunk)
+
+
+def _rank_supp_counts(rows: int, cols: int, base: int, offset: int, chunk: int) -> np.ndarray:
+    """Joint (rank, support size) histogram of all matrices with entries in
+    ``offset .. offset + base - 1``.
+
+    Code c is the matrix whose row-major entry b is digit b of c in base
+    ``base``, plus ``offset``; codes are decoded ``chunk`` at a time.
+    """
+    cells = rows * cols
     joint = np.zeros((min(rows, cols) + 1, cells + 1), dtype=np.int64)
-    total = 3**cells
+    total = base**cells
     for lo in range(0, total, chunk):
         rest = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
         digits = np.empty((cells, rest.size), dtype=np.int8)
         for b in range(cells):
-            rest, digits[b] = np.divmod(rest, 3)
-        digits -= 1
+            rest, digits[b] = np.divmod(rest, base)
+        digits += offset
         supp = np.count_nonzero(digits, axis=0)
         ranks = _rank_soa(digits.reshape(rows, cols, -1))
         joint += np.bincount(ranks * (cells + 1) + supp, minlength=joint.size).reshape(joint.shape)
@@ -742,6 +732,9 @@ class RankCensus:
     pm_rank_counts: list[int]
     binary_rank_counts: list[int]
     condensate_rank_counts: list[int]
+    # Sign matrices whose rank is not their condensate's rank plus one;
+    # reported by the census checks, not by verify() or the JSON form.
+    rank_drop_violations: int
 
     def verify(self) -> dict:
         """Exact-count identities tying the three histograms together."""
@@ -798,12 +791,13 @@ class RankCensus:
 def rank_census(s: int, t: int, workers: int | None = None) -> RankCensus:
     """Joint rank census of sign matrices, their condensates, and patterns."""
     cfg = CensusConfig(dims=(s, t), worker_count=workers)
-    result = run_census(cfg, aggregates=("rank_pm", "rank_cond"))
+    result = run_census(cfg, aggregates=("rank_pm", "rank_cond", "rank_drop_violations"))
     return RankCensus(
         dims=(s, t),
-        pm_rank_counts=[int(v) for v in result.rank_pm],
-        binary_rank_counts=[int(v) for v in binary_rank_counts(s - 1, t - 1)],
-        condensate_rank_counts=[int(v) for v in result.rank_cond],
+        pm_rank_counts=result.rank_pm.tolist(),
+        binary_rank_counts=binary_rank_counts(s - 1, t - 1).tolist(),
+        condensate_rank_counts=result.rank_cond.tolist(),
+        rank_drop_violations=result.rank_drop_violations,
     )
 
 

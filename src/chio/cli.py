@@ -2,7 +2,8 @@
 
 All numeric output is exact (integers and log2 exponents; no floats).
 Reports are JSON (sorted keys) or CSV and byte-stable for fixed flags.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
+error (an unexpected exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -197,6 +198,8 @@ def cmd_census(args) -> int:
         raise UsageError("census needs --n or both --s and --t")
     if s * t >= 25 and not args.big:
         raise UsageError("censuses with 2^25 matrices need --big")
+    if args.resume and not args.checkpoint:
+        raise UsageError("--resume needs --checkpoint")
     cfg = CensusConfig(
         dims=(s, t),
         worker_count=args.workers,
@@ -392,15 +395,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, BudgetExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:
+        # Imported here: the traceback module costs every start a few ms.
+        import traceback
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ from .failure_enum import (
 )
 from .census_oracle import (
     CensusConfig,
-    binary_rank_counts,
     empirical_p_chio,
     decode_condensate,
     kwise_agreement_check,
@@ -479,14 +478,12 @@ def edge_marginal_check(n: int = 4, workers: int | None = None) -> dict:
 def singular_consistency(n: int, workers: int | None = None) -> dict:
     """Singular count factors through the smaller binary singular count."""
     rep = singular_count(n, workers=workers)
-    binary = binary_rank_counts(n - 1, n - 1)
-    binary_singular = int(binary[: n - 1].sum())
-    expected = binary_singular << (2 * n - 1)
+    # q4_left is the number of singular (n-1)x(n-1) {0,1} matrices.
     return _check(
         f"singular count factorization n={n}",
-        rep.singular_count == expected,
+        rep.singular_count == rep.q4_left << (2 * n - 1),
         singular=rep.singular_count,
-        binary_singular=binary_singular,
+        binary_singular=rep.q4_left,
         q4_left=rep.q4_left,
         q4_right=str(rep.q4_right),
     )
@@ -514,25 +511,13 @@ def suite_census(big: bool = False, workers: int | None = None, seed: int = 0) -
     for n in (2, 3, 4):
         checks.append(singular_consistency(n, workers))
     if big:
-        from .census_oracle import RankCensus
-
-        res = run_census(
-            CensusConfig(dims=(5, 5), worker_count=workers),
-            aggregates=("rank_pm", "rank_cond", "rank_drop_violations"),
-        )
-        rc5 = RankCensus(
-            dims=(5, 5),
-            pm_rank_counts=[int(v) for v in res.rank_pm],
-            binary_rank_counts=[int(v) for v in binary_rank_counts(4, 4)],
-            condensate_rank_counts=[int(v) for v in res.rank_cond],
-        )
+        rc5 = rank_census(5, 5, workers)
+        visited = sum(rc5.pm_rank_counts)
         checks.append(
             _check(
                 "census 5x5 (big)",
-                res.visited == 1 << 25
-                and res.rank_drop_violations == 0
-                and rc5.verify()["all_ok"],
-                visited=res.visited,
+                visited == 1 << 25 and rc5.rank_drop_violations == 0 and rc5.verify()["all_ok"],
+                visited=visited,
                 rank_pm=rc5.pm_rank_counts,
             )
         )

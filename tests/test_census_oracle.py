@@ -3,6 +3,7 @@
 import os
 import struct
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ class TestRankHistograms:
         assert binary_rank_counts(rows, cols).tolist() == expected
         assert binary_rank_counts(rows, cols, chunk=chunk).tolist() == expected
 
-    @pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2), (3, 3)])
     def test_ternary_joint_matches_scalar_rank(self, rows, cols):
         cells = rows * cols
         expected = np.zeros((min(rows, cols) + 1, cells + 1), dtype=np.int64)
@@ -240,6 +241,13 @@ class TestRankHistograms:
             expected[rank_int(matrix), sum(v != 0 for v in values)] += 1
         assert ternary_rank_supp_counts(rows, cols).tolist() == expected.tolist()
         assert ternary_rank_supp_counts(rows, cols, chunk=50).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("rows, cols", [(3, 3), (3, 4)])
+    def test_ternary_support_columns(self, rows, cols):
+        # Summed over rank, support s counts C(cells, s) positions times 2^s signs.
+        cells = rows * cols
+        joint = ternary_rank_supp_counts(rows, cols)
+        assert joint.sum(axis=0).tolist() == [comb(cells, s) << s for s in range(cells + 1)]
 
 
 class TestKwise:

@@ -111,6 +111,45 @@ class TestCommands:
         payload = json.loads(out)
         assert code == 0
         assert payload["visited"] == 512 and payload["rank_drop_violations"] == 0
+        # Condensate edges: 256 matrices put an edge at each position, 128 at each pair.
+        pairs = [[256 if i == j else 128 for j in range(4)] for i in range(4)]
+        assert payload == {
+            "dims": [3, 3],
+            "visited": 512,
+            "rank_pm": [0, 32, 288, 192],
+            "rank_cond": [32, 288, 192],
+            "rank_drop_violations": 0,
+            "edge_pairs": pairs,
+        }
+
+    def test_ranks_rectangular_payload(self, capsys):
+        code, out, _ = run(capsys, "ranks", "--s", "3", "--t", "4", "--workers", "1")
+        assert code == 0
+        counts = {"pm": [0, 64, 1344, 2688], "cond": [64, 1344, 2688], "binary": [1, 21, 42]}
+        shift = [
+            {"r": r, "pm": counts["pm"][r], "cond_shifted": counts["cond"][r - 1], "equal": True}
+            for r in (1, 2, 3)
+        ]
+        # Each {0,1} 2x3 pattern has 2^(12 - 6) sign matrices over it.
+        forget = [
+            {"r": r, "cond": counts["cond"][r], "binary_scaled": counts["binary"][r] * 64,
+             "equal": True}
+            for r in (0, 1, 2)
+        ]
+        assert json.loads(out) == {
+            "dims": [3, 4],
+            "rank_pm": counts["pm"],
+            "rank_condensate": counts["cond"],
+            "rank_binary": counts["binary"],
+            "checks": {
+                "all_ok": True,
+                "pm_total_ok": True,
+                "binary_total_ok": True,
+                "condensate_total_ok": True,
+                "rank_shift": shift,
+                "sign_forgetting": forget,
+            },
+        }
 
     def test_formulas(self, capsys):
         code, out, _ = run(capsys, "formulas", "--n", "4")
@@ -146,6 +185,21 @@ class TestExitCodes:
                 capsys, "census", "--n", "3", "--workers", "1", "--checkpoint", path, "--resume"
             )
             assert code == 2 and "error" in err and out == ""
+
+    def test_census_resume_needs_checkpoint(self, capsys):
+        code, out, err = run(capsys, "census", "--n", "3", "--workers", "1", "--resume")
+        assert code == 2 and out == "" and "--checkpoint" in err
+
+    def test_unexpected_exception_exits_3(self, capsys, monkeypatch):
+        import chio.cli
+
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(chio.cli, "cmd_formulas", boom)
+        code, out, err = run(capsys, "formulas", "--n", "4")
+        assert code == 3 and out == ""
+        assert "Traceback" in err and "RuntimeError: boom" in err
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
