@@ -596,6 +596,7 @@ def run_census(
     resume from the saved state.
 
     Raises:
+        FileNotFoundError: on resume, if there is no checkpoint file.
         ValueError: on resume, if the checkpoint is not one of this census
             with these aggregates, or is corrupt.
     """
@@ -609,7 +610,9 @@ def run_census(
 
     start_chunk = 0
     result = CensusResult.empty(cfg.dims, aggregates)
-    if resume and cfg.checkpoint_path and os.path.exists(cfg.checkpoint_path):
+    if resume:
+        if not (cfg.checkpoint_path and os.path.exists(cfg.checkpoint_path)):
+            raise FileNotFoundError(f"no checkpoint to resume at {cfg.checkpoint_path}")
         result, start_chunk = load_checkpoint(cfg.checkpoint_path, cfg)
         held = result.aggregate_names()
         if set(held) != set(aggregates):

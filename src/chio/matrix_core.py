@@ -221,13 +221,17 @@ class PartialTernaryMatrix:
     ``dom`` is the number of specified positions, ``supp`` the number of
     nonzero ones; the empty matrix (dom = supp = 0) is allowed.
 
-    ``_balance`` keeps the ``(balanced, f0, beta0)`` triple of the signed
-    graph once :func:`chio.signed_graph.matrix_balance` has computed it;
-    it takes no part in equality or ``repr``.
+    ``_supp`` holds that count, taken once by the validation loop of the
+    constructor.  ``_balance`` keeps the ``(balanced, f0, beta0)`` triple
+    of the signed graph once :func:`chio.signed_graph.matrix_balance` has
+    worked it out from the cycle basis of the support, which that
+    function memoises per support.  Neither takes part in equality or
+    ``repr``.
     """
 
     dims: tuple[int, int]
     entries: Mapping[Index2, int]
+    _supp: int = field(init=False, repr=False, compare=False)
     _balance: tuple[bool, int, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -237,13 +241,17 @@ class PartialTernaryMatrix:
         s, t = self.dims
         if s < 2 or t < 2:
             raise ValueError(f"dims must both be >= 2, got {self.dims}")
+        supp = 0
         for pos, value in entries.items():
             i, j = pos
             if not (1 <= i <= s - 1 and 1 <= j <= t - 1):
                 raise ValueError(f"position {pos} outside [{s - 1}] x [{t - 1}]")
             if value not in TERNARY:
                 raise ValueError(f"entry {value} at {pos} not in {{-1,0,+1}}")
+            if value:
+                supp += 1
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_supp", supp)
 
     def __getitem__(self, pos: Index2) -> int:
         return self.entries[pos]
@@ -262,7 +270,7 @@ class PartialTernaryMatrix:
 
     @property
     def supp(self) -> int:
-        return sum(1 for v in self.entries.values() if v != 0)
+        return self._supp
 
     @classmethod
     def from_rows(cls, rows: list[list[int | None]], dims: tuple[int, int] | None = None) -> "PartialTernaryMatrix":

@@ -9,9 +9,12 @@ Every value is an exact dyadic probability: zero or a power 2^-e.  The
 condensation measure of an event specifying ``B`` is zero unless the
 signed graph of ``B`` is balanced, in which case it equals
 ``2^-(dom + f0 - beta0)`` independently of the ambient index set; its
-ratio to the lazy coin flip value is ``2^beta1``.  The graph is scanned
-once per matrix: the balance triple is kept on the matrix and read by
-``p_chio``, ``ratio_chio_lcf`` and ``fibre_cardinality``.
+ratio to the lazy coin flip value is ``2^beta1``.  Balance comes from a
+memo of the cycle basis per support (``signed_graph.matrix_balance``):
+the graph of a support is scanned once, and each sign pattern on it is
+decided by the minus-parity of its fundamental cycles.  The balance
+triple is kept on the matrix and read by ``p_chio``, ``ratio_chio_lcf``
+and ``fibre_cardinality``.
 
 ``p_chio_sign_patterns`` gives ``p_chio`` of all 2^supp sign patterns on
 one support from a single scan, through the minus-parity of each
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Collection, Iterable, Sequence
 
 from .matrix_core import (
@@ -109,30 +113,49 @@ class DyadicProb:
         return "DyadicProb(0)" if self.is_zero else f"DyadicProb(2^-{self.exponent})"
 
 
-@dataclass(frozen=True)
 class Event:
     """Entry-specification event: matrices on ``ambient`` agreeing with ``matrix``.
 
     The ambient index set defaults to the domain of the matrix and must
-    satisfy domain <= ambient <= [s-1] x [t-1].
+    satisfy domain <= ambient <= [s-1] x [t-1].  Events are immutable.
+    The default ambient set is built on the first read of ``ambient``;
+    ``p_lcf``, ``p_chio`` and ``ratio_chio_lcf`` never read it.
     """
 
-    matrix: PartialTernaryMatrix
-    ambient: IndexSet | None = None
+    __slots__ = ("matrix", "_ambient")
 
-    def __post_init__(self) -> None:
-        if self.ambient is None:
+    def __init__(self, matrix: PartialTernaryMatrix, ambient: IndexSet | None = None) -> None:
+        if ambient is not None:
+            if ambient.dims != matrix.dims:
+                raise ValueError("ambient index set has mismatched dims")
+            if not ambient.in_inner_box():
+                raise ValueError("ambient index set must lie inside [s-1] x [t-1]")
+            if not matrix.entries.keys() <= ambient.members:
+                raise ValueError("event domain must be contained in the ambient set")
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_ambient", ambient)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an Event")
+
+    @property
+    def ambient(self) -> IndexSet:
+        if self._ambient is None:
             # The matrix constructor already pins its entries inside the
             # inner box, so the default ambient set needs no re-check.
-            object.__setattr__(self, "ambient", self.matrix.domain)
-            return
-        amb = self.ambient
-        if amb.dims != self.matrix.dims:
-            raise ValueError("ambient index set has mismatched dims")
-        if not amb.in_inner_box():
-            raise ValueError("ambient index set must lie inside [s-1] x [t-1]")
-        if not self.matrix.entries.keys() <= amb.members:
-            raise ValueError("event domain must be contained in the ambient set")
+            object.__setattr__(self, "_ambient", self.matrix.domain)
+        return self._ambient
+
+    def __reduce__(self):
+        return Event, (self.matrix, self._ambient)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Event):
+            return NotImplemented
+        return self.matrix == other.matrix and self.ambient == other.ambient
+
+    def __repr__(self) -> str:
+        return f"Event(matrix={self.matrix!r}, ambient={self.ambient!r})"
 
     @classmethod
     def on_full_grid(cls, matrix: PartialTernaryMatrix) -> "Event":
@@ -171,9 +194,9 @@ def p_chio(event: Event) -> DyadicProb:
     """Condensation measure of the event.
 
     Zero iff the signed graph of the matrix is unbalanced, else
-    ``2^-(dom + f0 - beta0)``; balance and the component count come out
-    of one depth-first search, kept on the matrix.  The value does not
-    depend on the ambient index set.
+    ``2^-(dom + f0 - beta0)``; balance and the component count come from
+    the memoised cycle basis of the support and are kept on the matrix.
+    The value does not depend on the ambient index set.
     """
     m = event.matrix
     balanced, f0, beta0 = matrix_balance(m)
@@ -270,6 +293,13 @@ def _odd_plus_count(matrix: PartialTernaryMatrix, positions: Iterable[Index2]) -
     return sum(1 for pos in positions if matrix[pos] == 1) % 2 == 1
 
 
+@lru_cache(maxsize=1 << 10)
+def _domain_four_circuits(domain: frozenset[Index2]) -> tuple[frozenset[Index2], ...]:
+    """:func:`four_circuits` of a domain, searched once per domain: the
+    3^k assignments of one index set share it."""
+    return tuple(four_circuits(domain))
+
+
 def recipe_p_chio(matrix: PartialTernaryMatrix, ambient: IndexSet | None = None) -> DyadicProb:
     """Condensation measure by the literal small-domain case analysis.
 
@@ -296,7 +326,7 @@ def recipe_p_chio(matrix: PartialTernaryMatrix, ambient: IndexSet | None = None)
 
     domain = frozenset(matrix.entries)
     circuits = [
-        c for c in four_circuits(domain) if all(matrix[p] != 0 for p in c)
+        c for c in _domain_four_circuits(domain) if all(matrix[p] != 0 for p in c)
     ]
 
     if k == 4:
@@ -319,7 +349,7 @@ def recipe_p_chio(matrix: PartialTernaryMatrix, ambient: IndexSet | None = None)
     if supp < 4:
         return lcf()
     if not circuits:
-        if is_six_circuit(domain) and supp == 6:
+        if supp == 6 and is_six_circuit(domain):
             if _odd_plus_count(matrix, domain):
                 return DyadicProb.zero()
             return DyadicProb.pow_half(11)
@@ -342,7 +372,7 @@ def recipe_p_chio(matrix: PartialTernaryMatrix, ambient: IndexSet | None = None)
     )
     if not is_grid:
         return DyadicProb.pow_half(11)
-    others = [c for c in four_circuits(domain) if c != circuit]
+    others = [c for c in _domain_four_circuits(domain) if c != circuit]
     if any(_odd_plus_count(matrix, c) for c in others):
         return DyadicProb.zero()
     return DyadicProb.pow_half(10)

@@ -16,7 +16,8 @@ depth-first search in vertex label order (``_scan``, the only graph
 traversal of the library), so certificates are deterministic.  The
 fundamental cycles are edge bitmasks; a signing is balanced iff each of
 them holds an even number of negative edges (Harary 1953, Zaslavsky
-1982), which decides every signing of one edge set from one scan.
+1982), which decides every signing of one edge set from one scan;
+``matrix_balance`` keeps those masks in a memo per support.
 
 Isomorphism types of the bipartite nonforests with at most six edges are
 classified into a fixed catalogue ``t1 .. t20`` via per-component degree
@@ -259,9 +260,10 @@ def balance_summary(
 ) -> tuple[bool, int, int]:
     """(balanced, f0, beta0) of the graph of an entries map, one DFS.
 
-    Fast path shared by the measure evaluations; the traversal of
-    :func:`balance_and_betti` without materializing graph objects.  Both
-    results are independent of the edge order, so edges are not sorted.
+    The traversal of :func:`balance_and_betti` without materializing
+    graph objects, uncached; :func:`matrix_balance` gives the same triple
+    from a memo per support.  Both results are independent of the edge
+    order, so edges are not sorted.
     """
     rows = set()
     cols = set()
@@ -275,11 +277,53 @@ def balance_summary(
     return balanced, len(rows) + len(cols), beta0
 
 
+# Support tuple -> (f0 - beta0 of the support graph, its cycle masks).
+# Holds at most _CYCLE_MEMO_CAP supports and is emptied when full.
+_CYCLE_MEMO: dict[tuple[Index2, ...], tuple[int, list[int]]] = {}
+_CYCLE_MEMO_CAP = 1 << 12
+
+
 def matrix_balance(matrix: PartialTernaryMatrix) -> tuple[bool, int, int]:
-    """:func:`balance_summary` of a matrix, computed once and kept on it."""
+    """:func:`balance_summary` of a matrix, computed once and kept on it.
+
+    One pass over the entries gives the domain's rows and columns (so f0),
+    the support in entries order and the bitmask of its -1 entries.  The
+    rank f0 - beta0 of the support graph and its cycle masks
+    (:func:`cycle_masks`) depend on the support alone, so they come from a
+    memo keyed by the support tuple: the 3^k events on one index set share
+    2^k supports, and each support is scanned once.  The signing is
+    balanced iff every mask holds an even number of -1 entries; each
+    domain vertex off the support is a component of its own, so beta0 is
+    f0 minus that rank.
+    """
     summary = matrix._balance
     if summary is None:
-        summary = balance_summary(matrix.dims, matrix.entries)
+        rows = set()
+        cols = set()
+        support = []
+        minus = 0
+        for pos, v in matrix.entries.items():
+            rows.add(pos[0])
+            cols.add(pos[1])
+            if v:
+                if v < 0:
+                    minus |= 1 << len(support)
+                support.append(pos)
+        key = tuple(support)
+        cycles = _CYCLE_MEMO.get(key)
+        if cycles is None:
+            if len(_CYCLE_MEMO) >= _CYCLE_MEMO_CAP:
+                _CYCLE_MEMO.clear()
+            f0, beta0, masks = cycle_masks(matrix.dims, key, key)
+            cycles = _CYCLE_MEMO[key] = (f0 - beta0, masks)
+        rank, masks = cycles
+        f0 = len(rows) + len(cols)
+        balanced = True
+        for mask in masks:
+            if (mask & minus).bit_count() & 1:
+                balanced = False
+                break
+        summary = (balanced, f0, f0 - rank)
         object.__setattr__(matrix, "_balance", summary)
     return summary
 

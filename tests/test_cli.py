@@ -190,6 +190,15 @@ class TestExitCodes:
         code, out, err = run(capsys, "census", "--n", "3", "--workers", "1", "--resume")
         assert code == 2 and out == "" and "--checkpoint" in err
 
+    def test_census_resume_missing_checkpoint(self, capsys, tmp_path):
+        # A misspelt path must not restart the census and write a fresh file.
+        missing = tmp_path / "no_such.ckpt"
+        code, out, err = run(
+            capsys, "census", "--n", "3", "--workers", "1", "--checkpoint", str(missing), "--resume"
+        )
+        assert code == 2 and out == "" and str(missing) in err
+        assert "Traceback" not in err and not missing.exists()
+
     def test_unexpected_exception_exits_3(self, capsys, monkeypatch):
         import chio.cli
 

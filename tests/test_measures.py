@@ -78,6 +78,14 @@ class TestEvents:
         with pytest.raises(ValueError):
             Event(matrix, IndexSet((4, 4), frozenset({(2, 2)})))
 
+    def test_default_ambient_is_the_domain_built_on_read(self):
+        matrix = ternary(4, {(1, 1): 1, (2, 3): 0})
+        event = Event(matrix)
+        p_lcf(event), p_chio(event), ratio_chio_lcf(event)
+        assert event._ambient is None
+        assert event.ambient == matrix.domain and event.cardinality == 1
+        assert event == Event(matrix, matrix.domain)
+
     def test_cover_height_fully_specified(self):
         empty = IndexSet((2, 2), frozenset())
         assert cover_height(empty, empty) == 1
@@ -256,14 +264,18 @@ class TestOneScanPerMatrix:
         calls = []
         real = signed_graph._scan
         monkeypatch.setattr(signed_graph, "_scan", lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(signed_graph, "_CYCLE_MEMO", {})
         ambient = full_inner_box(4, 4)
+        supports = set()
         for matrix in all_matrices(4, 4):
+            supports.add(tuple(pos for pos, v in matrix.entries.items() if v))
             event = Event(matrix, ambient)
             p_chio(event)
             ratio_chio_lcf(event)
             fibre_cardinality(event)
             p_chio(Event(matrix))
-        assert len(calls) == 126 * 3**4
+        # One scan per support: the subsets of at most four of the nine cells.
+        assert len(calls) == len(supports) == 256
 
     def test_averaged_scans_once_per_matrix(self, monkeypatch):
         calls = []

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chio import signed_graph
 from chio.matrix_core import IndexSet, PartialTernaryMatrix
 from chio.signed_graph import (
     IsoType,
     SignedBipartiteGraph,
+    balance_summary,
     betti,
     build_graph,
     circuit_count_formula,
@@ -20,6 +22,7 @@ from chio.signed_graph import (
     enumerate_circuits,
     is_balanced,
     is_matrix_circuit,
+    matrix_balance,
 )
 
 from oracles import (
@@ -359,3 +362,53 @@ class TestCycleMasks:
             cycle_masks((4, 4), [(1, 1)], [(1, 1), (2, 2)])
         with pytest.raises(ValueError):
             cycle_masks((4, 4), [(1, 1), (2, 2)], [(1, 2)])
+
+
+class TestMatrixBalanceMemo:
+    """The per-support cycle memo against an uncached scan of every matrix."""
+
+    GRID = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+
+    @classmethod
+    def partial_entries(cls):
+        # Every partial matrix on the 3x3 inner grid: each cell unspecified
+        # or one of -1, 0, +1.
+        for values in product((None, -1, 0, 1), repeat=len(cls.GRID)):
+            yield {pos: v for pos, v in zip(cls.GRID, values) if v is not None}
+
+    def test_memo_matches_uncached_scan(self, monkeypatch):
+        dims = (4, 4)
+        monkeypatch.setattr(signed_graph, "_CYCLE_MEMO", {})
+        count = 0
+        for entries in self.partial_entries():
+            want = balance_summary(dims, entries)
+            # The memo starts cold, so the first matrix of each support
+            # misses it; once the triple kept on the matrix is dropped, the
+            # same matrix hits it.
+            matrix = PartialTernaryMatrix(dims, entries)
+            assert matrix_balance(matrix) == want
+            object.__setattr__(matrix, "_balance", None)
+            assert matrix_balance(matrix) == want
+            # Reversed insertion order: a new support key, with the minus
+            # bits and the cycle masks in the reversed order.
+            reverse = dict(reversed(entries.items()))
+            assert matrix_balance(PartialTernaryMatrix(dims, reverse)) == want
+            count += 1
+        assert count == 4**9
+        # One key per support each way round; at most one cell reads the same.
+        assert len(signed_graph._CYCLE_MEMO) == 2 * 2**9 - 1 - 9
+
+    def test_memo_overflow_clears_and_keeps_results(self, monkeypatch):
+        dims = (4, 4)
+        monkeypatch.setattr(signed_graph, "_CYCLE_MEMO", {})
+        monkeypatch.setattr(signed_graph, "_CYCLE_MEMO_CAP", 16)
+        clears = 0
+        for values in product((-1, 0, 1), repeat=len(self.GRID)):
+            entries = dict(zip(self.GRID, values))
+            before = len(signed_graph._CYCLE_MEMO)
+            got = matrix_balance(PartialTernaryMatrix(dims, entries))
+            assert got == balance_summary(dims, entries)
+            after = len(signed_graph._CYCLE_MEMO)
+            assert after <= 16
+            clears += after < before
+        assert clears > 0
