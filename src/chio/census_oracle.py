@@ -88,6 +88,8 @@ class CensusConfig:
             raise BudgetExceeded(f"2^{s * t} matrices exceed the 2^{BUDGET_LOG2} budget")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be positive")
+        if self.flush_every < 1:
+            raise ValueError("flush_every must be positive")
         for (i, j), sign in (self.filters or {}).items():
             if not (1 <= i <= s and 1 <= j <= t) or sign not in (-1, 1):
                 raise ValueError(f"bad census filter: entry {(i, j)} fixed to {sign}")

@@ -18,21 +18,23 @@ value assignments in base-3 order, decides balance per assignment from
 circuit sign parities, and classifies isomorphism types through the
 graph module.  An index set without a circuit has no failure and is
 skipped before any work.  Whatever depends only on a set's shape, its
-rows and columns relabelled by rank, is worked out once per shape and
-kept for one call (nothing is cached across calls): the failing
-assignments with their isotype, ratio and value for the record stream,
-and the failing supports with their balanced-signing counts for the
-counter.  That is exact because the relabelling is monotone, so every
-slot keeps its position and every circuit its mask, and it is a graph
-isomorphism, so isotype, f0, beta0 and beta1 do not change.  The
-counter still tests every signing of every circuit-containing support
-for balance, once per distinct circuit pattern.  The closed forms are
-evaluated over exact rationals and asserted integral, so a transcribed
-coefficient error fails loudly.
+rows and columns relabelled by rank, is worked out once per shape: one
+table of the failing supports, each with its circuit masks, isotype,
+value exponent and beta1 (:func:`_failing_supports`).  The record stream
+looks up each assignment's support in that table; the counter walks the
+table, testing every signing of every failing support for balance, once
+per distinct circuit pattern.  That is exact because the relabelling is
+monotone, so every slot keeps its position and every circuit its mask,
+and it is a graph isomorphism, so isotype, f0, beta0 and beta1 do not
+change.  Nothing is cached across calls; the counter cuts the index sets
+into one contiguous range per worker and builds each shape's table once
+per range.  The closed forms are evaluated over exact rationals and
+asserted integral, so a transcribed coefficient error fails loudly.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice, product
@@ -179,52 +181,7 @@ def _shape(chosen: tuple[Index2, ...]) -> tuple[Index2, ...]:
     return tuple([(row_rank[i], col_rank[j]) for i, j in chosen])
 
 
-class _IndexSetContext:
-    """Per-index-set scratch data (built on shapes): circuits and per-support metrics."""
-
-    __slots__ = ("n", "positions", "k", "circuit_masks", "six_mask", "_cache")
-
-    def __init__(self, n: int, positions: tuple[Index2, ...]):
-        self.n = n
-        self.positions = positions
-        self.k = len(positions)
-        slot = {pos: b for b, pos in enumerate(positions)}
-        self.circuit_masks = [
-            sum(1 << slot[pos] for pos in c) for c in four_circuits(positions)
-        ]
-        self.six_mask = (1 << self.k) - 1 if is_six_circuit(positions) else 0
-        self._cache: dict[int, tuple] = {}
-
-    def circuits_in_support(self, mask: int) -> list[int] | None:
-        """Circuit masks inside the support, or None when there are none."""
-        found = [c for c in self.circuit_masks if c & mask == c]
-        if self.six_mask and mask == self.six_mask:
-            found.append(self.six_mask)
-        return found or None
-
-    def support_metrics(self, mask: int) -> tuple:
-        """(isotype, value exponent, beta1, circuit masks) for a support mask."""
-        cached = self._cache.get(mask)
-        if cached is not None:
-            return cached
-        edges = frozenset(
-            self.positions[b] for b in range(self.k) if mask >> b & 1
-        )
-        graph = SignedBipartiteGraph(
-            dims=(self.n, self.n),
-            row_vertices=frozenset(i for i, _ in self.positions),
-            col_vertices=frozenset(j for _, j in self.positions),
-            edges=edges,
-        )
-        isotype, data = isotype_and_betti(graph)
-        exponent = self.k + data.f0 - data.beta0
-        circuits = self.circuits_in_support(mask) or []
-        result = (isotype, exponent, data.beta1, circuits)
-        self._cache[mask] = result
-        return result
-
-
-def _balanced(minus_mask: int, circuits: list[int]) -> bool:
+def _balanced(minus_mask: int, circuits: tuple[int, ...]) -> bool:
     """Every circuit carries an even number of negative entries."""
     return all((minus_mask & c).bit_count() % 2 == 0 for c in circuits)
 
@@ -243,11 +200,44 @@ def _circuit_sets(k: int, n: int, start: int = 0, stop: int | None = None):
             yield chosen, _shape(chosen)
 
 
+def _failing_supports(
+    n: int, shape: tuple[Index2, ...]
+) -> dict[int, tuple[tuple[int, ...], IsoType, int, int]]:
+    """{support mask: (circuit masks, isotype, value exponent, beta1)} per failing support.
+
+    A support fails when it holds a circuit: a 4-circuit of the set or,
+    when the whole set is one, the 6-circuit.  Isotype and Betti data come
+    from the graph of the support on all vertices of the set.
+    """
+    k = len(shape)
+    slot = {pos: b for b, pos in enumerate(shape)}
+    fours = [sum(1 << slot[pos] for pos in c) for c in four_circuits(shape)]
+    six = (1 << k) - 1 if is_six_circuit(shape) else 0
+    rows = frozenset(i for i, _ in shape)
+    cols = frozenset(j for _, j in shape)
+    table = {}
+    for mask in range(1 << k):
+        circuits = tuple(c for c in fours if c & mask == c)
+        if six and mask == six:
+            circuits += (six,)
+        if not circuits:
+            continue
+        graph = SignedBipartiteGraph(
+            dims=(n, n),
+            row_vertices=rows,
+            col_vertices=cols,
+            edges=frozenset(shape[b] for b in range(k) if mask >> b & 1),
+        )
+        isotype, data = isotype_and_betti(graph)
+        table[mask] = (circuits, isotype, k + data.f0 - data.beta0, data.beta1)
+    return table
+
+
 def _failing_assignments(n: int, shape: tuple[Index2, ...]) -> list[tuple]:
     """(values, isotype, ratio, value) of every failing assignment, in base-3 order."""
-    ctx = _IndexSetContext(n, shape)
+    table = _failing_supports(n, shape)
     failing = []
-    for values in product((-1, 0, 1), repeat=ctx.k):
+    for values in product((-1, 0, 1), repeat=len(shape)):
         support_mask = 0
         minus_mask = 0
         for b, v in enumerate(values):
@@ -255,10 +245,10 @@ def _failing_assignments(n: int, shape: tuple[Index2, ...]) -> list[tuple]:
                 support_mask |= 1 << b
                 if v == -1:
                     minus_mask |= 1 << b
-        circuits = ctx.circuits_in_support(support_mask)
-        if circuits is None:
+        entry = table.get(support_mask)
+        if entry is None:
             continue
-        isotype, exponent, beta1, _ = ctx.support_metrics(support_mask)
+        circuits, isotype, exponent, beta1 = entry
         if _balanced(minus_mask, circuits):
             failing.append((values, isotype, 2**beta1, DyadicProb.pow_half(exponent)))
         else:
@@ -310,75 +300,48 @@ def _balanced_signings(support_mask: int, circuits: tuple[int, ...]) -> int:
         minus_mask = (minus_mask - 1) & support_mask
 
 
-def _failing_supports(
-    n: int, shape: tuple[Index2, ...], walks: dict[tuple, int]
-) -> Iterator[tuple[int, int, str, int, int]]:
-    """(size, balanced signings, isotype label, exponent, beta1) per failing support.
-
-    ``walks`` maps a support and its circuit masks to the support's
-    balanced-signing count, so each circuit pattern is walked once.
-    """
-    ctx = _IndexSetContext(n, shape)
-    for support_mask in range(1 << ctx.k):
-        circuits = ctx.circuits_in_support(support_mask)
-        if circuits is None:
-            continue
-        isotype, exponent, beta1, _ = ctx.support_metrics(support_mask)
-        pattern = (support_mask, tuple(circuits))
-        balanced = walks.get(pattern)
-        if balanced is None:
-            balanced = walks[pattern] = _balanced_signings(*pattern)
-        yield support_mask.bit_count(), balanced, isotype.label, exponent, beta1
-
-
-def _count_range(args: tuple[int, int, int, int]) -> dict:
-    """Counting worker over a contiguous range of index sets.
+def _count_range(args: tuple[int, int, int, int]) -> tuple[Counter, Counter, Counter]:
+    """Counting worker over a contiguous range of index sets: (by ratio, value, isotype).
 
     The range's circuit-bearing sets are tallied by shape, and each shape's
     failing supports are then worked out once and weighted by its tally.
     """
     k, n, start, stop = args
-    shapes: dict[tuple[Index2, ...], int] = {}
-    for _, shape in _circuit_sets(k, n, start, stop):
-        shapes[shape] = shapes.get(shape, 0) + 1
-    by_ratio: dict[int, int] = {}
-    by_value: dict[int | None, int] = {}
-    by_isotype: dict[str, int] = {}
-    failures = 0
-    walks: dict[tuple, int] = {}
+    shapes = Counter(shape for _, shape in _circuit_sets(k, n, start, stop))
+    by_ratio, by_value, by_isotype = Counter(), Counter(), Counter()
+    walks: dict[tuple[int, tuple[int, ...]], int] = {}
     for shape, sets in shapes.items():
-        for size, balanced, label, exponent, beta1 in _failing_supports(n, shape, walks):
-            total = sets << size
+        table = _failing_supports(n, shape)
+        for support_mask, (circuits, isotype, exponent, beta1) in table.items():
+            pattern = (support_mask, circuits)
+            balanced = walks.get(pattern)
+            if balanced is None:
+                balanced = walks[pattern] = _balanced_signings(*pattern)
+            total = sets << support_mask.bit_count()
             balanced *= sets
-            failures += total
-            ratio = 2**beta1
-            by_ratio[ratio] = by_ratio.get(ratio, 0) + balanced
-            by_ratio[0] = by_ratio.get(0, 0) + total - balanced
-            by_value[exponent] = by_value.get(exponent, 0) + balanced
-            by_value[None] = by_value.get(None, 0) + total - balanced
-            by_isotype[label] = by_isotype.get(label, 0) + total
-    return {
-        "failures": failures,
-        "by_ratio": by_ratio,
-        "by_value": by_value,
-        "by_isotype": by_isotype,
-    }
+            by_ratio[2**beta1] += balanced
+            by_ratio[0] += total - balanced
+            by_value[DyadicProb.pow_half(exponent)] += balanced
+            by_value[DyadicProb.zero()] += total - balanced
+            by_isotype[isotype] += total
+    return by_ratio, by_value, by_isotype
 
 
 def count_failures(k: int, n: int, workers: int | None = None) -> CountReport:
     """Count failures by exhaustive enumeration, aggregated per class.
 
     Every index set is visited.  Those without a circuit are skipped at
-    once; the others are tallied by shape (:func:`_shape`), and each shape
-    is worked out once per range and weighted by its tally: that is exact
-    because the rank relabelling is an isomorphism that keeps the slot
-    order, so every set of a shape has the same circuit masks and the same
-    isotype and Betti data on every support.  Per shape, every signing of
-    every circuit-containing support is still decided from circuit
-    parities, each distinct circuit pattern (a support with its circuit
-    masks) walked once per range.  The index-set space is split into
-    contiguous ranges merged in fixed order, so the result does not
-    depend on the worker count.
+    once; the others are tallied by shape (:func:`_shape`), and each
+    shape's table of failing supports (:func:`_failing_supports`) is built
+    once per range and weighted by its tally: that is exact because the
+    rank relabelling is an isomorphism that keeps the slot order, so every
+    set of a shape has the same circuit masks and the same isotype and
+    Betti data on every support.  Per shape, every signing of every
+    failing support is still decided from circuit parities, each distinct
+    circuit pattern (a support with its circuit masks) walked once per
+    range.  The index sets are cut into one contiguous range per worker,
+    merged in range order, so the result does not depend on the worker
+    count.
 
     Raises:
         ValueError: for k outside 0..6 or n < 2.
@@ -386,38 +349,22 @@ def count_failures(k: int, n: int, workers: int | None = None) -> CountReport:
     _check_range(k, n)
     n_sets = comb((n - 1) ** 2, k)
     workers = parallel.resolve_workers(workers)
-    n_chunks = 1 if workers == 1 else min(n_sets, workers * 8) or 1
+    n_ranges = min(n_sets, workers) or 1
     bounds = [
-        (k, n, n_sets * c // n_chunks, n_sets * (c + 1) // n_chunks)
-        for c in range(n_chunks)
+        (k, n, n_sets * r // n_ranges, n_sets * (r + 1) // n_ranges)
+        for r in range(n_ranges)
     ]
-    partials = parallel.run_tasks(_count_range, bounds, workers)
-
-    by_ratio: dict[int, int] = {}
-    by_value: dict[int | None, int] = {}
-    by_isotype: dict[str, int] = {}
-    failures = 0
-    for part in partials:
-        failures += part["failures"]
-        for key, v in part["by_ratio"].items():
-            by_ratio[key] = by_ratio.get(key, 0) + v
-        for key, v in part["by_value"].items():
-            by_value[key] = by_value.get(key, 0) + v
-        for key, v in part["by_isotype"].items():
-            by_isotype[key] = by_isotype.get(key, 0) + v
-
+    parts = parallel.run_tasks(_count_range, bounds, workers)
+    # Counter addition keeps positive counts only: empty classes drop out.
+    by_ratio, by_value, by_isotype = (sum(column, Counter()) for column in zip(*parts))
     report = CountReport(
         k=k,
         n=n,
         total_events=total_event_count(k, n),
-        failure_count=failures,
-        by_ratio={r: c for r, c in sorted(by_ratio.items()) if c},
-        by_value={
-            (DyadicProb.zero() if e is None else DyadicProb.pow_half(e)): c
-            for e, c in sorted(by_value.items(), key=lambda kv: (kv[0] is None, kv[0] or 0))
-            if c
-        },
-        by_isotype={IsoType(lbl): c for lbl, c in sorted(by_isotype.items()) if c},
+        failure_count=by_isotype.total(),
+        by_ratio=by_ratio,
+        by_value=by_value,
+        by_isotype=by_isotype,
     )
     report.validate()
     return report
@@ -438,6 +385,11 @@ def circuit_count(length: int, n: int) -> int:
     return circuit_count_formula(length, n, n)
 
 
+def _check_closed_form_n(n: int) -> None:
+    if n < 3:
+        raise ValueError("closed forms need n >= 3")
+
+
 def h_counts(n: int) -> tuple[int, int, int, int]:
     """Subgraph counts behind the k = 6 closed form.
 
@@ -445,7 +397,11 @@ def h_counts(n: int) -> tuple[int, int, int, int]:
     graph contains a 6-circuit; a complete 2x3; a 4-circuit but no
     complete 2x3 (inclusion-exclusion, each 2x3 holds three 4-circuits);
     and the raw over-counting sum.
+
+    Raises:
+        ValueError: for n < 3.
     """
+    _check_closed_form_n(n)
     h_c6 = 2**6 * 6 * comb(n - 1, 3) ** 2
     h_k23 = 2 * 2**6 * comb(n - 1, 3) * comb(n - 1, 2)
     h_geq = 16 * comb(n - 1, 2) ** 2 * 9 * comb((n - 1) ** 2 - 4, 2)
@@ -457,8 +413,10 @@ def realization_count_formula(isotype: IsoType, k: int, n: int) -> int:
     """Closed-form number of k-entry specifications with the given type.
 
     Raises:
-        ValueError: for a (type, k) pair without a catalogued formula.
+        ValueError: for a (type, k) pair without a catalogued formula, or
+            for n < 3.
     """
+    _check_closed_form_n(n)
     x = xi(n)
     m = n - 3
     tables: dict[int, dict[IsoType, int]] = {
@@ -688,15 +646,15 @@ def check_linear_relations(
 def failure_density_bound(k: int, n: int) -> tuple[int | None, int]:
     """(exact failure count if known, union-bound over matrix circuits).
 
-    The bound sums, over circuit lengths 2j <= k, the ways to place a
-    signed circuit and fill the remaining positions arbitrarily.  The
-    count is the closed form for k in {4, 5, 6}, zero for k <= 3 and
-    None beyond the catalogued range.
+    The bound sums, over circuit lengths 2j <= k that fit on the grid,
+    the ways to place a signed circuit and fill the remaining positions
+    arbitrarily.  The count is the closed form for k in {4, 5, 6}, zero
+    for k <= 3 and None beyond the catalogued range.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     bound = 0
-    for j in range(1, k // 2 + 1):
+    for j in range(1, min(k, (n - 1) ** 2) // 2 + 1):
         bound += (
             2 ** (2 * j)
             * 3 ** (k - 2 * j)

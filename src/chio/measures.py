@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Collection, Iterable, Sequence
 
 from .matrix_core import (
@@ -49,7 +49,8 @@ class DyadicProb:
     """Exact probability that is either zero or a power of one half.
 
     ``exponent`` is ``None`` for zero, otherwise the non-negative ``e``
-    in ``2^-e``.
+    in ``2^-e``.  ``zero``, ``one`` and ``pow_half`` return one shared
+    instance per value; the constructor builds a new one.
     """
 
     exponent: int | None
@@ -59,16 +60,18 @@ class DyadicProb:
             raise ValueError("exponent must be non-negative")
 
     @classmethod
+    @cache
     def zero(cls) -> "DyadicProb":
         return cls(None)
 
     @classmethod
+    @cache
     def pow_half(cls, e: int) -> "DyadicProb":
         return cls(int(e))
 
     @classmethod
     def one(cls) -> "DyadicProb":
-        return cls(0)
+        return cls.pow_half(0)
 
     @classmethod
     def from_fraction(cls, value: Fraction) -> "DyadicProb":
@@ -76,7 +79,7 @@ class DyadicProb:
             return cls.zero()
         if value.numerator != 1 or value.denominator & (value.denominator - 1):
             raise ValueError(f"{value} is not zero or a power of 1/2")
-        return cls(value.denominator.bit_length() - 1)
+        return cls.pow_half(value.denominator.bit_length() - 1)
 
     @property
     def is_zero(self) -> bool:
@@ -90,7 +93,7 @@ class DyadicProb:
     def __mul__(self, other: "DyadicProb") -> "DyadicProb":
         if self.is_zero or other.is_zero:
             return DyadicProb.zero()
-        return DyadicProb(self.exponent + other.exponent)
+        return DyadicProb.pow_half(self.exponent + other.exponent)
 
     def __lt__(self, other: "DyadicProb") -> bool:
         return self.as_fraction() < other.as_fraction()

@@ -90,11 +90,6 @@ class SignedBipartiteGraph:
         vs = [("r", i) for i in self.row_vertices] + [("c", j) for j in self.col_vertices]
         return sorted(vs, key=_vertex_sort_key(self.dims))
 
-    def negative_edge_count(self) -> int:
-        if self.sign is None:
-            raise ValueError("graph carries no sign function")
-        return sum(1 for v in self.sign.values() if v == -1)
-
     def unsigned(self) -> "SignedBipartiteGraph":
         return SignedBipartiteGraph(
             self.dims, self.row_vertices, self.col_vertices, self.edges, None

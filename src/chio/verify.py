@@ -23,6 +23,7 @@ from math import comb
 from .matrix_core import IndexSet, IntMatrix, PartialTernaryMatrix, det_int
 from .measures import (
     Event,
+    fibre_cardinality,
     p_chio,
     p_chio_abs,
     p_chio_averaged,
@@ -30,7 +31,7 @@ from .measures import (
     p_lcf,
     recipe_p_chio,
 )
-from .signed_graph import SignedBipartiteGraph, balance_summary
+from .signed_graph import IsoType, SignedBipartiteGraph, balance_summary, betti
 from .failure_enum import (
     check_linear_relations,
     count_failures,
@@ -41,6 +42,7 @@ from .failure_enum import (
 )
 from .census_oracle import (
     CensusConfig,
+    condensate_code,
     empirical_p_chio,
     decode_condensate,
     kwise_agreement_check,
@@ -48,7 +50,14 @@ from .census_oracle import (
     run_census,
     singular_count,
 )
-from .switching import all_switches, balanced_signings, orbit, signing_tuple, switch_matrix
+from .switching import (
+    all_switches,
+    balanced_signings,
+    orbit,
+    rank_invariance_check,
+    signing_tuple,
+    switch_matrix,
+)
 from . import parallel
 
 SUITES = ("chio-identity", "measures", "failures", "census", "switching", "relations")
@@ -147,8 +156,6 @@ def suite_chio_identity(big: bool = False, seed: int = 0, workers: int | None = 
 
 def census_measure_agreement(n: int, workers: int | None = None) -> dict:
     """Every condensate preimage count equals the closed fibre formula."""
-    from .measures import fibre_cardinality
-
     counts = empirical_p_chio(n, workers=workers)
     mismatches = 0
     nonpow = 0
@@ -265,8 +272,6 @@ def averaging_checks(n: int = 3, workers: int | None = None) -> list[dict]:
             entries = dict(pattern.entries)
             for pos, sg in zip(support, signs):
                 entries[pos] = sg
-            from .census_oracle import condensate_code
-
             code = condensate_code(PartialTernaryMatrix((n, n), entries))
             acc += Fraction(int(counts[code]), total)
         averaged = acc / 2 ** len(support)
@@ -382,8 +387,6 @@ def h_identity_check(n: int) -> dict:
     h_c6, h_k23, h_c4, h_geq = h_counts(n)
     form = failure_count_formula(6, n)
     table = realization_table(6, n)
-    from .signed_graph import IsoType
-
     seventeen = sum(
         v for t, v in table.items() if t not in (IsoType.T4, IsoType.T12)
     )
@@ -549,8 +552,6 @@ def _connected_support_graphs(max_edges: int = 6):
                         col_vertices=frozenset(cols),
                         edges=edges,
                     )
-                    from .signed_graph import betti
-
                     if betti(graph).beta0 == 1:
                         yield graph
 
@@ -577,8 +578,6 @@ def orbit_transitivity_check(max_edges: int = 6) -> dict:
 
 def rank_invariance_all_patterns(d: int = 3) -> dict:
     """Every balanced signing of every {0,1} d x d pattern keeps its rank."""
-    from .switching import rank_invariance_check
-
     positions = [(i, j) for i in range(1, d + 1) for j in range(1, d + 1)]
     bad = 0
     for values in product((0, 1), repeat=d * d):

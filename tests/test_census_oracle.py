@@ -302,6 +302,14 @@ class TestEngine:
         with pytest.raises(ValueError):
             run_census(CensusConfig(dims=(2, 2)), aggregates=("bogus",))
 
+    @pytest.mark.parametrize("flush_every", [0, -1])
+    def test_flush_every_refused(self, tmp_path, flush_every):
+        path = tmp_path / "census.ckpt"
+        cfg = CensusConfig(dims=(3, 3), flush_every=flush_every, checkpoint_path=str(path))
+        with pytest.raises(ValueError, match="flush_every"):
+            run_census(cfg)
+        assert not path.exists()
+
 
 class TestCheckpoints:
     def test_roundtrip_and_resume(self, tmp_path):

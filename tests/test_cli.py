@@ -158,6 +158,15 @@ class TestCommands:
         assert payload["h_counts"]["c6"] == 384
         assert all(r["holds"] for r in payload["linear_relations"])
 
+    def test_formulas_smallest_grid(self, capsys):
+        # At n = 3 the grid has four entries: no k = 5, 6 specification
+        # exists, so those counts and bounds are zero.
+        code, out, _ = run(capsys, "formulas", "--n", "3")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["density_bounds"]["4"] == {"count": 16, "bound": 16}
+        assert payload["density_bounds"]["6"] == {"count": 0, "bound": 0}
+
 
 class TestExitCodes:
     def test_malformed_matrix(self, capsys):
@@ -222,6 +231,12 @@ class TestExitCodes:
             for extra in ((), ("--formula-only",)):
                 code, out, err = run(capsys, "failures", "--k", "4", "--n", n, *extra)
                 assert code == 2 and out == "" and "n must be at least 2" in err
+
+    @pytest.mark.parametrize("n", ["2", "1", "0"])
+    def test_formulas_small_n(self, capsys, n):
+        code, out, err = run(capsys, "formulas", "--n", n)
+        assert code == 2 and out == ""
+        assert "closed forms need n >= 3" in err
 
     def test_recipe_rejects_seven_entries(self, capsys):
         code, _, err = run(capsys, "recipe", "--matrix=+++/+++/+..")

@@ -12,7 +12,7 @@ from chio.measures import DyadicProb, Event, p_chio, p_lcf, ratio_chio_lcf
 from chio.signed_graph import IsoType, build_graph, classify_isotype, four_circuits, is_six_circuit
 from chio.failure_enum import (
     CountReport,
-    _IndexSetContext,
+    _failing_supports,
     _holds_circuit,
     _shape,
     check_linear_relations,
@@ -139,12 +139,9 @@ class TestShapes:
             assert shape == tuple(sorted(shape))
             assert {i for i, _ in shape} == set(range(1, len({i for i, _ in chosen}) + 1))
             assert {j for _, j in shape} == set(range(1, len({j for _, j in chosen}) + 1))
-            original = _IndexSetContext(n, chosen)
-            relabelled = _IndexSetContext(n, shape)
-            assert original.circuit_masks == relabelled.circuit_masks
-            assert original.six_mask == relabelled.six_mask
-            for mask in range(1 << len(chosen)):
-                assert original.support_metrics(mask) == relabelled.support_metrics(mask)
+            table = _failing_supports(n, chosen)
+            assert table or trial % 3 == 0  # built around a circuit: never empty
+            assert table == _failing_supports(n, shape)
 
 
 class TestClosedForms:
@@ -216,6 +213,17 @@ class TestRealizations:
             realization_count_formula(IsoType.T1, 5, 4)
         with pytest.raises(ValueError):
             realization_count_formula(IsoType.FOREST, 4, 4)
+
+    @pytest.mark.parametrize("n", [2, 1, 0])
+    def test_closed_forms_need_n_at_least_3(self, n):
+        for call in (
+            lambda: h_counts(n),
+            lambda: realization_count_formula(IsoType.T1, 4, n),
+            lambda: realization_table(6, n),
+            lambda: check_linear_relations(n),
+        ):
+            with pytest.raises(ValueError, match="n >= 3"):
+                call()
 
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("k", [4, 5, 6])
@@ -319,10 +327,15 @@ class TestReports:
         assert csv_map["t4"] == 384 and csv_map["t12"] == 384
 
     def test_worker_determinism(self):
-        # Each chunk of the index sets builds its own shape memo.
-        for k, n in ((5, 4), (6, 5)):
+        # Each worker's range of index sets builds its own shape tables.
+        # (4, 3) has one index set and (5, 3) none: fewer than the workers.
+        for k, n in ((5, 4), (6, 5), (4, 3), (5, 3)):
             single = count_failures(k, n, workers=1)
-            multi = count_failures(k, n, workers=2)
-            assert json.dumps(single.to_json_dict(), sort_keys=True) == json.dumps(
-                multi.to_json_dict(), sort_keys=True
-            )
+            for workers in (2, 3):
+                multi = count_failures(k, n, workers=workers)
+                assert json.dumps(single.to_json_dict(), sort_keys=True) == json.dumps(
+                    multi.to_json_dict(), sort_keys=True
+                )
+                assert (multi.by_ratio, multi.by_value, multi.by_isotype) == (
+                    single.by_ratio, single.by_value, single.by_isotype
+                )

@@ -1,5 +1,6 @@
 """Dyadic probabilities and the three measures on specification events."""
 
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -65,6 +66,21 @@ class TestDyadicProb:
         assert DyadicProb.pow_half(7).ratio_log2(DyadicProb.pow_half(8)) == 1
         with pytest.raises(ZeroDivisionError):
             DyadicProb.zero().ratio_log2(DyadicProb.pow_half(1))
+
+    def test_shared_instances(self):
+        assert DyadicProb.pow_half(9) is DyadicProb.pow_half(9)
+        assert DyadicProb.zero() is DyadicProb.zero()
+        assert DyadicProb.one() is DyadicProb.pow_half(0)
+        with pytest.raises(ValueError):
+            DyadicProb.pow_half(-1)
+        with pytest.raises(ValueError):
+            DyadicProb(-1)
+        built = DyadicProb(9)
+        assert built is not DyadicProb.pow_half(9)
+        assert built == DyadicProb.pow_half(9) and hash(built) == hash(DyadicProb.pow_half(9))
+        assert repr(DyadicProb.pow_half(9)) == "DyadicProb(2^-9)"
+        for value in (DyadicProb.pow_half(9), DyadicProb.zero()):
+            assert pickle.loads(pickle.dumps(value)) == value
 
 
 class TestEvents:
