@@ -914,13 +914,7 @@ def kwise_agreement_check(n: int, k_max: int = 6, workers: int | None = None) ->
         if k <= 3:
             entry["matches_failure_set"] = len(disagreements) == 0
         else:
-            failure_keys = {
-                (
-                    tuple(sorted(rec.matrix.entries)),
-                    tuple(rec.matrix.entries[p] for p in sorted(rec.matrix.entries)),
-                )
-                for rec in enumerate_failures(k, n)
-            }
+            failure_keys = {(rec.positions, rec.values) for rec in enumerate_failures(k, n)}
             entry["matches_failure_set"] = disagreements == failure_keys
         report["per_k"].append(entry)
     report["all_ok"] = all(

@@ -35,7 +35,7 @@ from .failure_enum import (
 from .census_oracle import BudgetExceeded, CensusConfig, rank_census, run_census
 from .switching import balanced_signings, orbit, signing_tuple
 from .verify import SUITES, run_suites
-from . import __version__
+from . import __version__, parallel
 
 
 class UsageError(Exception):
@@ -394,6 +394,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.workers is not None:
+            # Refused before any work; CHIO_WORKERS is checked where it is read.
+            parallel.resolve_workers(args.workers)
         return args.func(args)
     except (UsageError, BudgetExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

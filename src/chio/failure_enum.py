@@ -13,22 +13,26 @@ and closed-form counts exist for ``k`` in {4, 5, 6}:
   (a 6-circuit count, a complete-2x3 count, and an inclusion-exclusion
   count of 4-circuits avoiding the 2x3), with ratio classes 0, 2 and 4.
 
-The enumerator is honest: it walks index sets in lexicographic order and
-value assignments in base-3 order, decides balance per assignment from
-circuit sign parities, and classifies isomorphism types through the
-graph module.  An index set without a circuit has no failure and is
-skipped before any work.  Whatever depends only on a set's shape, its
-rows and columns relabelled by rank, is worked out once per shape: one
-table of the failing supports, each with its circuit masks, isotype,
-value exponent and beta1 (:func:`_failing_supports`).  The record stream
-looks up each assignment's support in that table; the counter walks the
-table, testing every signing of every failing support for balance, once
-per distinct circuit pattern.  That is exact because the relabelling is
-monotone, so every slot keeps its position and every circuit its mask,
-and it is a graph isomorphism, so isotype, f0, beta0 and beta1 do not
-change.  Nothing is cached across calls; the counter cuts the index sets
-into one contiguous range per worker and builds each shape's table once
-per range.  The closed forms are evaluated over exact rationals and
+The enumerator is honest: it lists the index sets that hold a circuit,
+in lexicographic order, and value assignments in base-3 order, decides
+balance per assignment from circuit sign parities, and classifies
+isomorphism types through the graph module.  An index set without a
+circuit has no failure, so only circuit-bearing sets are generated
+(:func:`_circuit_sets`): every 4-circuit joined with every choice of the
+other positions and, at k = 6, every 6-circuit alone.  Whatever depends
+only on a set's shape, its rows and columns relabelled by rank, is
+worked out once per shape: one table of the failing supports, each with
+its circuit masks, isotype, value exponent and beta1
+(:func:`_failing_supports`).  The record stream looks up each
+assignment's support in that table; the counter walks the table, testing
+every signing of every failing support for balance, once per distinct
+circuit pattern.  That is exact because the relabelling is monotone, so
+every slot keeps its position and every circuit its mask, and it is a
+graph isomorphism, so isotype, f0, beta0 and beta1 do not change.
+Nothing is cached across calls; the counter cuts the generated sets into
+one contiguous range per worker and builds each shape's table once per
+range.  A record keeps its positions and values and builds its matrix
+only when read.  The closed forms are evaluated over exact rationals and
 asserted integral, so a transcribed coefficient error fails loudly.
 """
 
@@ -37,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from math import comb
 from typing import Iterator
 
@@ -48,6 +52,7 @@ from .signed_graph import (
     NONFOREST_TAGS,
     SignedBipartiteGraph,
     circuit_count_formula,
+    enumerate_circuits,
     four_circuits,
     is_six_circuit,
     isotype_and_betti,
@@ -58,14 +63,31 @@ VALUE_EXPONENTS = (7, 8, 9, 10, 11)
 RATIO_CLASSES = (0, 2, 4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FailureRecord:
-    """One specification on which the two measures disagree."""
+    """One specification on which the two measures disagree.
 
-    matrix: PartialTernaryMatrix
+    ``positions`` is the sorted index set and ``values`` the entry at each
+    position.  ``matrix`` is built and validated on its first read and
+    kept in the ``_matrix`` slot, which takes no part in equality.
+    """
+
+    dims: tuple[int, int]
+    positions: tuple[Index2, ...]
+    values: tuple[int, ...]
     isotype: IsoType
     ratio: int  # 0 when the condensation measure vanishes, else 2^beta1
     value: DyadicProb
+    _matrix: PartialTernaryMatrix | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def matrix(self) -> PartialTernaryMatrix:
+        if self._matrix is None:
+            matrix = PartialTernaryMatrix(self.dims, dict(zip(self.positions, self.values)))
+            object.__setattr__(self, "_matrix", matrix)
+        return self._matrix
 
     def to_json_dict(self) -> dict:
         return {
@@ -142,30 +164,6 @@ def grid_positions(n: int) -> list[Index2]:
     return [(i, j) for i in range(1, n) for j in range(1, n)]
 
 
-def _holds_circuit(chosen: tuple[Index2, ...]) -> bool:
-    """Whether at most six positions, sorted by row, contain a matrix circuit.
-
-    With at most six positions every circuit has length four or six.  A
-    4-circuit is two rows sharing two columns; a 6-circuit spans three
-    rows with every degree two (:func:`is_six_circuit`).  Existence is
-    decided from per-row column bitmasks; no circuit is listed.
-    """
-    masks: list[int] = []
-    last = None
-    for i, j in chosen:
-        if i == last:
-            masks[-1] |= 1 << j
-        else:
-            masks.append(1 << j)
-            last = i
-    for a, mask in enumerate(masks):
-        if mask & (mask - 1):
-            for other in masks[a + 1 :]:
-                if (mask & other).bit_count() > 1:
-                    return True
-    return len(masks) == 3 and is_six_circuit(chosen)
-
-
 def _shape(chosen: tuple[Index2, ...]) -> tuple[Index2, ...]:
     """The index set with its rows and its columns relabelled 1, 2, ... by rank.
 
@@ -193,11 +191,24 @@ def _check_range(k: int, n: int) -> None:
         raise ValueError("n must be at least 2")
 
 
-def _circuit_sets(k: int, n: int, start: int = 0, stop: int | None = None):
-    """(index set, shape) of each circuit-bearing set among combinations [start, stop)."""
-    for chosen in islice(combinations(grid_positions(n), k), start, stop):
-        if _holds_circuit(chosen):
-            yield chosen, _shape(chosen)
+def _circuit_sets(k: int, n: int) -> list[tuple[Index2, ...]]:
+    """Every sorted k-subset of the grid that holds a circuit, in lexicographic order.
+
+    With at most six positions every circuit has length four or six, so
+    such a set is a 4-circuit joined with k - 4 other positions or, at
+    k = 6, a 6-circuit alone.  A set holding several 4-circuits is
+    generated once for each; the set of results drops the repeats.
+    """
+    found: set[tuple[Index2, ...]] = set()
+    if k >= 4:
+        grid = grid_positions(n)
+        for circuit in enumerate_circuits(4, n, n):
+            others = [pos for pos in grid if pos not in circuit.members]
+            for rest in combinations(others, k - 4):
+                found.add(tuple(sorted(circuit.members.union(rest))))
+    if k == 6:
+        found.update(tuple(sorted(c.members)) for c in enumerate_circuits(6, n, n))
+    return sorted(found)
 
 
 def _failing_supports(
@@ -263,26 +274,22 @@ def enumerate_failures(k: int, n: int) -> Iterator[FailureRecord]:
     assignments in base-3 order (digit values -1, 0, +1).  The failing
     assignments of an index set, with their isotype, ratio and value, are
     worked out once per shape (see :func:`_shape`) and kept for the
-    length of the call; each record is then built on the set's own
-    positions.
+    length of the call; each record carries the set's own positions.
 
     Raises:
         ValueError: for k > 6 (isotype classification is catalogue-backed)
             or k < 0 or n < 2.
     """
     _check_range(k, n)
+    dims = (n, n)
     memo: dict[tuple[Index2, ...], list[tuple]] = {}
-    for chosen, shape in _circuit_sets(k, n):
+    for chosen in _circuit_sets(k, n):
+        shape = _shape(chosen)
         failing = memo.get(shape)
         if failing is None:
             failing = memo[shape] = _failing_assignments(n, shape)
         for values, isotype, ratio, value in failing:
-            yield FailureRecord(
-                matrix=PartialTernaryMatrix((n, n), dict(zip(chosen, values))),
-                isotype=isotype,
-                ratio=ratio,
-                value=value,
-            )
+            yield FailureRecord(dims, chosen, values, isotype, ratio, value)
 
 
 def _balanced_signings(support_mask: int, circuits: tuple[int, ...]) -> int:
@@ -300,14 +307,16 @@ def _balanced_signings(support_mask: int, circuits: tuple[int, ...]) -> int:
         minus_mask = (minus_mask - 1) & support_mask
 
 
-def _count_range(args: tuple[int, int, int, int]) -> tuple[Counter, Counter, Counter]:
-    """Counting worker over a contiguous range of index sets: (by ratio, value, isotype).
+def _count_range(
+    args: tuple[int, list[tuple[Index2, ...]]]
+) -> tuple[Counter, Counter, Counter]:
+    """Counting worker over a range of circuit-bearing sets: (by ratio, value, isotype).
 
-    The range's circuit-bearing sets are tallied by shape, and each shape's
-    failing supports are then worked out once and weighted by its tally.
+    The range's sets are tallied by shape, and each shape's failing
+    supports are then worked out once and weighted by its tally.
     """
-    k, n, start, stop = args
-    shapes = Counter(shape for _, shape in _circuit_sets(k, n, start, stop))
+    n, index_sets = args
+    shapes = Counter(map(_shape, index_sets))
     by_ratio, by_value, by_isotype = Counter(), Counter(), Counter()
     walks: dict[tuple[int, tuple[int, ...]], int] = {}
     for shape, sets in shapes.items():
@@ -330,31 +339,32 @@ def _count_range(args: tuple[int, int, int, int]) -> tuple[Counter, Counter, Cou
 def count_failures(k: int, n: int, workers: int | None = None) -> CountReport:
     """Count failures by exhaustive enumeration, aggregated per class.
 
-    Every index set is visited.  Those without a circuit are skipped at
-    once; the others are tallied by shape (:func:`_shape`), and each
-    shape's table of failing supports (:func:`_failing_supports`) is built
-    once per range and weighted by its tally: that is exact because the
-    rank relabelling is an isomorphism that keeps the slot order, so every
-    set of a shape has the same circuit masks and the same isotype and
-    Betti data on every support.  Per shape, every signing of every
-    failing support is still decided from circuit parities, each distinct
-    circuit pattern (a support with its circuit masks) walked once per
-    range.  The index sets are cut into one contiguous range per worker,
-    merged in range order, so the result does not depend on the worker
-    count.
+    Only the index sets that hold a circuit are generated
+    (:func:`_circuit_sets`); they are tallied by shape (:func:`_shape`),
+    and each shape's table of failing supports (:func:`_failing_supports`)
+    is built once per range and weighted by its tally: that is exact
+    because the rank relabelling is an isomorphism that keeps the slot
+    order, so every set of a shape has the same circuit masks and the same
+    isotype and Betti data on every support.  Per shape, every signing of
+    every failing support is still decided from circuit parities, each
+    distinct circuit pattern (a support with its circuit masks) walked
+    once per range.  The sorted sets are cut into one contiguous range per
+    worker, merged in range order, so the result does not depend on the
+    worker count.  With no circuit-bearing set, the one empty range runs
+    inline and no pool is started.
 
     Raises:
-        ValueError: for k outside 0..6 or n < 2.
+        ValueError: for k outside 0..6, n < 2 or a worker count below 1.
     """
     _check_range(k, n)
-    n_sets = comb((n - 1) ** 2, k)
     workers = parallel.resolve_workers(workers)
-    n_ranges = min(n_sets, workers) or 1
-    bounds = [
-        (k, n, n_sets * r // n_ranges, n_sets * (r + 1) // n_ranges)
+    sets = _circuit_sets(k, n)
+    n_ranges = min(len(sets), workers) or 1
+    ranges = [
+        (n, sets[len(sets) * r // n_ranges : len(sets) * (r + 1) // n_ranges])
         for r in range(n_ranges)
     ]
-    parts = parallel.run_tasks(_count_range, bounds, workers)
+    parts = parallel.run_tasks(_count_range, ranges, workers)
     # Counter addition keeps positive counts only: empty classes drop out.
     by_ratio, by_value, by_isotype = (sum(column, Counter()) for column in zip(*parts))
     report = CountReport(

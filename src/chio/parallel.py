@@ -17,12 +17,26 @@ R = TypeVar("R")
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Requested worker count, the CHIO_WORKERS override, or the CPU count."""
+    """Requested worker count, the CHIO_WORKERS override, or the CPU count.
+
+    Raises:
+        ValueError: for a requested count below 1, or a CHIO_WORKERS that
+            is not an integer of at least 1.
+    """
     if workers is not None:
-        return max(1, int(workers))
+        count = int(workers)
+        if count < 1:
+            raise ValueError(f"worker count must be at least 1, got {workers}")
+        return count
     env = os.environ.get("CHIO_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            count = int(env)
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise ValueError(f"CHIO_WORKERS must be an integer of at least 1, got {env!r}")
+        return count
     return os.cpu_count() or 1
 
 

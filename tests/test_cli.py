@@ -274,3 +274,16 @@ class TestWorkers:
         assert resolve_workers(5) == 5
         monkeypatch.delenv("CHIO_WORKERS")
         assert resolve_workers(None) >= 1
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_refuses_worker_flag_below_one(self, capsys, workers):
+        code, out, err = run(capsys, "failures", "--k", "4", "--n", "4", "--workers", workers)
+        assert code == 2 and out == ""
+        assert "worker count must be at least 1" in err
+
+    @pytest.mark.parametrize("env", ["0", "-1", "two"])
+    def test_refuses_env_workers_below_one(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("CHIO_WORKERS", env)
+        code, out, err = run(capsys, "failures", "--k", "4", "--n", "4")
+        assert code == 2 and out == ""
+        assert "CHIO_WORKERS must be an integer of at least 1" in err

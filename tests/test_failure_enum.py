@@ -1,7 +1,10 @@
 """Failure censuses against closed forms, realization tables, relations."""
 
+import hashlib
 import json
+import multiprocessing
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -12,8 +15,8 @@ from chio.measures import DyadicProb, Event, p_chio, p_lcf, ratio_chio_lcf
 from chio.signed_graph import IsoType, build_graph, classify_isotype, four_circuits, is_six_circuit
 from chio.failure_enum import (
     CountReport,
+    _circuit_sets,
     _failing_supports,
-    _holds_circuit,
     _shape,
     check_linear_relations,
     count_failures,
@@ -112,11 +115,18 @@ class TestEnumeration:
 
 
 class TestShapes:
-    @pytest.mark.parametrize("k, n", [(k, 5) for k in range(7)] + [(5, 6)])
+    @pytest.mark.parametrize(
+        "k, n", [(k, n) for n in (2, 3, 4, 5) for k in range(7)] + [(5, 6)]
+    )
     def test_skip_agrees_with_circuit_listing(self, k, n):
-        for chosen in combinations(grid_positions(n), k):
-            listed = bool(four_circuits(chosen)) or is_six_circuit(chosen)
-            assert _holds_circuit(chosen) == listed, chosen
+        # The generated circuit-bearing sets are exactly the index sets the
+        # circuit listing finds a circuit in, in the same order.
+        listed = [
+            chosen
+            for chosen in combinations(grid_positions(n), k)
+            if four_circuits(chosen) or is_six_circuit(chosen)
+        ]
+        assert _circuit_sets(k, n) == listed
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_shape_keeps_circuits_and_support_metrics(self, n):
@@ -142,6 +152,36 @@ class TestShapes:
             table = _failing_supports(n, chosen)
             assert table or trial % 3 == 0  # built around a circuit: never empty
             assert table == _failing_supports(n, shape)
+
+
+class TestRecords:
+    # sha256 of the records of enumerate_failures(6, 4), one sorted-key JSON
+    # line each, as written before records built their matrices lazily.
+    K6_N4_DIGEST = "13cb0232f5148fcce111266e92fb6c6669ccfbc339d5cce1d59319f1436f326c"
+
+    def test_matrix_is_built_from_positions_and_values(self):
+        for rec in enumerate_failures(5, 4):
+            assert rec.positions == tuple(sorted(rec.positions))
+            assert rec.matrix == PartialTernaryMatrix(
+                (4, 4), dict(zip(rec.positions, rec.values))
+            )
+
+    def test_matrix_is_kept(self):
+        rec = next(enumerate_failures(4, 4))
+        assert rec.matrix is rec.matrix
+
+    def test_replace(self):
+        rec = next(enumerate_failures(4, 4))
+        changed = replace(rec, ratio=rec.ratio + 1)
+        assert changed.ratio == rec.ratio + 1
+        assert changed.matrix == rec.matrix and changed != rec
+        assert replace(rec) == rec
+
+    def test_json_stream_is_unchanged(self):
+        digest = hashlib.sha256()
+        for rec in enumerate_failures(6, 4):
+            digest.update(json.dumps(rec.to_json_dict(), sort_keys=True).encode() + b"\n")
+        assert digest.hexdigest() == self.K6_N4_DIGEST
 
 
 class TestClosedForms:
@@ -325,6 +365,23 @@ class TestReports:
         assert csv_map["failures"] == 12576
         assert csv_map["ratio4"] == 96
         assert csv_map["t4"] == 384 and csv_map["t12"] == 384
+
+    @pytest.mark.parametrize(
+        "k, n", [(k, 5) for k in range(4)] + [(5, 3), (6, 3), (6, 2), (4, 2)]
+    )
+    def test_empty_counts_start_no_pool(self, k, n, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        for workers in (1, 2):
+            report = count_failures(k, n, workers=workers)
+            assert report.failure_count == 0
+            assert (report.by_ratio, report.by_value, report.by_isotype) == ({}, {}, {})
+            if k >= 4:
+                form = failure_count_formula(k, n)
+                assert report.to_json_dict() == form.to_json_dict()
+                assert report.to_csv_row() == form.to_csv_row()
 
     def test_worker_determinism(self):
         # Each worker's range of index sets builds its own shape tables.
