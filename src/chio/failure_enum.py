@@ -29,17 +29,24 @@ every signing of every failing support for balance, once per distinct
 circuit pattern.  That is exact because the relabelling is monotone, so
 every slot keeps its position and every circuit its mask, and it is a
 graph isomorphism, so isotype, f0, beta0 and beta1 do not change.
-Nothing is cached across calls; the counter cuts the generated sets into
-one contiguous range per worker and builds each shape's table once per
-range.  A record keeps its positions and values and builds its matrix
-only when read.  The closed forms are evaluated over exact rationals and
-asserted integral, so a transcribed coefficient error fails loudly.
+The tables share one memo of support graphs, keyed by the support's own
+shape and the set's rows and columns: graphs with one key are isomorphic,
+so each is classified once.  Nothing is cached across calls; the counter
+cuts the generated sets into one contiguous range per worker and builds
+each shape's table, and the graph memo, once per range.  A record
+keeps its positions and values and builds its matrix only when read; the
+stream allocates each record and fills its slots directly
+(:func:`_record`), skipping the per-field ``object.__setattr__`` of the
+frozen dataclass constructor.  Its values and isotypes are shared
+instances that hash by identity, so tallies keyed by them run at C speed.
+The closed forms are evaluated over exact rationals and asserted
+integral, so a transcribed coefficient error fails loudly.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -96,6 +103,34 @@ class FailureRecord:
             "ratio_log2": None if self.ratio == 0 else self.ratio.bit_length() - 1,
             "value": self.value.to_json_dict(),
         }
+
+
+# The record stream fills each slot through its descriptor: a frozen
+# dataclass __init__ goes through object.__setattr__ once per field.  The
+# unpacking fails at import if a field is added and not set here.
+(
+    _set_dims, _set_positions, _set_values, _set_isotype, _set_ratio, _set_value, _set_matrix,
+) = (FailureRecord.__dict__[f.name].__set__ for f in fields(FailureRecord))
+
+
+def _record(
+    dims: tuple[int, int],
+    positions: tuple[Index2, ...],
+    values: tuple[int, ...],
+    isotype: IsoType,
+    ratio: int,
+    value: DyadicProb,
+) -> FailureRecord:
+    """``FailureRecord(dims, positions, values, isotype, ratio, value)`` without ``__init__``."""
+    rec = object.__new__(FailureRecord)
+    _set_dims(rec, dims)
+    _set_positions(rec, positions)
+    _set_values(rec, values)
+    _set_isotype(rec, isotype)
+    _set_ratio(rec, ratio)
+    _set_value(rec, value)
+    _set_matrix(rec, None)
+    return rec
 
 
 @dataclass
@@ -212,13 +247,16 @@ def _circuit_sets(k: int, n: int) -> list[tuple[Index2, ...]]:
 
 
 def _failing_supports(
-    n: int, shape: tuple[Index2, ...]
+    n: int, shape: tuple[Index2, ...], graphs: dict
 ) -> dict[int, tuple[tuple[int, ...], IsoType, int, int]]:
     """{support mask: (circuit masks, isotype, value exponent, beta1)} per failing support.
 
     A support fails when it holds a circuit: a 4-circuit of the set or,
     when the whole set is one, the 6-circuit.  Isotype and Betti data come
-    from the graph of the support on all vertices of the set.
+    from the graph of the support on all vertices of the set.  That graph
+    is fixed up to isomorphism by the support's own shape and the set's
+    rows and columns, so ``graphs``, a dict the caller keeps for one call,
+    classifies each such key once across shapes.
     """
     k = len(shape)
     slot = {pos: b for b, pos in enumerate(shape)}
@@ -233,20 +271,22 @@ def _failing_supports(
             circuits += (six,)
         if not circuits:
             continue
-        graph = SignedBipartiteGraph(
-            dims=(n, n),
-            row_vertices=rows,
-            col_vertices=cols,
-            edges=frozenset(shape[b] for b in range(k) if mask >> b & 1),
-        )
-        isotype, data = isotype_and_betti(graph)
+        support = tuple([shape[b] for b in range(k) if mask >> b & 1])
+        key = (_shape(support), rows, cols)
+        classified = graphs.get(key)
+        if classified is None:
+            graph = SignedBipartiteGraph(
+                dims=(n, n), row_vertices=rows, col_vertices=cols, edges=frozenset(support)
+            )
+            classified = graphs[key] = isotype_and_betti(graph)
+        isotype, data = classified
         table[mask] = (circuits, isotype, k + data.f0 - data.beta0, data.beta1)
     return table
 
 
-def _failing_assignments(n: int, shape: tuple[Index2, ...]) -> list[tuple]:
+def _failing_assignments(n: int, shape: tuple[Index2, ...], graphs: dict) -> list[tuple]:
     """(values, isotype, ratio, value) of every failing assignment, in base-3 order."""
-    table = _failing_supports(n, shape)
+    table = _failing_supports(n, shape, graphs)
     failing = []
     for values in product((-1, 0, 1), repeat=len(shape)):
         support_mask = 0
@@ -283,13 +323,14 @@ def enumerate_failures(k: int, n: int) -> Iterator[FailureRecord]:
     _check_range(k, n)
     dims = (n, n)
     memo: dict[tuple[Index2, ...], list[tuple]] = {}
+    graphs: dict = {}
     for chosen in _circuit_sets(k, n):
         shape = _shape(chosen)
         failing = memo.get(shape)
         if failing is None:
-            failing = memo[shape] = _failing_assignments(n, shape)
+            failing = memo[shape] = _failing_assignments(n, shape, graphs)
         for values, isotype, ratio, value in failing:
-            yield FailureRecord(dims, chosen, values, isotype, ratio, value)
+            yield _record(dims, chosen, values, isotype, ratio, value)
 
 
 def _balanced_signings(support_mask: int, circuits: tuple[int, ...]) -> int:
@@ -319,8 +360,9 @@ def _count_range(
     shapes = Counter(map(_shape, index_sets))
     by_ratio, by_value, by_isotype = Counter(), Counter(), Counter()
     walks: dict[tuple[int, tuple[int, ...]], int] = {}
+    graphs: dict = {}
     for shape, sets in shapes.items():
-        table = _failing_supports(n, shape)
+        table = _failing_supports(n, shape, graphs)
         for support_mask, (circuits, isotype, exponent, beta1) in table.items():
             pattern = (support_mask, circuits)
             balanced = walks.get(pattern)

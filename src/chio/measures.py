@@ -5,7 +5,9 @@ coin flip measure (i.i.d. entries -1, 0, +1 with probabilities 1/4, 1/2,
 1/4), the push-forward of the uniform measure on sign matrices through
 half Chio condensation, and derived averaged / sign-forgetting variants.
 
-Every value is an exact dyadic probability: zero or a power 2^-e.  The
+Every value is an exact dyadic probability: zero or a power 2^-e with an
+int ``e >= 0``, held in the one shared ``DyadicProb`` instance of that
+value, so values compare and hash by identity at C speed.  The
 condensation measure of an event specifying ``B`` is zero unless the
 signed graph of ``B`` is balanced, in which case it equals
 ``2^-(dom + f0 - beta0)`` independently of the ambient index set; its
@@ -44,34 +46,54 @@ from .matrix_core import (
 from .signed_graph import cycle_masks, four_circuits, is_six_circuit, matrix_balance
 
 
-@dataclass(frozen=True, order=False)
+_INSTANCES: dict[int | None, "DyadicProb"] = {}
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class DyadicProb:
     """Exact probability that is either zero or a power of one half.
 
-    ``exponent`` is ``None`` for zero, otherwise the non-negative ``e``
-    in ``2^-e``.  ``zero``, ``one`` and ``pow_half`` return one shared
-    instance per value; the constructor builds a new one.
+    ``exponent`` is ``None`` for zero, otherwise the non-negative int ``e``
+    in ``2^-e``.  There is one instance per value: the constructor,
+    ``zero``, ``one``, ``pow_half``, unpickling, ``copy`` and
+    ``dataclasses.replace`` all return it, so equality and hashing are
+    object identity.
     """
 
     exponent: int | None
 
-    def __post_init__(self) -> None:
-        if self.exponent is not None and self.exponent < 0:
-            raise ValueError("exponent must be non-negative")
+    def __new__(cls, exponent: int | None) -> "DyadicProb":
+        if exponent is None:
+            return DyadicProb.zero()
+        return DyadicProb.pow_half(exponent)
 
-    @classmethod
+    @staticmethod
     @cache
-    def zero(cls) -> "DyadicProb":
-        return cls(None)
+    def zero() -> "DyadicProb":
+        return DyadicProb._build(None)
 
-    @classmethod
-    @cache
-    def pow_half(cls, e: int) -> "DyadicProb":
-        return cls(int(e))
+    @staticmethod
+    @lru_cache(maxsize=None, typed=True)
+    def pow_half(e: int) -> "DyadicProb":
+        # Typed, so that 9.0 or True never hits the entry of the int 9.
+        if type(e) is not int or e < 0:
+            raise ValueError(f"exponent must be a non-negative int, not {e!r}")
+        return DyadicProb._build(e)
 
-    @classmethod
-    def one(cls) -> "DyadicProb":
-        return cls.pow_half(0)
+    @staticmethod
+    def _build(exponent: int | None) -> "DyadicProb":
+        self = object.__new__(DyadicProb)
+        object.__setattr__(self, "exponent", exponent)
+        # Two threads may both miss a cache on a first call; setdefault is
+        # atomic, so they still get one instance.
+        return _INSTANCES.setdefault(exponent, self)
+
+    @staticmethod
+    def one() -> "DyadicProb":
+        return DyadicProb.pow_half(0)
+
+    def __reduce__(self):
+        return DyadicProb, (self.exponent,)
 
     @classmethod
     def from_fraction(cls, value: Fraction) -> "DyadicProb":

@@ -164,6 +164,10 @@ class IsoType(enum.Enum):
     T20 = "t20"
     OTHER_NONFOREST = "other"
 
+    # Members are singletons: hash by identity in C, not by the
+    # Python-level hash of the member name that Enum defines.
+    __hash__ = object.__hash__
+
     @property
     def label(self) -> str:
         return self.value

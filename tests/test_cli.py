@@ -1,9 +1,14 @@
 """Command-line interface: parsing, reports, exit codes, stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chio
 from chio.cli import main, parse_sign_matrix, parse_ternary_matrix
 
 
@@ -255,6 +260,22 @@ class TestStability:
         _, out1, _ = run(capsys, "failures", "--k", "5", "--n", "4", "--workers", "1")
         _, out2, _ = run(capsys, "failures", "--k", "5", "--n", "4", "--workers", "2")
         assert out1 == out2
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failures_bytes_identical_across_hash_seeds(self, fmt):
+        # Values and isotypes hash by identity; string hashes change with
+        # the seed.  Neither may reach the output.
+        src = str(Path(chio.__file__).resolve().parent.parent)
+        outputs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-m", "chio.cli", "failures", "--k", "6", "--n", "5",
+                 "--format", fmt, "--workers", "1"],
+                env=env, capture_output=True, timeout=120, check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1] and b"342144" in outputs[0]
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

@@ -4,7 +4,7 @@ import hashlib
 import json
 import multiprocessing
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -12,11 +12,21 @@ import pytest
 
 from chio.matrix_core import PartialTernaryMatrix
 from chio.measures import DyadicProb, Event, p_chio, p_lcf, ratio_chio_lcf
-from chio.signed_graph import IsoType, build_graph, classify_isotype, four_circuits, is_six_circuit
+from chio.signed_graph import (
+    IsoType,
+    SignedBipartiteGraph,
+    build_graph,
+    classify_isotype,
+    four_circuits,
+    is_six_circuit,
+    isotype_and_betti,
+)
 from chio.failure_enum import (
     CountReport,
+    FailureRecord,
     _circuit_sets,
     _failing_supports,
+    _record,
     _shape,
     check_linear_relations,
     count_failures,
@@ -149,9 +159,30 @@ class TestShapes:
             assert shape == tuple(sorted(shape))
             assert {i for i, _ in shape} == set(range(1, len({i for i, _ in chosen}) + 1))
             assert {j for _, j in shape} == set(range(1, len({j for _, j in chosen}) + 1))
-            table = _failing_supports(n, chosen)
+            table = _failing_supports(n, chosen, {})
             assert table or trial % 3 == 0  # built around a circuit: never empty
-            assert table == _failing_supports(n, shape)
+            assert table == _failing_supports(n, shape, {})
+
+    @pytest.mark.parametrize("k, n", [(6, 5), (5, 6)])
+    def test_graph_memo_matches_direct_classification(self, k, n):
+        # One memo across every shape of the call, as count_failures keeps
+        # it; each entry against the support's own graph, classified afresh.
+        graphs: dict = {}
+        lookups = 0
+        for shape in sorted(set(map(_shape, _circuit_sets(k, n)))):
+            table = _failing_supports(n, shape, graphs)
+            assert table.keys() == _failing_supports(n, shape, {}).keys()
+            rows = frozenset(i for i, _ in shape)
+            cols = frozenset(j for _, j in shape)
+            for mask, (_, isotype, exponent, beta1) in table.items():
+                edges = frozenset(shape[b] for b in range(k) if mask >> b & 1)
+                graph = SignedBipartiteGraph((n, n), rows, cols, edges)
+                direct, data = isotype_and_betti(graph)
+                assert (isotype, exponent, beta1) == (
+                    direct, k + data.f0 - data.beta0, data.beta1
+                )
+                lookups += 1
+        assert len(graphs) < lookups
 
 
 class TestRecords:
@@ -176,6 +207,29 @@ class TestRecords:
         assert changed.ratio == rec.ratio + 1
         assert changed.matrix == rec.matrix and changed != rec
         assert replace(rec) == rec
+
+    def test_fields_are_frozen(self):
+        rec = next(enumerate_failures(4, 4))
+        for name in ("ratio", "value", "_matrix"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(rec, name, None)
+
+    def test_record_fills_every_field(self):
+        args = ((4, 4), ((1, 1), (1, 2)), (1, -1), IsoType.T1, 2, DyadicProb.pow_half(7))
+        rec = _record(*args)
+        # Reading a slot that was never filled raises AttributeError.
+        got = tuple(getattr(rec, f.name) for f in fields(FailureRecord))
+        assert got == args + (None,)
+        assert rec == FailureRecord(*args) and type(rec) is FailureRecord
+
+    def test_stream_records_equal_constructed_ones(self):
+        init_fields = [f.name for f in fields(FailureRecord) if f.init]
+        records = 0
+        for rec in enumerate_failures(5, 5):
+            built = FailureRecord(*(getattr(rec, name) for name in init_fields))
+            assert rec == built and rec._matrix is None
+            records += 1
+        assert records == failure_count_formula(5, 5).failure_count
 
     def test_json_stream_is_unchanged(self):
         digest = hashlib.sha256()
@@ -396,3 +450,6 @@ class TestReports:
                 assert (multi.by_ratio, multi.by_value, multi.by_isotype) == (
                     single.by_ratio, single.by_value, single.by_isotype
                 )
+                # Keys pickled back from the workers are the shared instances.
+                for value in multi.by_value:
+                    assert value is DyadicProb(value.exponent)

@@ -1,7 +1,11 @@
 """Dyadic probabilities and the three measures on specification events."""
 
+import copy
 import pickle
 import random
+import sys
+import threading
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -76,11 +80,58 @@ class TestDyadicProb:
         with pytest.raises(ValueError):
             DyadicProb(-1)
         built = DyadicProb(9)
-        assert built is not DyadicProb.pow_half(9)
+        assert built is DyadicProb.pow_half(9)
         assert built == DyadicProb.pow_half(9) and hash(built) == hash(DyadicProb.pow_half(9))
         assert repr(DyadicProb.pow_half(9)) == "DyadicProb(2^-9)"
         for value in (DyadicProb.pow_half(9), DyadicProb.zero()):
             assert pickle.loads(pickle.dumps(value)) == value
+
+    def test_one_instance_per_value(self):
+        assert DyadicProb(None) is DyadicProb.zero()
+        assert DyadicProb(exponent=0) is DyadicProb.one()
+        assert DyadicProb.from_fraction(Fraction(1, 512)) is DyadicProb.pow_half(9)
+        assert DyadicProb.pow_half(4) * DyadicProb.pow_half(5) is DyadicProb.pow_half(9)
+        for value in (DyadicProb.pow_half(9), DyadicProb.zero()):
+            assert pickle.loads(pickle.dumps(value)) is value
+            assert copy.copy(value) is value and copy.deepcopy(value) is value
+            assert replace(value) is value
+        assert replace(DyadicProb.zero(), exponent=3) is DyadicProb.pow_half(3)
+        assert DyadicProb.pow_half(3) != DyadicProb.pow_half(4) != DyadicProb.zero()
+        assert hash(DyadicProb.pow_half(3)) == object.__hash__(DyadicProb.pow_half(3))
+        with pytest.raises(FrozenInstanceError):
+            DyadicProb.pow_half(3).exponent = 4
+
+    def test_threads_racing_on_first_calls_share_instances(self):
+        # Values compare by identity, so a second instance of one value
+        # would be unequal to the first.
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = []
+            barrier = threading.Barrier(4)
+
+            def work():
+                barrier.wait(timeout=30)
+                got.append([DyadicProb.pow_half(e) for e in range(2000, 6000)])
+
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads) and len(got) == 4
+        assert all(a is b for row in got[1:] for a, b in zip(row, got[0], strict=True))
+
+    @pytest.mark.parametrize("exponent", [9.5, 9.0, True, "9", Fraction(9), -2])
+    def test_exponent_must_be_a_non_negative_int(self, exponent):
+        # 9 is cached first, so a 9.0 or True that hit its entry would pass.
+        DyadicProb.pow_half(9), DyadicProb.pow_half(1)
+        with pytest.raises(ValueError):
+            DyadicProb.pow_half(exponent)
+        with pytest.raises(ValueError):
+            DyadicProb(exponent)
 
 
 class TestEvents:

@@ -1,5 +1,7 @@
 """Graph construction, balance, colouring counts, isotypes, matrix circuits."""
 
+import copy
+import pickle
 from itertools import combinations, product
 
 import pytest
@@ -271,6 +273,14 @@ class TestIsotype:
                         assert got is expected, (rows, cols, edges)
                         checked += 1
         assert checked > 15000
+
+    def test_members_hash_and_copy_by_identity(self):
+        assert IsoType.__hash__ is object.__hash__
+        assert len({IsoType(tag.value): tag for tag in IsoType}) == len(IsoType)
+        for tag in (IsoType.T9, IsoType.FOREST):
+            assert hash(tag) == object.__hash__(tag)
+            assert pickle.loads(pickle.dumps(tag)) is tag
+            assert copy.copy(tag) is tag and copy.deepcopy(tag) is tag
 
     def test_wedge_preserves_balance_iff_both_parts_do(self):
         # Glue a signed 4-circuit and a signed edge at one row vertex and
