@@ -27,7 +27,10 @@ the checkpoint's writer and reader all follow it.
 
 The {0,1} and {-1,0,+1} rank histograms, which the rank identities
 compare against the census, come from one brute-force loop over all
-base-b codes (:func:`_rank_supp_counts`).
+base-b codes (:func:`_rank_supp_counts`).  Its digit loop also decodes
+condensate codes for :func:`preimage_support_check`, which reads the
+sparse condensate counts one support at a time; only
+:func:`kwise_agreement_check` scatters them into a dense cube, at n <= 4.
 """
 
 from __future__ import annotations
@@ -229,6 +232,22 @@ def decode_condensate(code: int, s: int, t: int) -> PartialTernaryMatrix:
             entries[(i, j)] = code % 3 - 1
             code //= 3
     return PartialTernaryMatrix((s, t), entries)
+
+
+def _digits(codes: np.ndarray, base: int, cells: int) -> np.ndarray:
+    """Base-``base`` digits ``0..cells-1`` of int64 codes, as a ``(cells, N)`` int8 array."""
+    digits = np.empty((cells, codes.size), dtype=np.int8)
+    for b in range(cells):
+        codes, digits[b] = np.divmod(codes, base)
+    return digits
+
+
+def _condensate_masks(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(support, minus)`` bitmasks of condensate codes, bit b for entry b of
+    :func:`decode_condensate`: set when the entry is nonzero, and when it is -1."""
+    weights = np.left_shift(1, np.arange((n - 1) ** 2, dtype=np.int64))
+    digits = _digits(np.asarray(codes, dtype=np.int64), 3, weights.size)
+    return weights @ (digits != 1), weights @ (digits == 0)
 
 
 def _fixed_bits(filters: dict[Index2, int] | None, t: int) -> tuple[int, int]:
@@ -672,24 +691,6 @@ def _nonempty_chunks(cfg: CensusConfig, start: int, stop: int) -> list[int]:
 # --- derived censuses --------------------------------------------------------
 
 
-def empirical_p_chio(n: int, workers: int | None = None) -> np.ndarray:
-    """Preimage count of every condensate of {-1,+1}^(n x n).
-
-    Returns a dense int64 array indexed by base-3 condensate code; entry
-    ``c`` counts the sign matrices whose half condensation has code ``c``.
-
-    Raises:
-        BudgetExceeded: for n > 5.
-    """
-    if n > 5:
-        raise BudgetExceeded("empirical condensate census supports n <= 5")
-    cfg = CensusConfig(dims=(n, n), worker_count=workers)
-    result = run_census(cfg, aggregates=("cond_counts",))
-    counts = np.zeros(3 ** ((n - 1) ** 2), dtype=np.int64)
-    counts[result.cond_codes] = result.cond_counts
-    return counts
-
-
 def binary_rank_counts(rows: int, cols: int, chunk: int = 1 << 18) -> np.ndarray:
     """Rank histogram of all {0,1} matrices of the given shape.
 
@@ -718,10 +719,7 @@ def _rank_supp_counts(rows: int, cols: int, base: int, offset: int, chunk: int) 
     joint = np.zeros((min(rows, cols) + 1, cells + 1), dtype=np.int64)
     total = base**cells
     for lo in range(0, total, chunk):
-        rest = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        digits = np.empty((cells, rest.size), dtype=np.int8)
-        for b in range(cells):
-            rest, digits[b] = np.divmod(rest, base)
+        digits = _digits(np.arange(lo, min(lo + chunk, total), dtype=np.int64), base, cells)
         digits += offset
         supp = np.count_nonzero(digits, axis=0)
         ranks = _rank_soa(digits.reshape(rows, cols, -1))
@@ -744,43 +742,25 @@ class RankCensus:
     def verify(self) -> dict:
         """Exact-count identities tying the three histograms together."""
         s, t = self.dims
-        inner = (s - 1) * (t - 1)
+        pm, cond, binary = self.pm_rank_counts, self.condensate_rank_counts, self.binary_rank_counts
+        scale = 1 << (s + t - 1)
+        shift = [
+            {"r": r, "pm": pm[r], "cond_shifted": cond[r - 1], "equal": pm[r] == cond[r - 1]}
+            for r in range(1, min(s, t) + 1)
+        ]
+        forget = [
+            {"r": r, "cond": c, "binary_scaled": b, "equal": c == b}
+            for r, c, b in ((r, cond[r], binary[r] * scale) for r in range(min(s, t)))
+        ]
         checks: dict = {
-            "pm_total_ok": sum(self.pm_rank_counts) == 1 << (s * t),
-            "binary_total_ok": sum(self.binary_rank_counts) == 1 << inner,
-            "condensate_total_ok": sum(self.condensate_rank_counts) == 1 << (s * t),
+            "pm_total_ok": sum(pm) == 1 << (s * t),
+            "binary_total_ok": sum(binary) == 1 << ((s - 1) * (t - 1)),
+            "condensate_total_ok": sum(cond) == 1 << (s * t),
+            "rank_shift": shift,
+            "sign_forgetting": forget,
         }
-        shift = []
-        for r in range(1, min(s, t) + 1):
-            shift.append(
-                {
-                    "r": r,
-                    "pm": self.pm_rank_counts[r],
-                    "cond_shifted": self.condensate_rank_counts[r - 1],
-                    "equal": self.pm_rank_counts[r] == self.condensate_rank_counts[r - 1],
-                }
-            )
-        checks["rank_shift"] = shift
-        scale = 1 << (s * t - inner)
-        forget = []
-        for r in range(min(s - 1, t - 1) + 1):
-            forget.append(
-                {
-                    "r": r,
-                    "cond": self.condensate_rank_counts[r],
-                    "binary_scaled": self.binary_rank_counts[r] * scale,
-                    "equal": self.condensate_rank_counts[r]
-                    == self.binary_rank_counts[r] * scale,
-                }
-            )
-        checks["sign_forgetting"] = forget
-        checks["all_ok"] = (
-            checks["pm_total_ok"]
-            and checks["binary_total_ok"]
-            and checks["condensate_total_ok"]
-            and all(c["equal"] for c in shift)
-            and all(c["equal"] for c in forget)
-        )
+        totals_ok = checks["pm_total_ok"] and checks["binary_total_ok"] and checks["condensate_total_ok"]
+        checks["all_ok"] = totals_ok and all(c["equal"] for c in shift + forget)
         return checks
 
     def to_json_dict(self) -> dict:
@@ -859,6 +839,84 @@ def singular_count(n: int, workers: int | None = None) -> SingularReport:
     )
 
 
+def preimage_support_check(n: int, codes: np.ndarray, counts: np.ndarray) -> dict:
+    """Check the sparse ``cond_counts`` pair of the n x n census, support by support.
+
+    By the paper's characterization, the codes on a support S with a
+    nonzero count are its 2^rank(S) signings that are even on every cycle
+    mask of S (this parity test is the reader's own), each counted
+    ``fibre_cardinality`` of S's all-plus event, whose one graph scan
+    also gives the masks; S's total is what ``p_lcf`` (averaged over
+    signs) and ``p_chio_abs`` of its {0,1} pattern give.
+
+    Returns ``mismatches`` (codes, of all 3^((n-1)^2), whose count is not
+    the formula's), ``non_power_of_two``, ``missing_supports``, and
+    ``averaged_mismatches`` and ``forgetting_mismatches`` (supports), with
+    ``condensates``, ``supports``, ``total`` and ``ok``.
+
+    Raises:
+        ValueError: unless the codes are sorted distinct condensate codes, one count each.
+    """
+    from .measures import Event, fibre_cardinality, p_chio_abs, p_lcf
+    from .signed_graph import support_cycles
+
+    m = (n - 1) ** 2
+    n_supports = 1 << m
+    if codes.shape != counts.shape or (np.diff(codes) <= 0).any() or (
+        codes.size and (codes[0] < 0 or codes[-1] >= 3**m)
+    ):
+        raise ValueError("not a sparse condensate census: codes must be sorted, distinct, in range")
+    positions = [(i, j) for i in range(1, n) for j in range(1, n)]
+    # cycles[c, S]: the code bits of S's c-th cycle mask, 0 past beta1(S).
+    cycles = np.zeros(((n - 2) ** 2, n_supports), dtype=np.int64)
+    rank = np.zeros(n_supports, dtype=np.int64)
+    expected = np.zeros(n_supports, dtype=np.int64)
+    targets = []
+    scale = 1 << (n * n)
+    for s in range(n_supports):
+        bits = [b for b in range(m) if s >> b & 1]
+        pattern = PartialTernaryMatrix((n, n), {p: s >> b & 1 for b, p in enumerate(positions)})
+        event = Event.on_full_grid(pattern)
+        expected[s] = fibre_cardinality(event)
+        rank[s], masks = support_cycles((n, n), tuple(positions[b] for b in bits))
+        for c, mask in enumerate(masks):
+            cycles[c, s] = sum(1 << b for e, b in enumerate(bits) if mask >> e & 1)
+        averaged = p_lcf(event).as_fraction() * (scale << len(bits))
+        targets.append((averaged, p_chio_abs(pattern).as_fraction() * scale))
+
+    # parity[x] is 1 when x has an odd number of set bits.
+    parity = np.zeros(n_supports, dtype=np.uint8)
+    for b in range(m):
+        parity[1 << b : 2 << b] = parity[: 1 << b] ^ 1
+    mismatches = nonpow = 0
+    balanced_present = np.zeros(n_supports, dtype=np.int64)
+    totals = np.zeros(n_supports, dtype=np.int64)
+    chunk = 1 << 16
+    for lo in range(0, codes.size, chunk):
+        support, minus = _condensate_masks(codes[lo : lo + chunk], n)
+        count = counts[lo : lo + chunk]
+        odd = np.zeros(support.size, dtype=np.uint8)
+        for row in cycles:
+            odd |= parity[row[support] & minus]
+        balanced = odd == 0
+        mismatches += np.count_nonzero(np.where(balanced, count != expected[support], count != 0))
+        nonpow += np.count_nonzero(count & (count - 1))
+        balanced_present += np.bincount(support[balanced], minlength=n_supports)
+        np.add.at(totals, support, count)
+    # Balanced codes absent from the census.
+    mismatches += ((1 << rank) - balanced_present).sum()
+    failures = {
+        "mismatches": int(mismatches),
+        "non_power_of_two": int(nonpow),
+        "missing_supports": int((totals == 0).sum()),
+        "averaged_mismatches": sum(t != a for t, (a, _) in zip(totals.tolist(), targets)),
+        "forgetting_mismatches": sum(t != f for t, (_, f) in zip(totals.tolist(), targets)),
+    }
+    total = int(counts.sum())
+    ok = total == scale and not any(failures.values())
+    return {"condensates": 3**m, "supports": n_supports, **failures, "total": total, "ok": ok}
+
+
 def kwise_agreement_check(n: int, k_max: int = 6, workers: int | None = None) -> dict:
     """Compare empirical event measures against the lazy coin flip values.
 
@@ -878,8 +936,11 @@ def kwise_agreement_check(n: int, k_max: int = 6, workers: int | None = None) ->
         raise BudgetExceeded("empirical k-wise check supports n <= 4")
     m = (n - 1) ** 2
     k_max = min(k_max, m, 6)
+    res = run_census(CensusConfig(dims=(n, n), worker_count=workers), aggregates=("cond_counts",))
+    cube = np.zeros(3**m, dtype=np.int64)
+    cube[res.cond_codes] = res.cond_counts
     # Base-3 digit b of a condensate code is axis m-1-b of the cube.
-    cube = empirical_p_chio(n, workers=workers).reshape((3,) * m)
+    cube = cube.reshape((3,) * m)
 
     positions = [(i, j) for i in range(1, n) for j in range(1, n)]
     report: dict = {"n": n, "per_k": []}

@@ -31,6 +31,7 @@ from .failure_enum import (
     failure_density_bound,
     h_counts,
     realization_table,
+    xi,
 )
 from .census_oracle import BudgetExceeded, CensusConfig, rank_census, run_census
 from .switching import balanced_signings, orbit, signing_tuple
@@ -45,19 +46,22 @@ class UsageError(Exception):
 def parse_sign_matrix(text: str) -> SignMatrix:
     """Sign matrix from JSON rows or compact '+-' row strings."""
     text = text.strip()
-    if text.startswith("[") or text.startswith("{"):
-        data = json.loads(text)
-        if isinstance(data, dict):
-            raise UsageError("sign matrices use row lists or compact strings")
-        return SignMatrix.from_rows(data)
-    return SignMatrix.from_compact(text)
+    try:
+        if text.startswith("[") or text.startswith("{"):
+            data = json.loads(text)
+            if isinstance(data, dict):
+                raise UsageError("sign matrices use row lists or compact strings")
+            return SignMatrix.from_rows(data)
+        return SignMatrix.from_compact(text)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"malformed sign matrix input: {exc}") from exc
 
 
 def parse_ternary_matrix(text: str, n: int | None = None) -> PartialTernaryMatrix:
     """Ternary matrix from JSON rows, a {dims, entries} object, or rows of
     '+', '-', '0' with '.' for unspecified positions."""
     text = text.strip()
-    dims = (n, n) if n else None
+    dims = (n, n) if n is not None else None
     try:
         if text.startswith("{"):
             return matrix_from_json_dict(json.loads(text))
@@ -168,7 +172,7 @@ def cmd_formulas(args) -> int:
     h_c6, h_k23, h_c4, h_geq = h_counts(n)
     payload = {
         "n": n,
-        "xi": 16 * ((n - 1) * (n - 2) // 2) ** 2,
+        "xi": xi(n),
         "h_counts": {
             "c6": h_c6,
             "k23": h_k23,
@@ -181,10 +185,7 @@ def cmd_formulas(args) -> int:
         },
         "linear_relations": check_linear_relations(n),
         "density_bounds": {
-            str(k): {
-                "count": failure_density_bound(k, n)[0],
-                "bound": failure_density_bound(k, n)[1],
-            }
+            str(k): dict(zip(("count", "bound"), failure_density_bound(k, n)))
             for k in range(1, 7)
         },
     }
@@ -192,10 +193,25 @@ def cmd_formulas(args) -> int:
     return 0
 
 
+def _dims(args) -> tuple[int, int]:
+    """``(s, t)`` from ``--s``/``--t``, each defaulting to ``--n``."""
+    s = args.n if args.s is None else args.s
+    t = args.n if args.t is None else args.t
+    if s is None or t is None:
+        raise UsageError(f"{args.command} needs --n or both --s and --t")
+    return s, t
+
+
+def _rank_rows(header: list[str], *histograms) -> list[list]:
+    """CSV rows: the header, then each rank with its count in every histogram
+    (blank past a histogram's end)."""
+    width = max(len(h) for h in histograms)
+    rows = [[r] + [int(h[r]) if r < len(h) else "" for h in histograms] for r in range(width)]
+    return [header] + rows
+
+
 def cmd_census(args) -> int:
-    s, t = (args.s or args.n, args.t or args.n)
-    if not s or not t:
-        raise UsageError("census needs --n or both --s and --t")
+    s, t = _dims(args)
     if s * t >= 25 and not args.big:
         raise UsageError("censuses with 2^25 matrices need --big")
     if args.resume and not args.checkpoint:
@@ -210,41 +226,21 @@ def cmd_census(args) -> int:
     if (s - 1) * (t - 1) <= 9:
         aggregates.append("edge_pairs")
     result = run_census(cfg, aggregates=tuple(aggregates), resume=args.resume)
-    rows = [["rank", "sign_matrices", "condensates"]]
-    for r in range(max(len(result.rank_pm), len(result.rank_cond))):
-        rows.append(
-            [
-                r,
-                int(result.rank_pm[r]) if r < len(result.rank_pm) else "",
-                int(result.rank_cond[r]) if r < len(result.rank_cond) else "",
-            ]
-        )
+    rows = _rank_rows(["rank", "sign_matrices", "condensates"], result.rank_pm, result.rank_cond)
     emit(result.to_json_dict(), args, rows)
     return 0
 
 
 def cmd_ranks(args) -> int:
-    s, t = (args.s or args.n, args.t or args.n)
-    if not s or not t:
-        raise UsageError("ranks needs --n or both --s and --t")
+    s, t = _dims(args)
     census = rank_census(s, t, workers=args.workers)
     payload = census.to_json_dict()
-    rows = [["rank", "sign_matrices", "condensates", "binary_patterns"]]
-    width = max(
-        len(census.pm_rank_counts),
-        len(census.condensate_rank_counts),
-        len(census.binary_rank_counts),
+    rows = _rank_rows(
+        ["rank", "sign_matrices", "condensates", "binary_patterns"],
+        census.pm_rank_counts,
+        census.condensate_rank_counts,
+        census.binary_rank_counts,
     )
-    for r in range(width):
-        pick = lambda xs: xs[r] if r < len(xs) else ""
-        rows.append(
-            [
-                r,
-                pick(census.pm_rank_counts),
-                pick(census.condensate_rank_counts),
-                pick(census.binary_rank_counts),
-            ]
-        )
     emit(payload, args, rows)
     return 0 if payload["checks"]["all_ok"] else 1
 

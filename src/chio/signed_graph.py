@@ -8,10 +8,9 @@ on the domain, edges only on the support, signs on the entries.
 
 A signed graph is *balanced* when every circuit carries an even number of
 negative edges, equivalently when it admits a vertex 2-colouring that is
-constant across negative edges and proper across positive ones.  Balance,
-colouring counts (0 or 2^beta0), the number of balanced signings
-(2^(f0-beta0)), the Betti data, the components, a spanning forest and
-the fundamental cycles of that forest all come from one iterative
+constant across negative edges and proper across positive ones.  Balance
+and such a colouring, the Betti data, the components, a spanning forest
+and the fundamental cycles of that forest all come from one iterative
 depth-first search in vertex label order (``_scan``, the only graph
 traversal of the library), so certificates are deterministic.  The
 fundamental cycles are edge bitmasks; a signing is balanced iff each of
@@ -309,13 +308,7 @@ def matrix_balance(matrix: PartialTernaryMatrix) -> tuple[bool, int, int]:
                     minus |= 1 << len(support)
                 support.append(pos)
         key = tuple(support)
-        cycles = _CYCLE_MEMO.get(key)
-        if cycles is None:
-            if len(_CYCLE_MEMO) >= _CYCLE_MEMO_CAP:
-                _CYCLE_MEMO.clear()
-            f0, beta0, masks = cycle_masks(matrix.dims, key, key)
-            cycles = _CYCLE_MEMO[key] = (f0 - beta0, masks)
-        rank, masks = cycles
+        rank, masks = _CYCLE_MEMO.get(key) or support_cycles(matrix.dims, key)
         f0 = len(rows) + len(cols)
         balanced = True
         for mask in masks:
@@ -325,6 +318,18 @@ def matrix_balance(matrix: PartialTernaryMatrix) -> tuple[bool, int, int]:
         summary = (balanced, f0, f0 - rank)
         object.__setattr__(matrix, "_balance", summary)
     return summary
+
+
+def support_cycles(dims: tuple[int, int], support: tuple[Index2, ...]) -> tuple[int, list[int]]:
+    """``(f0 - beta0, masks)`` of the graph of ``support`` alone
+    (:func:`cycle_masks`), through the memo :func:`matrix_balance` reads."""
+    cycles = _CYCLE_MEMO.get(support)
+    if cycles is None:
+        if len(_CYCLE_MEMO) >= _CYCLE_MEMO_CAP:
+            _CYCLE_MEMO.clear()
+        f0, beta0, masks = cycle_masks(dims, support, support)
+        cycles = _CYCLE_MEMO[support] = (f0 - beta0, masks)
+    return cycles
 
 
 def cycle_masks(
@@ -385,33 +390,11 @@ def balance_and_betti(
     return balanced, certificate, _betti_data(graph, beta0)
 
 
-def is_balanced(graph: SignedBipartiteGraph) -> tuple[bool, Coloring | None]:
-    """Decide balance; on success also return a greedy DFS colouring.
-
-    The certificate is constant across negative edges and proper across
-    positive ones; runtime is linear in f0 + f1.
-    """
-    balanced, colouring, _ = balance_and_betti(graph)
-    return balanced, colouring
-
-
-def count_colorings(graph: SignedBipartiteGraph) -> int:
-    """Number of (-)-constant (+)-proper 2-colourings: 0 or 2^beta0."""
-    balanced, _, data = balance_and_betti(graph)
-    return 2**data.beta0 if balanced else 0
-
-
 def spanning_forest(graph: SignedBipartiteGraph) -> list[Index2]:
     """Sorted edges of the spanning forest that the label-order DFS takes."""
     s = graph.dims[0]
     parent = _graph_scan(graph, use_signs=False)[4]
     return sorted((u, v - s) if u < s else (v, u - s) for v, u in parent.items())
-
-
-def count_balanced_signings(graph: SignedBipartiteGraph) -> int:
-    """Number of balanced sign functions on the edge set: 2^(f0 - beta0)."""
-    data = betti(graph)
-    return 2 ** (data.f0 - data.beta0)
 
 
 # --- isomorphism-type classification ---------------------------------------
@@ -523,24 +506,6 @@ def classify_isotype(graph: SignedBipartiteGraph) -> IsoType:
 
 
 # --- matrix circuits --------------------------------------------------------
-
-
-def is_matrix_circuit(positions: IndexSet) -> bool:
-    """True iff the all-ones matrix on these positions is a single circuit.
-
-    Raises:
-        ValueError: if the position count is odd.
-    """
-    members = positions.members
-    length = len(members)
-    if length % 2 != 0:
-        raise ValueError("a matrix circuit needs an even number of positions")
-    if length < 4 or not _all_degrees_two(members):
-        return False
-    # All degrees are 2, so the graph is a disjoint union of circuits;
-    # a single circuit is exactly the connected case.
-    matrix = PartialTernaryMatrix(positions.dims, {pos: 1 for pos in members})
-    return betti(build_graph(matrix)).beta0 == 1
 
 
 def _all_degrees_two(positions: Iterable[Index2]) -> bool:

@@ -6,7 +6,8 @@ The acceptance tests drive the same functions, so the command line and
 the test suite cannot drift apart.
 
 Suites: chio-identity (determinant identity and rank drop), measures
-(census preimages, recipe equivalence, averaging, worst-case ratio),
+(census preimages, read per support from the sparse census at n = 3, 4
+and, with ``big``, 5; recipe equivalence, averaging, worst-case ratio),
 failures (enumerated counts against closed forms), census (partition,
 determinism, k-wise agreement, singular counts), switching (orbits and
 rank invariance), relations (linear relations and density bounds).
@@ -16,16 +17,13 @@ from __future__ import annotations
 
 import random
 import time
-from fractions import Fraction
 from itertools import combinations, islice, product
 from math import comb
 
 from .matrix_core import IndexSet, IntMatrix, PartialTernaryMatrix, det_int
 from .measures import (
     Event,
-    fibre_cardinality,
     p_chio,
-    p_chio_abs,
     p_chio_averaged,
     p_chio_sign_patterns,
     p_lcf,
@@ -42,10 +40,8 @@ from .failure_enum import (
 )
 from .census_oracle import (
     CensusConfig,
-    condensate_code,
-    empirical_p_chio,
-    decode_condensate,
     kwise_agreement_check,
+    preimage_support_check,
     rank_census,
     run_census,
     singular_count,
@@ -155,23 +151,20 @@ def suite_chio_identity(big: bool = False, seed: int = 0, workers: int | None = 
 
 
 def census_measure_agreement(n: int, workers: int | None = None) -> dict:
-    """Every condensate preimage count equals the closed fibre formula."""
-    counts = empirical_p_chio(n, workers=workers)
-    mismatches = 0
-    nonpow = 0
-    for code in range(counts.size):
-        got = int(counts[code])
-        matrix = decode_condensate(code, n, n)
-        if got != fibre_cardinality(Event.on_full_grid(matrix)):
-            mismatches += 1
-        if got and got & (got - 1):
-            nonpow += 1
+    """Every condensate preimage count equals the closed fibre formula.
+
+    ``fibre_cardinality`` is called once per support, on its all-plus
+    event; which signings are balanced, and so counted, is decided by the
+    reader's own cycle-parity test (:func:`preimage_support_check`).
+    """
+    res = run_census(CensusConfig(dims=(n, n), worker_count=workers), aggregates=("cond_counts",))
+    report = preimage_support_check(n, res.cond_codes, res.cond_counts)
     return _check(
         f"census preimages == fibre formula n={n}",
-        mismatches == 0 and nonpow == 0 and int(counts.sum()) == 1 << (n * n),
-        condensates=counts.size,
-        mismatches=mismatches,
-        non_power_of_two=nonpow,
+        report["ok"],
+        condensates=report["condensates"],
+        mismatches=report["mismatches"],
+        non_power_of_two=report["non_power_of_two"],
     )
 
 
@@ -238,7 +231,7 @@ def averaging_checks(n: int = 3, workers: int | None = None) -> list[dict]:
     """Averaged measure equals lazy coin flip; |.|-measure is uniform.
 
     Formula-level over every domain, and census-level at n by comparing
-    summed preimage counts of all sign patterns on a support.
+    each support's summed preimage counts (:func:`preimage_support_check`).
     """
     positions = [(i, j) for i in range(1, n) for j in range(1, n)]
     mismatches = 0
@@ -257,34 +250,14 @@ def averaging_checks(n: int = 3, workers: int | None = None) -> list[dict]:
         mismatches=mismatches,
     )
 
-    counts = empirical_p_chio(n, workers=workers)
-    m = (n - 1) ** 2
-    total = 1 << (n * n)
-    avg_bad = 0
-    abs_bad = 0
-    for pattern_values in product((0, 1), repeat=m):
-        pattern = PartialTernaryMatrix(
-            (n, n), dict(zip(positions, pattern_values))
-        )
-        support = sorted(pattern.support)
-        acc = Fraction(0)
-        for signs in product((-1, 1), repeat=len(support)):
-            entries = dict(pattern.entries)
-            for pos, sg in zip(support, signs):
-                entries[pos] = sg
-            code = condensate_code(PartialTernaryMatrix((n, n), entries))
-            acc += Fraction(int(counts[code]), total)
-        averaged = acc / 2 ** len(support)
-        if averaged != p_lcf(Event(pattern)).as_fraction():
-            avg_bad += 1
-        if acc != p_chio_abs(pattern).as_fraction():
-            abs_bad += 1
+    res = run_census(CensusConfig(dims=(n, n), worker_count=workers), aggregates=("cond_counts",))
+    report = preimage_support_check(n, res.cond_codes, res.cond_counts)
     census_check = _check(
         f"averaging and sign-forgetting vs census counts, n={n}",
-        avg_bad == 0 and abs_bad == 0,
-        patterns=1 << m,
-        averaged_mismatches=avg_bad,
-        forgetting_mismatches=abs_bad,
+        report["averaged_mismatches"] == 0 and report["forgetting_mismatches"] == 0,
+        patterns=report["supports"],
+        averaged_mismatches=report["averaged_mismatches"],
+        forgetting_mismatches=report["forgetting_mismatches"],
     )
     return [formula_check, census_check]
 
@@ -351,6 +324,8 @@ def j_independence_check(n: int = 3) -> dict:
 
 def suite_measures(big: bool = False, workers: int | None = None) -> list[dict]:
     checks = [census_measure_agreement(3, workers), census_measure_agreement(4, workers)]
+    if big:
+        checks.append(census_measure_agreement(5, workers))
     checks.append(recipe_equivalence_scan(4, workers))
     if big:
         checks.append(recipe_equivalence_scan(5, workers))

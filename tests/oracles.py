@@ -8,6 +8,7 @@ with the library paths it checks.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, permutations, product
 
 
@@ -103,6 +104,32 @@ def brute_count_balanced_signings(edges: list[tuple[int, int]]) -> int:
         if brute_is_balanced(dict(zip(edges, signs))):
             count += 1
     return count
+
+
+def is_matrix_circuit(positions) -> bool:
+    """True iff the all-ones matrix on an index set's positions is a single
+    circuit: every row and column it meets holds two positions, and the
+    positions form one connected graph.
+
+    Raises:
+        ValueError: if the position count is odd.
+    """
+    members = set(positions.members)
+    if len(members) % 2:
+        raise ValueError("a matrix circuit needs an even number of positions")
+    degree = Counter(v for i, j in members for v in (("r", i), ("c", j)))
+    if len(members) < 4 or set(degree.values()) != {2}:
+        return False
+    start = next(iter(degree))
+    seen, frontier = {start}, [start]
+    while frontier:
+        v = frontier.pop()
+        for i, j in members:
+            for a, b in ((("r", i), ("c", j)), (("c", j), ("r", i))):
+                if v == a and b not in seen:
+                    seen.add(b)
+                    frontier.append(b)
+    return len(seen) == len(degree)
 
 
 # --- canonical forms of bipartite graphs --------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from chio.failure_enum import count_failures, failure_count_formula, realization_table
 from chio.measures import DyadicProb, Event, p_chio_averaged, p_lcf, p_chio_abs
 from chio.matrix_core import PartialTernaryMatrix
-from chio.census_oracle import condensate_code, empirical_p_chio, rank_census
+from chio.census_oracle import CensusConfig, condensate_code, rank_census, run_census
 from chio.verify import (
     averaging_checks,
     census_determinism,
@@ -182,7 +182,8 @@ def test_averaged_measure_full_domain_sweep_n4():
 @pytest.mark.slow
 def test_sign_forgetting_preimages_n4():
     """|.|-condensation preimage counts are uniform at n=4."""
-    counts = empirical_p_chio(4, workers=None)
+    res = run_census(CensusConfig(dims=(4, 4)), aggregates=("cond_counts",))
+    counts = dict(zip(res.cond_codes.tolist(), res.cond_counts.tolist()))
     positions = [(i, j) for i in range(1, 4) for j in range(1, 4)]
     from itertools import product
 
@@ -194,6 +195,6 @@ def test_sign_forgetting_preimages_n4():
             entries = dict(pattern)
             for pos, sign in zip(support, signs):
                 entries[pos] = sign
-            total += int(counts[condensate_code(PartialTernaryMatrix((4, 4), entries))])
+            total += counts.get(condensate_code(PartialTernaryMatrix((4, 4), entries)), 0)
         assert total == 1 << (16 - 9)
         assert p_chio_abs(PartialTernaryMatrix((4, 4), pattern)) == DyadicProb.pow_half(9)

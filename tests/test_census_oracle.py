@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chio.matrix_core import IntMatrix, PartialTernaryMatrix, rank_int
-from chio import census_oracle
+from chio import census_oracle, signed_graph
 from chio.measures import Event, fibre_cardinality
 from chio.census_oracle import (
     AGGREGATE_NAMES,
@@ -24,10 +24,11 @@ from chio.census_oracle import (
     batch_rank,
     binary_rank_counts,
     condensate_code,
+    _condensate_masks,
     decode_condensate,
-    empirical_p_chio,
     kwise_agreement_check,
     load_checkpoint,
+    preimage_support_check,
     rank_census,
     run_census,
     save_checkpoint,
@@ -137,27 +138,36 @@ class TestBatchRank:
         assert list(got) == [rank_int(IntMatrix(a.tolist())) for a in mats]
 
 
+def _cond_pair(n):
+    """The sparse ``(cond_codes, cond_counts)`` pair of the n x n census."""
+    res = run_census(CensusConfig(dims=(n, n), worker_count=1), aggregates=("cond_counts",))
+    return res.cond_codes, res.cond_counts
+
+
 class TestCondensateCounts:
     def test_n2_frozen_counts(self):
-        counts = empirical_p_chio(2, workers=1)
+        codes, counts = _cond_pair(2)
+        assert codes.tolist() == [0, 1, 2]
+        found = dict(zip(codes.tolist(), counts.tolist()))
         values = {
-            v: int(counts[condensate_code(PartialTernaryMatrix((2, 2), {(1, 1): v}))])
+            v: found[condensate_code(PartialTernaryMatrix((2, 2), {(1, 1): v}))]
             for v in (-1, 0, 1)
         }
         assert values == {-1: 4, 0: 8, 1: 4}
 
     def test_n3_counts_match_fibre_formula(self):
-        counts = empirical_p_chio(3, workers=1)
+        codes, counts = _cond_pair(3)
         assert int(counts.sum()) == 512
-        for code in range(counts.size):
+        found = dict(zip(codes.tolist(), counts.tolist()))
+        for code in range(3**4):
             matrix = decode_condensate(code, 3, 3)
-            assert int(counts[code]) == fibre_cardinality(Event.on_full_grid(matrix))
+            assert found.get(code, 0) == fibre_cardinality(Event.on_full_grid(matrix))
 
     def test_counts_are_zero_or_powers_of_two(self):
-        counts = empirical_p_chio(3, workers=1)
+        _, counts = _cond_pair(3)
         for value in counts:
             v = int(value)
-            assert v == 0 or (v & (v - 1)) == 0
+            assert v > 0 and (v & (v - 1)) == 0
 
     def test_code_roundtrip(self):
         matrix = PartialTernaryMatrix((4, 4), {
@@ -167,9 +177,118 @@ class TestCondensateCounts:
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            empirical_p_chio(6)
+            run_census(CensusConfig(dims=(6, 6)), aggregates=("cond_counts",))
         with pytest.raises(BudgetExceeded):
             CensusConfig(dims=(6, 6)).validate()
+
+
+def _dense_mismatches(n, codes, counts):
+    """Codes, among all 3^((n-1)^2), whose count is not the fibre formula's."""
+    found = dict(zip(codes.tolist(), counts.tolist()))
+    return sum(
+        found.get(code, 0) != fibre_cardinality(Event.on_full_grid(decode_condensate(code, n, n)))
+        for code in range(3 ** ((n - 1) ** 2))
+    )
+
+
+def _full_support_code(n, minus=()):
+    """The code of the condensate that is -1 at the entries ``minus``, +1 elsewhere."""
+    positions = [(i, j) for i in range(1, n) for j in range(1, n)]
+    entries = {p: -1 if p in minus else 1 for p in positions}
+    return condensate_code(PartialTernaryMatrix((n, n), entries))
+
+
+class TestPreimageSupportCheck:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_masks_match_scalar_decoder(self, n):
+        positions = [(i, j) for i in range(1, n) for j in range(1, n)]
+        codes = np.arange(3 ** len(positions), dtype=np.int64)
+        support, minus = _condensate_masks(codes, n)
+        for code in codes.tolist():
+            matrix = decode_condensate(code, n, n)
+            assert support[code] == sum(1 << b for b, p in enumerate(positions) if matrix[p])
+            assert minus[code] == sum(1 << b for b, p in enumerate(positions) if matrix[p] < 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_census_passes(self, n):
+        report = preimage_support_check(n, *_cond_pair(n))
+        assert report["ok"] and report["total"] == 1 << (n * n)
+        assert report["supports"] == 1 << (n - 1) ** 2
+        assert report["condensates"] == 3 ** ((n - 1) ** 2)
+        assert report["mismatches"] == report["missing_supports"] == 0
+        assert report["averaged_mismatches"] == report["forgetting_mismatches"] == 0
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_doubled_count(self, n):
+        codes, counts = _cond_pair(n)
+        counts = counts.copy()
+        counts[codes.size // 2] *= 2
+        report = preimage_support_check(n, codes, counts)
+        assert not report["ok"] and report["non_power_of_two"] == 0
+        assert report["mismatches"] == 1 == _dense_mismatches(n, codes, counts)
+        assert report["averaged_mismatches"] == report["forgetting_mismatches"] == 1
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_balanced_code_swapped_for_unbalanced(self, n):
+        # All-plus is balanced; one -1 on the full grid closes an odd 4-cycle.
+        codes, counts = _cond_pair(n)
+        balanced, unbalanced = _full_support_code(n), _full_support_code(n, {(1, 1)})
+        assert balanced in codes and unbalanced not in codes
+        codes = np.where(codes == balanced, unbalanced, codes)
+        order = codes.argsort()
+        codes, counts = codes[order], counts[order]
+        report = preimage_support_check(n, codes, counts)
+        assert not report["ok"]
+        assert report["mismatches"] == 2 == _dense_mismatches(n, codes, counts)
+        # The support's total is unchanged, so the averaging identity holds.
+        assert report["averaged_mismatches"] == report["forgetting_mismatches"] == 0
+        assert report["missing_supports"] == 0 and report["total"] == 1 << (n * n)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_support_dropped(self, n):
+        codes, counts = _cond_pair(n)
+        support, _ = _condensate_masks(codes, n)
+        keep = support != support[codes.size // 3]
+        codes, counts = codes[keep], counts[keep]
+        report = preimage_support_check(n, codes, counts)
+        assert not report["ok"] and report["missing_supports"] == 1
+        assert report["mismatches"] == (~keep).sum() == _dense_mismatches(n, codes, counts)
+        assert report["averaged_mismatches"] == report["forgetting_mismatches"] == 1
+        assert report["total"] < 1 << (n * n)
+
+    def test_total_off(self):
+        codes, counts = _cond_pair(3)
+        counts = counts.copy()
+        counts[-1] += 1
+        report = preimage_support_check(3, codes, counts)
+        assert not report["ok"] and report["total"] == 513
+        assert report["non_power_of_two"] == 1
+        assert report["mismatches"] == 1 == _dense_mismatches(3, codes, counts)
+
+    def test_refuses_malformed_pairs(self):
+        codes, counts = _cond_pair(3)
+        for bad_codes, bad_counts in (
+            (codes[::-1], counts[::-1]),
+            (np.concatenate((codes, [3**4])), np.concatenate((counts, [1]))),
+            (codes, counts[:-1]),
+        ):
+            with pytest.raises(ValueError):
+                preimage_support_check(3, bad_codes, bad_counts)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_one_graph_scan_per_support(self, monkeypatch, n):
+        pair = _cond_pair(n)
+        scans = []
+        scan = signed_graph._scan
+        monkeypatch.setattr(signed_graph, "_scan", lambda *a: scans.append(a) or scan(*a))
+        monkeypatch.setattr(signed_graph, "_CYCLE_MEMO", {})
+        assert preimage_support_check(n, *pair)["ok"]
+        assert len(scans) == 1 << (n - 1) ** 2
+
+    def test_does_not_need_bitwise_count(self, monkeypatch):
+        # numpy >= 1.24 is supported; np.bitwise_count only came in 2.0.
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        assert preimage_support_check(3, *_cond_pair(3))["ok"]
 
 
 class TestRankCensus:
@@ -490,7 +609,9 @@ class TestDirectEnumeration:
         assert (np.diff(res.cond_codes) > 0).all()
         assert list(res.cond_codes) == list(np.flatnonzero(ref["dense"]))
         assert list(res.cond_counts) == list(ref["dense"][res.cond_codes])
-        assert empirical_p_chio(4, workers=1).tolist() == ref["dense"].tolist()
+        dense = np.zeros(3**9, dtype=np.int64)
+        dense[res.cond_codes] = res.cond_counts
+        assert dense.tolist() == ref["dense"].tolist()
 
     @pytest.mark.parametrize("merge_slice", [1, 5, 64])
     def test_merge_cuts_keep_counts(self, monkeypatch, merge_slice):

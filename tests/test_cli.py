@@ -178,6 +178,30 @@ class TestExitCodes:
         code, _, err = run(capsys, "pchio", "--matrix", "[[5]]")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("matrix", ["[1,2]", "[[1,2],[1,1]]", "[[1,-1],[1", '{"rows": 1}'])
+    def test_malformed_sign_matrix(self, capsys, matrix):
+        code, out, err = run(capsys, "condense", "--matrix", matrix)
+        assert code == 2 and out == "" and "error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pchio", "--matrix", "+", "--n", "0"),
+            ("census", "--s", "3", "--t", "0", "--n", "3"),
+            ("census", "--n", "0"),
+            ("ranks", "--s", "0", "--n", "3"),
+            ("ranks", "--s", "3", "--t", "0"),
+        ],
+    )
+    def test_zero_size_is_refused(self, capsys, argv):
+        # A size of 0 is a size, not a missing flag: it must reach validation.
+        code, out, err = run(capsys, *argv, "--workers", "1")
+        assert code == 2 and out == "" and ">= 2" in err
+
+    def test_dims_need_both_sizes(self, capsys):
+        code, out, err = run(capsys, "ranks", "--s", "3", "--workers", "1")
+        assert code == 2 and out == "" and "--n or both --s and --t" in err
+
     def test_census_budget_needs_big(self, capsys):
         code, _, err = run(capsys, "census", "--n", "5")
         assert code == 2 and "--big" in err

@@ -18,12 +18,9 @@ from chio.signed_graph import (
     build_graph,
     circuit_count_formula,
     classify_isotype,
-    count_balanced_signings,
-    count_colorings,
+    balance_and_betti,
     cycle_masks,
     enumerate_circuits,
-    is_balanced,
-    is_matrix_circuit,
     matrix_balance,
 )
 
@@ -32,9 +29,28 @@ from oracles import (
     brute_count_colorings,
     brute_is_balanced,
     canonical_form,
+    is_matrix_circuit,
 )
 
 C4 = {(1, 1), (1, 2), (2, 1), (2, 2)}
+
+
+def is_balanced(graph):
+    """Balance and the DFS colouring certificate, or None when unbalanced."""
+    balanced, colouring, _ = balance_and_betti(graph)
+    return balanced, colouring
+
+
+def count_colorings(graph):
+    """(-)-constant (+)-proper 2-colourings by the formula: 0 or 2^beta0."""
+    balanced, _, data = balance_and_betti(graph)
+    return 2**data.beta0 if balanced else 0
+
+
+def count_balanced_signings(graph):
+    """Balanced signings of the edge set by the formula: 2^(f0 - beta0)."""
+    data = betti(graph)
+    return 2 ** (data.f0 - data.beta0)
 
 
 def graph_of(rows, cols, sign, dims=(5, 5)):

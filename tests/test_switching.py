@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chio.matrix_core import PartialTernaryMatrix
-from chio.signed_graph import SignedBipartiteGraph, betti, build_graph, is_balanced
+from chio.signed_graph import SignedBipartiteGraph, balance_and_betti, betti, build_graph
 from chio.switching import (
     SwitchElement,
     all_switches,
@@ -86,20 +86,20 @@ class TestAction:
         for values in product((-1, 0, 1), repeat=4):
             matrix = PartialTernaryMatrix((3, 3), dict(zip(cells, values)))
             graph = build_graph(matrix)
-            balanced_before = is_balanced(graph)[0] if graph.edges else True
+            balanced_before = balance_and_betti(graph)[0] if graph.edges else True
             for g in all_switches(3, 3):
                 switched = build_graph(switch_matrix(matrix, g))
                 assert switched.edges == graph.edges
                 if graph.edges:
                     assert switched.sign == switch_signing(graph, g).sign
-                    assert is_balanced(switched)[0] == balanced_before
+                    assert balance_and_betti(switched)[0] == balanced_before
 
     def test_balance_is_switching_invariant(self):
         for signs in product((-1, 1), repeat=4):
             graph = circuit_graph(dict(zip(sorted(C4), signs)))
-            before = is_balanced(graph)[0]
+            before = balance_and_betti(graph)[0]
             for g in all_switches(4, 4):
-                assert is_balanced(switch_signing(graph, g))[0] == before
+                assert balance_and_betti(switch_signing(graph, g))[0] == before
 
 
 class TestOrbits:
@@ -148,7 +148,7 @@ class TestBalancedExtension:
         tree = {(1, 1): -1, (1, 2): -1, (2, 1): -1}
         extended = balanced_extension(graph, tree)
         assert extended.sign[(2, 2)] == -1
-        assert is_balanced(extended)[0]
+        assert balance_and_betti(extended)[0]
 
     def test_all_tree_signings_of_k23_extend(self):
         k23 = {(i, j) for i in (1, 2) for j in (1, 2, 3)}
@@ -162,7 +162,7 @@ class TestBalancedExtension:
         seen = set()
         for signs in product((-1, 1), repeat=4):
             extended = balanced_extension(graph, dict(zip(tree, signs)))
-            assert is_balanced(extended)[0]
+            assert balance_and_betti(extended)[0]
             seen.add(signing_tuple(extended))
         assert len(seen) == 16  # bijection with balanced signings
 
