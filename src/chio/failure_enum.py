@@ -17,23 +17,28 @@ The enumerator is honest: it lists the index sets that hold a circuit,
 in lexicographic order, and value assignments in base-3 order, decides
 balance per assignment from circuit sign parities, and classifies
 isomorphism types through the graph module.  An index set without a
-circuit has no failure, so only circuit-bearing sets are generated
-(:func:`_circuit_sets`): every 4-circuit joined with every choice of the
-other positions and, at k = 6, every 6-circuit alone.  Whatever depends
-only on a set's shape, its rows and columns relabelled by rank, is
-worked out once per shape: one table of the failing supports, each with
-its circuit masks, isotype, value exponent and beta1
-(:func:`_failing_supports`).  The record stream looks up each
-assignment's support in that table; the counter walks the table, testing
-every signing of every failing support for balance, once per distinct
-circuit pattern.  That is exact because the relabelling is monotone, so
-every slot keeps its position and every circuit its mask, and it is a
-graph isomorphism, so isotype, f0, beta0 and beta1 do not change.
-The tables share one memo of support graphs, keyed by the support's own
-shape and the set's rows and columns: graphs with one key are isomorphic,
-so each is classified once.  Nothing is cached across calls; the counter
-cuts the generated sets into one contiguous range per worker and builds
-each shape's table, and the graph memo, once per range.  A record
+circuit has no failure, so only circuit-bearing sets are generated.
+Whatever depends only on a set's shape, its rows and columns relabelled
+by rank (:func:`_shape`), is worked out once per shape: one table of the
+failing supports, each with its circuit masks, isotype, value exponent
+and beta1 (:func:`_failing_supports`).  That is exact because the
+relabelling is monotone, so every slot keeps its position and every
+circuit its mask, and it is a graph isomorphism, so isotype, f0, beta0
+and beta1 do not change.  The shapes do not depend on n: a
+circuit-bearing k-set uses at most k - 2 rows and k - 2 columns, so
+they are the shapes of the circuit-bearing k-subsets of the
+(k-2) x (k-2) grid (:func:`_shapes`; 1, 21 and 380 of them for
+k = 4, 5, 6), and a shape on r rows and c columns is the shape of
+exactly C(n-1, r) C(n-1, c) index sets, one per choice of rows and
+columns.  The counter walks each shape's table, testing every signing of
+every failing support for balance, once per distinct circuit pattern,
+and weights it by that number; the record stream embeds each shape at
+every choice of rows and columns (:func:`_circuit_sets`) and looks up
+each assignment's support in the shape's table.  The tables share one
+memo of support graphs, keyed by the support's own shape and the set's
+rows and columns: graphs with one key are isomorphic, so each is
+classified once.  Only the list of shapes is cached across calls; the
+tables and the graph memo are rebuilt by every call.  A record
 keeps its positions and values and builds its matrix only when read; the
 stream allocates each record and fills its slots directly
 (:func:`_record`), skipping the per-field ``object.__setattr__`` of the
@@ -48,6 +53,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import comb
 from typing import Iterator
@@ -59,7 +65,6 @@ from .signed_graph import (
     NONFOREST_TAGS,
     SignedBipartiteGraph,
     circuit_count_formula,
-    enumerate_circuits,
     four_circuits,
     is_six_circuit,
     isotype_and_betti,
@@ -226,24 +231,50 @@ def _check_range(k: int, n: int) -> None:
         raise ValueError("n must be at least 2")
 
 
-def _circuit_sets(k: int, n: int) -> list[tuple[Index2, ...]]:
-    """Every sorted k-subset of the grid that holds a circuit, in lexicographic order.
+@cache
+def _shapes(k: int) -> tuple[tuple[Index2, ...], ...]:
+    """The shapes of the circuit-bearing k-sets, sorted; they do not depend on n.
 
-    With at most six positions every circuit has length four or six, so
-    such a set is a 4-circuit joined with k - 4 other positions or, at
-    k = 6, a 6-circuit alone.  A set holding several 4-circuits is
-    generated once for each; the set of results drops the repeats.
+    A circuit-bearing k-set is a 4-circuit, on two rows and two columns,
+    joined with k - 4 other positions or, at k = 6, a 6-circuit on three
+    rows and three columns, so it uses at most k - 2 rows and k - 2
+    columns: its shape is the shape of a k-subset of the (k-2) x (k-2)
+    grid.
     """
-    found: set[tuple[Index2, ...]] = set()
-    if k >= 4:
-        grid = grid_positions(n)
-        for circuit in enumerate_circuits(4, n, n):
-            others = [pos for pos in grid if pos not in circuit.members]
-            for rest in combinations(others, k - 4):
-                found.add(tuple(sorted(circuit.members.union(rest))))
-    if k == 6:
-        found.update(tuple(sorted(c.members)) for c in enumerate_circuits(6, n, n))
-    return sorted(found)
+    grid = grid_positions(k - 1)
+    return tuple(sorted({
+        _shape(chosen)
+        for chosen in combinations(grid, k)
+        if four_circuits(chosen) or is_six_circuit(chosen)
+    }))
+
+
+def _extent(shape: tuple[Index2, ...]) -> tuple[int, int]:
+    """(rows, columns) of a shape: its largest row and column labels."""
+    return max(i for i, _ in shape), max(j for _, j in shape)
+
+
+def _circuit_sets(k: int, n: int) -> list[tuple[tuple[Index2, ...], tuple[Index2, ...]]]:
+    """(set, shape) for every sorted k-subset of the grid that holds a circuit.
+
+    Each shape on r rows and c columns is embedded at every r-set R of
+    rows and c-set C of columns, (i, j) going to (R[i-1], C[j-1]).  A set
+    determines its rows, its columns and its shape, so every set comes
+    out exactly once; the embedding is monotone, so it comes out sorted.
+    The pairs are sorted by set, in lexicographic order, and the sets
+    share one position tuple per grid cell.
+    """
+    cells = [[(i, j) for j in range(n)] for i in range(n)]
+    pairs = []
+    labels = range(1, n)
+    for shape in _shapes(k):
+        r, c = _extent(shape)
+        for rows in combinations(labels, r):
+            for cols in combinations(labels, c):
+                chosen = tuple([cells[rows[i - 1]][cols[j - 1]] for i, j in shape])
+                pairs.append((chosen, shape))
+    pairs.sort()
+    return pairs
 
 
 def _failing_supports(
@@ -324,8 +355,7 @@ def enumerate_failures(k: int, n: int) -> Iterator[FailureRecord]:
     dims = (n, n)
     memo: dict[tuple[Index2, ...], list[tuple]] = {}
     graphs: dict = {}
-    for chosen in _circuit_sets(k, n):
-        shape = _shape(chosen)
+    for chosen, shape in _circuit_sets(k, n):
         failing = memo.get(shape)
         if failing is None:
             failing = memo[shape] = _failing_assignments(n, shape, graphs)
@@ -348,20 +378,36 @@ def _balanced_signings(support_mask: int, circuits: tuple[int, ...]) -> int:
         minus_mask = (minus_mask - 1) & support_mask
 
 
-def _count_range(
-    args: tuple[int, list[tuple[Index2, ...]]]
-) -> tuple[Counter, Counter, Counter]:
-    """Counting worker over a range of circuit-bearing sets: (by ratio, value, isotype).
+def count_failures(k: int, n: int, workers: int | None = None) -> CountReport:
+    """Count failures by exhaustive enumeration, aggregated per class.
 
-    The range's sets are tallied by shape, and each shape's failing
-    supports are then worked out once and weighted by its tally.
+    Each shape of the circuit-bearing k-sets (:func:`_shapes`) gets its
+    table of failing supports (:func:`_failing_supports`), and its
+    tallies are weighted by the number of index sets of that shape,
+    C(n-1, r) C(n-1, c) for r rows and c columns: that is exact because
+    the rank relabelling is an isomorphism that keeps the slot order, so
+    every set of a shape has the same circuit masks and the same isotype
+    and Betti data on every support.  Per shape, every signing of every
+    failing support is still decided from circuit parities, each distinct
+    circuit pattern (a support with its circuit masks) walked once per
+    call.  The tables and the graph memo are rebuilt by every call.
+
+    ``workers`` is validated, as everywhere, but starts no pool: the work
+    per shape does not grow with n, and the whole count runs inline.
+
+    Raises:
+        ValueError: for k outside 0..6, n < 2 or a worker count below 1.
     """
-    n, index_sets = args
-    shapes = Counter(map(_shape, index_sets))
+    _check_range(k, n)
+    parallel.resolve_workers(workers)
     by_ratio, by_value, by_isotype = Counter(), Counter(), Counter()
     walks: dict[tuple[int, tuple[int, ...]], int] = {}
     graphs: dict = {}
-    for shape, sets in shapes.items():
+    for shape in _shapes(k):
+        r, c = _extent(shape)
+        sets = comb(n - 1, r) * comb(n - 1, c)
+        if not sets:
+            continue
         table = _failing_supports(n, shape, graphs)
         for support_mask, (circuits, isotype, exponent, beta1) in table.items():
             pattern = (support_mask, circuits)
@@ -375,40 +421,6 @@ def _count_range(
             by_value[DyadicProb.pow_half(exponent)] += balanced
             by_value[DyadicProb.zero()] += total - balanced
             by_isotype[isotype] += total
-    return by_ratio, by_value, by_isotype
-
-
-def count_failures(k: int, n: int, workers: int | None = None) -> CountReport:
-    """Count failures by exhaustive enumeration, aggregated per class.
-
-    Only the index sets that hold a circuit are generated
-    (:func:`_circuit_sets`); they are tallied by shape (:func:`_shape`),
-    and each shape's table of failing supports (:func:`_failing_supports`)
-    is built once per range and weighted by its tally: that is exact
-    because the rank relabelling is an isomorphism that keeps the slot
-    order, so every set of a shape has the same circuit masks and the same
-    isotype and Betti data on every support.  Per shape, every signing of
-    every failing support is still decided from circuit parities, each
-    distinct circuit pattern (a support with its circuit masks) walked
-    once per range.  The sorted sets are cut into one contiguous range per
-    worker, merged in range order, so the result does not depend on the
-    worker count.  With no circuit-bearing set, the one empty range runs
-    inline and no pool is started.
-
-    Raises:
-        ValueError: for k outside 0..6, n < 2 or a worker count below 1.
-    """
-    _check_range(k, n)
-    workers = parallel.resolve_workers(workers)
-    sets = _circuit_sets(k, n)
-    n_ranges = min(len(sets), workers) or 1
-    ranges = [
-        (n, sets[len(sets) * r // n_ranges : len(sets) * (r + 1) // n_ranges])
-        for r in range(n_ranges)
-    ]
-    parts = parallel.run_tasks(_count_range, ranges, workers)
-    # Counter addition keeps positive counts only: empty classes drop out.
-    by_ratio, by_value, by_isotype = (sum(column, Counter()) for column in zip(*parts))
     report = CountReport(
         k=k,
         n=n,

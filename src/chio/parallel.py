@@ -1,4 +1,4 @@
-"""Worker-pool plumbing shared by the census and the failure counters.
+"""Worker-pool plumbing shared by the census and the verify sweeps.
 
 Work is always split into task descriptions evaluated by a top-level
 function, and partial results are merged in task order, so aggregates

@@ -22,18 +22,21 @@ Isomorphism types of the bipartite nonforests with at most six edges are
 classified into a fixed catalogue ``t1 .. t20`` via per-component degree
 fingerprints; anything cyclic outside the catalogue reports ``other``.
 
-The matrix-circuit searches at the end use no traversal; the recipe and
-the failure enumerator share them.
+The matrix-circuit searches at the end, ``four_circuits`` and
+``is_six_circuit``, use no traversal and are the library's only circuit
+search: the recipe and the failure enumerator share them.
+``circuit_count_formula`` gives the size of each circuit family in
+closed form.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from itertools import combinations
+from typing import Collection, Iterable, Mapping, Sequence
 
-from .matrix_core import Index2, IndexSet, PartialTernaryMatrix
+from .matrix_core import Index2, PartialTernaryMatrix
 
 # A vertex is ("r", i) for the label (i, t) or ("c", j) for the label (s, j).
 Vertex = tuple[str, int]
@@ -543,37 +546,6 @@ def four_circuits(positions: Iterable[Index2]) -> list[frozenset[Index2]]:
         for r1, r2 in combinations(sorted(by_row), 2)
         for c1, c2 in combinations(sorted(by_row[r1] & by_row[r2]), 2)
     ]
-
-
-def enumerate_circuits(length: int, s: int, t: int) -> Iterator[IndexSet]:
-    """Yield every matrix circuit of the given length inside [s-1] x [t-1].
-
-    Circuits alternate between a j-subset of rows and a j-subset of columns
-    (j = length/2); each is produced exactly once.
-
-    Raises:
-        ValueError: unless ``length`` is even and at least 4.
-    """
-    if length % 2 != 0 or length < 4:
-        raise ValueError("circuit length must be an even number >= 4")
-    j = length // 2
-    rows = range(1, s)
-    cols = range(1, t)
-    for row_set in combinations(rows, j):
-        r0, rest = row_set[0], row_set[1:]
-        for col_set in combinations(cols, j):
-            seen: set[frozenset[Index2]] = set()
-            for row_order_tail in permutations(rest):
-                row_order = (r0,) + row_order_tail
-                for col_order in permutations(col_set):
-                    edges = set()
-                    for m in range(j):
-                        edges.add((row_order[m], col_order[m]))
-                        edges.add((row_order[(m + 1) % j], col_order[m]))
-                    key = frozenset(edges)
-                    if key not in seen:
-                        seen.add(key)
-                        yield IndexSet((s, t), key)
 
 
 def circuit_count_formula(length: int, s: int, t: int) -> int:

@@ -1,9 +1,10 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here recomputes quantities from first principles (cofactor
-determinants, exhaustive colouring and signing sweeps, min-over-permutation
-canonical forms, literal preimage counting) and deliberately shares no code
-with the library paths it checks.
+determinants, exhaustive colouring and signing sweeps, matrix circuits
+listed by row and column orderings, min-over-permutation canonical forms,
+literal preimage counting) and deliberately shares no code with the
+library paths it checks.
 """
 
 from __future__ import annotations
@@ -130,6 +131,36 @@ def is_matrix_circuit(positions) -> bool:
                     seen.add(b)
                     frontier.append(b)
     return len(seen) == len(degree)
+
+
+def enumerate_circuits(length: int, s: int, t: int):
+    """Yield every matrix circuit of the given length inside [s-1] x [t-1],
+    as a frozenset of positions.
+
+    Circuits alternate between a j-subset of rows and a j-subset of columns
+    (j = length/2); each is produced exactly once.
+
+    Raises:
+        ValueError: unless ``length`` is even and at least 4.
+    """
+    if length % 2 != 0 or length < 4:
+        raise ValueError("circuit length must be an even number >= 4")
+    j = length // 2
+    for row_set in combinations(range(1, s), j):
+        r0, rest = row_set[0], row_set[1:]
+        for col_set in combinations(range(1, t), j):
+            seen: set[frozenset] = set()
+            for row_order_tail in permutations(rest):
+                row_order = (r0,) + row_order_tail
+                for col_order in permutations(col_set):
+                    edges = set()
+                    for m in range(j):
+                        edges.add((row_order[m], col_order[m]))
+                        edges.add((row_order[(m + 1) % j], col_order[m]))
+                    key = frozenset(edges)
+                    if key not in seen:
+                        seen.add(key)
+                        yield key
 
 
 # --- canonical forms of bipartite graphs --------------------------------------

@@ -4,9 +4,11 @@ import hashlib
 import json
 import multiprocessing
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -28,6 +30,7 @@ from chio.failure_enum import (
     _failing_supports,
     _record,
     _shape,
+    _shapes,
     check_linear_relations,
     count_failures,
     enumerate_failures,
@@ -41,6 +44,7 @@ from chio.failure_enum import (
     total_event_count,
     xi,
 )
+from oracles import enumerate_circuits
 
 
 def aggregate(records):
@@ -124,6 +128,25 @@ class TestEnumeration:
         assert report.by_isotype == by_isotype
 
 
+def circuit_listing(k, n):
+    """The circuit-bearing k-subsets of the grid, from the oracle's circuits.
+
+    Every such set is a 4-circuit joined with k - 4 other positions or, at
+    k = 6, a 6-circuit alone; a set holding several 4-circuits comes out
+    once for each, and the set drops the repeats.
+    """
+    found = set()
+    if k >= 4:
+        grid = grid_positions(n)
+        for circuit in enumerate_circuits(4, n, n):
+            others = [pos for pos in grid if pos not in circuit]
+            for rest in combinations(others, k - 4):
+                found.add(tuple(sorted(circuit.union(rest))))
+    if k == 6:
+        found.update(tuple(sorted(c)) for c in enumerate_circuits(6, n, n))
+    return found
+
+
 class TestShapes:
     @pytest.mark.parametrize(
         "k, n", [(k, n) for n in (2, 3, 4, 5) for k in range(7)] + [(5, 6)]
@@ -136,7 +159,30 @@ class TestShapes:
             for chosen in combinations(grid_positions(n), k)
             if four_circuits(chosen) or is_six_circuit(chosen)
         ]
-        assert _circuit_sets(k, n) == listed
+        assert [chosen for chosen, _ in _circuit_sets(k, n)] == listed
+        assert set(listed) == circuit_listing(k, n)
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_shape_counts(self, k):
+        assert len(_shapes(k)) == (0, 0, 0, 0, 1, 21, 380)[k]
+
+    @pytest.mark.parametrize("k, n", [(k, n) for n in range(2, 8) for k in range(7)])
+    def test_shape_weights_count_the_listed_sets(self, k, n):
+        # A shape on r rows and c columns is the shape of one listed set
+        # per choice of r rows and c columns.
+        weights = {}
+        for shape in _shapes(k):
+            r = max(i for i, _ in shape)
+            c = max(j for _, j in shape)
+            if comb(n - 1, r) * comb(n - 1, c):
+                weights[shape] = comb(n - 1, r) * comb(n - 1, c)
+        assert Counter(map(_shape, circuit_listing(k, n))) == weights
+
+    @pytest.mark.parametrize("k, n", [(4, 5), (5, 5), (6, 4), (6, 6)])
+    def test_circuit_sets_carry_their_shapes(self, k, n):
+        pairs = _circuit_sets(k, n)
+        assert all(shape == _shape(chosen) for chosen, shape in pairs)
+        assert len({chosen for chosen, _ in pairs}) == len(pairs)
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_shape_keeps_circuits_and_support_metrics(self, n):
@@ -169,7 +215,7 @@ class TestShapes:
         # it; each entry against the support's own graph, classified afresh.
         graphs: dict = {}
         lookups = 0
-        for shape in sorted(set(map(_shape, _circuit_sets(k, n)))):
+        for shape in _shapes(k):
             table = _failing_supports(n, shape, graphs)
             assert table.keys() == _failing_supports(n, shape, {}).keys()
             rows = frozenset(i for i, _ in shape)
@@ -421,21 +467,25 @@ class TestReports:
         assert csv_map["t4"] == 384 and csv_map["t12"] == 384
 
     @pytest.mark.parametrize(
-        "k, n", [(k, 5) for k in range(4)] + [(5, 3), (6, 3), (6, 2), (4, 2)]
+        "k, n",
+        [(k, 5) for k in range(4)] + [(5, 3), (6, 3), (6, 2), (4, 2), (5, 6), (6, 6)],
     )
     def test_empty_counts_start_no_pool(self, k, n, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
+        # The counter runs inline at every size, (5, 6) and (6, 6) included.
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         for workers in (1, 2):
             report = count_failures(k, n, workers=workers)
-            assert report.failure_count == 0
-            assert (report.by_ratio, report.by_value, report.by_isotype) == ({}, {}, {})
-            if k >= 4:
-                form = failure_count_formula(k, n)
-                assert report.to_json_dict() == form.to_json_dict()
-                assert report.to_csv_row() == form.to_csv_row()
+            classes = (report.by_ratio, report.by_value, report.by_isotype)
+            if k < 4:
+                assert report.failure_count == 0 and classes == ({}, {}, {})
+                continue
+            form = failure_count_formula(k, n)
+            assert classes == (form.by_ratio, form.by_value, form.by_isotype)
+            assert report.to_json_dict() == form.to_json_dict()
+            assert report.to_csv_row() == form.to_csv_row()
 
     def test_worker_determinism(self):
         # Each worker's range of index sets builds its own shape tables.
