@@ -19,11 +19,13 @@ pair counts, rank-drop violations) are merged per chunk in a fixed
 order, so results are bit-identical for any worker count and chunk
 size.  Condensate counts are sparse: the sorted codes of the condensates
 seen, with their counts.  Partial aggregates may be flushed to a
-versioned binary checkpoint that records the filters and the aggregates
-it holds, so a run resumes only into the census that wrote it.  One
-table (``_ENTRIES``) names the aggregates and gives each checkpoint
-entry its kind and shape; the result's empty state, its JSON form and
-the checkpoint's writer and reader all follow it.
+checkpoint, an uncompressed NumPy ``.npz`` archive with a versioned
+header that records the dimensions, chunk size and filters, so a run
+resumes only into the census that wrote it; ``numpy.load`` reads it
+without resuming.  One table (``_ENTRIES``) names the aggregates and
+gives each entry its shape (``()`` for a scalar); the result's empty
+state, its JSON form and the checkpoint's writer and reader all follow
+it.
 
 The {0,1} and {-1,0,+1} rank histograms, which the rank identities
 compare against the census, come from one brute-force loop over all
@@ -36,11 +38,10 @@ sparse condensate counts one support at a time; only
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, prod
+from math import comb
 
 import numpy as np
 
@@ -48,24 +49,22 @@ from .matrix_core import Index2, PartialTernaryMatrix
 from . import parallel
 
 BUDGET_LOG2 = 25
-CHECKPOINT_MAGIC = b"CHIOCENS\0"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
-# Checkpoint entries in file order: name -> (aggregate it belongs to, kind,
-# shape for (s, t)).  Kind 0 is a u64 scalar, 1 a u64 vector and 2 a u64
-# matrix; a shape of None is any length.  ``cond_codes`` is the code half
-# of the sparse ``cond_counts`` aggregate.
+# Result entries: name -> (aggregate it belongs to, shape for (s, t)).  A
+# shape of () is a scalar and None a vector of any length.  ``cond_codes``
+# is the code half of the sparse ``cond_counts`` aggregate.
 _ENTRIES = {
-    "visited": (None, 0, lambda s, t: ()),
-    "rank_pm": ("rank_pm", 1, lambda s, t: (min(s, t) + 1,)),
-    "rank_cond": ("rank_cond", 1, lambda s, t: (min(s - 1, t - 1) + 1,)),
-    "cond_codes": ("cond_counts", 1, lambda s, t: None),
-    "cond_counts": ("cond_counts", 1, lambda s, t: None),
-    "edge_pairs": ("edge_pairs", 2, lambda s, t: ((s - 1) * (t - 1),) * 2),
-    "rank_drop_violations": ("rank_drop_violations", 0, lambda s, t: ()),
+    "visited": (None, lambda s, t: ()),
+    "rank_pm": ("rank_pm", lambda s, t: (min(s, t) + 1,)),
+    "rank_cond": ("rank_cond", lambda s, t: (min(s - 1, t - 1) + 1,)),
+    "cond_codes": ("cond_counts", lambda s, t: None),
+    "cond_counts": ("cond_counts", lambda s, t: None),
+    "edge_pairs": ("edge_pairs", lambda s, t: ((s - 1) * (t - 1),) * 2),
+    "rank_drop_violations": ("rank_drop_violations", lambda s, t: ()),
 }
 
-AGGREGATE_NAMES = tuple(dict.fromkeys(agg for agg, _, _ in _ENTRIES.values() if agg))
+AGGREGATE_NAMES = tuple(dict.fromkeys(agg for agg, _ in _ENTRIES.values() if agg))
 
 
 class BudgetExceeded(Exception):
@@ -404,10 +403,10 @@ class CensusResult:
     def empty(cls, dims: tuple[int, int], aggregates: tuple[str, ...]) -> CensusResult:
         """A result holding zero for each named aggregate."""
         result = cls(dims=dims)
-        for name, (aggregate, kind, shape) in _ENTRIES.items():
+        for name, (aggregate, shape) in _ENTRIES.items():
             if aggregate in aggregates:
-                zero = 0 if kind == 0 else np.zeros(shape(*dims) or 0, dtype=np.int64)
-                setattr(result, name, zero)
+                want = shape(*dims)
+                setattr(result, name, 0 if want == () else np.zeros(want or 0, dtype=np.int64))
         return result
 
     def aggregate_names(self) -> tuple[str, ...]:
@@ -468,139 +467,108 @@ class CensusResult:
     def to_json_dict(self) -> dict:
         """``dims``, ``visited`` and every held aggregate but the condensate counts."""
         data: dict = {"dims": list(self.dims)}
-        for name, (aggregate, kind, _) in _ENTRIES.items():
+        for name, (aggregate, shape) in _ENTRIES.items():
             value = getattr(self, name)
             if aggregate != "cond_counts" and value is not None:
-                data[name] = value if kind == 0 else value.tolist()
+                data[name] = value if shape(*self.dims) == () else value.tolist()
         return data
 
 
 # --- checkpointing -----------------------------------------------------------
-#
-# Layout (little-endian): magic; u32 version, s, t; u64 chunk size, next
-# chunk, fixed-bit mask, fixed-bit value; u32 entry count; entries.  An
-# entry is u32 length + name, then kind 0 (u64 scalar), 1 (u64 length +
-# u64 values) or 2 (u32 rows, u32 cols + u64 values, row-major).  The
-# entries are those of _ENTRIES that the result holds, in its order.
-
-
-def _pack_array(name: str, arr: np.ndarray) -> bytes:
-    payload = arr.astype("<u8").tobytes()
-    encoded = name.encode()
-    if arr.ndim == 1:
-        head = struct.pack("<I", len(encoded)) + encoded + struct.pack("<BQ", 1, arr.shape[0])
-    else:
-        head = struct.pack("<I", len(encoded)) + encoded + struct.pack(
-            "<BII", 2, arr.shape[0], arr.shape[1]
-        )
-    return head + payload
-
-
-def _pack_scalar(name: str, value: int) -> bytes:
-    encoded = name.encode()
-    return struct.pack("<I", len(encoded)) + encoded + struct.pack("<BQ", 0, value)
-
-
-def _write_checkpoint(path: str, cfg: CensusConfig, next_chunk: int, blobs: list[bytes]) -> None:
-    s, t = cfg.dims
-    mask, value = _fixed_bits(cfg.filters, t)
-    header = CHECKPOINT_MAGIC + struct.pack(
-        "<IIIQQQQI", CHECKPOINT_VERSION, s, t, cfg.chunk_size, next_chunk, mask, value, len(blobs)
-    )
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
-    os.replace(tmp, path)
 
 
 def save_checkpoint(path: str, cfg: CensusConfig, result: CensusResult, next_chunk: int) -> None:
-    """Write ``result`` as the state of ``cfg``'s census before chunk ``next_chunk``."""
+    """Write ``result`` as the state of ``cfg``'s census before chunk ``next_chunk``.
+
+    The file is an uncompressed ``.npz`` archive: ``header``, int64
+    ``[version, s, t, chunk size, next chunk, fixed-bit mask, fixed-bit
+    value]``, and one int64 array per ``_ENTRIES`` name the result holds
+    (a scalar as a 0-d array).  It is written beside ``path`` and moved
+    over it, so a crash mid-write leaves the previous checkpoint whole.
+    """
     result.settle()
-    blobs = [
-        (_pack_array if kind else _pack_scalar)(name, getattr(result, name))
-        for name, (_, kind, _) in _ENTRIES.items()
+    s, t = cfg.dims
+    header = [CHECKPOINT_VERSION, s, t, cfg.chunk_size, next_chunk, *_fixed_bits(cfg.filters, t)]
+    entries = {
+        name: np.asarray(getattr(result, name), dtype=np.int64)
+        for name in _ENTRIES
         if getattr(result, name) is not None
-    ]
-    _write_checkpoint(path, cfg, next_chunk, blobs)
-
-
-def _unpack(fmt: str, raw: bytes, off: int) -> tuple[tuple, int]:
-    """Unpack ``fmt`` at ``off``; running out of bytes means a bad checkpoint."""
-    try:
-        return struct.unpack_from(fmt, raw, off), off + struct.calcsize(fmt)
-    except struct.error:
-        raise ValueError("truncated or corrupt census checkpoint") from None
-
-
-def _read_bytes(raw: bytes, off: int, size: int) -> tuple[bytes, int]:
-    if off + size > len(raw):
-        raise ValueError("truncated or corrupt census checkpoint")
-    return raw[off : off + size], off + size
+    }
+    tmp = path + ".tmp"
+    # A file object, since np.savez adds ".npz" to a bare file name.
+    with open(tmp, "wb") as fh:
+        np.savez(fh, header=np.array(header, dtype=np.int64), **entries)
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str, cfg: CensusConfig) -> tuple[CensusResult, int]:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     Raises:
+        FileNotFoundError: if there is no file at ``path``.
         ValueError: if the file is not a checkpoint of this census (other
             version, dimensions, chunk size or filters), or is truncated or
             corrupt.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise ValueError("not a census checkpoint (bad magic)")
-    (version,), off = _unpack("<I", raw, len(CHECKPOINT_MAGIC))
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            names = archive.files
+            arrays = {name: archive[name] for name in names}
+    except FileNotFoundError:
+        raise
+    except Exception as exc:
+        # A damaged archive fails in zipfile, the .npy header parser or
+        # the member reads, each with its own exception type.
+        raise ValueError(
+            f"truncated or corrupt census checkpoint: {type(exc).__name__}: {exc}"
+        ) from None
+    header = arrays.pop("header", None)
+    if not _is_int64(header) or header.shape != (7,):
+        raise ValueError("corrupt census checkpoint: no int64 header of 7 fields")
+    version, s, t, chunk_size, next_chunk, mask, value = header.tolist()
     if version != CHECKPOINT_VERSION:
         raise ValueError(
             f"unsupported checkpoint version {version} (this build reads {CHECKPOINT_VERSION})"
         )
-    header, off = _unpack("<IIQQQQI", raw, off)
-    s, t, chunk_size, next_chunk, mask, value, n_blobs = header
     if (s, t) != cfg.dims or chunk_size != cfg.chunk_size:
         raise ValueError("checkpoint does not match the requested census")
     if (mask, value) != _fixed_bits(cfg.filters, t):
         raise ValueError("checkpoint was written by a census with other entry filters")
-    if next_chunk > -(-(1 << (s * t)) // chunk_size):
-        raise ValueError("corrupt census checkpoint: next chunk past the end")
+    if not 0 <= next_chunk <= -(-(1 << (s * t)) // chunk_size):
+        raise ValueError("corrupt census checkpoint: next chunk out of range")
+    if (
+        len(names) != len(set(names))
+        or not set(arrays) <= set(_ENTRIES)
+        or "visited" not in arrays
+        or ("cond_codes" in arrays) != ("cond_counts" in arrays)
+    ):
+        raise ValueError(f"corrupt census checkpoint: entries {sorted(names)}")
 
     result = CensusResult(dims=(s, t))
-    seen: set[str] = set()
-    for _ in range(n_blobs):
-        (name_len,), off = _unpack("<I", raw, off)
-        name, off = _read_bytes(raw, off, name_len)
-        name = name.decode()
-        if name not in _ENTRIES or name in seen:
-            raise ValueError(f"corrupt census checkpoint: unexpected entry {name!r}")
-        seen.add(name)
-        (kind,), off = _unpack("<B", raw, off)
-        _, want_kind, want_shape = _ENTRIES[name]
-        if kind != want_kind:
-            raise ValueError(f"corrupt census checkpoint: entry {name!r} has kind {kind}")
-        if kind == 0:
-            (scalar,), off = _unpack("<Q", raw, off)
-            setattr(result, name, int(scalar))
-            continue
-        shape, off = _unpack("<Q" if kind == 1 else "<II", raw, off)
-        want = want_shape(s, t)
-        if want is not None and shape != want:
-            raise ValueError(f"corrupt census checkpoint: entry {name!r} has shape {shape}")
-        payload, off = _read_bytes(raw, off, 8 * prod(shape))
-        arr = np.frombuffer(payload, dtype="<u8").astype(np.int64).reshape(shape)
-        setattr(result, name, arr)
-    if "visited" not in seen or ("cond_codes" in seen) != ("cond_counts" in seen):
-        raise ValueError(f"corrupt census checkpoint: entries {sorted(seen)}")
+    for name, arr in arrays.items():
+        want = _ENTRIES[name][1](s, t)
+        if (
+            not _is_int64(arr)
+            or (arr.ndim != 1 if want is None else arr.shape != want)
+            or (arr < 0).any()
+        ):
+            raise ValueError(f"corrupt census checkpoint: bad entry {name!r}")
+        setattr(result, name, int(arr) if want == () else arr)
     if result.cond_codes is not None:
         codes = result.cond_codes
         if (
             codes.size != result.cond_counts.size
-            or (codes.size and (codes[0] < 0 or codes[-1] >= 3 ** ((s - 1) * (t - 1))))
+            or (codes.size and codes[-1] >= 3 ** ((s - 1) * (t - 1)))
             or (np.diff(codes) <= 0).any()
         ):
             raise ValueError("corrupt census checkpoint: bad condensate codes")
     return result, next_chunk
+
+
+def _is_int64(arr) -> bool:
+    """Whether ``arr`` is a native int64 array (an archive member that is no
+    ``.npy`` file reads as bytes)."""
+    return isinstance(arr, np.ndarray) and arr.dtype == np.int64
 
 
 def run_census(

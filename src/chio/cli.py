@@ -271,8 +271,8 @@ def cmd_verify(args) -> int:
         names.extend(part for part in item.split(",") if part)
     if not names or "all" in names:
         names = list(SUITES)
-    if args.n < 4:
-        raise UsageError("verify needs --n of at least 4")
+    if args.n not in (4, 5):
+        raise UsageError("verify needs --n of 4 or 5")
     big = args.big or args.n >= 5
     checks = run_suites(names, big=big, workers=args.workers, seed=args.seed)
     ok = all(entry["ok"] for entry in checks)
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"chio {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, matrix=False, dims=False, report=True):
+    def common(p, matrix=False, dims=False, workers=False):
         if matrix:
             p.add_argument("--matrix", required=True, help="matrix literal (JSON or compact rows)")
             p.add_argument("--n", type=int, help="grid size override for compact input")
@@ -315,10 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, help="square size (sets s = t = n)")
             p.add_argument("--s", type=int)
             p.add_argument("--t", type=int)
-        if report:
-            p.add_argument("--out", help="write the report to a file")
-            p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--workers", type=int, help="worker count (default: CHIO_WORKERS or CPU count)")
+        p.add_argument("--out", help="write the report to a file")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if workers:
+            p.add_argument("--workers", type=int, help="worker count (default: CHIO_WORKERS or CPU count)")
 
     p = sub.add_parser("condense", help="half Chio condensation of a sign matrix")
     common(p, matrix=True)
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("failures", help="failure census for one (k, n)")
-    common(p)
+    common(p, workers=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--formula-only", action="store_true", help="skip enumeration")
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_formulas)
 
     p = sub.add_parser("census", help="exhaustive sign-matrix census")
-    common(p, dims=True)
+    common(p, dims=True, workers=True)
     p.add_argument("--big", action="store_true", help="allow 2^25-sized runs")
     p.add_argument("--chunk-size", type=int, default=1 << 18)
     p.add_argument("--checkpoint", help="checkpoint file for resumable runs")
@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("ranks", help="rank level-set census and identities")
-    common(p, dims=True)
+    common(p, dims=True, workers=True)
     p.set_defaults(func=cmd_ranks)
 
     p = sub.add_parser("switch-orbit", help="switching orbit of a signing")
@@ -390,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.workers is not None:
+        if getattr(args, "workers", None) is not None:
             # Refused before any work; CHIO_WORKERS is checked where it is read.
             parallel.resolve_workers(args.workers)
         return args.func(args)

@@ -141,7 +141,7 @@ def rank_drop_pointwise(max_dim: int = 4, workers: int | None = None) -> list[di
     return checks
 
 
-def suite_chio_identity(big: bool = False, seed: int = 0, workers: int | None = None) -> list[dict]:
+def suite_chio_identity(seed: int = 0, workers: int | None = None) -> list[dict]:
     checks = [chio_identity_exhaustive(4), chio_identity_sampled(5, seed=seed)]
     checks.extend(rank_drop_pointwise(4, workers=workers))
     return checks
@@ -339,9 +339,9 @@ def suite_measures(big: bool = False, workers: int | None = None) -> list[dict]:
 # --- failures -----------------------------------------------------------------
 
 
-def failure_agreement(k: int, n: int, workers: int | None = None) -> dict:
+def failure_agreement(k: int, n: int) -> dict:
     """Enumerated counts equal the closed forms including every split."""
-    enum = count_failures(k, n, workers=workers)
+    enum = count_failures(k, n)
     form = failure_count_formula(k, n)
     ok = (
         enum.failure_count == form.failure_count
@@ -380,7 +380,7 @@ def h_identity_check(n: int) -> dict:
     )
 
 
-def suite_failures(big: bool = False, workers: int | None = None) -> list[dict]:
+def suite_failures() -> list[dict]:
     """Enumerated failure counts against the closed forms, k = 4, 5, 6, n = 4..12.
 
     Every count on both sides, split by ratio, value or isotype, is a
@@ -390,7 +390,7 @@ def suite_failures(big: bool = False, workers: int | None = None) -> list[dict]:
     checks = []
     for n in range(4, 13):
         for k in (4, 5, 6):
-            checks.append(failure_agreement(k, n, workers))
+            checks.append(failure_agreement(k, n))
     checks.append(h_identity_check(6))
     return checks
 
@@ -473,7 +473,7 @@ def singular_consistency(n: int, workers: int | None = None) -> dict:
     )
 
 
-def suite_census(big: bool = False, workers: int | None = None, seed: int = 0) -> list[dict]:
+def suite_census(big: bool = False, workers: int | None = None) -> list[dict]:
     checks = [census_determinism((3, 3)), census_determinism((4, 4))]
     checks.extend(rank_identity_checks(workers))
     checks.append(edge_marginal_check(4, workers))
@@ -593,7 +593,7 @@ def switch_action_laws(n: int = 4) -> dict:
     return _check(f"switch action laws n={n}", ok, kernel_size=len(kernel))
 
 
-def suite_switching(big: bool = False, workers: int | None = None) -> list[dict]:
+def suite_switching() -> list[dict]:
     return [
         orbit_transitivity_check(6),
         rank_invariance_all_patterns(3),
@@ -636,7 +636,7 @@ def density_bound_check(n_values: tuple[int, ...] = (4, 5, 6, 7, 8)) -> dict:
     return _check("failure counts within union bound", not bad, failures=bad)
 
 
-def suite_relations(big: bool = False, workers: int | None = None) -> list[dict]:
+def suite_relations() -> list[dict]:
     return [linear_relations_check(), density_bound_check()]
 
 
@@ -648,12 +648,12 @@ def run_suites(
 ) -> list[dict]:
     """Run the requested suites and return all checks in order."""
     registry = {
-        "chio-identity": lambda: suite_chio_identity(big, seed, workers),
+        "chio-identity": lambda: suite_chio_identity(seed, workers),
         "measures": lambda: suite_measures(big, workers),
-        "failures": lambda: suite_failures(big, workers),
-        "census": lambda: suite_census(big, workers, seed),
-        "switching": lambda: suite_switching(big, workers),
-        "relations": lambda: suite_relations(big, workers),
+        "failures": suite_failures,
+        "census": lambda: suite_census(big, workers),
+        "switching": suite_switching,
+        "relations": suite_relations,
     }
     checks = []
     for name in names:

@@ -1,7 +1,7 @@
 """Census engine: preimage counts, rank histograms, checkpoints, determinism."""
 
 import os
-import struct
+import zipfile
 from itertools import product
 from math import comb
 
@@ -15,12 +15,9 @@ from chio import census_oracle, signed_graph
 from chio.measures import Event, fibre_cardinality
 from chio.census_oracle import (
     AGGREGATE_NAMES,
-    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     BudgetExceeded,
     CensusConfig,
-    _pack_array,
-    _pack_scalar,
-    _write_checkpoint,
     batch_rank,
     binary_rank_counts,
     condensate_code,
@@ -627,6 +624,18 @@ class TestDirectEnumeration:
         assert list(res.cond_counts) == list(ref["dense"][res.cond_codes])
 
 
+def _header(cfg, version=CHECKPOINT_VERSION, next_chunk=1):
+    """The int64 checkpoint header of ``cfg``'s census before ``next_chunk``."""
+    s, t = cfg.dims
+    mask, value = census_oracle._fixed_bits(cfg.filters, t)
+    return np.array([version, s, t, cfg.chunk_size, next_chunk, mask, value], dtype=np.int64)
+
+
+def _write_archive(path, **members):
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
 class _Crash(Exception):
     pass
 
@@ -666,14 +675,17 @@ class TestCheckpointV2:
         assert resumed.cond_counts.tobytes() == full.cond_counts.tobytes()
 
     def test_v1_file_refused(self, tmp_path):
-        path = tmp_path / "v1.ckpt"
-        path.write_bytes(
-            CHECKPOINT_MAGIC
-            + struct.pack("<IIIQQI", 1, 3, 3, 1 << 18, 1, 1)
-            + _pack_scalar("visited", 512)
-        )
-        with pytest.raises(ValueError, match="version 1"):
-            load_checkpoint(str(path), CensusConfig(dims=(3, 3)))
+        path = tmp_path / "old.ckpt"
+        cfg = CensusConfig(dims=(3, 3))
+        # The byte format of versions 1 and 2: magic, then a u32 version.
+        for version in (1, 2):
+            path.write_bytes(b"CHIOCENS\0" + version.to_bytes(4, "little") + bytes(64))
+            with pytest.raises(ValueError, match="corrupt census checkpoint"):
+                load_checkpoint(str(path), cfg)
+        for version in (1, 2, CHECKPOINT_VERSION + 1):
+            _write_archive(path, header=_header(cfg, version=version), visited=np.int64(512))
+            with pytest.raises(ValueError, match=f"version {version}"):
+                load_checkpoint(str(path), cfg)
 
     def test_filter_mismatch_refused(self, tmp_path):
         path = str(tmp_path / "census.ckpt")
@@ -698,19 +710,11 @@ class TestCheckpointV2:
         path = str(tmp_path / "census.ckpt")
         cfg = CensusConfig(dims=(3, 3), worker_count=1, checkpoint_path=path)
         good = run_census(cfg, aggregates=AGGREGATE_NAMES)
-        visited = _pack_scalar("visited", 512)
-        entries = {
-            "rank_pm": _pack_array("rank_pm", good.rank_pm),
-            "rank_cond": _pack_array("rank_cond", good.rank_cond),
-            "cond_codes": _pack_array("cond_codes", good.cond_codes),
-            "cond_counts": _pack_array("cond_counts", good.cond_counts),
-            "edge_pairs": _pack_array("edge_pairs", good.edge_pairs),
-            "rank_drop_violations": _pack_scalar("rank_drop_violations", 0),
-        }
+        entries = {name: np.asarray(getattr(good, name)) for name in census_oracle._ENTRIES}
 
-        def load(replace, head=(visited,)):
-            blobs = list(head) + [replace.get(name, blob) for name, blob in entries.items()]
-            _write_checkpoint(path, cfg, 1, [b for b in blobs if b is not None])
+        def load(replace):
+            members = {"header": _header(cfg), **entries, **replace}
+            _write_archive(path, **{k: v for k, v in members.items() if v is not None})
             return run_census(cfg, aggregates=AGGREGATE_NAMES, resume=True)
 
         loaded = load({})
@@ -718,32 +722,89 @@ class TestCheckpointV2:
         assert loaded.cond_codes.tolist() == good.cond_codes.tolist()
         codes = good.cond_codes
         tampered = [
-            {"rank_pm": _pack_array("rank_pm", np.zeros(8, dtype=np.int64))},
-            {"rank_cond": _pack_array("rank_cond", np.zeros((3, 1), dtype=np.int64))},
-            {"rank_drop_violations": _pack_array("rank_drop_violations", np.zeros(1, np.int64))},
-            {"edge_pairs": _pack_array("edge_pairs", np.zeros((4, 3), dtype=np.int64))},
-            {"edge_pairs": _pack_array("edge_pairs", np.zeros(16, dtype=np.int64))},
-            {"cond_counts": _pack_array("cond_counts", good.cond_counts[1:])},
-            {"cond_codes": _pack_array("cond_codes", codes[::-1])},
-            {"cond_codes": _pack_array("cond_codes", np.r_[codes[:-1], 3**4])},
-            {"cond_codes": _pack_array("cond_codes", np.r_[codes[:1], codes[:-1]])},
+            {"rank_pm": np.zeros(8, dtype=np.int64)},
+            {"rank_cond": np.zeros((3, 1), dtype=np.int64)},
+            {"rank_drop_violations": np.zeros(1, np.int64)},
+            {"visited": np.array([512, 0])},
+            {"edge_pairs": np.zeros((4, 3), dtype=np.int64)},
+            {"edge_pairs": np.zeros(16, dtype=np.int64)},
+            {"cond_counts": good.cond_counts[1:]},
+            {"cond_codes": codes[::-1]},
+            {"cond_codes": np.r_[codes[:-1], 3**4]},
+            {"cond_codes": np.r_[codes[:1], codes[:-1]]},
+            {"cond_codes": np.r_[-1, codes[1:]]},
             {"edge_pairs": None},
             {"cond_counts": None},
             {"cond_codes": None, "cond_counts": None},
-            {"rank_pm": _pack_scalar("bogus", 1)},
+            {"visited": None},
+            {"header": None},
+            {"header": _header(cfg)[:6]},
+            {"header": _header(cfg).astype(np.int32)},
+            {"header": _header(cfg, next_chunk=-1)},
+            {"header": _header(cfg, next_chunk=2)},
+            {"bogus": np.int64(1)},
+            {"rank_pm": -good.rank_pm},
+            {"visited": np.int64(-512)},
+            {"rank_pm": good.rank_pm.astype(np.uint64)},
+            {"rank_pm": good.rank_pm.astype(np.int32)},
+            {"rank_pm": good.rank_pm.astype(">i8")},
+            {"visited": np.float64(512)},
         ]
         for replace in tampered:
-            with pytest.raises(ValueError):
+            # A missing aggregate is another census's file: run_census refuses it.
+            with pytest.raises(ValueError, match="corrupt census checkpoint|holds aggregates"):
                 load(replace)
-        with pytest.raises(ValueError):
-            load({}, head=(_pack_array("visited", np.array([512, 0])),))
-        with pytest.raises(ValueError):
-            load({}, head=(visited, visited))
-        with pytest.raises(ValueError):
-            load({}, head=())
-        _write_checkpoint(path, cfg, 1, [visited, entries["cond_codes"]])
+        # A duplicate member, which np.savez cannot write.
+        load({})
+        with zipfile.ZipFile(path, "a") as archive:
+            with pytest.warns(UserWarning, match="Duplicate name"):
+                archive.writestr("visited.npy", archive.read("visited.npy"))
         with pytest.raises(ValueError, match="entries"):
             load_checkpoint(path, cfg)
+        _write_archive(path, header=_header(cfg), visited=np.int64(512), cond_codes=codes)
+        with pytest.raises(ValueError, match="entries"):
+            load_checkpoint(path, cfg)
+
+    def test_truncated_or_flipped_bytes(self, tmp_path):
+        path = str(tmp_path / "census.ckpt")
+        cfg = CensusConfig(dims=(3, 3), worker_count=1, checkpoint_path=path, chunk_size=64)
+        good = run_census(cfg, aggregates=AGGREGATE_NAMES)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        rng = np.random.default_rng(14)
+        damaged = [raw[:size] for size in range(len(raw))]
+        for at, xor in zip(rng.integers(len(raw), size=200), rng.integers(1, 256, size=200)):
+            damaged.append(raw[:at] + bytes([raw[at] ^ xor]) + raw[at + 1 :])
+        loaded_intact = 0
+        for data in damaged:
+            with open(path, "wb") as fh:
+                fh.write(data)
+            # A flip in the central directory's size can hide members, so
+            # the resume checks the aggregates held too.
+            try:
+                loaded = run_census(cfg, aggregates=AGGREGATE_NAMES, resume=True)
+            except ValueError:
+                continue
+            loaded_intact += 1
+            assert loaded.to_json_dict() == good.to_json_dict()
+            assert loaded.cond_codes.tolist() == good.cond_codes.tolist()
+            assert loaded.cond_counts.tolist() == good.cond_counts.tolist()
+        # Flips in fields that zipfile does not read (times, local sizes) are harmless.
+        assert 0 < loaded_intact < 200
+
+    def test_inspect_with_numpy(self, tmp_path):
+        path = str(tmp_path / "census.ckpt")
+        aggregates = ("rank_pm", "cond_counts")
+        cfg = CensusConfig(dims=(3, 4), worker_count=1, checkpoint_path=path, chunk_size=1 << 10,
+                           filters={(1, 1): 1})
+        result = run_census(cfg, aggregates=aggregates)
+        with np.load(path, allow_pickle=False) as archive:
+            members = {name: archive[name] for name in archive.files}
+        assert sorted(members) == sorted(["header", "visited", "rank_pm", "cond_codes", "cond_counts"])
+        assert all(arr.dtype == np.int64 for arr in members.values())
+        assert members["header"].tolist() == [CHECKPOINT_VERSION, 3, 4, 1 << 10, 4, 1, 1]
+        assert int(members["visited"]) == result.visited == 2048
+        assert members["cond_counts"].tolist() == result.cond_counts.tolist()
 
     def test_save_load_roundtrip_is_exact(self, tmp_path):
         path = str(tmp_path / "census.ckpt")

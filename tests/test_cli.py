@@ -187,16 +187,37 @@ class TestExitCodes:
         "argv",
         [
             ("pchio", "--matrix", "+", "--n", "0"),
-            ("census", "--s", "3", "--t", "0", "--n", "3"),
-            ("census", "--n", "0"),
-            ("ranks", "--s", "0", "--n", "3"),
-            ("ranks", "--s", "3", "--t", "0"),
+            ("census", "--s", "3", "--t", "0", "--n", "3", "--workers", "1"),
+            ("census", "--n", "0", "--workers", "1"),
+            ("ranks", "--s", "0", "--n", "3", "--workers", "1"),
+            ("ranks", "--s", "3", "--t", "0", "--workers", "1"),
         ],
     )
     def test_zero_size_is_refused(self, capsys, argv):
         # A size of 0 is a size, not a missing flag: it must reach validation.
-        code, out, err = run(capsys, *argv, "--workers", "1")
+        code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and ">= 2" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("condense", "--matrix", "+-/--"),
+            ("pchio", "--matrix=--./--./..."),
+            ("recipe", "--matrix=--./--./..."),
+            ("classify", "--matrix=--./--./..."),
+            ("formulas", "--n", "4"),
+            ("switch-orbit", "--matrix=--/--"),
+        ],
+    )
+    def test_commands_without_a_pool_refuse_workers(self, capsys, argv):
+        assert run(capsys, *argv)[0] == 0
+        code, out, err = run(capsys, *argv, "--workers", "1")
+        assert code == 2 and out == "" and "--workers" in err
+
+    @pytest.mark.parametrize("n", ["3", "6", "7"])
+    def test_verify_refuses_n_outside_4_and_5(self, capsys, n):
+        code, out, err = run(capsys, "verify", "--suite", "relations", "--n", n)
+        assert code == 2 and out == "" and "--n of 4 or 5" in err
 
     def test_dims_need_both_sizes(self, capsys):
         code, out, err = run(capsys, "ranks", "--s", "3", "--workers", "1")
