@@ -2,12 +2,17 @@
 
 Matrices in {-1,+1}^(s x t) are encoded as (s*t)-bit integers (bit set
 means entry +1, row-major), and the census walks the code range in
-fixed chunks.  Entry filters fix some code bits; a chunk generates only
-the codes that agree with them, by depositing a range of integers into
-the free bits (an unfiltered chunk is its code range itself).  Codes
-are decoded into a structure-of-arrays batch, one contiguous length-N
-int8 vector per matrix entry, so that every vectorized step runs over
-whole batch vectors.  Condensation is a 2x2-minor computation on those
+fixed chunks (2^20 codes by default), the unit of scheduling,
+checkpointing and merging.  Entry filters fix some code bits; a chunk
+generates only the codes that agree with them, by depositing a range of
+integers into the free bits (an unfiltered chunk is its code range
+itself).  A chunk's admissible codes go through the kernels in tiles of
+``_TILE`` (2^15) codes, whatever the chunk size and the filters, so a
+kernel batch is large enough to amortise NumPy's per-call cost and small
+enough for its work arrays to stay in cache.  Codes are decoded into a
+structure-of-arrays batch, one contiguous length-N int8 vector per
+matrix entry, so that every vectorized step runs over whole batch
+vectors.  Condensation is a 2x2-minor computation on those
 vectors.  Rank is a batched Bareiss elimination with column pivoting
 (:func:`_rank_soa`) in the narrowest integer dtype that the Hadamard
 bound of the input proves safe (inputs whose bound overflows int64 are
@@ -15,17 +20,19 @@ refused); its exact divisions are a shift and a multiplication by a
 2-adic inverse.  No floating point is used anywhere.
 
 Aggregates (rank histograms, condensate preimage counts, edge-marginal
-pair counts, rank-drop violations) are merged per chunk in a fixed
-order, so results are bit-identical for any worker count and chunk
-size.  Condensate counts are sparse: the sorted codes of the condensates
-seen, with their counts.  Partial aggregates may be flushed to a
+pair counts, rank-drop violations) are summed over a chunk's tiles and
+merged per chunk in a fixed order, so results are bit-identical for any
+worker count, chunk size and tile size.  Condensate counts are sparse:
+the sorted codes of the condensates seen, with their counts, one piece
+per tile until merged.  Partial aggregates may be flushed to a
 checkpoint, an uncompressed NumPy ``.npz`` archive with a versioned
-header that records the dimensions, chunk size and filters, so a run
-resumes only into the census that wrote it; ``numpy.load`` reads it
-without resuming.  One table (``_ENTRIES``) names the aggregates and
-gives each entry its shape (``()`` for a scalar); the result's empty
-state, its JSON form and the checkpoint's writer and reader all follow
-it.
+header (version 4) that records the dimensions, chunk size, filters and
+the aggregates held, so a run resumes only into the census that wrote
+it, and a member lost to damage is told from an aggregate never
+computed; ``numpy.load`` reads it without resuming.  One table
+(``_ENTRIES``) names the aggregates and gives each entry its shape
+(``()`` for a scalar); the result's empty state, its JSON form and the
+checkpoint's writer and reader all follow it.
 
 The {0,1} and {-1,0,+1} rank histograms, which the rank identities
 compare against the census, come from one brute-force loop over all
@@ -49,7 +56,7 @@ from .matrix_core import Index2, PartialTernaryMatrix
 from . import parallel
 
 BUDGET_LOG2 = 25
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # Result entries: name -> (aggregate it belongs to, shape for (s, t)).  A
 # shape of () is a scalar and None a vector of any length.  ``cond_codes``
@@ -77,9 +84,9 @@ class CensusConfig:
 
     dims: tuple[int, int]
     worker_count: int | None = None
-    chunk_size: int = 1 << 18
+    chunk_size: int = 1 << 20
     checkpoint_path: str | None = None
-    flush_every: int = 16
+    flush_every: int = 4
     filters: dict[Index2, int] | None = None
 
     def validate(self) -> None:
@@ -103,6 +110,10 @@ def batch_rank(mats: np.ndarray) -> np.ndarray:
     The batch is transposed once into a structure-of-arrays (SoA) layout,
     ``(rows, cols, n)``: one length-n vector per matrix entry, so every
     step is a ufunc over whole length-n vectors (see :func:`_rank_soa`).
+    The batch is ranked as one: the census hands it tiles of ``_TILE``
+    matrices, and a caller with millions of matrices should split them
+    likewise, so that the work arrays stay in cache.
+
     The recurrence is the Bareiss elimination of
     :func:`chio.matrix_core.rank_int` with column pivoting: at column j,
     each matrix's pivot row is its first row with a nonzero in column j,
@@ -125,10 +136,12 @@ def batch_rank(mats: np.ndarray) -> np.ndarray:
     write ``prev = 2^e o`` with ``o`` odd.  Then ``x >> e`` is exact, and
     ``x / prev = (x >> e) * o^-1 mod 2^w``, computed in the unsigned view
     of the dtype, with ``o^-1`` the inverse of ``o`` mod 2^w from Newton's
-    iteration ``inv *= 2 - o*inv`` (:func:`_odd_inverse`).  The true
-    quotient q is a minor, so ``|q| <= H < 2^(w-1)``, and the signed
-    reading of the wrapped product, congruent to q mod 2^w, is q itself.
-    No floating point is used.
+    iteration ``inv *= 2 - o*inv`` (:func:`_odd_inverse`), computed only
+    at the k - 2 steps that divide: the first divides by 1, and the last
+    ends the run before its update.  The true quotient q is a minor, so
+    ``|q| <= H < 2^(w-1)``, and the signed reading of the wrapped
+    product, congruent to q mod 2^w, is q itself.  No floating point is
+    used.
 
     Raises:
         ValueError: if ``2 H^2`` does not fit in int64.
@@ -181,11 +194,11 @@ def _rank_soa(entries: np.ndarray) -> np.ndarray:
         block -= col[:, None] * head
         if j:
             # The first step divides by 1.
+            shift, inv = _odd_inverse(prev)
             block >>= shift
             quotient = block.view(unsigned)
             quotient *= inv
         prev = pivot
-        shift, inv = _odd_inverse(prev)
     return rank
 
 
@@ -308,23 +321,42 @@ def _bits(codes: np.ndarray, width: int) -> np.ndarray:
     return np.ascontiguousarray(bits.T).view(np.int8)
 
 
-def _chunk_task(args: tuple) -> dict:
-    """Process the admissible codes of one contiguous code range."""
-    s, t, lo, hi, names, filters = args
-    st = s * t
-    m = (s - 1) * (t - 1)
-    mask, value = _fixed_bits(filters, t)
-    runs = _free_runs(st, mask)
-    x = np.arange(_count_below(lo, runs, value), _count_below(hi, runs, value), dtype=np.int64)
-    out: dict[str, object] = {"visited": int(x.size)}
-    if x.size == 0:
-        return out
-    # With every bit fixed, _deposit returns a plain int.
-    codes = np.broadcast_to(_deposit(x, runs, value), x.shape)
+# Admissible codes per kernel batch: small enough that a batch's int16
+# work arrays stay in cache, large enough to amortise NumPy's per-call cost.
+_TILE = 1 << 15
 
-    entries = _bits(codes, st).reshape(s, t, -1)
+
+def _chunk_task(args: tuple) -> dict:
+    """Process the admissible codes of one contiguous code range.
+
+    The codes are run through the kernels ``_TILE`` at a time, and the
+    tiles' aggregates summed; ``cond_counts`` is a list of one sorted
+    ``(codes, counts)`` piece per tile.
+    """
+    s, t, lo, hi, names, filters = args
+    mask, value = _fixed_bits(filters, t)
+    runs = _free_runs(s * t, mask)
+    start, stop = _count_below(lo, runs, value), _count_below(hi, runs, value)
+    out: dict[str, object] = {"visited": stop - start}
+    for first in range(start, stop, _TILE):
+        x = np.arange(first, min(first + _TILE, stop), dtype=np.int64)
+        # With every bit fixed, _deposit returns a plain int.
+        codes = np.broadcast_to(_deposit(x, runs, value), x.shape)
+        for name, part in _tile_aggregates(s, t, codes, names).items():
+            if name == "cond_counts":
+                out.setdefault(name, []).append(part)
+            else:
+                out[name] = out.get(name, 0) + part
+    return out
+
+
+def _tile_aggregates(s: int, t: int, codes: np.ndarray, names: tuple[str, ...]) -> dict:
+    """The named aggregates of one batch of matrix codes."""
+    m = (s - 1) * (t - 1)
+    entries = _bits(codes, s * t).reshape(s, t, -1)
     entries <<= 1
     entries -= 1
+    out: dict[str, object] = {}
 
     cond = None
     if {"rank_cond", "cond_counts", "edge_pairs", "rank_drop_violations"} & set(names):
@@ -395,7 +427,7 @@ class CensusResult:
     edge_pairs: np.ndarray | None = None
     # Matrices whose rank is not their condensate's rank plus one.
     rank_drop_violations: int | None = None
-    # Chunk (codes, counts) pairs not yet folded into cond_codes/cond_counts.
+    # Tile (codes, counts) pieces not yet folded into cond_codes/cond_counts.
     _pending: list = field(default_factory=list, repr=False, compare=False)
     _pending_size: int = field(default=0, repr=False, compare=False)
 
@@ -418,15 +450,15 @@ class CensusResult:
         self.visited += chunk["visited"]
         for name, value in chunk.items():
             if name == "cond_counts":
-                self._pending.append(value)
-                self._pending_size += value[0].size
+                self._pending.extend(value)
+                self._pending_size += sum(codes.size for codes, _ in value)
                 if self._pending_size >= self.cond_codes.size:
                     self.settle()
             elif name != "visited":
                 setattr(self, name, getattr(self, name) + value)
 
     def settle(self) -> None:
-        """Fold the pending chunk counts into ``cond_codes``/``cond_counts``.
+        """Fold the pending tile counts into ``cond_codes``/``cond_counts``.
 
         Merging only once the pending pairs are as large as the merged
         ones keeps the total cost at O(N log N) for N codes seen.  Every
@@ -482,13 +514,19 @@ def save_checkpoint(path: str, cfg: CensusConfig, result: CensusResult, next_chu
 
     The file is an uncompressed ``.npz`` archive: ``header``, int64
     ``[version, s, t, chunk size, next chunk, fixed-bit mask, fixed-bit
-    value]``, and one int64 array per ``_ENTRIES`` name the result holds
-    (a scalar as a 0-d array).  It is written beside ``path`` and moved
-    over it, so a crash mid-write leaves the previous checkpoint whole.
+    value, aggregate mask]``, and one int64 array per ``_ENTRIES`` name
+    the result holds (a scalar as a 0-d array).  Bit b of the aggregate
+    mask is set when the result holds ``AGGREGATE_NAMES[b]``, so a reader
+    can tell a member lost to damage from an aggregate never computed.
+    It is written beside ``path`` and moved over it, so a crash mid-write
+    leaves the previous checkpoint whole.
     """
     result.settle()
     s, t = cfg.dims
-    header = [CHECKPOINT_VERSION, s, t, cfg.chunk_size, next_chunk, *_fixed_bits(cfg.filters, t)]
+    held = sum(1 << AGGREGATE_NAMES.index(name) for name in result.aggregate_names())
+    header = [
+        CHECKPOINT_VERSION, s, t, cfg.chunk_size, next_chunk, *_fixed_bits(cfg.filters, t), held
+    ]
     entries = {
         name: np.asarray(getattr(result, name), dtype=np.int64)
         for name in _ENTRIES
@@ -508,7 +546,7 @@ def load_checkpoint(path: str, cfg: CensusConfig) -> tuple[CensusResult, int]:
         FileNotFoundError: if there is no file at ``path``.
         ValueError: if the file is not a checkpoint of this census (other
             version, dimensions, chunk size or filters), or is truncated or
-            corrupt.
+            corrupt, or its members are not the aggregates its header names.
     """
     try:
         with np.load(path, allow_pickle=False) as archive:
@@ -523,25 +561,25 @@ def load_checkpoint(path: str, cfg: CensusConfig) -> tuple[CensusResult, int]:
             f"truncated or corrupt census checkpoint: {type(exc).__name__}: {exc}"
         ) from None
     header = arrays.pop("header", None)
-    if not _is_int64(header) or header.shape != (7,):
-        raise ValueError("corrupt census checkpoint: no int64 header of 7 fields")
-    version, s, t, chunk_size, next_chunk, mask, value = header.tolist()
-    if version != CHECKPOINT_VERSION:
+    if not _is_int64(header) or header.ndim != 1 or header.size == 0:
+        raise ValueError("corrupt census checkpoint: no int64 header")
+    # The version first: the header's length changes between versions.
+    if header[0] != CHECKPOINT_VERSION:
         raise ValueError(
-            f"unsupported checkpoint version {version} (this build reads {CHECKPOINT_VERSION})"
+            f"unsupported checkpoint version {header[0]} (this build reads {CHECKPOINT_VERSION})"
         )
+    if header.size != 8:
+        raise ValueError("corrupt census checkpoint: no int64 header of 8 fields")
+    _, s, t, chunk_size, next_chunk, mask, value, held = header.tolist()
     if (s, t) != cfg.dims or chunk_size != cfg.chunk_size:
         raise ValueError("checkpoint does not match the requested census")
     if (mask, value) != _fixed_bits(cfg.filters, t):
         raise ValueError("checkpoint was written by a census with other entry filters")
     if not 0 <= next_chunk <= -(-(1 << (s * t)) // chunk_size):
         raise ValueError("corrupt census checkpoint: next chunk out of range")
-    if (
-        len(names) != len(set(names))
-        or not set(arrays) <= set(_ENTRIES)
-        or "visited" not in arrays
-        or ("cond_codes" in arrays) != ("cond_counts" in arrays)
-    ):
+    held_names = {agg for b, agg in enumerate(AGGREGATE_NAMES) if held >> b & 1}
+    members = {name for name, (agg, _) in _ENTRIES.items() if agg is None or agg in held_names}
+    if held >> len(AGGREGATE_NAMES) or len(names) != len(set(names)) or set(arrays) != members:
         raise ValueError(f"corrupt census checkpoint: entries {sorted(names)}")
 
     result = CensusResult(dims=(s, t))
@@ -659,7 +697,7 @@ def _nonempty_chunks(cfg: CensusConfig, start: int, stop: int) -> list[int]:
 # --- derived censuses --------------------------------------------------------
 
 
-def binary_rank_counts(rows: int, cols: int, chunk: int = 1 << 18) -> np.ndarray:
+def binary_rank_counts(rows: int, cols: int, chunk: int = _TILE) -> np.ndarray:
     """Rank histogram of all {0,1} matrices of the given shape.
 
     Codes are decoded ``chunk`` at a time, so memory is O(chunk).
@@ -669,7 +707,7 @@ def binary_rank_counts(rows: int, cols: int, chunk: int = 1 << 18) -> np.ndarray
     return _rank_supp_counts(rows, cols, 2, 0, chunk).sum(axis=1)
 
 
-def ternary_rank_supp_counts(rows: int, cols: int, chunk: int = 1 << 18) -> np.ndarray:
+def ternary_rank_supp_counts(rows: int, cols: int, chunk: int = _TILE) -> np.ndarray:
     """Joint (rank, support size) histogram of all {-1,0,+1} matrices."""
     if 3 ** (rows * cols) > (1 << 27):
         raise BudgetExceeded("ternary census too large")

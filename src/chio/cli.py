@@ -216,11 +216,10 @@ def cmd_census(args) -> int:
         raise UsageError("censuses with 2^25 matrices need --big")
     if args.resume and not args.checkpoint:
         raise UsageError("--resume needs --checkpoint")
+    # Without --chunk-size, CensusConfig's own default applies.
+    chunk = {} if args.chunk_size is None else {"chunk_size": args.chunk_size}
     cfg = CensusConfig(
-        dims=(s, t),
-        worker_count=args.workers,
-        chunk_size=args.chunk_size,
-        checkpoint_path=args.checkpoint,
+        dims=(s, t), worker_count=args.workers, checkpoint_path=args.checkpoint, **chunk
     )
     aggregates = ["rank_pm", "rank_cond", "rank_drop_violations"]
     if (s - 1) * (t - 1) <= 9:
@@ -352,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="exhaustive sign-matrix census")
     common(p, dims=True, workers=True)
     p.add_argument("--big", action="store_true", help="allow 2^25-sized runs")
-    p.add_argument("--chunk-size", type=int, default=1 << 18)
+    p.add_argument("--chunk-size", type=int, help="codes per chunk (default: the library's)")
     p.add_argument("--checkpoint", help="checkpoint file for resumable runs")
     p.add_argument("--resume", action="store_true", help="resume from the checkpoint")
     p.set_defaults(func=cmd_census)

@@ -54,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 from typing import Iterator
 
@@ -239,14 +239,27 @@ def _shapes(k: int) -> tuple[tuple[Index2, ...], ...]:
     joined with k - 4 other positions or, at k = 6, a 6-circuit on three
     rows and three columns, so it uses at most k - 2 rows and k - 2
     columns: its shape is the shape of a k-subset of the (k-2) x (k-2)
-    grid.
+    grid.  Those subsets are built from that grid's circuits, so no
+    subset without one is tried.
     """
+    labels = range(1, k - 1)
     grid = grid_positions(k - 1)
-    return tuple(sorted({
-        _shape(chosen)
-        for chosen in combinations(grid, k)
-        if four_circuits(chosen) or is_six_circuit(chosen)
-    }))
+    sets = set()
+    for r1, r2 in combinations(labels, 2):
+        for c1, c2 in combinations(labels, 2):
+            rect = {(r1, c1), (r1, c2), (r2, c1), (r2, c2)}
+            others = [pos for pos in grid if pos not in rect]
+            for extra in combinations(others, k - 4):
+                sets.add(tuple(sorted(rect.union(extra))))
+    if k == 6:
+        # A 6-circuit on rows R and columns C: the 3 x 3 block without
+        # the cells of one bijection from R to C.
+        for rows in combinations(labels, 3):
+            for cols in combinations(labels, 3):
+                for perm in permutations(cols):
+                    gone = set(zip(rows, perm))
+                    sets.add(tuple((i, j) for i in rows for j in cols if (i, j) not in gone))
+    return tuple(sorted({_shape(chosen) for chosen in sets}))
 
 
 def _extent(shape: tuple[Index2, ...]) -> tuple[int, int]:

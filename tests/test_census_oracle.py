@@ -134,6 +134,19 @@ class TestBatchRank:
         got = batch_rank(mats)
         assert list(got) == [rank_int(IntMatrix(a.tolist())) for a in mats]
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_one_odd_inverse_per_division(self, monkeypatch, n):
+        # Steps 1 .. n-2 divide; step 0 divides by 1 and step n-1 ends the run.
+        calls = []
+        real = census_oracle._odd_inverse
+        monkeypatch.setattr(
+            census_oracle, "_odd_inverse", lambda prev: calls.append(prev.size) or real(prev)
+        )
+        mats = np.random.default_rng(n).choice([-1, 1], size=(300, n, n))
+        got = batch_rank(mats)
+        assert calls == [300] * (n - 2)
+        assert list(got) == [rank_int(IntMatrix(a.tolist())) for a in mats]
+
 
 def _cond_pair(n):
     """The sparse ``(cond_codes, cond_counts)`` pair of the n x n census."""
@@ -375,6 +388,47 @@ class TestKwise:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             kwise_agreement_check(5)
+
+
+class TestTiles:
+    @pytest.mark.parametrize("tile", [7, 100])
+    @pytest.mark.parametrize("filters", [None, {(1, 2): -1, (3, 3): 1}])
+    @pytest.mark.parametrize("dims", [(3, 4), (4, 4)])
+    def test_tiles_leave_results_unchanged(self, monkeypatch, tile, filters, dims):
+        def census(chunk_size):
+            cfg = CensusConfig(dims=dims, worker_count=1, chunk_size=chunk_size, filters=filters)
+            return run_census(cfg, aggregates=AGGREGATE_NAMES)
+
+        # One chunk and one tile for the whole census.
+        monkeypatch.setattr(census_oracle, "_TILE", 1 << 30)
+        whole = census(1 << 16)
+        monkeypatch.setattr(census_oracle, "_TILE", tile)
+        # Chunks of several tiles and a remainder and, at 3x4, of a tile and a bit.
+        for chunk_size in (1003, tile + 3) if dims == (3, 4) else (1003,):
+            tiled = census(chunk_size)
+            assert tiled.to_json_dict() == whole.to_json_dict()
+            assert tiled.cond_codes.tobytes() == whole.cond_codes.tobytes()
+            assert tiled.cond_counts.tobytes() == whole.cond_counts.tobytes()
+
+    def test_chunk_pieces_are_sorted_tiles(self, monkeypatch):
+        monkeypatch.setattr(census_oracle, "_TILE", 100)
+        out = census_oracle._chunk_task((3, 4, 0, 1024, ("cond_counts",), {(2, 2): 1}))
+        assert out["visited"] == 512
+        pieces = out["cond_counts"]
+        assert [int(counts.sum()) for _, counts in pieces] == [100] * 5 + [12]
+        assert all((np.diff(codes) > 0).all() for codes, _ in pieces)
+
+    def test_batches_fit_a_tile(self, monkeypatch):
+        sizes = []
+        real = census_oracle._rank_soa
+        monkeypatch.setattr(
+            census_oracle, "_rank_soa", lambda e: sizes.append(e.shape[-1]) or real(e)
+        )
+        cfg = CensusConfig(dims=(4, 5), worker_count=1)
+        res = run_census(cfg, aggregates=("rank_pm", "rank_cond"))
+        assert res.visited == 1 << 20 and sum(res.rank_pm) == 1 << 20
+        assert max(sizes) == census_oracle._TILE
+        assert sum(sizes) == 2 << 20
 
 
 class TestEngine:
@@ -624,11 +678,12 @@ class TestDirectEnumeration:
         assert list(res.cond_counts) == list(ref["dense"][res.cond_codes])
 
 
-def _header(cfg, version=CHECKPOINT_VERSION, next_chunk=1):
-    """The int64 checkpoint header of ``cfg``'s census before ``next_chunk``."""
+def _header(cfg, version=CHECKPOINT_VERSION, next_chunk=1, held=AGGREGATE_NAMES):
+    """The int64 checkpoint header of ``cfg``'s census holding ``held``, before ``next_chunk``."""
     s, t = cfg.dims
     mask, value = census_oracle._fixed_bits(cfg.filters, t)
-    return np.array([version, s, t, cfg.chunk_size, next_chunk, mask, value], dtype=np.int64)
+    bits = sum(1 << AGGREGATE_NAMES.index(name) for name in held)
+    return np.array([version, s, t, cfg.chunk_size, next_chunk, mask, value, bits], dtype=np.int64)
 
 
 def _write_archive(path, **members):
@@ -686,6 +741,10 @@ class TestCheckpointV2:
             _write_archive(path, header=_header(cfg, version=version), visited=np.int64(512))
             with pytest.raises(ValueError, match=f"version {version}"):
                 load_checkpoint(str(path), cfg)
+        # Version 3 headers had seven fields, without the aggregate mask.
+        _write_archive(path, header=_header(cfg, version=3)[:7], visited=np.int64(512))
+        with pytest.raises(ValueError, match="version 3"):
+            load_checkpoint(str(path), cfg)
 
     def test_filter_mismatch_refused(self, tmp_path):
         path = str(tmp_path / "census.ckpt")
@@ -739,6 +798,11 @@ class TestCheckpointV2:
             {"visited": None},
             {"header": None},
             {"header": _header(cfg)[:6]},
+            {"header": _header(cfg)[:7]},
+            {"header": np.r_[_header(cfg), 0]},
+            {"header": _header(cfg, held=AGGREGATE_NAMES[1:])},
+            {"header": np.r_[_header(cfg)[:7], (2 << len(AGGREGATE_NAMES)) - 1]},
+            {"header": np.r_[_header(cfg)[:7], -1]},
             {"header": _header(cfg).astype(np.int32)},
             {"header": _header(cfg, next_chunk=-1)},
             {"header": _header(cfg, next_chunk=2)},
@@ -751,8 +815,8 @@ class TestCheckpointV2:
             {"visited": np.float64(512)},
         ]
         for replace in tampered:
-            # A missing aggregate is another census's file: run_census refuses it.
-            with pytest.raises(ValueError, match="corrupt census checkpoint|holds aggregates"):
+            # The header names the aggregates held, so a missing one is damage.
+            with pytest.raises(ValueError, match="corrupt census checkpoint"):
                 load(replace)
         # A duplicate member, which np.savez cannot write.
         load({})
@@ -779,18 +843,37 @@ class TestCheckpointV2:
         for data in damaged:
             with open(path, "wb") as fh:
                 fh.write(data)
-            # A flip in the central directory's size can hide members, so
-            # the resume checks the aggregates held too.
+            # A flip in the central directory's size can hide members; the
+            # header's aggregate mask lets the load itself refuse that.
             try:
-                loaded = run_census(cfg, aggregates=AGGREGATE_NAMES, resume=True)
+                loaded, next_chunk = load_checkpoint(path, cfg)
             except ValueError:
                 continue
             loaded_intact += 1
+            assert next_chunk == 8
             assert loaded.to_json_dict() == good.to_json_dict()
             assert loaded.cond_codes.tolist() == good.cond_codes.tolist()
             assert loaded.cond_counts.tolist() == good.cond_counts.tolist()
         # Flips in fields that zipfile does not read (times, local sizes) are harmless.
         assert 0 < loaded_intact < 200
+
+    def test_partial_archive_refused(self, tmp_path):
+        # What a damaged central directory once listed: four of the members.
+        path = str(tmp_path / "census.ckpt")
+        cfg = CensusConfig(dims=(3, 3), worker_count=1, checkpoint_path=path)
+        good = run_census(cfg, aggregates=AGGREGATE_NAMES)
+        kept = {
+            name: np.asarray(getattr(good, name)) for name in ("visited", "rank_pm", "rank_cond")
+        }
+        _write_archive(path, header=_header(cfg), **kept)
+        with pytest.raises(ValueError, match="corrupt census checkpoint: entries"):
+            load_checkpoint(path, cfg)
+        # The same members under a header that names only those aggregates
+        # are a whole checkpoint of a smaller census.
+        _write_archive(path, header=_header(cfg, held=("rank_pm", "rank_cond")), **kept)
+        loaded, _ = load_checkpoint(path, cfg)
+        assert loaded.aggregate_names() == ("rank_pm", "rank_cond")
+        assert loaded.rank_pm.tolist() == good.rank_pm.tolist()
 
     def test_inspect_with_numpy(self, tmp_path):
         path = str(tmp_path / "census.ckpt")
@@ -802,7 +885,8 @@ class TestCheckpointV2:
             members = {name: archive[name] for name in archive.files}
         assert sorted(members) == sorted(["header", "visited", "rank_pm", "cond_codes", "cond_counts"])
         assert all(arr.dtype == np.int64 for arr in members.values())
-        assert members["header"].tolist() == [CHECKPOINT_VERSION, 3, 4, 1 << 10, 4, 1, 1]
+        # Aggregate mask: rank_pm and cond_counts, bits 0 and 2 of AGGREGATE_NAMES.
+        assert members["header"].tolist() == [CHECKPOINT_VERSION, 3, 4, 1 << 10, 4, 1, 1, 0b101]
         assert int(members["visited"]) == result.visited == 2048
         assert members["cond_counts"].tolist() == result.cond_counts.tolist()
 

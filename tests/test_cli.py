@@ -245,6 +245,16 @@ class TestExitCodes:
             )
             assert code == 2 and "error" in err and out == ""
 
+    def test_census_chunk_size_defaults_to_the_library(self, capsys, tmp_path):
+        import numpy as np
+        from chio.census_oracle import CensusConfig
+
+        path = str(tmp_path / "c.ckpt")
+        code, _, _ = run(capsys, "census", "--n", "3", "--workers", "1", "--checkpoint", path)
+        assert code == 0
+        with np.load(path, allow_pickle=False) as ckpt:
+            assert int(ckpt["header"][3]) == CensusConfig((3, 3)).chunk_size
+
     def test_census_resume_needs_checkpoint(self, capsys):
         code, out, err = run(capsys, "census", "--n", "3", "--workers", "1", "--resume")
         assert code == 2 and out == "" and "--checkpoint" in err

@@ -166,6 +166,16 @@ class TestShapes:
     def test_shape_counts(self, k):
         assert len(_shapes(k)) == (0, 0, 0, 0, 1, 21, 380)[k]
 
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_shapes_match_every_subset_of_the_grid(self, k):
+        # The shapes of all k-subsets of the (k-2) x (k-2) grid that hold a circuit.
+        brute = {
+            _shape(chosen)
+            for chosen in combinations(grid_positions(k - 1), k)
+            if four_circuits(chosen) or is_six_circuit(chosen)
+        }
+        assert _shapes(k) == tuple(sorted(brute))
+
     @pytest.mark.parametrize("k, n", [(k, n) for n in range(2, 8) for k in range(7)])
     def test_shape_weights_count_the_listed_sets(self, k, n):
         # A shape on r rows and c columns is the shape of one listed set
