@@ -22,14 +22,17 @@ refused); its exact divisions are a shift and a multiplication by a
 Aggregates (rank histograms, condensate preimage counts, edge-marginal
 pair counts, rank-drop violations) are summed over a chunk's tiles and
 merged per chunk in a fixed order, so results are bit-identical for any
-worker count, chunk size and tile size.  Condensate counts are sparse:
-the sorted codes of the condensates seen, with their counts, one piece
-per tile until merged.  Partial aggregates may be flushed to a
-checkpoint, an uncompressed NumPy ``.npz`` archive with a versioned
-header (version 4) that records the dimensions, chunk size, filters and
-the aggregates held, so a run resumes only into the census that wrote
-it, and a member lost to damage is told from an aggregate never
-computed; ``numpy.load`` reads it without resuming.  One table
+worker count, chunk size and tile size.  The edge-pair kernel packs
+nonzero patterns 64 matrices to a uint64 word and counts bits with a
+SWAR popcount; condensate codes are sorted in int32 (the budget caps a
+condensate at 16 entries, and 3^16 < 2^31).  Condensate counts are
+sparse: the sorted int64 codes seen, with their counts, one piece per
+tile until merged (in place while no code is new).  Partial aggregates
+may be flushed to a checkpoint, an uncompressed NumPy ``.npz`` archive
+with a versioned header (version 4) that records the dimensions, chunk
+size, filters and the aggregates held, so a run resumes only into the
+census that wrote it, and a member lost to damage is told from an
+aggregate never computed; ``numpy.load`` reads it without resuming.  One table
 (``_ENTRIES``) names the aggregates and gives each entry its shape
 (``()`` for a scalar); the result's empty state, its JSON form and the
 checkpoint's writer and reader all follow it.
@@ -311,7 +314,29 @@ def _count_below(bound: int, runs: list[tuple[int, int, int]], value: int) -> in
     return lo
 
 
-_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+# SWAR popcount masks (Hacker's Delight, ch. 5), as uint64 scalars so that
+# no operand mixes uint64 with a signed type and casts to float64.
+_M1, _M2, _M4, _H01 = (
+    np.uint64(v)
+    for v in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
+)
+_U1, _U2, _U4, _U56 = (np.uint64(v) for v in (1, 2, 4, 56))
+
+
+def _popcount64(words: np.ndarray) -> np.ndarray:
+    """The number of set bits of each word of a uint64 array, computed in place.
+
+    Two-bit, four-bit and byte sums of the bits, then one multiplication
+    that adds the eight byte sums into the top byte.  ``np.bitwise_count``
+    would do this, but it needs numpy >= 2.0.
+    """
+    words -= (words >> _U1) & _M1
+    words[...] = (words & _M2) + ((words >> _U2) & _M2)
+    words += words >> _U4
+    words &= _M4
+    words *= _H01
+    words >>= _U56
+    return words
 
 
 def _bits(codes: np.ndarray, width: int) -> np.ndarray:
@@ -380,15 +405,31 @@ def _tile_aggregates(s: int, t: int, codes: np.ndarray, names: tuple[str, ...]) 
         out["rank_drop_violations"] = int((rank_pm != rank_cond + 1).sum())
 
     if "cond_counts" in names:
-        powers = 3 ** np.arange(m, dtype=np.int64)
-        uniq, counts = np.unique(powers @ (cond + 1), return_counts=True)
-        out["cond_counts"] = (uniq, counts.astype(np.int64))
+        # Base-3 codes sum (cond[b] + 1) 3^b: a Horner loop over cond's rows
+        # from the highest, then the sum of the 3^b, in int32, where sorting
+        # is faster than in int64.  Every value is below 3^m, and BUDGET_LOG2
+        # caps m at 16 (a 5x5 census), with 3^16 < 2^31.
+        if 3**m > 1 << 31:
+            raise ValueError(f"condensate codes of {m} entries overflow int32")
+        code = cond[-1].astype(np.int32)
+        for row in cond[-2::-1]:
+            code *= 3
+            code += row
+        code += (3**m - 1) // 2
+        uniq, counts = np.unique(code, return_counts=True)
+        out["cond_counts"] = (uniq.astype(np.int64), counts.astype(np.int64))
 
     if "edge_pairs" in names:
-        # Pair counts of the nonzero patterns, eight matrices to a byte.
-        packed = np.packbits(cond != 0, axis=1)
-        both = packed[:, None] & packed[None]
-        out["edge_pairs"] = np.take(_POPCOUNT8, both).sum(axis=2, dtype=np.int64)
+        # Pair counts of the nonzero patterns, 64 matrices to a word (the
+        # last word zero-padded), for the row pairs p <= q, then mirrored.
+        n = cond.shape[1]
+        words = np.zeros((m, -(-n // 64)), dtype=np.uint64)
+        words.view(np.uint8)[:, : -(-n // 8)] = np.packbits(cond != 0, axis=1, bitorder="little")
+        p, q = np.triu_indices(m)
+        pairs = _popcount64(words[p] & words[q]).sum(axis=1, dtype=np.int64)
+        edge_pairs = np.empty((m, m), dtype=np.int64)
+        edge_pairs[p, q] = edge_pairs[q, p] = pairs
+        out["edge_pairs"] = edge_pairs
 
     return out
 
@@ -462,7 +503,11 @@ class CensusResult:
 
         Merging only once the pending pairs are as large as the merged
         ones keeps the total cost at O(N log N) for N codes seen.  Every
-        piece is a sorted run of distinct codes.  The code range is cut at
+        piece is a sorted run of distinct codes.  Pieces whose codes are
+        all present already (late in a census, most of them) are added in
+        place at their ``searchsorted`` positions, in order, up to the
+        first piece that holds a new code.  The rest are merged with the
+        merged pair into new arrays: the code range is cut at
         every ``_MERGE_SLICE``-th code of each piece, so between two cuts
         each piece holds at most that many codes; the runs are merged one
         stretch at a time (a stable sort of the stretch, then sums over
@@ -473,7 +518,16 @@ class CensusResult:
         land in freed holes or not depending on earlier allocations, which
         made the process's peak RSS vary from run to run by several MB.
         """
-        if not self._pending:
+        merged = self.cond_codes
+        for done, (codes, counts) in enumerate(self._pending):
+            at = np.searchsorted(merged, codes)
+            if at.size and (at[-1] == merged.size or (merged[at] != codes).any()):
+                del self._pending[:done]
+                break
+            self.cond_counts[at] += counts
+        else:
+            self._pending = []
+            self._pending_size = 0
             return
         pieces = [(self.cond_codes, self.cond_counts)] + self._pending
         self.cond_codes = self.cond_counts = None

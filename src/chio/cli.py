@@ -9,10 +9,12 @@ error (an unexpected exception; its traceback goes to stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import sys
+import time
 
 from .matrix_core import (
     PartialTernaryMatrix,
@@ -273,7 +275,27 @@ def cmd_verify(args) -> int:
     if args.n not in (4, 5):
         raise UsageError("verify needs --n of 4 or 5")
     big = args.big or args.n >= 5
-    checks = run_suites(names, big=big, workers=args.workers, seed=args.seed)
+    # Opened first, so that an unwritable --timings path is refused before any work.
+    with open(args.timings, "w") if args.timings else contextlib.nullcontext() as timings:
+        checks = []
+        suites = []
+        for name in names:
+            start = time.perf_counter()
+            part = run_suites([name], big=big, workers=args.workers, seed=args.seed)
+            suites.append(
+                {
+                    "suite": name,
+                    "seconds": round(time.perf_counter() - start, 3),
+                    "checks": len(part),
+                    "failed": sum(not entry["ok"] for entry in part),
+                    # The checks that time themselves.
+                    "check_seconds": {e["check"]: e["seconds"] for e in part if "seconds" in e},
+                }
+            )
+            checks.extend(part)
+        if timings:
+            record = {"seconds": round(sum(e["seconds"] for e in suites), 3), "suites": suites}
+            timings.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
     ok = all(entry["ok"] for entry in checks)
     if args.format == "json":
         stable = [
@@ -377,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the report to a file")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--workers", type=int, help="worker count (default: CHIO_WORKERS or CPU count)")
+    p.add_argument("--timings", help="write per-suite seconds and check counts to this JSON file")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -76,7 +76,7 @@ def _sign_matrix_from_code(code: int, n: int) -> list[list[int]]:
 
 def chio_identity_exhaustive(n: int = 4) -> dict:
     """det of the full condensate equals pivot^(n-2) times det, all 2^(n^2)."""
-    start = time.time()
+    start = time.perf_counter()
     mismatches = 0
     for code in range(1 << (n * n)):
         rows = _sign_matrix_from_code(code, n)
@@ -91,7 +91,7 @@ def chio_identity_exhaustive(n: int = 4) -> dict:
             mismatches += 1
         if (det_a == 0) != (det_c == 0):
             mismatches += 1
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     return _check(
         f"chio-identity exhaustive n={n}",
         mismatches == 0,

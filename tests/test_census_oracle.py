@@ -2,6 +2,7 @@
 
 import os
 import zipfile
+from collections import Counter
 from itertools import product
 from math import comb
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chio.matrix_core import IntMatrix, PartialTernaryMatrix, rank_int
+from chio.matrix_core import IntMatrix, PartialTernaryMatrix, SignMatrix, chio_condense, rank_int
 from chio import census_oracle, signed_graph
 from chio.measures import Event, fibre_cardinality
 from chio.census_oracle import (
@@ -18,6 +19,7 @@ from chio.census_oracle import (
     CHECKPOINT_VERSION,
     BudgetExceeded,
     CensusConfig,
+    CensusResult,
     batch_rank,
     binary_rank_counts,
     condensate_code,
@@ -299,6 +301,8 @@ class TestPreimageSupportCheck:
         # numpy >= 1.24 is supported; np.bitwise_count only came in 2.0.
         monkeypatch.delattr(np, "bitwise_count", raising=False)
         assert preimage_support_check(3, *_cond_pair(3))["ok"]
+        res = run_census(CensusConfig(dims=(3, 4), worker_count=1), aggregates=AGGREGATE_NAMES)
+        _assert_matches(res, _masked_reference((3, 4), {}))
 
 
 class TestRankCensus:
@@ -429,6 +433,120 @@ class TestTiles:
         assert res.visited == 1 << 20 and sum(res.rank_pm) == 1 << 20
         assert max(sizes) == census_oracle._TILE
         assert sum(sizes) == 2 << 20
+
+
+def _sign_matrix(code, s, t):
+    """The s x t sign matrix of a census code (bit (i-1)t + (j-1) set: entry +1)."""
+    rows = [[1 if code >> (i * t + j) & 1 else -1 for j in range(t)] for i in range(s)]
+    return SignMatrix.from_rows(rows)
+
+
+class TestKernels:
+    def test_popcount_matches_bit_count(self):
+        rng = np.random.default_rng(3)
+        words = [0, (1 << 64) - 1] + [1 << b for b in range(64)]
+        words += rng.integers(0, 1 << 64, size=1000, dtype=np.uint64, endpoint=False).tolist()
+        got = census_oracle._popcount64(np.array(words, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [int(w).bit_count() for w in words]
+
+    @pytest.mark.parametrize("size", [1, 63, 64, 65, 1000])
+    def test_edge_pairs_match_matrix_product(self, size):
+        # Tiles around one 64-code word, and one of many words and a remainder.
+        codes = np.random.default_rng(size).integers(0, 1 << 25, size=size)
+        got = census_oracle._tile_aggregates(5, 5, codes, ("edge_pairs",))["edge_pairs"]
+        positions = [(i, j) for i in range(1, 5) for j in range(1, 5)]
+        nz = np.array(
+            [
+                [chio_condense(_sign_matrix(code, 5, 5))[p] != 0 for p in positions]
+                for code in codes.tolist()
+            ],
+            dtype=np.int64,
+        )
+        assert got.dtype == np.int64
+        assert got.tolist() == (nz.T @ nz).tolist()
+
+    def test_int32_codes_of_a_5x5_slice(self):
+        # All but eight inner entries fixed to a matrix whose condensate is +1
+        # everywhere, code 3^16 - 1: the top of the int32 code range.
+        top = {(i, j): 1 for i in range(1, 6) for j in range(1, 6)}
+        top.update({(5, j): -1 for j in range(1, 5)})
+        free = {(1, 1), (1, 3), (2, 2), (2, 4), (3, 1), (3, 4), (4, 2), (4, 3)}
+        filters = {p: v for p, v in top.items() if p not in free}
+        cfg = CensusConfig(dims=(5, 5), worker_count=1, chunk_size=1 << 12, filters=filters)
+        res = run_census(cfg, aggregates=("cond_counts",))
+        mask, value = census_oracle._fixed_bits(filters, 5)
+        brute = Counter(
+            condensate_code(chio_condense(_sign_matrix(code, 5, 5)))
+            for code in _admissible(mask, value, 25)
+        )
+        assert res.visited == 256 and sum(brute.values()) == 256
+        assert res.cond_codes.dtype == res.cond_counts.dtype == np.int64
+        assert dict(zip(res.cond_codes.tolist(), res.cond_counts.tolist())) == brute
+        assert res.cond_codes[-1] == 3**16 - 1
+
+    def test_codes_past_int32_refused(self):
+        # A 5x6 condensate has 20 entries, and 3^20 > 2^31.
+        codes = np.arange(4, dtype=np.int64)
+        with pytest.raises(ValueError, match="int32"):
+            census_oracle._tile_aggregates(5, 6, codes, ("cond_counts",))
+
+
+def _admissible(mask, value, bits):
+    """Every code of ``bits`` bits that reads ``value`` on the bits of ``mask``."""
+    free = [b for b in range(bits) if not mask >> b & 1]
+    for x in range(1 << len(free)):
+        yield value | sum(1 << b for k, b in enumerate(free) if x >> k & 1)
+
+
+def _brute_counts(*pieces):
+    total = Counter()
+    for codes, counts in pieces:
+        total.update(dict(zip(codes.tolist(), counts.tolist())))
+    return dict(total)
+
+
+class TestSettle:
+    @staticmethod
+    def _settle(monkeypatch, merged, pieces):
+        """Settle ``pieces`` into a copy of the ``merged`` pair; return the
+        result, its arrays before the settle, and the ``_mapped`` calls."""
+        maps = []
+        real = census_oracle._mapped
+        monkeypatch.setattr(census_oracle, "_mapped", lambda *a: maps.append(a) or real(*a))
+        res = CensusResult(dims=(4, 4), cond_codes=merged[0].copy(), cond_counts=merged[1].copy())
+        res.merge_chunk({"visited": 0, "cond_counts": pieces})
+        before = res.cond_codes, res.cond_counts
+        res.settle()
+        assert res._pending == [] and res._pending_size == 0
+        assert dict(zip(res.cond_codes.tolist(), res.cond_counts.tolist())) == _brute_counts(
+            merged, *pieces
+        )
+        return res, before, maps
+
+    @staticmethod
+    def _pair(rng, codes, size):
+        """``size`` of ``codes``, sorted, with random counts."""
+        picked = np.sort(rng.choice(codes, size=size, replace=False)).astype(np.int64)
+        return picked, rng.integers(1, 9, size, dtype=np.int64)
+
+    def test_all_present_adds_in_place(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        merged = self._pair(rng, 3**9, 500)
+        pieces = [self._pair(rng, merged[0], 100) for _ in range(3)]
+        res, before, maps = self._settle(monkeypatch, merged, pieces)
+        assert res.cond_codes is before[0] and res.cond_counts is before[1]
+        assert maps == []
+
+    def test_new_code_falls_back_to_merge(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        merged = self._pair(rng, 3**9, 500)
+        new = np.setdiff1d(np.arange(3**9), merged[0])[[0, 7, -1]]
+        mixed = self._pair(rng, np.concatenate((merged[0][:50], new)), 53)
+        pieces = [self._pair(rng, merged[0], 100), mixed, self._pair(rng, merged[0], 100)]
+        res, before, maps = self._settle(monkeypatch, merged, pieces)
+        assert res.cond_codes is not before[0] and len(maps) == 2
+        assert res.cond_codes.size == 503 and (np.diff(res.cond_codes) > 0).all()
 
 
 class TestEngine:

@@ -311,6 +311,43 @@ class TestStability:
         assert out1 == out2
         assert "PASS" in out1 and "FAIL" not in out1
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_verify_timings_leave_stdout_unchanged(self, capsys, monkeypatch, tmp_path, fmt):
+        from chio import verify
+
+        real = verify.suite_relations
+        # A check that times itself, as chio-identity's exhaustive check does.
+        monkeypatch.setattr(
+            verify, "suite_relations", lambda: real() + [verify._check("timed", True, seconds=0.5)]
+        )
+        argv = ["verify", "--suite", "failures,relations", "--format", fmt]
+        code1, plain, _ = run(capsys, *argv)
+        target = tmp_path / "timings.json"
+        code2, timed, _ = run(capsys, *argv, "--timings", str(target))
+        assert code1 == code2 == 0 and plain == timed
+        record = json.loads(target.read_text())
+        suites = record["suites"]
+        assert [e["suite"] for e in suites] == ["failures", "relations"]
+        if fmt == "json":
+            shown = [e["suite"] for e in json.loads(plain)]
+        else:
+            shown = [line.split("[")[1].split("]")[0] for line in plain.splitlines()[:-1]]
+        assert [e["checks"] for e in suites] == [shown.count("failures"), shown.count("relations")]
+        assert all(e["failed"] == 0 and e["seconds"] >= 0 for e in suites)
+        assert [e["check_seconds"] for e in suites] == [{}, {"timed": 0.5}]
+        assert record["seconds"] == pytest.approx(sum(e["seconds"] for e in suites), abs=1e-3)
+
+    def test_verify_timings_unwritable_path_exits_2(self, capsys, monkeypatch, tmp_path):
+        from chio import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_suites", lambda *a, **k: calls.append(a) or [])
+        code, out, err = run(
+            capsys, "verify", "--suite", "relations", "--timings", str(tmp_path / "no" / "t.json")
+        )
+        assert code == 2 and out == "" and "error" in err
+        assert calls == []
+
     def test_failures_bytes_identical_across_workers(self, capsys):
         _, out1, _ = run(capsys, "failures", "--k", "5", "--n", "4", "--workers", "1")
         _, out2, _ = run(capsys, "failures", "--k", "5", "--n", "4", "--workers", "2")
