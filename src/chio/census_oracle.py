@@ -17,7 +17,9 @@ vectors.  Rank is a batched Bareiss elimination with column pivoting
 (:func:`_rank_soa`) in the narrowest integer dtype that the Hadamard
 bound of the input proves safe (inputs whose bound overflows int64 are
 refused); its exact divisions are a shift and a multiplication by a
-2-adic inverse.  No floating point is used anywhere.
+2-adic inverse.  On request the same pass gives the determinant, which
+:func:`chio_identity_chunk` uses to check Chio's identity on every
+matrix.  No floating point is used anywhere.
 
 Aggregates (rank histograms, condensate preimage counts, edge-marginal
 pair counts, rank-drop violations) are summed over a chunk's tiles and
@@ -128,7 +130,10 @@ def batch_rank(mats: np.ndarray) -> np.ndarray:
     a fresh one.  A matrix with no pivot in column j takes an identity
     step (its column is zero, and its pivot stays ``prev``).  The rank is
     the number of pivots found.  Columns run along the shorter side,
-    since rank(A) = rank(A^T).
+    since rank(A) = rank(A^T).  On the rows taken in pivot order this is
+    Bareiss's elimination, so at full rank its last pivot times the
+    permutation's sign is the determinant (``_rank_soa(..., det=True)``);
+    rank-only calls skip the pivot rows' indices that the sign needs.
 
     By Sylvester's identity every intermediate value is a minor of the
     input, so ``prev`` divides each ``x = a[i][l]*pivot - a[i][j]*head[l]``
@@ -157,14 +162,16 @@ _LOG2_MOD67 = np.zeros(67, dtype=np.int8)
 _LOG2_MOD67[[pow(2, e, 67) for e in range(63)]] = np.arange(63)
 
 
-def _rank_soa(entries: np.ndarray) -> np.ndarray:
-    """:func:`batch_rank` of a ``(rows, cols, n)`` batch.
+def _rank_soa(entries: np.ndarray, det: bool = False):
+    """:func:`batch_rank` of a ``(rows, cols, n)`` batch, or with ``det`` int64 ``(rank, det)``.
 
     ``entries[i, j]`` is the length-n vector of entry (i, j) across the
     batch; the input is copied, never written.
     """
     r, c, n = entries.shape
     k = min(r, c)
+    if det and r != c:
+        raise ValueError(f"determinant of a batch of {r}x{c} matrices")
     m = max(int(entries.max()), -int(entries.min())) if entries.size else 0
     bound = 2 * m ** (2 * k) * k**k
     fits = [d for d in (np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max]
@@ -178,6 +185,7 @@ def _rank_soa(entries: np.ndarray) -> np.ndarray:
     work = np.array(entries if r >= c else entries.transpose(1, 0, 2), dtype=dtype, order="C")
     rank = np.zeros(n, dtype=np.int64)
     prev = np.ones(n, dtype=dtype)
+    pivot_rows = []
     for j in range(k):
         col = work[:, j]
         # first[i]: row i is the matrix's first row with a nonzero here.
@@ -187,6 +195,11 @@ def _rank_soa(entries: np.ndarray) -> np.ndarray:
             first[i] &= ~has
             has |= first[i]
         rank += has
+        if det:
+            # The pivot row's index, as a sum (argmax along axis 0 is slow); in
+            # int8, as the bound admits over 15 rows only when all are zero.
+            index = np.arange(first.shape[0], dtype=np.int8)
+            pivot_rows.append(np.einsum("in,i->n", first.view(np.int8), index))
         if j + 1 == k:
             break
         first = first.astype(dtype)
@@ -202,7 +215,12 @@ def _rank_soa(entries: np.ndarray) -> np.ndarray:
             quotient = block.view(unsigned)
             quotient *= inv
         prev = pivot
-    return rank
+    if not det:
+        return rank
+    # At full rank every row but the last pivot row is zero by now.
+    last = np.where(rank == k, col.sum(axis=0, dtype=np.int64), 0)
+    odd = sum(pivot_rows[a] > pivot_rows[b] for b in range(k) for a in range(b)) & 1
+    return rank, np.where(odd, -last, last)
 
 
 def _odd_inverse(prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,11 +357,17 @@ def _popcount64(words: np.ndarray) -> np.ndarray:
     return words
 
 
-def _bits(codes: np.ndarray, width: int) -> np.ndarray:
-    """Bits ``0..width-1`` of int64 codes, as a C-contiguous ``(width, N)`` int8 array of 0/1."""
+def _decode(s: int, t: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(s, t, N)`` int8 +-1 entries of N int64 matrix codes, each entry's
+    vector C-contiguous, and their ``(s-1, t-1, N)`` half condensates: the
+    2x2 minors against the corner entry (s, t), halved, each in {-1, 0, 1}."""
     raw = codes.astype("<i8").view(np.uint8).reshape(-1, 8)
-    bits = np.unpackbits(raw, axis=1, count=width, bitorder="little")
-    return np.ascontiguousarray(bits.T).view(np.int8)
+    bits = np.unpackbits(raw, axis=1, count=s * t, bitorder="little")
+    entries = np.ascontiguousarray(bits.T).view(np.int8).reshape(s, t, -1)
+    entries <<= 1
+    entries -= 1
+    minors = entries[:-1, :-1] * entries[-1, -1] - entries[:-1, -1:] * entries[-1:, :-1]
+    return entries, minors >> 1
 
 
 # Admissible codes per kernel batch: small enough that a batch's int16
@@ -378,16 +402,9 @@ def _chunk_task(args: tuple) -> dict:
 def _tile_aggregates(s: int, t: int, codes: np.ndarray, names: tuple[str, ...]) -> dict:
     """The named aggregates of one batch of matrix codes."""
     m = (s - 1) * (t - 1)
-    entries = _bits(codes, s * t).reshape(s, t, -1)
-    entries <<= 1
-    entries -= 1
+    entries, cond = _decode(s, t, codes)
+    cond = cond.reshape(m, -1)
     out: dict[str, object] = {}
-
-    cond = None
-    if {"rank_cond", "cond_counts", "edge_pairs", "rank_drop_violations"} & set(names):
-        # Halved 2x2 minors against the corner entry (s, t), each in {-1, 0, 1}.
-        minors = entries[:-1, :-1] * entries[-1, -1] - entries[:-1, -1:] * entries[-1:, :-1]
-        cond = (minors >> 1).reshape(m, -1)
 
     rank_pm = None
     if {"rank_pm", "rank_drop_violations"} & set(names):
@@ -432,6 +449,22 @@ def _tile_aggregates(s: int, t: int, codes: np.ndarray, names: tuple[str, ...]) 
         out["edge_pairs"] = edge_pairs
 
     return out
+
+
+def chio_identity_chunk(args: tuple[int, int, int]) -> int:
+    """How many n x n sign matrices A, of codes ``lo .. hi - 1``, break Chio's
+    identity det C(A) = a^(n-2) det(A), with a = A[n][n] and C(A) the full
+    condensate (twice the half one); both determinants from :func:`_rank_soa`."""
+    n, lo, hi = args
+    mismatches = 0
+    for first in range(lo, hi, _TILE):
+        entries, cond = _decode(n, n, np.arange(first, min(first + _TILE, hi), dtype=np.int64))
+        _, det_a = _rank_soa(entries, det=True)
+        _, det_c = _rank_soa(cond, det=True)
+        # a^(n-2), for a = +-1.
+        power = entries[-1, -1] if n % 2 else 1
+        mismatches += int(np.count_nonzero(det_c << (n - 1) != power * det_a))
+    return mismatches
 
 
 # Codes per piece between two cuts of the condensate-count merge.
@@ -977,14 +1010,14 @@ def preimage_support_check(n: int, codes: np.ndarray, counts: np.ndarray) -> dic
     return {"condensates": 3**m, "supports": n_supports, **failures, "total": total, "ok": ok}
 
 
-def kwise_agreement_check(n: int, k_max: int = 6, workers: int | None = None) -> dict:
+def kwise_agreement_check(n: int, workers: int | None = None) -> dict:
     """Compare empirical event measures against the lazy coin flip values.
 
-    For every entry-specification event on the full grid with at most
-    ``k_max`` specified entries: events with at most three entries must
-    agree exactly; for four to six entries the disagreeing events must be
-    exactly the enumerated failure set.  Also cross-checks every
-    empirical count against the balance/component formula.
+    For every entry-specification event on the full grid with at most six
+    specified entries (``enumerate_failures`` stops at six): events with
+    at most three entries must agree exactly; for four to six entries the
+    disagreeing events must be exactly the enumerated failure set.  Also
+    cross-checks every empirical count against the balance/component formula.
 
     Raises:
         BudgetExceeded: for n > 4 (the event table needs a full census).
@@ -995,7 +1028,6 @@ def kwise_agreement_check(n: int, k_max: int = 6, workers: int | None = None) ->
     if n > 4:
         raise BudgetExceeded("empirical k-wise check supports n <= 4")
     m = (n - 1) ** 2
-    k_max = min(k_max, m, 6)
     res = run_census(CensusConfig(dims=(n, n), worker_count=workers), aggregates=("cond_counts",))
     cube = np.zeros(3**m, dtype=np.int64)
     cube[res.cond_codes] = res.cond_counts
@@ -1004,7 +1036,7 @@ def kwise_agreement_check(n: int, k_max: int = 6, workers: int | None = None) ->
 
     positions = [(i, j) for i in range(1, n) for j in range(1, n)]
     report: dict = {"n": n, "per_k": []}
-    for k in range(k_max + 1):
+    for k in range(min(m, 6) + 1):
         events = 0
         disagreements: set[tuple] = set()
         formula_mismatches = 0

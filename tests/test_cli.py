@@ -348,6 +348,27 @@ class TestStability:
         assert code == 2 and out == "" and "error" in err
         assert calls == []
 
+    @pytest.mark.parametrize("suites", ["relations,bogus", "census,bogus", "bogus"])
+    def test_verify_unknown_suite_refused_before_any_work(
+        self, capsys, monkeypatch, tmp_path, suites
+    ):
+        from chio import verify
+
+        def ran(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(verify, "suite_relations", ran)
+        monkeypatch.setattr(verify, "suite_census", ran)
+        target = tmp_path / "t.json"
+        target.write_bytes(b'{"seconds": 1.0}\n')
+        code, out, err = run(capsys, "verify", "--suite", suites, "--timings", str(target))
+        assert code == 2 and out == "" and "'bogus'" in err
+        assert target.read_bytes() == b'{"seconds": 1.0}\n'
+
+    def test_verify_seed_option_is_gone(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "relations", "--seed", "0")
+        assert code == 2 and out == ""
+
     def test_failures_bytes_identical_across_workers(self, capsys):
         _, out1, _ = run(capsys, "failures", "--k", "5", "--n", "4", "--workers", "1")
         _, out2, _ = run(capsys, "failures", "--k", "5", "--n", "4", "--workers", "2")
