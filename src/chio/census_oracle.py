@@ -29,22 +29,24 @@ nonzero patterns 64 matrices to a uint64 word and counts bits with a
 SWAR popcount; condensate codes are sorted in int32 (the budget caps a
 condensate at 16 entries, and 3^16 < 2^31).  Condensate counts are
 sparse: the sorted int64 codes seen, with their counts, one piece per
-tile until merged (in place while no code is new).  Partial aggregates
-may be flushed to a checkpoint, an uncompressed NumPy ``.npz`` archive
-with a versioned header (version 4) that records the dimensions, chunk
-size, filters and the aggregates held, so a run resumes only into the
-census that wrote it, and a member lost to damage is told from an
-aggregate never computed; ``numpy.load`` reads it without resuming.  One table
+tile until merged (in place while no code is new).  With a checkpoint
+path, partial aggregates are flushed every 4 chunks (``_FLUSH_EVERY``)
+and at the end to an uncompressed NumPy ``.npz`` archive with a
+versioned header (version 4) that records the dimensions, chunk size,
+filters and the aggregates held, so a run resumes only into the census
+that wrote it, and a member lost to damage is told from an aggregate
+never computed; ``numpy.load`` reads it without resuming.  One table
 (``_ENTRIES``) names the aggregates and gives each entry its shape
 (``()`` for a scalar); the result's empty state, its JSON form and the
 checkpoint's writer and reader all follow it.
 
 The {0,1} and {-1,0,+1} rank histograms, which the rank identities
 compare against the census, come from one brute-force loop over all
-base-b codes (:func:`_rank_supp_counts`).  Its digit loop also decodes
-condensate codes for :func:`preimage_support_check`, which reads the
-sparse condensate counts one support at a time; only
-:func:`kwise_agreement_check` scatters them into a dense cube, at n <= 4.
+base-b codes, ``_TILE`` at a time (:func:`_rank_supp_counts`).  Its
+digit loop also decodes condensate codes for
+:func:`preimage_support_check`, which reads the sparse condensate
+counts one support at a time; only :func:`kwise_agreement_check`
+scatters them into a dense cube, at n <= 4.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ from . import parallel
 
 BUDGET_LOG2 = 25
 CHECKPOINT_VERSION = 4
+# A run with a checkpoint path saves each time it passes a multiple of this many chunks.
+_FLUSH_EVERY = 4
 
 # Result entries: name -> (aggregate it belongs to, shape for (s, t)).  A
 # shape of () is a scalar and None a vector of any length.  ``cond_codes``
@@ -91,7 +95,6 @@ class CensusConfig:
     worker_count: int | None = None
     chunk_size: int = 1 << 20
     checkpoint_path: str | None = None
-    flush_every: int = 4
     filters: dict[Index2, int] | None = None
 
     def validate(self) -> None:
@@ -102,8 +105,6 @@ class CensusConfig:
             raise BudgetExceeded(f"2^{s * t} matrices exceed the 2^{BUDGET_LOG2} budget")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be positive")
-        if self.flush_every < 1:
-            raise ValueError("flush_every must be positive")
         for (i, j), sign in (self.filters or {}).items():
             if not (1 <= i <= s and 1 <= j <= t) or sign not in (-1, 1):
                 raise ValueError(f"bad census filter: entry {(i, j)} fixed to {sign}")
@@ -706,8 +707,8 @@ def run_census(
     Chunks that hold no admissible code get no task.  Chunk results are
     merged in code order regardless of the worker count; with a
     checkpoint path, partial aggregates are flushed once the run passes
-    each multiple of ``flush_every`` chunks and at the end, and a run can
-    resume from the saved state.
+    each multiple of ``_FLUSH_EVERY`` (4) chunks and at the end, and a run
+    can resume from the saved state.
 
     Raises:
         FileNotFoundError: on resume, if there is no checkpoint file.
@@ -750,7 +751,7 @@ def run_census(
     saved = start_chunk
     for c, chunk in zip(chunks, parallel.run_tasks_iter(_chunk_task, tasks, workers)):
         result.merge_chunk(chunk)
-        if cfg.checkpoint_path and (c + 1) // cfg.flush_every > saved // cfg.flush_every:
+        if cfg.checkpoint_path and (c + 1) // _FLUSH_EVERY > saved // _FLUSH_EVERY:
             saved = c + 1
             save_checkpoint(cfg.checkpoint_path, cfg, result, saved)
     if cfg.checkpoint_path and saved < n_chunks:
@@ -784,35 +785,33 @@ def _nonempty_chunks(cfg: CensusConfig, start: int, stop: int) -> list[int]:
 # --- derived censuses --------------------------------------------------------
 
 
-def binary_rank_counts(rows: int, cols: int, chunk: int = _TILE) -> np.ndarray:
-    """Rank histogram of all {0,1} matrices of the given shape.
-
-    Codes are decoded ``chunk`` at a time, so memory is O(chunk).
-    """
+def binary_rank_counts(rows: int, cols: int) -> np.ndarray:
+    """Rank histogram of all {0,1} matrices of the given shape."""
     if rows * cols > BUDGET_LOG2:
         raise BudgetExceeded("binary census too large")
-    return _rank_supp_counts(rows, cols, 2, 0, chunk).sum(axis=1)
+    return _rank_supp_counts(rows, cols, 2, 0).sum(axis=1)
 
 
-def ternary_rank_supp_counts(rows: int, cols: int, chunk: int = _TILE) -> np.ndarray:
+def ternary_rank_supp_counts(rows: int, cols: int) -> np.ndarray:
     """Joint (rank, support size) histogram of all {-1,0,+1} matrices."""
     if 3 ** (rows * cols) > (1 << 27):
         raise BudgetExceeded("ternary census too large")
-    return _rank_supp_counts(rows, cols, 3, -1, chunk)
+    return _rank_supp_counts(rows, cols, 3, -1)
 
 
-def _rank_supp_counts(rows: int, cols: int, base: int, offset: int, chunk: int) -> np.ndarray:
+def _rank_supp_counts(rows: int, cols: int, base: int, offset: int) -> np.ndarray:
     """Joint (rank, support size) histogram of all matrices with entries in
     ``offset .. offset + base - 1``.
 
     Code c is the matrix whose row-major entry b is digit b of c in base
-    ``base``, plus ``offset``; codes are decoded ``chunk`` at a time.
+    ``base``, plus ``offset``; codes are decoded ``_TILE`` at a time, so
+    memory is O(``_TILE``).
     """
     cells = rows * cols
     joint = np.zeros((min(rows, cols) + 1, cells + 1), dtype=np.int64)
     total = base**cells
-    for lo in range(0, total, chunk):
-        digits = _digits(np.arange(lo, min(lo + chunk, total), dtype=np.int64), base, cells)
+    for lo in range(0, total, _TILE):
+        digits = _digits(np.arange(lo, min(lo + _TILE, total), dtype=np.int64), base, cells)
         digits += offset
         supp = np.count_nonzero(digits, axis=0)
         ranks = _rank_soa(digits.reshape(rows, cols, -1))
@@ -888,19 +887,6 @@ class SingularReport:
     total: int
     q4_left: int
     q4_right: Fraction
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.singular_count, self.total)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "singular": self.singular_count,
-            "total": self.total,
-            "q4_left": self.q4_left,
-            "q4_right": [self.q4_right.numerator, self.q4_right.denominator],
-        }
 
 
 def singular_count(n: int, workers: int | None = None) -> SingularReport:

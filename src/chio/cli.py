@@ -163,7 +163,7 @@ def cmd_failures(args) -> int:
     if args.formula_only:
         report = failure_count_formula(args.k, args.n)
     else:
-        report = count_failures(args.k, args.n, workers=args.workers)
+        report = count_failures(args.k, args.n)
     payload, rows = _report_payloads(report)
     emit(payload, args, rows)
     return 0
@@ -275,16 +275,13 @@ def cmd_verify(args) -> int:
     unknown = [name for name in names if name not in SUITES]
     if unknown:
         raise UsageError(f"unknown suite {unknown[0]!r}; choose from {', '.join(SUITES)} or 'all'")
-    if args.n not in (4, 5):
-        raise UsageError("verify needs --n of 4 or 5")
-    big = args.big or args.n >= 5
     # Opened first, so that an unwritable --timings path is refused before any work.
     with open(args.timings, "w") if args.timings else contextlib.nullcontext() as timings:
         checks = []
         suites = []
         for name in names:
             start = time.perf_counter()
-            part = run_suites([name], big=big, workers=args.workers)
+            part = run_suites([name], big=args.big, workers=args.workers)
             suites.append(
                 {
                     "suite": name,
@@ -362,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("failures", help="failure census for one (k, n)")
-    common(p, workers=True)
+    common(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--formula-only", action="store_true", help="skip enumeration")
@@ -396,8 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         help=f"suite name or comma list; one of {', '.join(SUITES)} or 'all'",
     )
-    p.add_argument("--n", type=int, default=4, help="grid bound; 5 implies --big")
-    p.add_argument("--big", action="store_true", help="include 2^25-scale checks")
+    p.add_argument("--big", action="store_true", help="add the n = 5 and 2^25-scale checks")
     p.add_argument("--out", help="write the report to a file")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--workers", type=int, help="worker count (default: CHIO_WORKERS or CPU count)")

@@ -173,18 +173,14 @@ class SignMatrix:
         return self.entries[pos]
 
     @classmethod
-    def from_rows(cls, rows: list[list[int]], dims: tuple[int, int] | None = None) -> "SignMatrix":
+    def from_rows(cls, rows: list[list[int]]) -> "SignMatrix":
         """Build a full-rectangle sign matrix from nested row lists."""
         s = len(rows)
         t = len(rows[0]) if rows else 0
         if any(len(r) != t for r in rows):
             raise ValueError("ragged rows")
-        if dims is None:
-            dims = (s, t)
-        if dims != (s, t):
-            raise ValueError(f"dims {dims} do not match row shape {(s, t)}")
         entries = {(i + 1, j + 1): rows[i][j] for i in range(s) for j in range(t)}
-        domain = IndexSet(dims, frozenset(entries))
+        domain = IndexSet((s, t), frozenset(entries))
         return cls(domain, entries)
 
     @classmethod

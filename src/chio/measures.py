@@ -26,7 +26,8 @@ patterns; it never uses the closed form of the lazy coin flip value.
 ``recipe_p_chio`` re-derives the same value for at most six specified
 entries by a literal case split on matrix circuits and sign parities,
 sharing no balance or component-count code with ``p_chio``, so testing
-the two against each other is meaningful.
+the two against each other is meaningful.  It takes the matrix alone,
+since the value does not depend on the ambient index set.
 """
 
 from __future__ import annotations
@@ -325,7 +326,7 @@ def _domain_four_circuits(domain: frozenset[Index2]) -> tuple[frozenset[Index2],
     return tuple(four_circuits(domain))
 
 
-def recipe_p_chio(matrix: PartialTernaryMatrix, ambient: IndexSet | None = None) -> DyadicProb:
+def recipe_p_chio(matrix: PartialTernaryMatrix) -> DyadicProb:
     """Condensation measure by the literal small-domain case analysis.
 
     Works for at most six specified entries, using only matrix-circuit
@@ -335,8 +336,6 @@ def recipe_p_chio(matrix: PartialTernaryMatrix, ambient: IndexSet | None = None)
     Raises:
         ValueError: if more than six entries are specified.
     """
-    if ambient is not None:
-        Event(matrix, ambient)  # bounds validation only
     k = matrix.dom
     if k > 6:
         raise ValueError("recipe applies to at most six specified entries")

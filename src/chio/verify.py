@@ -10,8 +10,9 @@ at n = 4 and, with ``big``, 5; rank drop), measures
 (census preimages, read per support from the sparse census at n = 3, 4
 and, with ``big``, 5; recipe equivalence, averaging, worst-case ratio),
 failures (enumerated counts against closed forms), census (partition,
-determinism, k-wise agreement, singular counts), switching (orbits and
-rank invariance), relations (linear relations and density bounds).
+determinism across process pools, k-wise agreement, singular counts),
+switching (orbits and rank invariance), relations (linear relations and
+density bounds).
 """
 
 from __future__ import annotations
@@ -366,11 +367,16 @@ def suite_failures() -> list[dict]:
 
 def census_determinism(dims: tuple[int, int] = (4, 4)) -> dict:
     """Aggregates, condensate codes included, are bit-identical for worker
-    counts 1, 2 and 8."""
+    counts 1, 2 and 8.
+
+    The census is cut into 16 chunks, more than 8 workers, so that the
+    runs at 2 and 8 workers each start a process pool.
+    """
+    chunk_size = 1 << (dims[0] * dims[1] - 4)
     outputs = []
     for w in (1, 2, 8):
         res = run_census(
-            CensusConfig(dims=dims, worker_count=w),
+            CensusConfig(dims=dims, worker_count=w, chunk_size=chunk_size),
             aggregates=("rank_pm", "rank_cond", "cond_counts"),
         )
         outputs.append(
@@ -382,7 +388,9 @@ def census_determinism(dims: tuple[int, int] = (4, 4)) -> dict:
             )
         )
     ok = outputs[0] == outputs[1] == outputs[2]
-    return _check(f"census determinism {dims[0]}x{dims[1]}", ok, worker_counts=[1, 2, 8])
+    return _check(
+        f"census determinism {dims[0]}x{dims[1]}", ok, worker_counts=[1, 2, 8], chunk_size=chunk_size
+    )
 
 
 def rank_identity_checks(workers: int | None = None) -> list[dict]:

@@ -19,7 +19,7 @@ from chio.matrix_core import (
     det_int,
     rank_int,
 )
-from chio import census_oracle, signed_graph, verify
+from chio import census_oracle, parallel, signed_graph, verify
 from chio.measures import Event, fibre_cardinality
 from chio.census_oracle import (
     AGGREGATE_NAMES,
@@ -400,8 +400,8 @@ class TestSingular:
 
 
 class TestRankHistograms:
-    @pytest.mark.parametrize("rows, cols, chunk", [(3, 4, 7), (4, 4, 4093)])
-    def test_binary_counts_in_small_chunks(self, rows, cols, chunk):
+    @pytest.mark.parametrize("rows, cols, tile", [(3, 4, 7), (4, 4, 4093)])
+    def test_binary_counts_in_small_chunks(self, monkeypatch, rows, cols, tile):
         cells = rows * cols
         ranks = [
             rank_int(IntMatrix([[(code >> (i * cols + j)) & 1 for j in range(cols)] for i in range(rows)]))
@@ -409,17 +409,19 @@ class TestRankHistograms:
         ]
         expected = np.bincount(ranks, minlength=min(rows, cols) + 1).tolist()
         assert binary_rank_counts(rows, cols).tolist() == expected
-        assert binary_rank_counts(rows, cols, chunk=chunk).tolist() == expected
+        monkeypatch.setattr(census_oracle, "_TILE", tile)
+        assert binary_rank_counts(rows, cols).tolist() == expected
 
     @pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2), (3, 3)])
-    def test_ternary_joint_matches_scalar_rank(self, rows, cols):
+    def test_ternary_joint_matches_scalar_rank(self, monkeypatch, rows, cols):
         cells = rows * cols
         expected = np.zeros((min(rows, cols) + 1, cells + 1), dtype=np.int64)
         for values in product((-1, 0, 1), repeat=cells):
             matrix = IntMatrix([list(values[i * cols : (i + 1) * cols]) for i in range(rows)])
             expected[rank_int(matrix), sum(v != 0 for v in values)] += 1
         assert ternary_rank_supp_counts(rows, cols).tolist() == expected.tolist()
-        assert ternary_rank_supp_counts(rows, cols, chunk=50).tolist() == expected.tolist()
+        monkeypatch.setattr(census_oracle, "_TILE", 50)
+        assert ternary_rank_supp_counts(rows, cols).tolist() == expected.tolist()
 
     @pytest.mark.parametrize("rows, cols", [(3, 3), (3, 4)])
     def test_ternary_support_columns(self, rows, cols):
@@ -623,8 +625,9 @@ class TestEngine:
     def test_partition_and_determinism(self):
         reference = None
         for workers in (1, 2, 8):
+            # 16 chunks, so that 2 and 8 workers run in a pool.
             res = run_census(
-                CensusConfig(dims=(3, 3), worker_count=workers),
+                CensusConfig(dims=(3, 3), worker_count=workers, chunk_size=32),
                 aggregates=("rank_pm", "rank_cond", "cond_counts"),
             )
             assert res.visited == 512
@@ -637,6 +640,29 @@ class TestEngine:
             if reference is None:
                 reference = key
             assert key == reference
+
+    def test_determinism_check_starts_pools(self, monkeypatch):
+        real = parallel.multiprocessing.Pool
+        started = []
+
+        def counting(**kwargs):
+            started.append(kwargs["processes"])
+            return real(**kwargs)
+
+        monkeypatch.setattr(parallel.multiprocessing, "Pool", counting)
+        for dims in ((3, 3), (4, 4)):
+            started.clear()
+            assert verify.census_determinism(dims)["ok"]
+            assert started == [2, 8]
+
+    def test_determinism_check_fails_without_a_pool(self, monkeypatch):
+        def refuse(**kwargs):
+            raise RuntimeError("no pool")
+
+        monkeypatch.setattr(parallel.multiprocessing, "Pool", refuse)
+        for dims in ((3, 3), (4, 4)):
+            with pytest.raises(RuntimeError, match="no pool"):
+                verify.census_determinism(dims)
 
     def test_chunk_size_invariance(self):
         a = run_census(
@@ -661,24 +687,21 @@ class TestEngine:
             run_census(CensusConfig(dims=(2, 2)), aggregates=("bogus",))
 
     @pytest.mark.parametrize("flush_every", [0, -1])
-    def test_flush_every_refused(self, tmp_path, flush_every):
-        path = tmp_path / "census.ckpt"
-        cfg = CensusConfig(dims=(3, 3), flush_every=flush_every, checkpoint_path=str(path))
-        with pytest.raises(ValueError, match="flush_every"):
-            run_census(cfg)
-        assert not path.exists()
+    def test_flush_every_refused(self, flush_every):
+        # The cadence is a module constant of 4 chunks, not a setting.
+        with pytest.raises(TypeError, match="flush_every"):
+            CensusConfig(dims=(3, 3), flush_every=flush_every)
 
 
 class TestCheckpoints:
     def test_roundtrip_and_resume(self, tmp_path):
         path = str(tmp_path / "census.ckpt")
-        cfg = CensusConfig(
-            dims=(3, 3), worker_count=1, chunk_size=64, checkpoint_path=path, flush_every=2
-        )
+        # Saves after 128, 256, 384 and 512 codes: every 4 chunks of 32.
+        cfg = CensusConfig(dims=(3, 3), worker_count=1, chunk_size=32, checkpoint_path=path)
         full = run_census(cfg, aggregates=("rank_pm", "cond_counts"))
         assert os.path.exists(path)
         loaded, next_chunk = load_checkpoint(path, cfg)
-        assert next_chunk == 8 and loaded.visited == 512
+        assert next_chunk == 16 and loaded.visited == 512
         assert list(loaded.rank_pm) == list(full.rank_pm)
         resumed = run_census(cfg, aggregates=("rank_pm", "cond_counts"), resume=True)
         assert resumed.cond_counts.tobytes() == full.cond_counts.tobytes()
@@ -800,8 +823,7 @@ class TestDirectEnumeration:
         filters = {(2, j): 1 for j in range(1, 5)}
         path = str(tmp_path / "census.ckpt")
         cfg = CensusConfig(
-            dims=dims, worker_count=1, chunk_size=16, filters=filters,
-            checkpoint_path=path, flush_every=4,
+            dims=dims, worker_count=1, chunk_size=16, filters=filters, checkpoint_path=path
         )
         saves = []
         real = census_oracle.save_checkpoint
@@ -900,18 +922,20 @@ class TestCheckpointV2:
 
     def test_resume_cond_counts_mid_run(self, tmp_path, monkeypatch):
         path = str(tmp_path / "census.ckpt")
+        # Saves every 4 chunks of 175 codes, at codes 700, 1400, ...; the
+        # crash after 17 chunks (2975 codes) leaves the save at 2800.
         cfg = CensusConfig(
-            dims=(3, 4), worker_count=1, chunk_size=100, checkpoint_path=path, flush_every=7,
+            dims=(3, 4), worker_count=1, chunk_size=175, checkpoint_path=path,
             filters={(2, 3): -1},
         )
         full = run_census(CensusConfig(dims=(3, 4), worker_count=1, filters={(2, 3): -1}),
                           aggregates=AGGREGATE_NAMES)
-        self._crash_after(monkeypatch, 30)
+        self._crash_after(monkeypatch, 17)
         with pytest.raises(_Crash):
             run_census(cfg, aggregates=AGGREGATE_NAMES)
         monkeypatch.undo()
         head, next_chunk = load_checkpoint(path, cfg)
-        assert next_chunk == 28 and 0 < head.visited < full.visited
+        assert next_chunk == 16 and 0 < head.visited < full.visited
         resumed = run_census(cfg, aggregates=AGGREGATE_NAMES, resume=True)
         assert resumed.to_json_dict() == full.to_json_dict()
         assert resumed.cond_codes.tobytes() == full.cond_codes.tobytes()

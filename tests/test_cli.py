@@ -1,5 +1,6 @@
 """Command-line interface: parsing, reports, exit codes, stability."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import chio
-from chio.cli import main, parse_sign_matrix, parse_ternary_matrix
+from chio.cli import build_parser, main, parse_sign_matrix, parse_ternary_matrix
 
 
 def run(capsys, *argv):
@@ -87,7 +88,7 @@ class TestCommands:
         assert values["ratio4"] == "768"
 
     def test_failures_enumerated_matches_formula(self, capsys):
-        code, enumerated, _ = run(capsys, "failures", "--k", "4", "--n", "4", "--workers", "1")
+        code, enumerated, _ = run(capsys, "failures", "--k", "4", "--n", "4")
         code2, formula, _ = run(capsys, "failures", "--k", "4", "--n", "4", "--formula-only")
         assert code == code2 == 0
         assert json.loads(enumerated) == json.loads(formula)
@@ -95,7 +96,7 @@ class TestCommands:
     @pytest.mark.parametrize("n", ["2", "3"])
     @pytest.mark.parametrize("k", ["4", "5", "6"])
     def test_failures_formula_on_small_grids(self, capsys, k, n):
-        code, enumerated, _ = run(capsys, "failures", "--k", k, "--n", n, "--workers", "1")
+        code, enumerated, _ = run(capsys, "failures", "--k", k, "--n", n)
         code2, formula, _ = run(capsys, "failures", "--k", k, "--n", n, "--formula-only")
         assert code == code2 == 0
         assert json.loads(enumerated) == json.loads(formula)
@@ -207,6 +208,7 @@ class TestExitCodes:
             ("classify", "--matrix=--./--./..."),
             ("formulas", "--n", "4"),
             ("switch-orbit", "--matrix=--/--"),
+            ("failures", "--k", "4", "--n", "4"),
         ],
     )
     def test_commands_without_a_pool_refuse_workers(self, capsys, argv):
@@ -214,10 +216,35 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, "--workers", "1")
         assert code == 2 and out == "" and "--workers" in err
 
-    @pytest.mark.parametrize("n", ["3", "6", "7"])
-    def test_verify_refuses_n_outside_4_and_5(self, capsys, n):
+    @pytest.mark.parametrize("n", ["3", "4", "5", "6", "7"])
+    def test_verify_n_option_is_gone(self, capsys, n):
+        # --big is the one switch for the n = 5 checks.
         code, out, err = run(capsys, "verify", "--suite", "relations", "--n", n)
-        assert code == 2 and out == "" and "--n of 4 or 5" in err
+        assert code == 2 and out == "" and "unrecognized arguments: --n" in err
+
+    def test_option_sets_are_pinned(self):
+        # An option added or dropped must be added or dropped here too.
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        report = {"--format", "--out"}
+        matrix = report | {"--matrix", "--n"}
+        dims = report | {"--n", "--s", "--t", "--workers"}
+        assert options == {
+            "condense": matrix | {"--abs"},
+            "pchio": matrix,
+            "recipe": matrix,
+            "classify": matrix,
+            "failures": report | {"--k", "--n", "--formula-only"},
+            "formulas": report | {"--n"},
+            "census": dims | {"--big", "--chunk-size", "--checkpoint", "--resume"},
+            "ranks": dims,
+            "switch-orbit": matrix,
+            "verify": report | {"--suite", "--big", "--workers", "--timings"},
+        }
 
     def test_dims_need_both_sizes(self, capsys):
         code, out, err = run(capsys, "ranks", "--s", "3", "--workers", "1")
@@ -369,11 +396,6 @@ class TestStability:
         code, out, _ = run(capsys, "verify", "--suite", "relations", "--seed", "0")
         assert code == 2 and out == ""
 
-    def test_failures_bytes_identical_across_workers(self, capsys):
-        _, out1, _ = run(capsys, "failures", "--k", "5", "--n", "4", "--workers", "1")
-        _, out2, _ = run(capsys, "failures", "--k", "5", "--n", "4", "--workers", "2")
-        assert out1 == out2
-
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_failures_bytes_identical_across_hash_seeds(self, fmt):
         # Values and isotypes hash by identity; string hashes change with
@@ -384,7 +406,7 @@ class TestStability:
             env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
             done = subprocess.run(
                 [sys.executable, "-m", "chio.cli", "failures", "--k", "6", "--n", "5",
-                 "--format", fmt, "--workers", "1"],
+                 "--format", fmt],
                 env=env, capture_output=True, timeout=120, check=True,
             )
             outputs.append(done.stdout)
@@ -411,7 +433,7 @@ class TestWorkers:
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_refuses_worker_flag_below_one(self, capsys, workers):
-        code, out, err = run(capsys, "failures", "--k", "4", "--n", "4", "--workers", workers)
+        code, out, err = run(capsys, "census", "--n", "3", "--workers", workers)
         assert code == 2 and out == ""
         assert "worker count must be at least 1" in err
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chio import switching
 from chio.matrix_core import PartialTernaryMatrix
 from chio.signed_graph import SignedBipartiteGraph, balance_and_betti, betti, build_graph
 from chio.switching import (
@@ -236,6 +237,19 @@ class TestRankInvariance:
         signed = {p: 1 for p in cells}
         signed[(1, 1)] = -1
         assert rank_int(IntMatrix.from_ternary(PartialTernaryMatrix((4, 4), signed))) > 1
+
+    def test_shifted_signing_rank_is_reported(self, monkeypatch):
+        real = switching.batch_rank
+
+        def shifted(mats):
+            ranks = real(mats)
+            ranks[3] += 1
+            return ranks
+
+        monkeypatch.setattr(switching, "batch_rank", shifted)
+        report = rank_invariance_check(PartialTernaryMatrix((3, 3), {p: 1 for p in C4}))
+        assert report.pattern_rank == 1 and report.signings_checked == 8
+        assert report.mismatches == 1 and not report.all_equal
 
     def test_rejects_signed_input(self):
         with pytest.raises(ValueError):
