@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import Iterator
 
 import numpy as np
 
@@ -376,6 +377,12 @@ def _decode(s: int, t: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _TILE = 1 << 15
 
 
+def _tiles(start: int, stop: int) -> Iterator[np.ndarray]:
+    """The integers ``start .. stop - 1``, as int64 arrays of ``_TILE`` or fewer."""
+    for first in range(start, stop, _TILE):
+        yield np.arange(first, min(first + _TILE, stop), dtype=np.int64)
+
+
 def _chunk_task(args: tuple) -> dict:
     """Process the admissible codes of one contiguous code range.
 
@@ -388,8 +395,7 @@ def _chunk_task(args: tuple) -> dict:
     runs = _free_runs(s * t, mask)
     start, stop = _count_below(lo, runs, value), _count_below(hi, runs, value)
     out: dict[str, object] = {"visited": stop - start}
-    for first in range(start, stop, _TILE):
-        x = np.arange(first, min(first + _TILE, stop), dtype=np.int64)
+    for x in _tiles(start, stop):
         # With every bit fixed, _deposit returns a plain int.
         codes = np.broadcast_to(_deposit(x, runs, value), x.shape)
         for name, part in _tile_aggregates(s, t, codes, names).items():
@@ -458,8 +464,8 @@ def chio_identity_chunk(args: tuple[int, int, int]) -> int:
     condensate (twice the half one); both determinants from :func:`_rank_soa`."""
     n, lo, hi = args
     mismatches = 0
-    for first in range(lo, hi, _TILE):
-        entries, cond = _decode(n, n, np.arange(first, min(first + _TILE, hi), dtype=np.int64))
+    for codes in _tiles(lo, hi):
+        entries, cond = _decode(n, n, codes)
         _, det_a = _rank_soa(entries, det=True)
         _, det_c = _rank_soa(cond, det=True)
         # a^(n-2), for a = +-1.
@@ -810,8 +816,8 @@ def _rank_supp_counts(rows: int, cols: int, base: int, offset: int) -> np.ndarra
     cells = rows * cols
     joint = np.zeros((min(rows, cols) + 1, cells + 1), dtype=np.int64)
     total = base**cells
-    for lo in range(0, total, _TILE):
-        digits = _digits(np.arange(lo, min(lo + _TILE, total), dtype=np.int64), base, cells)
+    for codes in _tiles(0, total):
+        digits = _digits(codes, base, cells)
         digits += offset
         supp = np.count_nonzero(digits, axis=0)
         ranks = _rank_soa(digits.reshape(rows, cols, -1))

@@ -1,7 +1,9 @@
 """Command-line interface: condensation, measures, censuses, verification.
 
 All numeric output is exact (integers and log2 exponents; no floats).
-Reports are JSON (sorted keys) or CSV and byte-stable for fixed flags.
+Reports are JSON (sorted keys) or, with ``--format`` where a command has
+it (``csv`` on failures, census, ranks; ``table`` or ``json`` on verify),
+another form, all written by :func:`emit` and byte-stable for fixed flags.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 error (an unexpected exception; its traceback goes to stderr).
 """
@@ -90,21 +92,18 @@ def event_report(matrix: PartialTernaryMatrix) -> dict:
     }
 
 
-def emit(payload, args, csv_rows=None) -> None:
-    """Write JSON (default) or CSV to stdout or --out."""
-    if getattr(args, "format", "json") == "csv":
-        if csv_rows is None:
-            raise UsageError("this command has no CSV form")
+def emit(report, args, csv_rows=None) -> None:
+    """Write to stdout or ``--out``: CSV under ``--format csv``, else text as is, or JSON."""
+    if getattr(args, "format", None) == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in csv_rows:
-            writer.writerow(row)
+        csv.writer(buf).writerows(csv_rows)
         text = buf.getvalue()
+    elif isinstance(report, str):
+        text = report
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -155,17 +154,12 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _report_payloads(report: CountReport):
-    return report.to_json_dict(), [CountReport.csv_header(), report.to_csv_row()]
-
-
 def cmd_failures(args) -> int:
     if args.formula_only:
         report = failure_count_formula(args.k, args.n)
     else:
         report = count_failures(args.k, args.n)
-    payload, rows = _report_payloads(report)
-    emit(payload, args, rows)
+    emit(report.to_json_dict(), args, [CountReport.csv_header(), report.to_csv_row()])
     return 0
 
 
@@ -298,10 +292,9 @@ def cmd_verify(args) -> int:
             timings.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
     ok = all(entry["ok"] for entry in checks)
     if args.format == "json":
-        stable = [
+        report = [
             {k: v for k, v in entry.items() if k != "seconds"} for entry in checks
         ]
-        emit(stable, args)
     else:
         lines = [
             f"{'PASS' if entry['ok'] else 'FAIL'}  [{entry['suite']}] {entry['check']}"
@@ -311,12 +304,8 @@ def cmd_verify(args) -> int:
             f"{'OK' if ok else 'FAILED'}: "
             f"{sum(e['ok'] for e in checks)}/{len(checks)} checks passed"
         )
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        report = "\n".join(lines) + "\n"
+    emit(report, args)
     return 0 if ok else 1
 
 
@@ -328,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"chio {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, matrix=False, dims=False, workers=False):
+    def common(p, matrix=False, dims=False, workers=False, formats=()):
         if matrix:
             p.add_argument("--matrix", required=True, help="matrix literal (JSON or compact rows)")
             p.add_argument("--n", type=int, help="grid size override for compact input")
@@ -337,12 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--s", type=int)
             p.add_argument("--t", type=int)
         p.add_argument("--out", help="write the report to a file")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
         if workers:
             p.add_argument("--workers", type=int, help="worker count (default: CHIO_WORKERS or CPU count)")
 
     p = sub.add_parser("condense", help="half Chio condensation of a sign matrix")
-    common(p, matrix=True)
+    common(p)
+    p.add_argument("--matrix", required=True, help="sign matrix (JSON or compact '+-' rows)")
     p.add_argument("--abs", action="store_true", help="entrywise absolute value")
     p.set_defaults(func=cmd_condense)
 
@@ -359,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("failures", help="failure census for one (k, n)")
-    common(p)
+    common(p, formats=("json", "csv"))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--formula-only", action="store_true", help="skip enumeration")
@@ -371,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_formulas)
 
     p = sub.add_parser("census", help="exhaustive sign-matrix census")
-    common(p, dims=True, workers=True)
+    common(p, dims=True, workers=True, formats=("json", "csv"))
     p.add_argument("--big", action="store_true", help="allow 2^25-sized runs")
     p.add_argument("--chunk-size", type=int, help="codes per chunk (default: the library's)")
     p.add_argument("--checkpoint", help="checkpoint file for resumable runs")
@@ -379,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("ranks", help="rank level-set census and identities")
-    common(p, dims=True, workers=True)
+    common(p, dims=True, workers=True, formats=("json", "csv"))
     p.set_defaults(func=cmd_ranks)
 
     p = sub.add_parser("switch-orbit", help="switching orbit of a signing")
@@ -387,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_switch_orbit)
 
     p = sub.add_parser("verify", help="run verification suites")
+    common(p, workers=True, formats=("table", "json"))
     p.add_argument(
         "--suite",
         action="append",
@@ -394,9 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"suite name or comma list; one of {', '.join(SUITES)} or 'all'",
     )
     p.add_argument("--big", action="store_true", help="add the n = 5 and 2^25-scale checks")
-    p.add_argument("--out", help="write the report to a file")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--workers", type=int, help="worker count (default: CHIO_WORKERS or CPU count)")
     p.add_argument("--timings", help="write per-suite seconds and check counts to this JSON file")
     p.set_defaults(func=cmd_verify)
 

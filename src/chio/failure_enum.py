@@ -54,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import comb
 from typing import Iterator
 
@@ -69,7 +69,6 @@ from .signed_graph import (
     is_six_circuit,
     isotype_and_betti,
 )
-from . import parallel
 
 VALUE_EXPONENTS = (7, 8, 9, 10, 11)
 RATIO_CLASSES = (0, 2, 4)
@@ -239,27 +238,14 @@ def _shapes(k: int) -> tuple[tuple[Index2, ...], ...]:
     joined with k - 4 other positions or, at k = 6, a 6-circuit on three
     rows and three columns, so it uses at most k - 2 rows and k - 2
     columns: its shape is the shape of a k-subset of the (k-2) x (k-2)
-    grid.  Those subsets are built from that grid's circuits, so no
-    subset without one is tried.
+    grid on which the library's circuit search finds a circuit.
     """
-    labels = range(1, k - 1)
-    grid = grid_positions(k - 1)
-    sets = set()
-    for r1, r2 in combinations(labels, 2):
-        for c1, c2 in combinations(labels, 2):
-            rect = {(r1, c1), (r1, c2), (r2, c1), (r2, c2)}
-            others = [pos for pos in grid if pos not in rect]
-            for extra in combinations(others, k - 4):
-                sets.add(tuple(sorted(rect.union(extra))))
-    if k == 6:
-        # A 6-circuit on rows R and columns C: the 3 x 3 block without
-        # the cells of one bijection from R to C.
-        for rows in combinations(labels, 3):
-            for cols in combinations(labels, 3):
-                for perm in permutations(cols):
-                    gone = set(zip(rows, perm))
-                    sets.add(tuple((i, j) for i in rows for j in cols if (i, j) not in gone))
-    return tuple(sorted({_shape(chosen) for chosen in sets}))
+    found = {
+        _shape(chosen)
+        for chosen in combinations(grid_positions(k - 1), k)
+        if four_circuits(chosen) or is_six_circuit(chosen)
+    }
+    return tuple(sorted(found))
 
 
 def _extent(shape: tuple[Index2, ...]) -> tuple[int, int]:
@@ -405,14 +391,13 @@ def count_failures(k: int, n: int, workers: int | None = None) -> CountReport:
     circuit pattern (a support with its circuit masks) walked once per
     call.  The tables and the graph memo are rebuilt by every call.
 
-    ``workers`` is validated, as everywhere, but starts no pool: the work
-    per shape does not grow with n, and the whole count runs inline.
+    ``workers`` is ignored: the work per shape does not grow with n, so
+    the whole count runs inline and starts no pool.
 
     Raises:
-        ValueError: for k outside 0..6, n < 2 or a worker count below 1.
+        ValueError: for k outside 0..6 or n < 2.
     """
     _check_range(k, n)
-    parallel.resolve_workers(workers)
     by_ratio, by_value, by_isotype = Counter(), Counter(), Counter()
     walks: dict[tuple[int, tuple[int, ...]], int] = {}
     graphs: dict = {}

@@ -101,11 +101,24 @@ def signing_tuple(graph: SignedBipartiteGraph) -> tuple[int, ...]:
 def orbit(graph: SignedBipartiteGraph) -> set[tuple[int, ...]]:
     """Orbit of the graph's signing under all switchings.
 
-    Every group element is applied (the kernel comes along for free);
-    the orbit of a balanced signing is the full set of balanced signings.
+    A switching acts on an edge through its endpoints' bits alone, so the
+    2^v switchings of the v rows and columns that carry an edge are all
+    applied (the kernel comes along for free); the orbit of a balanced
+    signing is the full set of balanced signings.
     """
     s, t = graph.dims
-    return {signing_tuple(switch_signing(graph, g)) for g in all_switches(s, t)}
+    rows = sorted({i for i, _ in graph.edges})
+    cols = sorted({j for _, j in graph.edges})
+    signings = set()
+    for bits in product((0, 1), repeat=len(rows) + len(cols)):
+        row_bits, col_bits = [0] * (s - 1), [0] * (t - 1)
+        for i, bit in zip(rows, bits):
+            row_bits[i - 1] = bit
+        for j, bit in zip(cols, bits[len(rows) :]):
+            col_bits[j - 1] = bit
+        g = SwitchElement(tuple(row_bits), tuple(col_bits))
+        signings.add(signing_tuple(switch_signing(graph, g)))
+    return signings
 
 
 def balanced_extension(

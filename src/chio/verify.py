@@ -1,14 +1,15 @@
 """Verification suites: every closed formula against independent recount.
 
 Each suite returns a list of check dicts ``{"check", "ok", ...detail}``;
-the CLI renders them as a table and exits nonzero if anything fails.
+the CLI writes them as a table or JSON and exits nonzero if anything fails.
 The acceptance tests drive the same functions, so the command line and
 the test suite cannot drift apart.
 
 Suites: chio-identity (Chio's determinant identity on every sign matrix
 at n = 4 and, with ``big``, 5; rank drop), measures
 (census preimages, read per support from the sparse census at n = 3, 4
-and, with ``big``, 5; recipe equivalence, averaging, worst-case ratio),
+and, with ``big``, 5; recipe equivalence, averaging, worst-case ratio,
+ambient-set independence counted over condensed sign matrices),
 failures (enumerated counts against closed forms), census (partition,
 determinism across process pools, k-wise agreement, singular counts),
 switching (orbits and rank invariance), relations (linear relations and
@@ -18,10 +19,11 @@ density bounds).
 from __future__ import annotations
 
 import time
+from collections import Counter
 from itertools import combinations, islice, product
 from math import comb
 
-from .matrix_core import IndexSet, PartialTernaryMatrix
+from .matrix_core import IndexSet, PartialTernaryMatrix, SignMatrix, chio_condense, chio_extend
 from .measures import (
     Event,
     p_chio,
@@ -72,10 +74,11 @@ def _check(name: str, ok: bool, **details) -> dict:
 
 def chio_identity_exhaustive(n: int = 4, workers: int | None = None) -> dict:
     """det of the full condensate equals pivot^(n-2) times det, all 2^(n^2),
-    over the chunks of the n x n census (2^20 codes each)."""
+    over the chunks of the n x n census (``CensusConfig.chunk_size`` codes)."""
     start = time.perf_counter()
     total = 1 << (n * n)
-    tasks = [(n, lo, min(lo + (1 << 20), total)) for lo in range(0, total, 1 << 20)]
+    chunk = CensusConfig((n, n)).chunk_size
+    tasks = [(n, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     workers = parallel.resolve_workers(workers)
     mismatches = sum(parallel.run_tasks(chio_identity_chunk, tasks, workers))
     elapsed = time.perf_counter() - start
@@ -263,29 +266,31 @@ def worst_ratio_scan(n: int) -> dict:
 
 
 def j_independence_check(n: int = 3) -> dict:
-    """The event measure does not depend on the ambient index set."""
+    """The event measure does not depend on the ambient index set J: for
+    every J inside [n-1]^2, the condensates of all sign matrices on the Chio
+    extension J~ hit each event B on a domain inside J p_chio(B) 2^|J~| times."""
     positions = [(i, j) for i in range(1, n) for j in range(1, n)]
-    m = len(positions)
-    mismatches = 0
-    cases = 0
-    for k in range(m + 1):
-        for chosen in combinations(positions, k):
-            for values in product((-1, 0, 1), repeat=k):
-                matrix = PartialTernaryMatrix((n, n), dict(zip(chosen, values)))
-                base = p_chio(Event(matrix))
-                for extra in range(m - k + 1):
-                    for sup in combinations(
-                        [p for p in positions if p not in chosen], extra
-                    ):
-                        ambient = IndexSet((n, n), frozenset(chosen) | frozenset(sup))
-                        cases += 1
-                        if p_chio(Event(matrix, ambient)) != base:
-                            mismatches += 1
+    agrees = []
+    for size in range(len(positions) + 1):
+        for members in combinations(positions, size):
+            ambient = IndexSet((n, n), frozenset(members))
+            extended = chio_extend(ambient)
+            domains = [chosen for k in range(size + 1) for chosen in combinations(members, k)]
+            hits = Counter()
+            for signs in product((-1, 1), repeat=len(extended)):
+                condensed = chio_condense(SignMatrix(extended, dict(zip(extended, signs))))
+                for chosen in domains:
+                    hits[chosen, tuple(condensed[pos] for pos in chosen)] += 1
+            for chosen in domains:
+                for values in product((-1, 0, 1), repeat=len(chosen)):
+                    matrix = PartialTernaryMatrix((n, n), dict(zip(chosen, values)))
+                    expected = p_chio(Event(matrix, ambient)).as_fraction() * 2 ** len(extended)
+                    agrees.append(hits[chosen, values] == expected)
     return _check(
         f"measure independent of ambient set, n={n}",
-        mismatches == 0,
-        cases=cases,
-        mismatches=mismatches,
+        all(agrees),
+        cases=len(agrees),
+        mismatches=agrees.count(False),
     )
 
 

@@ -107,6 +107,12 @@ class TestCommands:
         assert code == 0
         assert payload["orbit_size"] == 8 and payload["orbit_is_balanced_set"]
 
+    def test_switch_orbit_switches_only_the_graph(self, capsys):
+        # One edge on a 30 x 30 grid: 4 switchings act, not 2^58.
+        code, out, _ = run(capsys, "switch-orbit", "--n", "30", "--matrix", "[[1]]")
+        payload = json.loads(out)
+        assert code == 0 and payload["orbit_size"] == 2 and payload["orbit"] == [[-1], [1]]
+
     def test_ranks(self, capsys):
         code, out, _ = run(capsys, "ranks", "--n", "3")
         payload = json.loads(out)
@@ -230,21 +236,71 @@ class TestExitCodes:
             name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
             for name, p in sub.choices.items()
         }
+        # --format only where a command has a second format.
         report = {"--format", "--out"}
-        matrix = report | {"--matrix", "--n"}
+        matrix = {"--out", "--matrix", "--n"}
         dims = report | {"--n", "--s", "--t", "--workers"}
         assert options == {
-            "condense": matrix | {"--abs"},
+            "condense": {"--out", "--matrix", "--abs"},
             "pchio": matrix,
             "recipe": matrix,
             "classify": matrix,
             "failures": report | {"--k", "--n", "--formula-only"},
-            "formulas": report | {"--n"},
+            "formulas": {"--out", "--n"},
             "census": dims | {"--big", "--chunk-size", "--checkpoint", "--resume"},
             "ranks": dims,
             "switch-orbit": matrix,
             "verify": report | {"--suite", "--big", "--workers", "--timings"},
         }
+        assert sum(map(len, options.values())) == 44
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("condense", "--matrix", "+-/--", "--format", "json"),
+            ("pchio", "--matrix=--./--./...", "--format", "json"),
+            ("recipe", "--matrix=--./--./...", "--format", "json"),
+            ("classify", "--matrix=--./--./...", "--format", "json"),
+            ("formulas", "--n", "4", "--format", "json"),
+            ("switch-orbit", "--matrix=--/--", "--format", "json"),
+            ("condense", "--matrix", "+-/--", "--n", "3"),
+        ],
+    )
+    def test_options_that_choose_nothing_are_gone(self, capsys, argv):
+        assert run(capsys, *argv[:-2])[0] == 0
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"unrecognized arguments: {argv[-2]}" in err
+
+    def test_every_format_choice_writes_a_report(self, capsys, tmp_path):
+        # Walks the parser, so a format added without a writer fails here.
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        argv = {
+            "failures": ("--k", "4", "--n", "4"),
+            "census": ("--n", "3", "--workers", "1"),
+            "ranks": ("--n", "3", "--workers", "1"),
+            "verify": ("--suite", "relations", "--workers", "1"),
+        }
+        formats = {
+            name: action.choices
+            for name, p in sub.choices.items()
+            for action in p._actions
+            if "--format" in action.option_strings
+        }
+        assert formats.keys() == argv.keys()
+        for name, choices in formats.items():
+            outputs = set()
+            for fmt in choices:
+                code, out, err = run(capsys, name, *argv[name], "--format", fmt)
+                assert code == 0 and out and err == ""
+                outputs.add(out)
+                target = tmp_path / f"{name}.{fmt}"
+                code, quiet, _ = run(
+                    capsys, name, *argv[name], "--format", fmt, "--out", str(target)
+                )
+                assert code == 0 and quiet == "" and target.read_bytes() == out.encode()
+            # Each choice is a form of its own.
+            assert len(outputs) == len(choices)
 
     def test_dims_need_both_sizes(self, capsys):
         code, out, err = run(capsys, "ranks", "--s", "3", "--workers", "1")
@@ -440,6 +496,12 @@ class TestWorkers:
     @pytest.mark.parametrize("env", ["0", "-1", "two"])
     def test_refuses_env_workers_below_one(self, capsys, monkeypatch, env):
         monkeypatch.setenv("CHIO_WORKERS", env)
-        code, out, err = run(capsys, "failures", "--k", "4", "--n", "4")
+        code, out, err = run(capsys, "census", "--n", "3")
         assert code == 2 and out == ""
         assert "CHIO_WORKERS must be an integer of at least 1" in err
+
+    def test_commands_without_a_pool_ignore_env_workers(self, capsys, monkeypatch):
+        usual = run(capsys, "failures", "--k", "4", "--n", "4")
+        monkeypatch.setenv("CHIO_WORKERS", "0")
+        assert run(capsys, "failures", "--k", "4", "--n", "4") == usual
+        assert usual[0] == 0 and usual[1]

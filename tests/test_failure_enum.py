@@ -168,12 +168,9 @@ class TestShapes:
 
     @pytest.mark.parametrize("k", [4, 5, 6])
     def test_shapes_match_every_subset_of_the_grid(self, k):
-        # The shapes of all k-subsets of the (k-2) x (k-2) grid that hold a circuit.
-        brute = {
-            _shape(chosen)
-            for chosen in combinations(grid_positions(k - 1), k)
-            if four_circuits(chosen) or is_six_circuit(chosen)
-        }
+        # The shapes of all k-subsets of the (k-2) x (k-2) grid that hold a
+        # circuit, listed from the oracle's circuits.
+        brute = {_shape(chosen) for chosen in circuit_listing(k, k - 1)}
         assert _shapes(k) == tuple(sorted(brute))
 
     @pytest.mark.parametrize("k, n", [(k, n) for n in range(2, 8) for k in range(7)])

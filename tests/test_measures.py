@@ -281,6 +281,27 @@ class TestFibres:
                 ambient = IndexSet((4, 4), frozenset(C4) | frozenset(sup))
                 assert p_chio(Event(matrix, ambient)) == base
 
+    def test_j_independence_check_counts(self, monkeypatch):
+        # The check counts condensed sign matrices, so p_chio wrong on one
+        # event fails it once per ambient set around that event's domain.
+        from chio import verify
+
+        assert verify.j_independence_check(3) == {
+            "check": "measure independent of ambient set, n=3",
+            "ok": True,
+            "cases": 625,
+            "mismatches": 0,
+        }
+        wrong = ternary(3, {(1, 1): -1, (2, 2): 1})
+        real = verify.p_chio
+
+        def p_chio(event):
+            return DyadicProb.zero() if event.matrix == wrong else real(event)
+
+        monkeypatch.setattr(verify, "p_chio", p_chio)
+        report = verify.j_independence_check(3)
+        assert not report["ok"] and report["cases"] == 625 and report["mismatches"] == 4
+
     @given(st.data())
     @settings(max_examples=100)
     def test_j_independence_random_events(self, data):

@@ -142,6 +142,23 @@ class TestOrbits:
         data = betti(graph)
         assert len(orbit(graph)) == 2 ** (data.f0 - data.beta0) == 16
 
+    def test_orbit_is_that_of_every_switching(self):
+        # The orbit switches only rows and columns with an edge; spare rows,
+        # columns and isolated vertices must not change it.
+        rng = random.Random(3)
+        cells = [(i, j) for i in range(1, 4) for j in range(1, 5)]
+        for _ in range(40):
+            edges = rng.sample(cells, rng.randint(0, 6))
+            graph = SignedBipartiteGraph(
+                dims=(5, 6),
+                row_vertices=frozenset(range(1, 4)),
+                col_vertices=frozenset(range(1, 5)),
+                edges=frozenset(edges),
+                sign={e: rng.choice((-1, 1)) for e in edges},
+            )
+            every = {signing_tuple(switch_signing(graph, g)) for g in all_switches(5, 6)}
+            assert orbit(graph) == every
+
 
 class TestBalancedExtension:
     def test_circuit_parity_forced(self):
