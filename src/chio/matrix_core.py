@@ -14,7 +14,7 @@ Floating point is never used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
 Index2 = tuple[int, int]
@@ -210,33 +210,33 @@ class SignMatrix:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PartialTernaryMatrix:
     """A matrix with entries in {-1,0,+1} on a domain inside ``[s-1] x [t-1]``.
 
     ``dom`` is the number of specified positions, ``supp`` the number of
     nonzero ones; the empty matrix (dom = supp = 0) is allowed.
 
-    ``_supp`` holds that count, taken once by the validation loop of the
-    constructor.  ``_balance`` keeps the ``(balanced, f0, beta0)`` triple
-    of the signed graph once :func:`chio.signed_graph.matrix_balance` has
-    worked it out from the cycle basis of the support, which that
-    function memoises per support.  Neither takes part in equality or
-    ``repr``.
+    The constructor copies the entries, validates the dims, every position
+    and every value, counts the support, and then fills its slots directly
+    through their descriptors (a frozen dataclass ``__init__`` would go
+    through ``object.__setattr__`` once per field).  ``_supp`` holds that
+    count.  ``_balance`` keeps the ``(balanced, f0, beta0)`` triple of the
+    signed graph once :func:`chio.signed_graph.matrix_balance` has worked
+    it out from the cycle basis of the support, which that function
+    memoises per support.  Neither takes part in equality or ``repr``.
     """
 
     dims: tuple[int, int]
     entries: Mapping[Index2, int]
     _supp: int = field(init=False, repr=False, compare=False)
-    _balance: tuple[bool, int, int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _balance: tuple[bool, int, int] | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        entries = dict(self.entries)
-        s, t = self.dims
+    def __init__(self, dims: tuple[int, int], entries: Mapping[Index2, int]) -> None:
+        entries = dict(entries)
+        s, t = dims
         if s < 2 or t < 2:
-            raise ValueError(f"dims must both be >= 2, got {self.dims}")
+            raise ValueError(f"dims must both be >= 2, got {dims}")
         supp = 0
         for pos, value in entries.items():
             i, j = pos
@@ -246,8 +246,10 @@ class PartialTernaryMatrix:
                 raise ValueError(f"entry {value} at {pos} not in {{-1,0,+1}}")
             if value:
                 supp += 1
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_supp", supp)
+        _set_dims(self, dims)
+        _set_entries(self, entries)
+        _set_supp(self, supp)
+        _set_balance(self, None)
 
     def __getitem__(self, pos: Index2) -> int:
         return self.entries[pos]
@@ -310,6 +312,13 @@ class PartialTernaryMatrix:
             "dims": [s, t],
             "entries": [[i, j, self.entries[(i, j)]] for i, j in sorted(self.entries)],
         }
+
+
+# The slot descriptors the constructor fills.  The unpacking fails at
+# import if a field is added and not set there.
+_set_dims, _set_entries, _set_supp, _set_balance = (
+    PartialTernaryMatrix.__dict__[f.name].__set__ for f in fields(PartialTernaryMatrix)
+)
 
 
 def matrix_from_json_dict(data: dict) -> PartialTernaryMatrix:

@@ -19,9 +19,10 @@ triple is kept on the matrix and read by ``p_chio``, ``ratio_chio_lcf``
 and ``fibre_cardinality``.
 
 ``p_chio_sign_patterns`` gives ``p_chio`` of all 2^supp sign patterns on
-one support from a single scan, through the minus-parity of each
-fundamental cycle.  ``p_chio_averaged`` sums that list literally over the
-patterns; it never uses the closed form of the lazy coin flip value.
+one support from the per-support cycle memo, through the minus-parity of
+each fundamental cycle.  ``p_chio_averaged`` sums that list literally
+over the patterns; it never uses the closed form of the lazy coin flip
+value.
 
 ``recipe_p_chio`` re-derives the same value for at most six specified
 entries by a literal case split on matrix circuits and sign parities,
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .matrix_core import (
     Index2,
@@ -44,7 +45,7 @@ from .matrix_core import (
     chio_extend,
     full_inner_box,
 )
-from .signed_graph import cycle_masks, four_circuits, is_six_circuit, matrix_balance
+from .signed_graph import four_circuits, is_six_circuit, matrix_balance, support_cycles
 
 
 _INSTANCES: dict[int | None, "DyadicProb"] = {}
@@ -145,7 +146,9 @@ class Event:
     The ambient index set defaults to the domain of the matrix and must
     satisfy domain <= ambient <= [s-1] x [t-1].  Events are immutable.
     The default ambient set is built on the first read of ``ambient``;
-    ``p_lcf``, ``p_chio`` and ``ratio_chio_lcf`` never read it.
+    ``p_lcf``, ``p_chio`` and ``ratio_chio_lcf`` never read it.  The
+    constructor checks the ambient set, then fills both slots through
+    their descriptors.
     """
 
     __slots__ = ("matrix", "_ambient")
@@ -158,8 +161,8 @@ class Event:
                 raise ValueError("ambient index set must lie inside [s-1] x [t-1]")
             if not matrix.entries.keys() <= ambient.members:
                 raise ValueError("event domain must be contained in the ambient set")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_ambient", ambient)
+        _set_matrix(self, matrix)
+        _set_ambient(self, ambient)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an Event")
@@ -169,7 +172,7 @@ class Event:
         if self._ambient is None:
             # The matrix constructor already pins its entries inside the
             # inner box, so the default ambient set needs no re-check.
-            object.__setattr__(self, "_ambient", self.matrix.domain)
+            _set_ambient(self, self.matrix.domain)
         return self._ambient
 
     def __reduce__(self):
@@ -192,6 +195,10 @@ class Event:
     def cardinality(self) -> int:
         """Number of matrices in the event: 3^(|ambient| - |domain|)."""
         return 3 ** (len(self.ambient) - self.matrix.dom)
+
+
+_set_matrix = Event.matrix.__set__
+_set_ambient = Event._ambient.__set__
 
 
 def cover_height(domain: IndexSet, ambient: IndexSet) -> int:
@@ -261,19 +268,29 @@ def fibre_cardinality(event: Event) -> int:
 def p_chio_sign_patterns(
     dims: tuple[int, int], domain: Collection[Index2], support: Sequence[Index2]
 ) -> list[DyadicProb]:
-    """p_chio of every sign pattern on one support, from one graph scan.
+    """p_chio of every sign pattern on one support, from the per-support cycle memo.
 
     ``domain`` holds the specified positions and ``support`` the nonzero
     ones among them.  Entry ``p`` of the result is p_chio of the matrix
     that is -1 on the e-th support position when bit e of ``p`` is set,
     +1 on the other support positions and 0 on the rest of the domain.
-    A pattern is balanced iff every fundamental cycle of the support
-    holds an even number of its -1 entries.  Those parities are linear
-    in the pattern, so the parity vector of each pattern is built from
-    one with a lower bit cleared, one support position at a time.
+    The rank f0 - beta0 of the graph and its fundamental cycles depend on
+    the support alone (a domain vertex off the support is a component of
+    its own), so they come from :func:`chio.signed_graph.support_cycles`,
+    the memo ``matrix_balance`` reads.  A pattern is balanced iff every
+    fundamental cycle holds an even number of its -1 entries.  Those
+    parities are linear in the pattern, so the parity vector of each
+    pattern is built from one with a lower bit cleared, one support
+    position at a time.
+
+    Raises:
+        ValueError: if a support position is not in the domain.
     """
-    f0, beta0, masks = cycle_masks(dims, domain, support)
-    balanced = DyadicProb.pow_half(len(domain) + f0 - beta0)
+    for pos in support:
+        if pos not in domain:
+            raise ValueError(f"support position {pos} is not in the domain")
+    rank, masks = support_cycles(dims, tuple(support))
+    balanced = DyadicProb.pow_half(len(domain) + rank)
     zero = DyadicProb.zero()
     # parities[p] has bit c set when cycle c holds an odd number of the
     # -1 entries of pattern p.
@@ -315,8 +332,8 @@ def p_chio_abs(matrix: PartialTernaryMatrix) -> DyadicProb:
 # --- independent recipe for at most six specified entries -------------------
 
 
-def _odd_plus_count(matrix: PartialTernaryMatrix, positions: Iterable[Index2]) -> bool:
-    return sum(1 for pos in positions if matrix[pos] == 1) % 2 == 1
+def _odd_plus_count(entries: Mapping[Index2, int], positions: Iterable[Index2]) -> bool:
+    return sum(1 for pos in positions if entries[pos] == 1) % 2 == 1
 
 
 @lru_cache(maxsize=1 << 10)
@@ -336,53 +353,51 @@ def recipe_p_chio(matrix: PartialTernaryMatrix) -> DyadicProb:
     Raises:
         ValueError: if more than six entries are specified.
     """
-    k = matrix.dom
+    entries = matrix.entries
+    k = len(entries)
     if k > 6:
         raise ValueError("recipe applies to at most six specified entries")
 
     supp = matrix.supp
-
-    def lcf() -> DyadicProb:
-        return DyadicProb.pow_half(k + supp)
-
+    lcf = DyadicProb.pow_half(k + supp)
     if k <= 3:
-        return lcf()
+        return lcf
 
-    domain = frozenset(matrix.entries)
+    domain = frozenset(entries)
     circuits = [
-        c for c in _domain_four_circuits(domain) if all(matrix[p] != 0 for p in c)
+        c for c in _domain_four_circuits(domain) if all(entries[p] != 0 for p in c)
     ]
 
     if k == 4:
         if circuits and circuits[0] == domain:
-            if _odd_plus_count(matrix, domain):
+            if _odd_plus_count(entries, domain):
                 return DyadicProb.zero()
             return DyadicProb.pow_half(7)
-        return lcf()
+        return lcf
 
     if k == 5:
         if not circuits:
-            return lcf()
+            return lcf
         circuit = circuits[0]
-        if _odd_plus_count(matrix, circuit):
+        if _odd_plus_count(entries, circuit):
             return DyadicProb.zero()
         (off_pos,) = domain - circuit
-        return DyadicProb.pow_half(8 if matrix[off_pos] == 0 else 9)
+        return DyadicProb.pow_half(8 if entries[off_pos] == 0 else 9)
 
     # k == 6
     if supp < 4:
-        return lcf()
+        return lcf
     if not circuits:
         if supp == 6 and is_six_circuit(domain):
-            if _odd_plus_count(matrix, domain):
+            if _odd_plus_count(entries, domain):
                 return DyadicProb.zero()
             return DyadicProb.pow_half(11)
-        return lcf()
+        return lcf
     circuit = min(circuits, key=sorted)
-    if _odd_plus_count(matrix, circuit):
+    if _odd_plus_count(entries, circuit):
         return DyadicProb.zero()
     extras = sorted(domain - circuit)
-    zero_count = sum(1 for pos in extras if matrix[pos] == 0)
+    zero_count = sum(1 for pos in extras if entries[pos] == 0)
     if zero_count == 2:
         return DyadicProb.pow_half(9)
     if zero_count == 1:
@@ -397,6 +412,6 @@ def recipe_p_chio(matrix: PartialTernaryMatrix) -> DyadicProb:
     if not is_grid:
         return DyadicProb.pow_half(11)
     others = [c for c in _domain_four_circuits(domain) if c != circuit]
-    if any(_odd_plus_count(matrix, c) for c in others):
+    if any(_odd_plus_count(entries, c) for c in others):
         return DyadicProb.zero()
     return DyadicProb.pow_half(10)

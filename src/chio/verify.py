@@ -173,7 +173,7 @@ def recipe_equivalence_scan(n: int, workers: int | None = None) -> dict:
     """Compare the recipe against the graph formula on every |I| <= 6 event.
 
     The graph side comes from :func:`p_chio_sign_patterns`, one scan per
-    index set and support; the comparison is per event.
+    support; the comparison is per event.
     """
     workers = parallel.resolve_workers(workers)
     m = (n - 1) ** 2

@@ -1,6 +1,9 @@
 """Chio sets, condensation, exact determinant and rank."""
 
+import copy
+import dataclasses
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -206,6 +209,53 @@ class TestSerialization:
             PartialTernaryMatrix((3, 3), {(3, 3): 1})
         with pytest.raises(ValueError):
             SignMatrix.from_rows([[1, 0], [1, 1]])
+
+
+class TestTernaryConstructor:
+    """The hand-written constructor validates, then fills every slot."""
+
+    @pytest.mark.parametrize(
+        "dims, entries, message",
+        [
+            ((1, 3), {}, "dims must both be >= 2, got (1, 3)"),
+            ((3, 1), {}, "dims must both be >= 2, got (3, 1)"),
+            ((3, 3), {(0, 1): 1}, "position (0, 1) outside [2] x [2]"),
+            ((3, 3), {(1, 0): 1}, "position (1, 0) outside [2] x [2]"),
+            ((3, 4), {(3, 1): 1}, "position (3, 1) outside [2] x [3]"),
+            ((3, 4), {(1, 4): 0}, "position (1, 4) outside [2] x [3]"),
+            ((3, 3), {(1, 1): 0, (2, 2): 2}, "entry 2 at (2, 2) not in {-1,0,+1}"),
+            ((3, 3), {(1, 2): None}, "entry None at (1, 2) not in {-1,0,+1}"),
+        ],
+    )
+    def test_rejections_keep_their_messages(self, dims, entries, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PartialTernaryMatrix(dims, entries)
+
+    def test_slots_filled_and_frozen(self):
+        source = {(1, 1): -1, (2, 3): 0, (3, 2): 1}
+        matrix = PartialTernaryMatrix((4, 4), source)
+        source[(1, 1)] = 1
+        assert matrix.entries == {(1, 1): -1, (2, 3): 0, (3, 2): 1}
+        assert matrix.dims == (4, 4) and matrix.supp == 2 and matrix._balance is None
+        for name in ("dims", "entries", "_supp", "_balance"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(matrix, name, None)
+
+    def test_copies_equal_the_original(self):
+        matrix = PartialTernaryMatrix((4, 5), {(1, 1): -1, (2, 3): 0, (3, 4): 1})
+        copies = (
+            pickle.loads(pickle.dumps(matrix)),
+            copy.copy(matrix),
+            copy.deepcopy(matrix),
+            dataclasses.replace(matrix),
+        )
+        for other in copies:
+            assert other == matrix and repr(other) == repr(matrix)
+            assert other.supp == 2 and other._balance is None
+        moved = dataclasses.replace(matrix, dims=(5, 5))
+        assert moved.dims == (5, 5) and moved.entries == matrix.entries
+        with pytest.raises(ValueError, match="outside"):
+            dataclasses.replace(matrix, dims=(3, 3))
 
 
 class TestMemoisedData:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chio.matrix_core import IndexSet, PartialTernaryMatrix, full_inner_box
+from chio.matrix_core import IndexSet, PartialTernaryMatrix, chio_extend, full_inner_box
 from chio.measures import (
     DyadicProb,
     Event,
@@ -145,6 +145,16 @@ class TestEvents:
         with pytest.raises(ValueError):
             Event(matrix, IndexSet((4, 4), frozenset({(2, 2)})))
 
+    def test_events_are_immutable(self):
+        matrix = ternary(4, {(1, 1): 1})
+        for event in (Event(matrix), Event.on_full_grid(matrix)):
+            for name in ("matrix", "_ambient", "ambient", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(event, name, None)
+            assert event.matrix is matrix
+        again = pickle.loads(pickle.dumps(Event.on_full_grid(matrix)))
+        assert again == Event.on_full_grid(matrix) and again._ambient is not None
+
     def test_default_ambient_is_the_domain_built_on_read(self):
         matrix = ternary(4, {(1, 1): 1, (2, 3): 0})
         event = Event(matrix)
@@ -273,13 +283,16 @@ class TestFibres:
                     assert fibre_cardinality(event) == (1 << h) * colourings
 
     def test_j_independence(self):
+        # fibre_cardinality reads the ambient set; its fibre over
+        # 2^|ambient~| must not move with it.
         matrix = ternary(4, {p: -1 for p in C4})
-        base = p_chio(Event(matrix))
+        base = p_chio(Event(matrix)).as_fraction()
         for extra in range(5):
             rest = [p for p in full_inner_box(4, 4).members if p not in C4]
             for sup in combinations(rest, extra):
                 ambient = IndexSet((4, 4), frozenset(C4) | frozenset(sup))
-                assert p_chio(Event(matrix, ambient)) == base
+                fibre = fibre_cardinality(Event(matrix, ambient))
+                assert Fraction(fibre) == 2 ** len(chio_extend(ambient)) * base
 
     def test_j_independence_check_counts(self, monkeypatch):
         # The check counts condensed sign matrices, so p_chio wrong on one
@@ -313,7 +326,9 @@ class TestFibres:
             st.sets(st.sampled_from([p for p in cells if p not in domain]))
         )
         ambient = IndexSet((4, 4), frozenset(domain) | frozenset(extra))
-        assert p_chio(Event(matrix, ambient)) == p_chio(Event(matrix))
+        fibre = fibre_cardinality(Event(matrix, ambient))
+        base = p_chio(Event(matrix)).as_fraction()
+        assert Fraction(fibre) == 2 ** len(chio_extend(ambient)) * base
 
 
 def assert_kernel_matches_p_chio(dims, domain):
@@ -343,6 +358,13 @@ class TestSignPatternKernel:
             domain = sorted(rng.sample(grid, rng.randint(5, 8)))
             assert_kernel_matches_p_chio((5, 5), domain)
 
+    def test_support_outside_domain_raises(self):
+        # Checked on every call, also when the memo already holds the support.
+        p_chio_sign_patterns((4, 4), [(1, 1), (2, 2)], [(1, 1), (2, 2)])
+        for domain in ([(1, 1)], [(1, 1), (2, 1)], []):
+            with pytest.raises(ValueError, match="not in the domain"):
+                p_chio_sign_patterns((4, 4), domain, [(1, 1), (2, 2)])
+
     def test_pattern_bits(self):
         # The all -1 four-circuit is balanced, one +1 on it is not.
         values = p_chio_sign_patterns((4, 4), sorted(C4), sorted(C4))
@@ -369,11 +391,16 @@ class TestOneScanPerMatrix:
         assert len(calls) == len(supports) == 256
 
     def test_averaged_scans_once_per_matrix(self, monkeypatch):
+        # The averaged measure reads the per-support memo: one scan on the
+        # first call, none on a repeat with a fresh matrix of that support.
         calls = []
         real = signed_graph._scan
         monkeypatch.setattr(signed_graph, "_scan", lambda *args: calls.append(1) or real(*args))
-        matrix = ternary(4, {(i, j): 1 for i in range(1, 4) for j in range(1, 4)})
-        assert p_chio_averaged(matrix) == p_lcf(Event(matrix))
+        monkeypatch.setattr(signed_graph, "_CYCLE_MEMO", {})
+        entries = {(i, j): 1 for i in range(1, 4) for j in range(1, 4)}
+        assert p_chio_averaged(ternary(4, entries)) == p_lcf(Event(ternary(4, entries)))
+        assert len(calls) == 1
+        assert p_chio_averaged(ternary(4, entries)) == DyadicProb.pow_half(18)
         assert len(calls) == 1
 
 
