@@ -23,6 +23,7 @@ from .matrix_core import (
     SignMatrix,
     abs_condense,
     chio_condense,
+    json_int,
     matrix_from_json_dict,
 )
 from .measures import Event, p_chio, p_lcf, ratio_chio_lcf, recipe_p_chio
@@ -47,15 +48,24 @@ class UsageError(Exception):
     pass
 
 
+def json_rows(text: str) -> list[list[int | None]]:
+    """JSON rows whose entries are integers or null, never a bool or float."""
+    rows = json.loads(text)
+    for row in rows:
+        for v in row:
+            if v is not None:
+                json_int(v)
+    return rows
+
+
 def parse_sign_matrix(text: str) -> SignMatrix:
     """Sign matrix from JSON rows or compact '+-' row strings."""
     text = text.strip()
+    if text.startswith("{"):
+        raise UsageError("sign matrices use row lists or compact strings")
     try:
-        if text.startswith("[") or text.startswith("{"):
-            data = json.loads(text)
-            if isinstance(data, dict):
-                raise UsageError("sign matrices use row lists or compact strings")
-            return SignMatrix.from_rows(data)
+        if text.startswith("["):
+            return SignMatrix.from_rows(json_rows(text))
         return SignMatrix.from_compact(text)
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"malformed sign matrix input: {exc}") from exc
@@ -70,8 +80,7 @@ def parse_ternary_matrix(text: str, n: int | None = None) -> PartialTernaryMatri
         if text.startswith("{"):
             return matrix_from_json_dict(json.loads(text))
         if text.startswith("["):
-            rows = json.loads(text)
-            return PartialTernaryMatrix.from_rows(rows, dims)
+            return PartialTernaryMatrix.from_rows(json_rows(text), dims)
         return PartialTernaryMatrix.from_compact(text, dims)
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"malformed matrix input: {exc}") from exc
@@ -136,7 +145,7 @@ def cmd_recipe(args) -> int:
 def cmd_classify(args) -> int:
     matrix = parse_ternary_matrix(args.matrix, args.n)
     graph = build_graph(matrix)
-    balanced, _, data = balance_and_betti(graph)
+    balanced, data = balance_and_betti(graph)
     emit(
         {
             "graph": graph.to_json_dict(),
@@ -243,7 +252,7 @@ def cmd_ranks(args) -> int:
 def cmd_switch_orbit(args) -> int:
     matrix = parse_ternary_matrix(args.matrix, args.n)
     graph = build_graph(matrix)
-    balanced, _, data = balance_and_betti(graph)
+    balanced, data = balance_and_betti(graph)
     orb = sorted(orbit(graph))
     expected = 2 ** (data.f0 - data.beta0)
     payload = {

@@ -732,11 +732,3 @@ def failure_density_bound(k: int, n: int) -> tuple[int | None, int]:
     if count is not None and count > bound:
         raise AssertionError("exact count exceeds the union bound")
     return count, bound
-
-
-def failure_density(k: int, n: int) -> Fraction | None:
-    """Exact failure fraction among all k-entry specifications, if known."""
-    count, _ = failure_density_bound(k, n)
-    if count is None:
-        return None
-    return Fraction(count, total_event_count(k, n))

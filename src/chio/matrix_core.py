@@ -82,10 +82,6 @@ class IndexSet:
             object.__setattr__(self, "_cols", project_cols(self.members))
         return self._cols
 
-    def is_rectangular(self) -> bool:
-        """True iff the set equals the product of its two projections."""
-        return len(self.members) == len(self.rows) * len(self.cols)
-
     def in_inner_box(self) -> bool:
         """True iff all members lie in ``[s-1] x [t-1]``."""
         if self._inner is None:
@@ -321,10 +317,27 @@ _set_dims, _set_entries, _set_supp, _set_balance = (
 )
 
 
+def json_int(value) -> int:
+    """``value`` if it is an ``int`` and not a ``bool``, else ``ValueError``."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 def matrix_from_json_dict(data: dict) -> PartialTernaryMatrix:
-    """Inverse of :meth:`PartialTernaryMatrix.to_json_dict`."""
-    dims = tuple(data["dims"])
-    entries = {(i, j): v for i, j, v in data["entries"]}
+    """Inverse of :meth:`PartialTernaryMatrix.to_json_dict`.
+
+    Raises:
+        ValueError: if a dim, position or value is not an integer, or a
+            position repeats.
+    """
+    dims = tuple(json_int(d) for d in data["dims"])
+    entries = {}
+    for i, j, v in data["entries"]:
+        pos = (json_int(i), json_int(j))
+        if pos in entries:
+            raise ValueError(f"position {pos} given twice")
+        entries[pos] = json_int(v)
     return PartialTernaryMatrix(dims, entries)
 
 

@@ -191,11 +191,6 @@ class Event:
         s, t = matrix.dims
         return cls(matrix, full_inner_box(s, t))
 
-    @property
-    def cardinality(self) -> int:
-        """Number of matrices in the event: 3^(|ambient| - |domain|)."""
-        return 3 ** (len(self.ambient) - self.matrix.dom)
-
 
 _set_matrix = Event.matrix.__set__
 _set_ambient = Event._ambient.__set__
@@ -310,7 +305,8 @@ def p_chio_averaged(matrix: PartialTernaryMatrix) -> DyadicProb:
     largest power of two among the terms; the result is always a single
     dyadic value (and equals the lazy coin flip value).
     """
-    support = sorted(matrix.support)
+    # In entries order, the memo key matrix_balance uses for this support.
+    support = [pos for pos, v in matrix.entries.items() if v]
     values = p_chio_sign_patterns(matrix.dims, matrix.entries, support)
     exponents = [v.exponent for v in values if not v.is_zero]
     top = max(exponents, default=0)

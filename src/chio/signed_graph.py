@@ -7,16 +7,17 @@ one edge per nonzero entry, signed by that entry.  Vertices depend only
 on the domain, edges only on the support, signs on the entries.
 
 A signed graph is *balanced* when every circuit carries an even number of
-negative edges, equivalently when it admits a vertex 2-colouring that is
-constant across negative edges and proper across positive ones.  Balance
-and such a colouring, the Betti data, the components, a spanning forest
-and the fundamental cycles of that forest all come from one iterative
-depth-first search in vertex label order (``_scan``, the only graph
-traversal of the library), so certificates are deterministic.  The
-fundamental cycles are edge bitmasks; a signing is balanced iff each of
-them holds an even number of negative edges (Harary 1953, Zaslavsky
-1982), which decides every signing of one edge set from one scan;
-``matrix_balance`` keeps those masks in a memo per support.
+negative edges (Harary 1953).  The library has one balance test, the
+parity of fundamental cycles.  ``_scan``, the only graph traversal of the
+library, is an unsigned iterative depth-first search in vertex label
+order; it gives the components, the Betti data and a spanning forest,
+deterministically.  ``cycle_masks`` turns the forest of an edge set into
+edge bitmasks of its fundamental cycles, and a signing is balanced iff
+each of them holds an even number of negative edges (Zaslavsky 1982), so
+one scan decides every signing of one edge set.  ``matrix_balance`` and
+``p_chio_sign_patterns`` read the masks from a memo per support
+(``support_cycles``); ``balance_summary`` and ``balance_and_betti``
+compute them afresh.
 
 Isomorphism types of the bipartite nonforests with at most six edges are
 classified into a fixed catalogue ``t1 .. t20`` via per-component degree
@@ -127,19 +128,6 @@ class BettiData:
             raise ValueError("Euler relation beta1 - beta0 = f1 - f0 violated")
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """A vertex 2-colouring with values in {-1,+1}."""
-
-    assignment: Mapping[Vertex, int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", dict(self.assignment))
-
-    def __getitem__(self, v: Vertex) -> int:
-        return self.assignment[v]
-
-
 class IsoType(enum.Enum):
     """Isomorphism classification tag for bipartite graphs with <= 6 edges."""
 
@@ -191,94 +179,69 @@ def build_graph(matrix: PartialTernaryMatrix) -> SignedBipartiteGraph:
 
 
 def _scan(
-    s: int,
-    rows: Iterable[int],
-    cols: Iterable[int],
-    signed_edges: list[tuple[Index2, int]],
-) -> tuple[bool, int, dict[int, int], dict[int, int], dict[int, int]]:
+    s: int, rows: Iterable[int], cols: Iterable[int], edges: Iterable[Index2]
+) -> tuple[int, dict[int, int], dict[int, int]]:
     """One iterative DFS in label order over an integer-encoded graph.
 
-    The only graph traversal of the library.  Row vertex i is encoded as
-    i, column vertex j as s + j, so numeric order equals the lexicographic
-    order of the labels (i,t) and (s,j).  Returns ``(balanced, beta0,
-    colour, component, parent)``.  The colouring gives +1 to the first
-    vertex of each component and propagates greedily: across a negative
-    edge colours agree, across a positive one they differ.  ``component``
-    numbers the components in discovery order; ``parent`` maps each
-    non-root vertex to the vertex it was discovered from, so its items
-    are the edges of a spanning forest.
+    The only graph traversal of the library; it ignores signs.  Row
+    vertex i is encoded as i, column vertex j as s + j, so numeric order
+    equals the lexicographic order of the labels (i,t) and (s,j).
+    Returns ``(beta0, component, parent)``: ``component`` numbers the
+    components in discovery order; ``parent`` maps each non-root vertex
+    to the vertex it was discovered from, parents before children, so its
+    items are the edges of a spanning forest.
     """
     order = sorted(rows) + [s + j for j in sorted(cols)]
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in order}
-    for (i, j), sg in signed_edges:
-        adj[i].append((s + j, sg))
-        adj[s + j].append((i, sg))
-    colour: dict[int, int] = {}
+    adj: dict[int, list[int]] = {v: [] for v in order}
+    for i, j in edges:
+        adj[i].append(s + j)
+        adj[s + j].append(i)
     component: dict[int, int] = {}
     parent: dict[int, int] = {}
-    balanced = True
     components = 0
     for start in order:
-        if start in colour:
+        if start in component:
             continue
-        colour[start] = 1
         component[start] = components
         stack = [start]
         while stack:
             u = stack.pop()
-            cu = colour[u]
-            for v, sg in adj[u]:
-                want = cu if sg == -1 else -cu
-                known = colour.get(v)
-                if known is None:
-                    colour[v] = want
+            for v in adj[u]:
+                if v not in component:
                     component[v] = components
                     parent[v] = u
                     stack.append(v)
-                elif known != want:
-                    balanced = False
         components += 1
-    return balanced, components, colour, component, parent
+    return components, component, parent
 
 
-def _graph_scan(graph: SignedBipartiteGraph, use_signs: bool):
-    # An unsigned scan treats every edge as negative: one colour per
-    # component, never unbalanced.
-    sign = graph.sign if use_signs else None
-    edges = sorted(graph.edges)
-    signed_edges = [(e, -1 if sign is None else sign[e]) for e in edges]
-    return _scan(graph.dims[0], graph.row_vertices, graph.col_vertices, signed_edges)
+def _graph_scan(graph: SignedBipartiteGraph, edges: Iterable[Index2] | None = None):
+    """:func:`_scan` of the graph's vertices with ``edges`` (by default its
+    own), in sorted order."""
+    edges = sorted(graph.edges if edges is None else edges)
+    return _scan(graph.dims[0], graph.row_vertices, graph.col_vertices, edges)
 
 
-def _decode_colour(s: int, colour: dict[int, int]) -> dict[Vertex, int]:
-    return {
-        (("r", v) if v < s else ("c", v - s)): c for v, c in colour.items()
-    }
+def _even_on_every_cycle(masks: list[int], minus: int) -> bool:
+    return not any((mask & minus).bit_count() & 1 for mask in masks)
 
 
 def balance_summary(
     dims: tuple[int, int], entries: Mapping[Index2, int]
 ) -> tuple[bool, int, int]:
-    """(balanced, f0, beta0) of the graph of an entries map, one DFS.
+    """(balanced, f0, beta0) of the graph of an entries map, uncached.
 
-    The traversal of :func:`balance_and_betti` without materializing
-    graph objects, uncached; :func:`matrix_balance` gives the same triple
-    from a memo per support.  Both results are independent of the edge
-    order, so edges are not sorted.
+    The cycle-basis parity test of :func:`matrix_balance` without its memo
+    or a matrix object.
     """
-    rows = set()
-    cols = set()
-    signed_edges = []
-    for pos, v in entries.items():
-        rows.add(pos[0])
-        cols.add(pos[1])
-        if v:
-            signed_edges.append((pos, v))
-    balanced, beta0, _, _, _ = _scan(dims[0], rows, cols, signed_edges)
-    return balanced, len(rows) + len(cols), beta0
+    support = [pos for pos, v in entries.items() if v]
+    minus = sum(1 << e for e, pos in enumerate(support) if entries[pos] < 0)
+    rank, masks = cycle_masks(dims, support)
+    f0 = len({i for i, _ in entries}) + len({j for _, j in entries})
+    return _even_on_every_cycle(masks, minus), f0, f0 - rank
 
 
-# Support tuple -> (f0 - beta0 of the support graph, its cycle masks).
+# Support tuple -> cycle_masks of the support graph.
 # Holds at most _CYCLE_MEMO_CAP supports and is emptied when full.
 _CYCLE_MEMO: dict[tuple[Index2, ...], tuple[int, list[int]]] = {}
 _CYCLE_MEMO_CAP = 1 << 12
@@ -324,41 +287,32 @@ def matrix_balance(matrix: PartialTernaryMatrix) -> tuple[bool, int, int]:
 
 
 def support_cycles(dims: tuple[int, int], support: tuple[Index2, ...]) -> tuple[int, list[int]]:
-    """``(f0 - beta0, masks)`` of the graph of ``support`` alone
-    (:func:`cycle_masks`), through the memo :func:`matrix_balance` reads."""
+    """:func:`cycle_masks` of ``support``, through the memo
+    :func:`matrix_balance` reads; callers pass the support in entries order."""
     cycles = _CYCLE_MEMO.get(support)
     if cycles is None:
         if len(_CYCLE_MEMO) >= _CYCLE_MEMO_CAP:
             _CYCLE_MEMO.clear()
-        f0, beta0, masks = cycle_masks(dims, support, support)
-        cycles = _CYCLE_MEMO[support] = (f0 - beta0, masks)
+        cycles = _CYCLE_MEMO[support] = cycle_masks(dims, support)
     return cycles
 
 
-def cycle_masks(
-    dims: tuple[int, int], domain: Iterable[Index2], support: Sequence[Index2]
-) -> tuple[int, int, list[int]]:
-    """``(f0, beta0, masks)`` of the graph with the rows and columns of
-    ``domain`` as vertices and the positions of ``support`` as edges.
+def cycle_masks(dims: tuple[int, int], support: Sequence[Index2]) -> tuple[int, list[int]]:
+    """``(f0 - beta0, masks)`` of the graph whose edges are the positions
+    of ``support`` and whose vertices are their rows and columns.
 
     One mask per edge outside the spanning forest of :func:`_scan`, in
     ``support`` order: bit e is set when the e-th edge of ``support``
     lies on the circuit that edge closes with the forest.  There are
-    beta1 masks and they form a basis of the cycle space.
-
-    Raises:
-        ValueError: if a support position is not in the domain.
+    beta1 masks and they form a basis of the cycle space, so a signing
+    is balanced iff each mask holds an even number of its -1 edges.
+    The rank f0 - beta0 is the number of forest edges.
     """
     s = dims[0]
-    positions = set(domain)
-    rows = {i for i, _ in positions}
-    cols = {j for _, j in positions}
-    bit = {}
-    for e, pos in enumerate(support):
-        if pos not in positions:
-            raise ValueError(f"support position {pos} is not in the domain")
-        bit[pos] = 1 << e
-    _, beta0, _, _, parent = _scan(s, rows, cols, [(pos, -1) for pos in support])
+    bit = {pos: 1 << e for e, pos in enumerate(support)}
+    rows = {i for i, _ in support}
+    cols = {j for _, j in support}
+    _, _, parent = _scan(s, rows, cols, support)
     # Forest path from each vertex to its root, as an edge mask.  Parents
     # are discovered before their children, and roots have path 0.  The
     # forest edges leave ``bit``; each edge left closes one cycle.
@@ -369,12 +323,12 @@ def cycle_masks(
     masks = [
         path.get(i, 0) ^ path.get(s + j, 0) ^ b for (i, j), b in bit.items()
     ]
-    return len(rows) + len(cols), beta0, masks
+    return len(parent), masks
 
 
 def betti(graph: SignedBipartiteGraph) -> BettiData:
     """Component count by DFS; beta1 from the Euler relation."""
-    return _betti_data(graph, _graph_scan(graph, use_signs=False)[1])
+    return _betti_data(graph, _graph_scan(graph)[0])
 
 
 def _betti_data(graph: SignedBipartiteGraph, beta0: int) -> BettiData:
@@ -382,22 +336,18 @@ def _betti_data(graph: SignedBipartiteGraph, beta0: int) -> BettiData:
     return BettiData(f0=f0, f1=f1, beta0=beta0, beta1=f1 - f0 + beta0)
 
 
-def balance_and_betti(
-    graph: SignedBipartiteGraph,
-) -> tuple[bool, Coloring | None, BettiData]:
-    """Balance decision, certificate and Betti data from a single DFS."""
+def balance_and_betti(graph: SignedBipartiteGraph) -> tuple[bool, BettiData]:
+    """Balance decision and Betti data from the cycle basis of the edges.
+
+    The graph's vertices off its edges are components of their own, so
+    beta0 is f0 minus the rank of the edge graph.
+    """
     if graph.sign is None:
         raise ValueError("balance requires a sign function")
-    balanced, beta0, colour, _, _ = _graph_scan(graph, use_signs=True)
-    certificate = Coloring(_decode_colour(graph.dims[0], colour)) if balanced else None
-    return balanced, certificate, _betti_data(graph, beta0)
-
-
-def spanning_forest(graph: SignedBipartiteGraph) -> list[Index2]:
-    """Sorted edges of the spanning forest that the label-order DFS takes."""
-    s = graph.dims[0]
-    parent = _graph_scan(graph, use_signs=False)[4]
-    return sorted((u, v - s) if u < s else (v, u - s) for v, u in parent.items())
+    edges = sorted(graph.edges)
+    minus = sum(1 << e for e, pos in enumerate(edges) if graph.sign[pos] < 0)
+    rank, masks = cycle_masks(graph.dims, edges)
+    return _even_on_every_cycle(masks, minus), _betti_data(graph, graph.f0 - rank)
 
 
 # --- isomorphism-type classification ---------------------------------------
@@ -485,7 +435,7 @@ def isotype_and_betti(graph: SignedBipartiteGraph) -> tuple[IsoType, BettiData]:
     of the twenty catalogued nonforest types when they have at most six
     edges; everything else reports OTHER_NONFOREST.
     """
-    _, beta0, _, component, _ = _graph_scan(graph, use_signs=False)
+    beta0, component, _ = _graph_scan(graph)
     data = _betti_data(graph, beta0)
     if data.beta1 == 0:
         return IsoType.FOREST, data

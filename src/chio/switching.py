@@ -9,10 +9,13 @@ signing is the whole set of balanced signings.
 Balanced signings are rigid: the signing of a spanning forest extends in
 exactly one balanced way, which both constructs orbits without search
 and shows that all balanced signings of a {0,1} pattern share its rank.
-The forest comes from the signed-graph depth-first search, and one scan
-of the signed forest gives the colouring that forces every other sign.
-A pattern and all of its balanced signings are ranked together, in one
-call of the census's batched Bareiss kernel (``batch_rank``).
+The forest comes from the library's one unsigned depth-first search
+(``signed_graph._scan``); its parent map, which lists parents before
+children, colours the vertices, and the colouring forces every other
+sign.  An orbit is computed on the bitmask of the -1 edges in sorted
+edge order: switching one vertex XORs in its incidence mask.  A pattern
+and all of its balanced signings are ranked together, in one call of the
+census's batched Bareiss kernel (``batch_rank``).
 """
 
 from __future__ import annotations
@@ -25,13 +28,7 @@ import numpy as np
 
 from .census_oracle import batch_rank
 from .matrix_core import Index2, PartialTernaryMatrix
-from .signed_graph import (
-    SignedBipartiteGraph,
-    balance_and_betti,
-    betti,
-    build_graph,
-    spanning_forest,
-)
+from .signed_graph import SignedBipartiteGraph, _graph_scan, balance_and_betti, build_graph
 
 
 @dataclass(frozen=True)
@@ -101,24 +98,26 @@ def signing_tuple(graph: SignedBipartiteGraph) -> tuple[int, ...]:
 def orbit(graph: SignedBipartiteGraph) -> set[tuple[int, ...]]:
     """Orbit of the graph's signing under all switchings.
 
-    A switching acts on an edge through its endpoints' bits alone, so the
-    2^v switchings of the v rows and columns that carry an edge are all
-    applied (the kernel comes along for free); the orbit of a balanced
-    signing is the full set of balanced signings.
+    A signing is held as the bitmask of its -1 edges in sorted edge
+    order.  Switching a vertex flips its incident edges, an XOR with its
+    incidence mask, and vertices without an edge flip nothing; so the
+    orbit is the signing's mask plus the XOR span of the incidence masks.
+    The orbit of a balanced signing is the full set of balanced signings.
     """
-    s, t = graph.dims
-    rows = sorted({i for i, _ in graph.edges})
-    cols = sorted({j for _, j in graph.edges})
-    signings = set()
-    for bits in product((0, 1), repeat=len(rows) + len(cols)):
-        row_bits, col_bits = [0] * (s - 1), [0] * (t - 1)
-        for i, bit in zip(rows, bits):
-            row_bits[i - 1] = bit
-        for j, bit in zip(cols, bits[len(rows) :]):
-            col_bits[j - 1] = bit
-        g = SwitchElement(tuple(row_bits), tuple(col_bits))
-        signings.add(signing_tuple(switch_signing(graph, g)))
-    return signings
+    if graph.sign is None:
+        raise ValueError("graph carries no sign function")
+    edges = sorted(graph.edges)
+    incidence: dict[tuple[str, int], int] = {}
+    minus = 0
+    for e, (i, j) in enumerate(edges):
+        incidence[("r", i)] = incidence.get(("r", i), 0) | 1 << e
+        incidence[("c", j)] = incidence.get(("c", j), 0) | 1 << e
+        if graph.sign[(i, j)] < 0:
+            minus |= 1 << e
+    masks = {minus}
+    for flip in incidence.values():
+        masks |= {mask ^ flip for mask in masks}
+    return {tuple(-1 if mask >> e & 1 else 1 for e in range(len(edges))) for mask in masks}
 
 
 def balanced_extension(
@@ -126,52 +125,60 @@ def balanced_extension(
 ) -> SignedBipartiteGraph:
     """The unique balanced signing extending a spanning-forest signing.
 
-    One scan of the signed forest colours every vertex, constant across
-    negative forest edges and proper across positive ones; every edge then
-    gets the sign ``-colour(u) * colour(v)``, which keeps the forest's own
-    signs.  The forest is acyclic iff its beta1 is zero, and spans iff its
-    beta0 equals that of the graph.
+    One unsigned scan of the given edges on the graph's vertices checks
+    them: they are acyclic iff there are f0 - beta0 of them, and they
+    span iff every graph edge joins two vertices of one of their
+    components.  The scan's parent map then colours the vertices.
 
     Raises:
         ValueError: if the given edges are not a spanning forest of the
             graph (cycle, missing coverage, or unknown edge), or a sign
-            is not -1 or +1.
+            is not -1 or +1 (refused by the signed graph built last).
     """
-    return _extend_forest_signing(graph, forest_signing, betti(graph).beta0)
-
-
-def _extend_forest_signing(
-    graph: SignedBipartiteGraph, forest_signing: Mapping[Index2, int], beta0: int
-) -> SignedBipartiteGraph:
-    """:func:`balanced_extension`, given the graph's component count."""
     forest = dict(forest_signing)
-    if not set(forest) <= set(graph.edges):
+    if not forest.keys() <= graph.edges:
         raise ValueError("forest edges must be edges of the graph")
-    tree = SignedBipartiteGraph(
-        graph.dims, graph.row_vertices, graph.col_vertices, frozenset(forest), forest
-    )
-    _, colouring, data = balance_and_betti(tree)
-    if data.beta1:
+    s = graph.dims[0]
+    beta0, component, parent = _graph_scan(graph, forest)
+    if len(forest) != graph.f0 - beta0:
         raise ValueError("not a spanning forest: contains a cycle")
-    if data.beta0 != beta0:
+    if any(component[i] != component[s + j] for i, j in graph.edges):
         raise ValueError("not a spanning forest: component split")
+    return _extend(graph, parent, forest)
+
+
+def _extend(
+    graph: SignedBipartiteGraph, parent: dict[int, int], forest: Mapping[Index2, int]
+) -> SignedBipartiteGraph:
+    """The balanced signing that agrees with ``forest`` on the edges of a
+    ``_scan`` parent map, which lists parents first.
+
+    Roots get colour +1, and a child its parent's colour times minus the
+    sign of the edge between them; every edge then gets the sign
+    ``-colour(u) * colour(v)``, which keeps the forest's own signs.
+    """
+    s = graph.dims[0]
+    colour: dict[int, int] = {}
+    for v, u in parent.items():
+        edge = (u, v - s) if u < s else (v, u - s)
+        colour[v] = -forest[edge] * colour.get(u, 1)
     return graph.with_sign(
-        {(i, j): -colouring[("r", i)] * colouring[("c", j)] for i, j in graph.edges}
+        {(i, j): -colour.get(i, 1) * colour.get(s + j, 1) for i, j in graph.edges}
     )
 
 
 def balanced_signings(graph: SignedBipartiteGraph) -> Iterator[SignedBipartiteGraph]:
     """All balanced signings, via the forest-signing bijection.
 
-    Takes the spanning forest of the label-order DFS and runs every forest
-    signing through :func:`balanced_extension`; yields 2^(f0 - beta0)
-    graphs.  The graph is traversed once: a spanning forest has f0 - beta0
-    edges.
+    Scans the graph once, then extends every signing of that spanning
+    forest (:func:`_extend`), in sorted forest-edge order; yields
+    2^(f0 - beta0) graphs.
     """
-    forest_edges = spanning_forest(graph)
-    beta0 = graph.f0 - len(forest_edges)
+    s = graph.dims[0]
+    _, _, parent = _graph_scan(graph)
+    forest_edges = sorted((u, v - s) if u < s else (v, u - s) for v, u in parent.items())
     for signs in product((-1, 1), repeat=len(forest_edges)):
-        yield _extend_forest_signing(graph, dict(zip(forest_edges, signs)), beta0)
+        yield _extend(graph, parent, dict(zip(forest_edges, signs)))
 
 
 @dataclass
@@ -210,8 +217,7 @@ def rank_invariance_check(pattern: PartialTernaryMatrix) -> RankInvarianceReport
     cells = [(i, j) for i in range(1, s) for j in range(1, t)]
     batch = [[pattern.entries.get(p, 0) for p in cells]]
     for signed in balanced_signings(build_graph(pattern)):
-        balanced, _, _ = balance_and_betti(signed)
-        assert balanced
+        assert balance_and_betti(signed)[0]
         entries = {**pattern.entries, **signed.sign}
         batch.append([entries.get(p, 0) for p in cells])
     ranks = batch_rank(np.array(batch, dtype=np.int8).reshape(len(batch), s - 1, t - 1))

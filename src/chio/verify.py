@@ -522,9 +522,9 @@ def orbit_transitivity_check(max_edges: int = 6) -> dict:
     failures = 0
     for graph in _connected_support_graphs(max_edges):
         graphs += 1
-        balanced_set = {signing_tuple(g) for g in balanced_signings(graph)}
-        some_balanced = next(iter(balanced_signings(graph)))
-        orb = orbit(some_balanced)
+        signings = list(balanced_signings(graph))
+        balanced_set = {signing_tuple(g) for g in signings}
+        orb = orbit(signings[0])
         expected_size = 2 ** (graph.f0 - 1)
         if orb != balanced_set or len(orb) != expected_size:
             failures += 1

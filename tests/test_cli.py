@@ -191,6 +191,26 @@ class TestExitCodes:
         assert code == 2 and out == "" and "error" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "command, matrix",
+        [
+            ("pchio", '{"dims":[3.5,3],"entries":[[1,1,1]]}'),
+            ("pchio", '{"dims":[true,3],"entries":[]}'),
+            ("pchio", '[[true]]'),
+            ("pchio", '[[1.0,0],[0,-1]]'),
+            ("pchio", '[[null,1],[1,false]]'),
+            ("pchio", '{"dims":[3,3],"entries":[[1.0,1,1]]}'),
+            ("pchio", '{"dims":[3,3],"entries":[[1,1,1.0]]}'),
+            ("pchio", '{"dims":[4,4],"entries":[[1,1,1],[1,1,-1]]}'),
+            ("classify", '{"dims":[4,4],"entries":[[1,1,1],[1,1,1]]}'),
+            ("condense", '[[true,1],[1,1]]'),
+            ("condense", '[[1,1],[1,1.0]]'),
+        ],
+    )
+    def test_json_numbers_must_be_integers_and_positions_unique(self, capsys, command, matrix):
+        code, out, err = run(capsys, command, "--matrix", matrix)
+        assert code == 2 and out == "" and "error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("pchio", "--matrix", "+", "--n", "0"),

@@ -6,7 +6,6 @@ import multiprocessing
 import random
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
-from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
@@ -35,7 +34,6 @@ from chio.failure_enum import (
     count_failures,
     enumerate_failures,
     failure_count_formula,
-    failure_density,
     failure_density_bound,
     grid_positions,
     h_counts,
@@ -451,9 +449,6 @@ class TestDensityBounds:
     def test_unknown_beyond_catalogue(self):
         count, bound = failure_density_bound(7, 5)
         assert count is None and bound > 0
-
-    def test_density_fraction(self):
-        assert failure_density(4, 4) == Fraction(144, total_event_count(4, 4))
 
 
 class TestReports:

@@ -70,10 +70,6 @@ class TestChioSets:
         assert is_chio_set(ext)
         assert len(ext) == 1 + len(index_set.rows) + len(index_set.cols) + len(index_set)
 
-    def test_rectangularity(self):
-        assert IndexSet((4, 4), frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})).is_rectangular()
-        assert not IndexSet((4, 4), frozenset({(1, 1), (2, 2)})).is_rectangular()
-
 
 class TestCondensation:
     def test_all_plus_gives_zero(self):
@@ -190,6 +186,21 @@ class TestSerialization:
         matrix = PartialTernaryMatrix((4, 4), {(1, 1): -1, (2, 3): 0, (3, 2): 1})
         again = matrix_from_json_dict(matrix.to_json_dict())
         assert again.dims == matrix.dims and again.entries == matrix.entries
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"dims": [3.5, 3], "entries": []}, "not an integer"),
+            ({"dims": [True, 3], "entries": []}, "not an integer"),
+            ({"dims": [3, 3], "entries": [[1.0, 1, 1]]}, "not an integer"),
+            ({"dims": [3, 3], "entries": [[1, False, 1]]}, "not an integer"),
+            ({"dims": [3, 3], "entries": [[1, 1, True]]}, "not an integer"),
+            ({"dims": [4, 4], "entries": [[1, 1, 1], [1, 1, -1]]}, "given twice"),
+        ],
+    )
+    def test_ternary_json_refuses_non_integers_and_repeats(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            matrix_from_json_dict(data)
 
     def test_ternary_compact_with_gaps(self):
         matrix = PartialTernaryMatrix.from_compact("+-./0..")

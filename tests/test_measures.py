@@ -30,7 +30,7 @@ from chio.measures import (
 from chio import signed_graph
 from chio.signed_graph import build_graph
 
-from oracles import brute_count_colorings, brute_fibre_count
+from oracles import brute_count_colorings, brute_fibre_count, edge_subsets_forming_circuits
 
 C4 = {(1, 1), (1, 2), (2, 1), (2, 2)}
 
@@ -135,11 +135,6 @@ class TestDyadicProb:
 
 
 class TestEvents:
-    def test_cardinality(self):
-        matrix = ternary(4, {(1, 1): 0})
-        event = Event.on_full_grid(matrix)
-        assert event.cardinality == 3**8
-
     def test_domain_must_be_inside_ambient(self):
         matrix = ternary(4, {(1, 1): 1})
         with pytest.raises(ValueError):
@@ -160,7 +155,7 @@ class TestEvents:
         event = Event(matrix)
         p_lcf(event), p_chio(event), ratio_chio_lcf(event)
         assert event._ambient is None
-        assert event.ambient == matrix.domain and event.cardinality == 1
+        assert event.ambient == matrix.domain
         assert event == Event(matrix, matrix.domain)
 
     def test_cover_height_fully_specified(self):
@@ -364,6 +359,26 @@ class TestSignPatternKernel:
         for domain in ([(1, 1)], [(1, 1), (2, 1)], []):
             with pytest.raises(ValueError, match="not in the domain"):
                 p_chio_sign_patterns((4, 4), domain, [(1, 1), (2, 2)])
+        with pytest.raises(ValueError, match="not in the domain"):
+            p_chio_sign_patterns((4, 4), [(1, 1), (2, 2)], [(1, 2)])
+
+    def test_every_support_of_the_n4_grid_against_circuits(self):
+        # The full 3x3 grid as the domain and each support inside it:
+        # every pattern against the circuit definition, and the rank
+        # against a brute count of the 2^beta0 colourings constant on
+        # every edge of the grid graph.
+        grid = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+        for k in range(len(grid) + 1):
+            for support in combinations(grid, k):
+                circuits = [frozenset(c) for c in edge_subsets_forming_circuits(list(support))]
+                colourings = brute_count_colorings({1, 2, 3}, {1, 2, 3}, dict.fromkeys(support, -1))
+                beta0 = colourings.bit_length() - 1
+                balanced = DyadicProb.pow_half(len(grid) + 6 - beta0)
+                values = p_chio_sign_patterns((4, 4), grid, list(support))
+                for pattern, value in enumerate(values):
+                    minus = {pos for e, pos in enumerate(support) if pattern >> e & 1}
+                    even = all(len(minus & circuit) % 2 == 0 for circuit in circuits)
+                    assert value == (balanced if even else DyadicProb.zero())
 
     def test_pattern_bits(self):
         # The all -1 four-circuit is balanced, one +1 on it is not.
@@ -389,6 +404,15 @@ class TestOneScanPerMatrix:
             p_chio(Event(matrix))
         # One scan per support: the subsets of at most four of the nine cells.
         assert len(calls) == len(supports) == 256
+
+    def test_one_memo_entry_per_support(self, monkeypatch):
+        # p_chio and p_chio_averaged both key the memo by the support in
+        # entries order, so unsorted entries are scanned and held once.
+        monkeypatch.setattr(signed_graph, "_CYCLE_MEMO", {})
+        matrix = ternary(3, {(2, 2): 1, (1, 1): 1, (1, 2): -1, (2, 1): 1})
+        assert p_chio(Event(matrix)).is_zero
+        assert p_chio_averaged(matrix) == p_lcf(Event(matrix))
+        assert len(signed_graph._CYCLE_MEMO) == 1
 
     def test_averaged_scans_once_per_matrix(self, monkeypatch):
         # The averaged measure reads the per-support memo: one scan on the

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chio import switching
+from chio import signed_graph, switching
 from chio.matrix_core import PartialTernaryMatrix
 from chio.signed_graph import SignedBipartiteGraph, balance_and_betti, betti, build_graph
 from chio.switching import (
@@ -184,6 +184,23 @@ class TestBalancedExtension:
             seen.add(signing_tuple(extended))
         assert len(seen) == 16  # bijection with balanced signings
 
+    def test_one_scan_per_graph(self, monkeypatch):
+        calls = []
+        real = signed_graph._scan
+        monkeypatch.setattr(signed_graph, "_scan", lambda *args: calls.append(1) or real(*args))
+        k23 = {(i, j) for i in (1, 2) for j in (1, 2, 3)}
+        for edges in (C4, k23, {(1, 1), (2, 2)}):
+            graph = SignedBipartiteGraph(
+                dims=(4, 4),
+                row_vertices=frozenset({1, 2, 3}),
+                col_vertices=frozenset({1, 2, 3}),
+                edges=frozenset(edges),
+            )
+            calls.clear()
+            signings = list(balanced_signings(graph))
+            assert len(calls) == 1
+            assert len(signings) == 2 ** (graph.f0 - betti(graph).beta0)
+
     def test_extension_count_matches_formula(self):
         graph = circuit_graph().unsigned()
         signings = {signing_tuple(g) for g in balanced_signings(graph)}
@@ -222,12 +239,14 @@ class TestBalancedExtension:
 
     def test_rejects_cycles_and_wrong_counts(self):
         graph = circuit_graph().unsigned()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="contains a cycle"):
             balanced_extension(graph, {p: -1 for p in C4})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="component split"):
             balanced_extension(graph, {(1, 1): -1})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="edges of the graph"):
             balanced_extension(graph, {(1, 1): -1, (1, 2): -1, (3, 3): 1})
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            balanced_extension(graph, {(1, 1): -1, (1, 2): 0, (2, 1): 1})
 
 
 class TestRankInvariance:
