@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chio import signed_graph
+from chio.measures import p_chio_sign_patterns
 from chio.matrix_core import IndexSet, PartialTernaryMatrix
 from chio.signed_graph import (
     IsoType,
@@ -364,6 +365,16 @@ class TestCycleMasks:
         rank, masks = cycle_masks((5, 6), grid)
         assert (rank, len(masks)) == (8, 12)
         self.check((5, 6), grid)
+
+    def test_support_outside_domain_refused(self, monkeypatch):
+        # cycle_masks takes the support alone; the domain check sits in
+        # p_chio_sign_patterns, ahead of the memo, so a refused support is
+        # never scanned and leaves no memo entry.
+        monkeypatch.setattr(signed_graph, "_CYCLE_MEMO", {})
+        for domain, support in (([(1, 1)], [(1, 1), (2, 2)]), ([(1, 1), (2, 2)], [(1, 2)])):
+            with pytest.raises(ValueError, match="not in the domain"):
+                p_chio_sign_patterns((4, 4), domain, support)
+        assert signed_graph._CYCLE_MEMO == {}
 
 
 class TestMatrixBalanceMemo:
