@@ -15,6 +15,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import sys
 import time
 
@@ -78,7 +79,10 @@ def parse_ternary_matrix(text: str, n: int | None = None) -> PartialTernaryMatri
     dims = (n, n) if n is not None else None
     try:
         if text.startswith("{"):
-            return matrix_from_json_dict(json.loads(text))
+            matrix = matrix_from_json_dict(json.loads(text))
+            if dims is not None and matrix.dims != dims:
+                raise UsageError(f"--n {n} disagrees with the matrix dims {list(matrix.dims)}")
+            return matrix
         if text.startswith("["):
             return PartialTernaryMatrix.from_rows(json_rows(text), dims)
         return PartialTernaryMatrix.from_compact(text, dims)
@@ -99,6 +103,14 @@ def event_report(matrix: PartialTernaryMatrix) -> dict:
         "ratio_log2": None if ratio == 0 else ratio.bit_length() - 1,
         "isotype": classify_isotype(graph).label,
     }
+
+
+def check_writable(path: str) -> None:
+    """Raise OSError unless ``path`` can be opened for writing; leave it as it was."""
+    existed = os.path.lexists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
 
 
 def emit(report, args, csv_rows=None) -> None:
@@ -221,6 +233,10 @@ def cmd_census(args) -> int:
         raise UsageError("censuses with 2^25 matrices need --big")
     if args.resume and not args.checkpoint:
         raise UsageError("--resume needs --checkpoint")
+    if args.checkpoint:
+        # A save writes beside the path and moves the file over it.
+        check_writable(args.checkpoint)
+        check_writable(args.checkpoint + ".tmp")
     # Without --chunk-size, CensusConfig's own default applies.
     chunk = {} if args.chunk_size is None else {"chunk_size": args.chunk_size}
     cfg = CensusConfig(
@@ -411,6 +427,8 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "workers", None) is not None:
             # Refused before any work; CHIO_WORKERS is checked where it is read.
             parallel.resolve_workers(args.workers)
+        if args.out:
+            check_writable(args.out)
         return args.func(args)
     except (UsageError, BudgetExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,14 @@ and closed-form counts exist for ``k`` in {4, 5, 6}:
   (a 6-circuit count, a complete-2x3 count, and an inclusion-exclusion
   count of 4-circuits avoiding the 2x3), with ratio classes 0, 2 and 4.
 
+Every split follows from the count of each type by one rule.  A signed
+graph with f1 edges and cycle rank beta1 is balanced on 2^(f1 - beta1)
+of its 2^f1 signings, so of the c realizations of a type, ``c >> beta1``
+have ratio 2^beta1 and value 2^-(k + f1 - beta1), and the rest have
+ratio 0 and value zero.  The type counts come from one realization
+table per n (:func:`realization_table`), f1 and beta1 from one literal
+table; the enumerator reads neither.
+
 The enumerator is honest: it lists the index sets that hold a circuit,
 in lexicographic order, and value assignments in base-3 order, decides
 balance per assignment from circuit sign parities, and classifies
@@ -37,8 +45,8 @@ every choice of rows and columns (:func:`_circuit_sets`) and looks up
 each assignment's support in the shape's table.  The tables share one
 memo of support graphs, keyed by the support's own shape and the set's
 rows and columns: graphs with one key are isomorphic, so each is
-classified once.  Only the list of shapes is cached across calls; the
-tables and the graph memo are rebuilt by every call.  A record
+classified once.  The enumerator keeps only its list of shapes across
+calls; the tables and the graph memo are rebuilt by every call.  A record
 keeps its positions and values and builds its matrix only when read; the
 stream allocates each record and fills its slots directly
 (:func:`_record`), skipping the per-field ``object.__setattr__`` of the
@@ -471,17 +479,17 @@ def h_counts(n: int) -> tuple[int, int, int, int]:
     return h_c6, h_k23, h_c4_not_k23, h_geq
 
 
-def realization_count_formula(isotype: IsoType, k: int, n: int) -> int:
-    """Closed-form number of k-entry specifications with the given type.
+@cache
+def _realizations(n: int) -> dict[int, dict[IsoType, int]]:
+    """{k: {type: count}}: the catalogued realization counts at one n.
 
     Raises:
-        ValueError: for a (type, k) pair without a catalogued formula, or
-            for n < 3.
+        ValueError: for n < 3.
     """
     _check_closed_form_n(n)
     x = xi(n)
     m = n - 3
-    tables: dict[int, dict[IsoType, int]] = {
+    return {
         4: {IsoType.T1: x},
         5: {
             IsoType.T2: 4 * m * x,
@@ -511,22 +519,38 @@ def realization_count_formula(isotype: IsoType, k: int, n: int) -> int:
             IsoType.T20: 8 * comb(m, 2) ** 2 * x,
         },
     }
+
+
+def realization_count_formula(isotype: IsoType, k: int, n: int) -> int:
+    """Closed-form number of k-entry specifications with the given type.
+
+    Raises:
+        ValueError: for a (type, k) pair without a catalogued formula, or
+            for n < 3.
+    """
     try:
-        return tables[k][isotype]
+        return _realizations(n)[k][isotype]
     except KeyError:
         raise ValueError(f"no realization formula for ({isotype.label}, k={k})") from None
 
 
 def realization_table(k: int, n: int) -> dict[IsoType, int]:
     """All catalogued realization counts for the given k."""
-    tags = {
-        4: [IsoType.T1],
-        5: [IsoType.T2, IsoType.T3, IsoType.T5, IsoType.T7],
-        6: [t for t in NONFOREST_TAGS if t is not IsoType.T1],
-    }
-    if k not in tags:
+    if k not in (4, 5, 6):
         raise ValueError("realization tables exist for k in {4, 5, 6}")
-    return {t: realization_count_formula(t, k, n) for t in tags[k]}
+    return dict(_realizations(n)[k])
+
+
+# (f1, beta1) of each catalogued type: its edge count and cycle rank.
+# Transcribed from the catalogue; the tests hold it against the
+# classifier on every enumerated record.
+_EDGES_AND_RANK: dict[IsoType, tuple[int, int]] = {
+    IsoType.T1: (4, 1), IsoType.T2: (4, 1), IsoType.T3: (5, 1), IsoType.T4: (6, 2),
+    IsoType.T5: (4, 1), IsoType.T6: (5, 1), IsoType.T7: (5, 1), IsoType.T8: (6, 1),
+    IsoType.T9: (6, 1), IsoType.T10: (6, 1), IsoType.T11: (6, 1), IsoType.T12: (6, 1),
+    IsoType.T13: (4, 1), IsoType.T14: (5, 1), IsoType.T15: (5, 1), IsoType.T16: (6, 1),
+    IsoType.T17: (6, 1), IsoType.T18: (4, 1), IsoType.T19: (5, 1), IsoType.T20: (6, 1),
+}
 
 
 # Degree-8 polynomials for the k = 6 failure classes, kept as exact
@@ -570,10 +594,16 @@ def _poly_int(coeffs: list[Fraction], n: int) -> int:
 def failure_count_formula(k: int, n: int) -> CountReport:
     """Closed-form failure report for k in {4, 5, 6}; no enumeration.
 
-    Internally cross-checks the degree-8 polynomial forms against the
-    combinatorial construction and the realization-count tables.  When
-    the (n-1) x (n-1) grid has fewer than k entries the report is all
-    zero, as from :func:`count_failures`.
+    The counts by type are the realization table.  The splits follow from
+    one rule: a type with f1 edges and cycle rank beta1 is balanced on
+    2^(f1 - beta1) of the 2^f1 signings of each support, so 1 in 2^beta1
+    of its c realizations, ``c >> beta1``, has ratio 2^beta1 and value
+    2^-(k + f1 - beta1); the rest have ratio 0 and value zero.  The total
+    is cross-checked against its own closed form (xi(n) at k = 4,
+    48 ((n-1)^2 - 4) C(n-1,2)^2 at k = 5, the subgraph counts of
+    :func:`h_counts` at k = 6), and at k = 6 the derived splits against
+    the degree-8 polynomials.  When the (n-1) x (n-1) grid has fewer
+    than k entries the report is all zero, as from :func:`count_failures`.
 
     Raises:
         ValueError: for k outside {4, 5, 6} or n < 2.
@@ -585,89 +615,53 @@ def failure_count_formula(k: int, n: int) -> CountReport:
     if (n - 1) ** 2 < k:
         # The closed forms would take comb of negative arguments here.
         return CountReport(k, n, total_events=0, failure_count=0)
-    total = total_event_count(k, n)
+    by_isotype = realization_table(k, n)
+    failures = sum(by_isotype.values())
+    by_ratio, by_value = Counter(), Counter()
+    for tag, count in by_isotype.items():
+        f1, beta1 = _EDGES_AND_RANK[tag]
+        balanced = count >> beta1
+        by_ratio[2**beta1] += balanced
+        by_value[DyadicProb.pow_half(k + f1 - beta1)] += balanced
+        by_ratio[0] += count - balanced
+        by_value[DyadicProb.zero()] += count - balanced
     if k == 4:
-        failures = xi(n)
-        by_isotype = realization_table(4, n)
-        half = failures // 2
-        report = CountReport(
-            k, n, total, failures,
-            by_ratio={0: half, 2: half},
-            by_value={DyadicProb.zero(): half, DyadicProb.pow_half(7): half},
-            by_isotype=by_isotype,
-        )
+        expected = xi(n)
     elif k == 5:
-        failures = 48 * ((n - 1) ** 2 - 4) * comb(n - 1, 2) ** 2
-        by_isotype = realization_table(5, n)
-        if sum(by_isotype.values()) != failures:
-            raise AssertionError("k=5 realization table does not sum to the total")
-        half = failures // 2
-        report = CountReport(
-            k, n, total, failures,
-            by_ratio={0: half, 2: half},
-            by_value={
-                DyadicProb.zero(): half,
-                DyadicProb.pow_half(8): (by_isotype[IsoType.T2] + by_isotype[IsoType.T5]) // 2,
-                DyadicProb.pow_half(9): (by_isotype[IsoType.T3] + by_isotype[IsoType.T7]) // 2,
-            },
-            by_isotype=by_isotype,
-        )
+        expected = 48 * ((n - 1) ** 2 - 4) * comb(n - 1, 2) ** 2
     else:
         h_c6, h_k23, h_c4, _ = h_counts(n)
-        failures = h_c6 + h_k23 + h_c4
-        by_isotype = realization_table(6, n)
-        if sum(by_isotype.values()) != failures:
-            raise AssertionError("k=6 realization table does not sum to the total")
-        seventeen = failures - by_isotype[IsoType.T4] - by_isotype[IsoType.T12]
-        if seventeen != h_c4:
+        expected = h_c6 + h_k23 + h_c4
+        if failures - by_isotype[IsoType.T4] - by_isotype[IsoType.T12] != h_c4:
             raise AssertionError("seventeen-type sum disagrees with the 4-circuit count")
-        ratio2 = (h_c4 + h_c6) // 2
-        ratio4 = h_k23 // 4
-        ratio0 = failures - ratio2 - ratio4
-        one_beta = lambda *tags: sum(by_isotype[t] for t in tags) // 2
-        by_value = {
-            DyadicProb.zero(): ratio0,
-            DyadicProb.pow_half(9): one_beta(IsoType.T2, IsoType.T5, IsoType.T13, IsoType.T18),
-            DyadicProb.pow_half(10): one_beta(
-                IsoType.T3, IsoType.T6, IsoType.T7, IsoType.T14, IsoType.T15, IsoType.T19
-            ) + by_isotype[IsoType.T4] // 4,
-            DyadicProb.pow_half(11): one_beta(
-                IsoType.T8, IsoType.T9, IsoType.T10, IsoType.T11,
-                IsoType.T12, IsoType.T16, IsoType.T17, IsoType.T20,
-            ),
-        }
-        for coeffs, expected in (
+        for coeffs, value in (
             (_POLY_F6, failures),
-            (_POLY_F6_RATIO0, ratio0),
-            (_POLY_F6_RATIO2, ratio2),
-            (_POLY_F6_RATIO4, ratio4),
+            (_POLY_F6_RATIO0, by_ratio[0]),
+            (_POLY_F6_RATIO2, by_ratio[2]),
+            (_POLY_F6_RATIO4, by_ratio[4]),
             (_POLY_H_C4_NOT_K23, h_c4),
         ):
-            if _poly_int(coeffs, n) != expected:
+            if _poly_int(coeffs, n) != value:
                 raise AssertionError("polynomial form disagrees with construction")
-        report = CountReport(
-            k, n, total, failures,
-            by_ratio={0: ratio0, 2: ratio2, 4: ratio4},
-            by_value=by_value,
-            by_isotype=by_isotype,
-        )
+    if failures != expected:
+        raise AssertionError(f"k={k} realization table does not sum to the total")
     # Keep only populated classes so reports compare cleanly with
     # enumeration output; serialization re-fills the canonical key sets.
-    report.by_ratio = {r: c for r, c in report.by_ratio.items() if c}
-    report.by_value = {v: c for v, c in report.by_value.items() if c}
-    report.by_isotype = {t: c for t, c in report.by_isotype.items() if c}
+    report = CountReport(
+        k, n, total_event_count(k, n), failures,
+        by_ratio={r: c for r, c in by_ratio.items() if c},
+        by_value={v: c for v, c in by_value.items() if c},
+        by_isotype={t: c for t, c in by_isotype.items() if c},
+    )
     report.validate()
     return report
 
 
-def check_linear_relations(
-    n: int, enumerated: dict[int, dict[IsoType, int]] | None = None
-) -> list[dict]:
+def check_linear_relations(n: int) -> list[dict]:
     """Verify the five linear relations among realization counts.
 
     Each relation compares a multiple of one type count against a sum of
-    others, on the closed forms and optionally on enumerated by-isotype
-    maps (keyed by k).
+    others in the realization table.
     """
     relations = [
         ("r1", 5, 2, [IsoType.T2], [IsoType.T3]),
@@ -678,11 +672,12 @@ def check_linear_relations(
          [IsoType.T14, IsoType.T15, IsoType.T16, IsoType.T17]),
         ("r5", 6, 8, [IsoType.T18], [IsoType.T19, IsoType.T20]),
     ]
+    tables = _realizations(n)
     results = []
     for name, k, factor, lhs_tags, rhs_tags in relations:
-        lhs = factor * sum(realization_count_formula(t, k, n) for t in lhs_tags)
-        rhs = sum(realization_count_formula(t, k, n) for t in rhs_tags)
-        entry = {
+        lhs = factor * sum(tables[k][t] for t in lhs_tags)
+        rhs = sum(tables[k][t] for t in rhs_tags)
+        results.append({
             "relation": name,
             "k": k,
             "description": "%d*(%s) == %s" % (
@@ -693,15 +688,7 @@ def check_linear_relations(
             "lhs": lhs,
             "rhs": rhs,
             "holds": lhs == rhs,
-        }
-        if enumerated is not None and k in enumerated:
-            counts = enumerated[k]
-            lhs_e = factor * sum(counts.get(t, 0) for t in lhs_tags)
-            rhs_e = sum(counts.get(t, 0) for t in rhs_tags)
-            entry["lhs_enumerated"] = lhs_e
-            entry["rhs_enumerated"] = rhs_e
-            entry["holds_enumerated"] = lhs_e == rhs_e
-        results.append(entry)
+        })
     return results
 
 

@@ -405,6 +405,46 @@ class TestExitCodes:
         code, _, err = run(capsys, "recipe", "--matrix=+++/+++/+..")
         assert code == 2 and "six" in err
 
+    @pytest.mark.parametrize("command", ["pchio", "recipe", "classify", "switch-orbit"])
+    def test_n_must_match_object_dims(self, capsys, command):
+        matrix = '{"dims": [3, 3], "entries": [[1, 1, 1]]}'
+        code, out, err = run(capsys, command, "--matrix", matrix, "--n", "5")
+        assert code == 2 and out == "" and "--n 5 disagrees" in err
+        assert run(capsys, command, "--matrix", matrix, "--n", "3")[0] == 0
+
+    def test_unwritable_out_is_refused_before_work(self, capsys, monkeypatch, tmp_path):
+        import chio.cli
+
+        calls = []
+        monkeypatch.setattr(chio.cli, "run_suites", lambda *a, **k: calls.append(1) or [])
+        for target in (tmp_path / "missing" / "x.txt", tmp_path):
+            code, out, err = run(capsys, "verify", "--suite", "census", "--out", str(target))
+            assert code == 2 and out == "" and "error" in err
+        assert calls == []
+
+    def test_failed_command_leaves_out_file_as_it_was(self, capsys, tmp_path):
+        kept = tmp_path / "kept.json"
+        kept.write_text("earlier report\n")
+        fresh = tmp_path / "fresh.json"
+        for target in (kept, fresh):
+            code, out, _ = run(capsys, "pchio", "--matrix", "[[2]]", "--out", str(target))
+            assert code == 2 and out == ""
+        assert kept.read_text() == "earlier report\n" and not fresh.exists()
+
+    def test_unwritable_checkpoint_is_refused_before_the_census(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import chio.cli
+
+        calls = []
+        monkeypatch.setattr(chio.cli, "run_census", lambda *a, **k: calls.append(1))
+        for path in (tmp_path / "missing" / "c.ckpt", tmp_path):
+            code, out, err = run(
+                capsys, "census", "--n", "3", "--workers", "1", "--checkpoint", str(path)
+            )
+            assert code == 2 and out == "" and "error" in err
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
 
 class TestStability:
     def test_verify_relations_suite_stable(self, capsys):

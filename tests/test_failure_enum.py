@@ -25,6 +25,7 @@ from chio.signed_graph import (
 from chio.failure_enum import (
     CountReport,
     FailureRecord,
+    _EDGES_AND_RANK,
     _circuit_sets,
     _failing_supports,
     _record,
@@ -390,6 +391,17 @@ class TestRealizations:
                 assert balanced * 2**beta1 == total, (k, n, tag)
 
 
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_records_match_edges_and_rank(self, k, n):
+        # The transcribed (f1, beta1) of each type against the classifier's
+        # type and the enumerator's balance decision on every record.
+        for rec in enumerate_failures(k, n):
+            f1, beta1 = _EDGES_AND_RANK[rec.isotype]
+            assert sum(v != 0 for v in rec.values) == f1, rec
+            assert rec.ratio in (0, 2**beta1), rec
+
+
 class TestRelations:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_closed_form_relations(self, n):
@@ -397,12 +409,12 @@ class TestRelations:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_relations_on_enumerated_counts(self, n):
-        enumerated = {
-            5: count_failures(5, n, workers=1).by_isotype,
-            6: count_failures(6, n, workers=1).by_isotype,
-        }
-        for entry in check_linear_relations(n, enumerated):
-            assert entry["holds"] and entry["holds_enumerated"], entry
+        # The relations hold on the enumerated counts because these equal
+        # the realization table, on which the relations hold.
+        for k in (5, 6):
+            table = {t: v for t, v in realization_table(k, n).items() if v}
+            assert count_failures(k, n, workers=1).by_isotype == table
+        assert all(entry["holds"] for entry in check_linear_relations(n))
 
 
 class TestHCounts:

@@ -22,7 +22,7 @@ from chio.switching import (
     switch_signing,
 )
 
-from oracles import brute_is_balanced
+from oracles import brute_count_balanced_signings, brute_is_balanced
 
 C4 = {(1, 1), (1, 2), (2, 1), (2, 2)}
 
@@ -200,6 +200,26 @@ class TestBalancedExtension:
             signings = list(balanced_signings(graph))
             assert len(calls) == 1
             assert len(signings) == 2 ** (graph.f0 - betti(graph).beta0)
+
+    def test_every_signing_is_balanced(self):
+        # rank_invariance_check relies on this and does not re-decide it.
+        shapes = (
+            C4,
+            {(i, j) for i in (1, 2) for j in (1, 2, 3)},
+            C4 | {(2, 3)},
+            {(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 1)},
+            {(1, 1), (2, 2), (3, 3)},
+        )
+        for edges in shapes:
+            graph = SignedBipartiteGraph(
+                dims=(4, 4),
+                row_vertices=frozenset({1, 2, 3}),
+                col_vertices=frozenset({1, 2, 3}),
+                edges=frozenset(edges),
+            )
+            signings = [signed.sign for signed in balanced_signings(graph)]
+            assert all(brute_is_balanced(sign) for sign in signings)
+            assert len(signings) == brute_count_balanced_signings(sorted(edges))
 
     def test_extension_count_matches_formula(self):
         graph = circuit_graph().unsigned()
