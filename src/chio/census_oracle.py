@@ -388,19 +388,32 @@ def _chunk_task(args: tuple) -> dict:
 
     The codes are run through the kernels ``_TILE`` at a time, and the
     tiles' aggregates summed; ``cond_counts`` is a list of one sorted
-    ``(codes, counts)`` piece per tile.
+    ``(codes, counts)`` piece per tile.  The pieces live until the result
+    settles, so they are int64 views into two memory maps (:func:`_mapped`)
+    sized to the chunk, not arrays of their own: kept on the malloc heap
+    between the tiles' temporaries, they decided by the order of earlier
+    allocations whether freed memory could be given back, and the peak RSS
+    of one census run read one of two levels about 2 MB apart.
     """
     s, t, lo, hi, names, filters = args
     mask, value = _fixed_bits(filters, t)
     runs = _free_runs(s * t, mask)
     start, stop = _count_below(lo, runs, value), _count_below(hi, runs, value)
     out: dict[str, object] = {"visited": stop - start}
+    if "cond_counts" in names:
+        # A tile has at most as many distinct codes as codes.
+        piece_codes = _mapped(stop - start, np.int64)
+        piece_counts = _mapped(stop - start, np.int64)
+        at = 0
     for x in _tiles(start, stop):
         # With every bit fixed, _deposit returns a plain int.
         codes = np.broadcast_to(_deposit(x, runs, value), x.shape)
         for name, part in _tile_aggregates(s, t, codes, names).items():
             if name == "cond_counts":
-                out.setdefault(name, []).append(part)
+                end = at + part[0].size
+                piece_codes[at:end], piece_counts[at:end] = part
+                out.setdefault(name, []).append((piece_codes[at:end], piece_counts[at:end]))
+                at = end
             else:
                 out[name] = out.get(name, 0) + part
     return out
@@ -440,8 +453,7 @@ def _tile_aggregates(s: int, t: int, codes: np.ndarray, names: tuple[str, ...]) 
             code *= 3
             code += row
         code += (3**m - 1) // 2
-        uniq, counts = np.unique(code, return_counts=True)
-        out["cond_counts"] = (uniq.astype(np.int64), counts.astype(np.int64))
+        out["cond_counts"] = np.unique(code, return_counts=True)
 
     if "edge_pairs" in names:
         # Pair counts of the nonzero patterns, 64 matrices to a word (the

@@ -488,11 +488,18 @@ class TestTiles:
 
     def test_chunk_pieces_are_sorted_tiles(self, monkeypatch):
         monkeypatch.setattr(census_oracle, "_TILE", 100)
+        maps = []
+        real = census_oracle._mapped
+        monkeypatch.setattr(census_oracle, "_mapped", lambda *a: maps.append(a) or real(*a))
         out = census_oracle._chunk_task((3, 4, 0, 1024, ("cond_counts",), {(2, 2): 1}))
         assert out["visited"] == 512
         pieces = out["cond_counts"]
         assert [int(counts.sum()) for _, counts in pieces] == [100] * 5 + [12]
         assert all((np.diff(codes) > 0).all() for codes, _ in pieces)
+        # Every piece is an int64 view into one of the chunk's two maps.
+        assert maps == [(512, np.int64)] * 2
+        assert all(c.dtype == n.dtype == np.int64 for c, n in pieces)
+        assert all(c.base is not None and n.base is not None for c, n in pieces)
 
     def test_batches_fit_a_tile(self, monkeypatch):
         sizes = []
