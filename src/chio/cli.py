@@ -28,7 +28,7 @@ from .matrix_core import (
     matrix_from_json_dict,
 )
 from .measures import Event, p_chio, p_lcf, ratio_chio_lcf, recipe_p_chio
-from .signed_graph import balance_and_betti, build_graph, classify_isotype
+from .signed_graph import build_graph, classify_isotype, isotype_and_betti, matrix_balance
 from .failure_enum import (
     CountReport,
     check_linear_relations,
@@ -157,18 +157,18 @@ def cmd_recipe(args) -> int:
 def cmd_classify(args) -> int:
     matrix = parse_ternary_matrix(args.matrix, args.n)
     graph = build_graph(matrix)
-    balanced, data = balance_and_betti(graph)
+    isotype, data = isotype_and_betti(graph)
     emit(
         {
             "graph": graph.to_json_dict(),
-            "isotype": classify_isotype(graph).label,
+            "isotype": isotype.label,
             "betti": {
                 "f0": data.f0,
                 "f1": data.f1,
                 "beta0": data.beta0,
                 "beta1": data.beta1,
             },
-            "balanced": balanced,
+            "balanced": matrix_balance(matrix)[0],
         },
         args,
     )
@@ -268,9 +268,9 @@ def cmd_ranks(args) -> int:
 def cmd_switch_orbit(args) -> int:
     matrix = parse_ternary_matrix(args.matrix, args.n)
     graph = build_graph(matrix)
-    balanced, data = balance_and_betti(graph)
+    balanced, f0, beta0 = matrix_balance(matrix)
     orb = sorted(orbit(graph))
-    expected = 2 ** (data.f0 - data.beta0)
+    expected = 2 ** (f0 - beta0)
     payload = {
         "edges": sorted([i, j] for i, j in graph.edges),
         "balanced": balanced,

@@ -521,21 +521,13 @@ def _realizations(n: int) -> dict[int, dict[IsoType, int]]:
     }
 
 
-def realization_count_formula(isotype: IsoType, k: int, n: int) -> int:
-    """Closed-form number of k-entry specifications with the given type.
+def realization_table(k: int, n: int) -> dict[IsoType, int]:
+    """Closed-form number of k-entry specifications of each catalogued type;
+    a type absent from the table has no formula at that k.
 
     Raises:
-        ValueError: for a (type, k) pair without a catalogued formula, or
-            for n < 3.
+        ValueError: for k outside {4, 5, 6}, or for n < 3.
     """
-    try:
-        return _realizations(n)[k][isotype]
-    except KeyError:
-        raise ValueError(f"no realization formula for ({isotype.label}, k={k})") from None
-
-
-def realization_table(k: int, n: int) -> dict[IsoType, int]:
-    """All catalogued realization counts for the given k."""
     if k not in (4, 5, 6):
         raise ValueError("realization tables exist for k in {4, 5, 6}")
     return dict(_realizations(n)[k])

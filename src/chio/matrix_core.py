@@ -218,9 +218,9 @@ class PartialTernaryMatrix:
     through their descriptors (a frozen dataclass ``__init__`` would go
     through ``object.__setattr__`` once per field).  ``_supp`` holds that
     count.  ``_balance`` keeps the ``(balanced, f0, beta0)`` triple of the
-    signed graph once :func:`chio.signed_graph.matrix_balance` has worked
-    it out from the cycle basis of the support, which that function
-    memoises per support.  Neither takes part in equality or ``repr``.
+    signed graph once :func:`chio.signed_graph.matrix_balance` has read it
+    from :func:`chio.signed_graph.balance_summary`.  Neither takes part in
+    equality or ``repr``.
     """
 
     dims: tuple[int, int]

@@ -11,16 +11,17 @@ value, so values compare and hash by identity at C speed.  The
 condensation measure of an event specifying ``B`` is zero unless the
 signed graph of ``B`` is balanced, in which case it equals
 ``2^-(dom + f0 - beta0)`` independently of the ambient index set; its
-ratio to the lazy coin flip value is ``2^beta1``.  Balance comes from a
-memo of the cycle basis per support (``signed_graph.matrix_balance``):
-the graph of a support is scanned once, and each sign pattern on it is
-decided by the minus-parity of its fundamental cycles.  The balance
-triple is kept on the matrix and read by ``p_chio``, ``ratio_chio_lcf``
-and ``fibre_cardinality``.
+ratio to the lazy coin flip value is ``2^beta1``.  Balance comes from
+``signed_graph.balance_summary``, through ``matrix_balance``, which keeps
+the triple on the matrix for ``p_chio``, ``ratio_chio_lcf`` and
+``fibre_cardinality``: the graph of a support is scanned once, its cycle
+basis held in the bounded memo ``signed_graph.support_cycles``, and each
+sign pattern on it is decided by the minus-parity of its fundamental
+cycles.
 
 ``p_chio_sign_patterns`` gives ``p_chio`` of all 2^supp sign patterns on
-one support from the per-support cycle memo, through the minus-parity of
-each fundamental cycle.  ``p_chio_averaged`` sums that list literally
+one support from that memo, through the minus-parity of each
+fundamental cycle.  ``p_chio_averaged`` sums that list literally
 over the patterns; it never uses the closed form of the lazy coin flip
 value.
 
@@ -263,7 +264,7 @@ def fibre_cardinality(event: Event) -> int:
 def p_chio_sign_patterns(
     dims: tuple[int, int], domain: Collection[Index2], support: Sequence[Index2]
 ) -> list[DyadicProb]:
-    """p_chio of every sign pattern on one support, from the per-support cycle memo.
+    """p_chio of every sign pattern on one support, from the cycle memo.
 
     ``domain`` holds the specified positions and ``support`` the nonzero
     ones among them.  Entry ``p`` of the result is p_chio of the matrix
@@ -272,7 +273,7 @@ def p_chio_sign_patterns(
     The rank f0 - beta0 of the graph and its fundamental cycles depend on
     the support alone (a domain vertex off the support is a component of
     its own), so they come from :func:`chio.signed_graph.support_cycles`,
-    the memo ``matrix_balance`` reads.  A pattern is balanced iff every
+    the memo ``balance_summary`` fills.  A pattern is balanced iff every
     fundamental cycle holds an even number of its -1 entries.  Those
     parities are linear in the pattern, so the parity vector of each
     pattern is built from one with a lower bit cleared, one support
@@ -305,7 +306,7 @@ def p_chio_averaged(matrix: PartialTernaryMatrix) -> DyadicProb:
     largest power of two among the terms; the result is always a single
     dyadic value (and equals the lazy coin flip value).
     """
-    # In entries order, the memo key matrix_balance uses for this support.
+    # In entries order, the memo key balance_summary uses for this support.
     support = [pos for pos, v in matrix.entries.items() if v]
     values = p_chio_sign_patterns(matrix.dims, matrix.entries, support)
     exponents = [v.exponent for v in values if not v.is_zero]

@@ -14,10 +14,11 @@ order; it gives the components, the Betti data and a spanning forest,
 deterministically.  ``cycle_masks`` turns the forest of an edge set into
 edge bitmasks of its fundamental cycles, and a signing is balanced iff
 each of them holds an even number of negative edges (Zaslavsky 1982), so
-one scan decides every signing of one edge set.  ``matrix_balance`` and
-``p_chio_sign_patterns`` read the masks from a memo per support
-(``support_cycles``); ``balance_summary`` and ``balance_and_betti``
-compute them afresh.
+one scan decides every signing of one edge set.  ``balance_summary`` is
+the one reader of balance: it parses an entries map and reads the masks
+of its support from ``support_cycles``, a bounded ``lru_cache`` of
+``cycle_masks`` that ``p_chio_sign_patterns`` and the census share;
+``matrix_balance`` keeps its answer on the matrix.
 
 Isomorphism types of the bipartite nonforests with at most six edges are
 classified into a fixed catalogue ``t1 .. t20`` via per-component degree
@@ -33,6 +34,7 @@ closed form.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Collection, Iterable, Mapping, Sequence
@@ -222,79 +224,48 @@ def _graph_scan(graph: SignedBipartiteGraph, edges: Iterable[Index2] | None = No
     return _scan(graph.dims[0], graph.row_vertices, graph.col_vertices, edges)
 
 
-def _even_on_every_cycle(masks: list[int], minus: int) -> bool:
-    return not any((mask & minus).bit_count() & 1 for mask in masks)
-
-
 def balance_summary(
     dims: tuple[int, int], entries: Mapping[Index2, int]
 ) -> tuple[bool, int, int]:
-    """(balanced, f0, beta0) of the graph of an entries map, uncached.
-
-    The cycle-basis parity test of :func:`matrix_balance` without its memo
-    or a matrix object.
-    """
-    support = [pos for pos, v in entries.items() if v]
-    minus = sum(1 << e for e, pos in enumerate(support) if entries[pos] < 0)
-    rank, masks = cycle_masks(dims, support)
-    f0 = len({i for i, _ in entries}) + len({j for _, j in entries})
-    return _even_on_every_cycle(masks, minus), f0, f0 - rank
-
-
-# Support tuple -> cycle_masks of the support graph.
-# Holds at most _CYCLE_MEMO_CAP supports and is emptied when full.
-_CYCLE_MEMO: dict[tuple[Index2, ...], tuple[int, list[int]]] = {}
-_CYCLE_MEMO_CAP = 1 << 12
-
-
-def matrix_balance(matrix: PartialTernaryMatrix) -> tuple[bool, int, int]:
-    """:func:`balance_summary` of a matrix, computed once and kept on it.
+    """(balanced, f0, beta0) of the signed graph of an entries map.
 
     One pass over the entries gives the domain's rows and columns (so f0),
     the support in entries order and the bitmask of its -1 entries.  The
-    rank f0 - beta0 of the support graph and its cycle masks
-    (:func:`cycle_masks`) depend on the support alone, so they come from a
-    memo keyed by the support tuple: the 3^k events on one index set share
-    2^k supports, and each support is scanned once.  The signing is
-    balanced iff every mask holds an even number of -1 entries; each
-    domain vertex off the support is a component of its own, so beta0 is
-    f0 minus that rank.
+    rank f0 - beta0 of the support graph and its cycle masks depend on the
+    support alone, so they come from :func:`support_cycles`: the 3^k
+    events on one index set share 2^k supports, and each support is
+    scanned once.  The signing is balanced iff every mask holds an even
+    number of -1 entries; each domain vertex off the support is a
+    component of its own, so beta0 is f0 minus that rank.
     """
+    rows = set()
+    cols = set()
+    support = []
+    minus = 0
+    for pos, v in entries.items():
+        rows.add(pos[0])
+        cols.add(pos[1])
+        if v:
+            if v < 0:
+                minus |= 1 << len(support)
+            support.append(pos)
+    rank, masks = support_cycles(dims, tuple(support))
+    f0 = len(rows) + len(cols)
+    balanced = True
+    for mask in masks:
+        if (mask & minus).bit_count() & 1:
+            balanced = False
+            break
+    return balanced, f0, f0 - rank
+
+
+def matrix_balance(matrix: PartialTernaryMatrix) -> tuple[bool, int, int]:
+    """:func:`balance_summary` of a matrix, computed once and kept on it."""
     summary = matrix._balance
     if summary is None:
-        rows = set()
-        cols = set()
-        support = []
-        minus = 0
-        for pos, v in matrix.entries.items():
-            rows.add(pos[0])
-            cols.add(pos[1])
-            if v:
-                if v < 0:
-                    minus |= 1 << len(support)
-                support.append(pos)
-        key = tuple(support)
-        rank, masks = _CYCLE_MEMO.get(key) or support_cycles(matrix.dims, key)
-        f0 = len(rows) + len(cols)
-        balanced = True
-        for mask in masks:
-            if (mask & minus).bit_count() & 1:
-                balanced = False
-                break
-        summary = (balanced, f0, f0 - rank)
+        summary = balance_summary(matrix.dims, matrix.entries)
         object.__setattr__(matrix, "_balance", summary)
     return summary
-
-
-def support_cycles(dims: tuple[int, int], support: tuple[Index2, ...]) -> tuple[int, list[int]]:
-    """:func:`cycle_masks` of ``support``, through the memo
-    :func:`matrix_balance` reads; callers pass the support in entries order."""
-    cycles = _CYCLE_MEMO.get(support)
-    if cycles is None:
-        if len(_CYCLE_MEMO) >= _CYCLE_MEMO_CAP:
-            _CYCLE_MEMO.clear()
-        cycles = _CYCLE_MEMO[support] = cycle_masks(dims, support)
-    return cycles
 
 
 def cycle_masks(dims: tuple[int, int], support: Sequence[Index2]) -> tuple[int, list[int]]:
@@ -326,6 +297,12 @@ def cycle_masks(dims: tuple[int, int], support: Sequence[Index2]) -> tuple[int, 
     return len(parent), masks
 
 
+# cycle_masks memoised per (dims, support tuple), shared by every reader of
+# balance; callers pass the support in entries order and leave the masks
+# as they are.  The 4096 most recently used supports are kept.
+support_cycles = functools.lru_cache(maxsize=1 << 12)(cycle_masks)
+
+
 def betti(graph: SignedBipartiteGraph) -> BettiData:
     """Component count by DFS; beta1 from the Euler relation."""
     return _betti_data(graph, _graph_scan(graph)[0])
@@ -334,20 +311,6 @@ def betti(graph: SignedBipartiteGraph) -> BettiData:
 def _betti_data(graph: SignedBipartiteGraph, beta0: int) -> BettiData:
     f0, f1 = graph.f0, graph.f1
     return BettiData(f0=f0, f1=f1, beta0=beta0, beta1=f1 - f0 + beta0)
-
-
-def balance_and_betti(graph: SignedBipartiteGraph) -> tuple[bool, BettiData]:
-    """Balance decision and Betti data from the cycle basis of the edges.
-
-    The graph's vertices off its edges are components of their own, so
-    beta0 is f0 minus the rank of the edge graph.
-    """
-    if graph.sign is None:
-        raise ValueError("balance requires a sign function")
-    edges = sorted(graph.edges)
-    minus = sum(1 << e for e, pos in enumerate(edges) if graph.sign[pos] < 0)
-    rank, masks = cycle_masks(graph.dims, edges)
-    return _even_on_every_cycle(masks, minus), _betti_data(graph, graph.f0 - rank)
 
 
 # --- isomorphism-type classification ---------------------------------------

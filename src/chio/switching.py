@@ -144,14 +144,14 @@ def balanced_extension(
         raise ValueError("not a spanning forest: contains a cycle")
     if any(component[i] != component[s + j] for i, j in graph.edges):
         raise ValueError("not a spanning forest: component split")
-    return _extend(graph, parent, forest)
+    return graph.with_sign(_extend(graph, parent, forest))
 
 
 def _extend(
     graph: SignedBipartiteGraph, parent: dict[int, int], forest: Mapping[Index2, int]
-) -> SignedBipartiteGraph:
-    """The balanced signing that agrees with ``forest`` on the edges of a
-    ``_scan`` parent map, which lists parents first.
+) -> dict[Index2, int]:
+    """The sign map of the balanced signing that agrees with ``forest`` on
+    the edges of a ``_scan`` parent map, which lists parents first.
 
     Roots get colour +1, and a child its parent's colour times minus the
     sign of the edge between them; every edge then gets the sign
@@ -162,23 +162,26 @@ def _extend(
     for v, u in parent.items():
         edge = (u, v - s) if u < s else (v, u - s)
         colour[v] = -forest[edge] * colour.get(u, 1)
-    return graph.with_sign(
-        {(i, j): -colour.get(i, 1) * colour.get(s + j, 1) for i, j in graph.edges}
-    )
+    return {(i, j): -colour.get(i, 1) * colour.get(s + j, 1) for i, j in graph.edges}
 
 
-def balanced_signings(graph: SignedBipartiteGraph) -> Iterator[SignedBipartiteGraph]:
-    """All balanced signings, via the forest-signing bijection.
+def balanced_sign_maps(graph: SignedBipartiteGraph) -> Iterator[dict[Index2, int]]:
+    """The sign maps of all balanced signings, via the forest-signing bijection.
 
     Scans the graph once, then extends every signing of that spanning
     forest (:func:`_extend`), in sorted forest-edge order; yields
-    2^(f0 - beta0) graphs.
+    2^(f0 - beta0) maps from the graph's edges to -1 or +1.
     """
     s = graph.dims[0]
     _, _, parent = _graph_scan(graph)
     forest_edges = sorted((u, v - s) if u < s else (v, u - s) for v, u in parent.items())
     for signs in product((-1, 1), repeat=len(forest_edges)):
         yield _extend(graph, parent, dict(zip(forest_edges, signs)))
+
+
+def balanced_signings(graph: SignedBipartiteGraph) -> Iterator[SignedBipartiteGraph]:
+    """All balanced signings as graphs, in the order of :func:`balanced_sign_maps`."""
+    return map(graph.with_sign, balanced_sign_maps(graph))
 
 
 @dataclass
@@ -216,8 +219,8 @@ def rank_invariance_check(pattern: PartialTernaryMatrix) -> RankInvarianceReport
     s, t = pattern.dims
     cells = [(i, j) for i in range(1, s) for j in range(1, t)]
     batch = [[pattern.entries.get(p, 0) for p in cells]]
-    for signed in balanced_signings(build_graph(pattern)):
-        entries = {**pattern.entries, **signed.sign}
+    for sign in balanced_sign_maps(build_graph(pattern)):
+        entries = {**pattern.entries, **sign}
         batch.append([entries.get(p, 0) for p in cells])
     ranks = batch_rank(np.array(batch, dtype=np.int8).reshape(len(batch), s - 1, t - 1))
     return RankInvarianceReport(

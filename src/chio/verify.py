@@ -52,10 +52,9 @@ from .census_oracle import (
 )
 from .switching import (
     all_switches,
-    balanced_signings,
+    balanced_sign_maps,
     orbit,
     rank_invariance_check,
-    signing_tuple,
     switch_matrix,
 )
 from . import parallel
@@ -91,11 +90,11 @@ def chio_identity_exhaustive(n: int = 4, workers: int | None = None) -> dict:
     )
 
 
-def rank_drop_pointwise(max_dim: int = 4, workers: int | None = None) -> list[dict]:
+def rank_drop_pointwise(workers: int | None = None) -> list[dict]:
     """rank of the half condensate is rank - 1 for every sign matrix."""
     checks = []
-    for s in range(2, max_dim + 1):
-        for t in range(2, max_dim + 1):
+    for s in range(2, 5):
+        for t in range(2, 5):
             cfg = CensusConfig(dims=(s, t), worker_count=workers)
             res = run_census(cfg, aggregates=("rank_drop_violations",))
             checks.append(
@@ -113,7 +112,7 @@ def suite_chio_identity(big: bool = False, workers: int | None = None) -> list[d
     checks = [chio_identity_exhaustive(4, workers)]
     if big:
         checks.append(chio_identity_exhaustive(5, workers))
-    checks.extend(rank_drop_pointwise(4, workers=workers))
+    checks.extend(rank_drop_pointwise(workers))
     return checks
 
 
@@ -197,12 +196,13 @@ def recipe_equivalence_scan(n: int, workers: int | None = None) -> dict:
     )
 
 
-def averaging_checks(n: int = 3, workers: int | None = None) -> list[dict]:
+def averaging_checks(workers: int | None = None) -> list[dict]:
     """Averaged measure equals lazy coin flip; |.|-measure is uniform.
 
     Formula-level over every domain, and census-level at n by comparing
     each support's summed preimage counts (:func:`preimage_support_check`).
     """
+    n = 3
     positions = [(i, j) for i in range(1, n) for j in range(1, n)]
     mismatches = 0
     events = 0
@@ -265,10 +265,11 @@ def worst_ratio_scan(n: int) -> dict:
     )
 
 
-def j_independence_check(n: int = 3) -> dict:
+def j_independence_check() -> dict:
     """The event measure does not depend on the ambient index set J: for
     every J inside [n-1]^2, the condensates of all sign matrices on the Chio
     extension J~ hit each event B on a domain inside J p_chio(B) 2^|J~| times."""
+    n = 3
     positions = [(i, j) for i in range(1, n) for j in range(1, n)]
     agrees = []
     for size in range(len(positions) + 1):
@@ -301,10 +302,10 @@ def suite_measures(big: bool = False, workers: int | None = None) -> list[dict]:
     checks.append(recipe_equivalence_scan(4, workers))
     if big:
         checks.append(recipe_equivalence_scan(5, workers))
-    checks.extend(averaging_checks(3, workers))
+    checks.extend(averaging_checks(workers))
     checks.append(worst_ratio_scan(3))
     checks.append(worst_ratio_scan(4))
-    checks.append(j_independence_check(3))
+    checks.append(j_independence_check())
     return checks
 
 
@@ -415,8 +416,9 @@ def rank_identity_checks(workers: int | None = None) -> list[dict]:
     return checks
 
 
-def edge_marginal_check(n: int = 4, workers: int | None = None) -> dict:
+def edge_marginal_check(workers: int | None = None) -> dict:
     """Condensate edges appear with exact density 1/2, pairwise independent."""
+    n = 4
     res = run_census(
         CensusConfig(dims=(n, n), worker_count=workers), aggregates=("edge_pairs",)
     )
@@ -455,7 +457,7 @@ def singular_consistency(n: int, workers: int | None = None) -> dict:
 def suite_census(big: bool = False, workers: int | None = None) -> list[dict]:
     checks = [census_determinism((3, 3)), census_determinism((4, 4))]
     checks.extend(rank_identity_checks(workers))
-    checks.append(edge_marginal_check(4, workers))
+    checks.append(edge_marginal_check(workers))
     kw = kwise_agreement_check(4, workers=workers)
     checks.append(
         _check(
@@ -490,16 +492,19 @@ def suite_census(big: bool = False, workers: int | None = None) -> list[dict]:
 # --- switching ----------------------------------------------------------------
 
 
-def _connected_support_graphs(max_edges: int = 6):
-    """All connected bipartite graphs with <= max_edges edges, as supports
+_MAX_EDGES = 6  # of the connected graphs the switching checks walk
+
+
+def _connected_support_graphs():
+    """All connected bipartite graphs with <= _MAX_EDGES edges, as supports
     on an (a x b) grid covering every row and column."""
-    for a in range(1, max_edges + 1):
-        for b in range(a, max_edges + 1):
-            if a + b > max_edges + 1:
+    for a in range(1, _MAX_EDGES + 1):
+        for b in range(a, _MAX_EDGES + 1):
+            if a + b > _MAX_EDGES + 1:
                 continue
             cells = [(i, j) for i in range(1, a + 1) for j in range(1, b + 1)]
             min_edges = a + b - 1
-            for e in range(min_edges, max_edges + 1):
+            for e in range(min_edges, _MAX_EDGES + 1):
                 for support in combinations(cells, e):
                     rows = {i for i, _ in support}
                     cols = {j for _, j in support}
@@ -516,28 +521,30 @@ def _connected_support_graphs(max_edges: int = 6):
                         yield graph
 
 
-def orbit_transitivity_check(max_edges: int = 6) -> dict:
+def orbit_transitivity_check() -> dict:
     """Orbits of balanced signings are exactly the balanced signings."""
     graphs = 0
     failures = 0
-    for graph in _connected_support_graphs(max_edges):
+    for graph in _connected_support_graphs():
         graphs += 1
-        signings = list(balanced_signings(graph))
-        balanced_set = {signing_tuple(g) for g in signings}
-        orb = orbit(signings[0])
+        edges = sorted(graph.edges)
+        signs = list(balanced_sign_maps(graph))
+        balanced_set = {tuple(sign[e] for e in edges) for sign in signs}
+        orb = orbit(graph.with_sign(signs[0]))
         expected_size = 2 ** (graph.f0 - 1)
         if orb != balanced_set or len(orb) != expected_size:
             failures += 1
     return _check(
-        f"orbits == balanced signings, connected graphs <= {max_edges} edges",
+        f"orbits == balanced signings, connected graphs <= {_MAX_EDGES} edges",
         failures == 0,
         graphs=graphs,
         failures=failures,
     )
 
 
-def rank_invariance_all_patterns(d: int = 3) -> dict:
+def rank_invariance_all_patterns() -> dict:
     """Every balanced signing of every {0,1} d x d pattern keeps its rank."""
+    d = 3
     positions = [(i, j) for i in range(1, d + 1) for j in range(1, d + 1)]
     bad = 0
     for values in product((0, 1), repeat=d * d):
@@ -553,8 +560,9 @@ def rank_invariance_all_patterns(d: int = 3) -> dict:
     )
 
 
-def switch_action_laws(n: int = 4) -> dict:
+def switch_action_laws() -> dict:
     """Group action laws and the two-element kernel on the full grid."""
+    n = 4
     positions = [(i, j) for i in range(1, n) for j in range(1, n)]
     base = PartialTernaryMatrix(
         (n, n), {p: (1 if (p[0] + p[1]) % 2 else -1) for p in positions}
@@ -574,23 +582,22 @@ def switch_action_laws(n: int = 4) -> dict:
 
 def suite_switching() -> list[dict]:
     return [
-        orbit_transitivity_check(6),
-        rank_invariance_all_patterns(3),
-        switch_action_laws(4),
+        orbit_transitivity_check(),
+        rank_invariance_all_patterns(),
+        switch_action_laws(),
     ]
 
 
 # --- relations ------------------------------------------------------------------
 
 
-def linear_relations_check(n_values: tuple[int, ...] = (4, 5, 6, 7, 8)) -> dict:
-    """The five linear relations hold at every requested n.
+def linear_relations_check() -> dict:
+    """The five linear relations hold at n = 4..12.
 
-    Both sides are polynomials of degree at most 8, so agreement on nine
-    points implies agreement as polynomials; points 4..12 are always
-    included to certify the symbolic identity.
+    Both sides are polynomials of degree at most 8, so agreement on these
+    nine points certifies the symbolic identity.
     """
-    points = sorted(set(n_values) | set(range(4, 13)))
+    points = range(4, 13)
     bad = []
     for n in points:
         for entry in check_linear_relations(n):
@@ -604,10 +611,10 @@ def linear_relations_check(n_values: tuple[int, ...] = (4, 5, 6, 7, 8)) -> dict:
     )
 
 
-def density_bound_check(n_values: tuple[int, ...] = (4, 5, 6, 7, 8)) -> dict:
-    """Exact failure counts stay below the circuit union bound."""
+def density_bound_check() -> dict:
+    """Exact failure counts stay below the circuit union bound, n = 4..8."""
     bad = []
-    for n in n_values:
+    for n in range(4, 9):
         for k in range(1, 7):
             count, bound = failure_density_bound(k, n)
             if count is None or count > bound:

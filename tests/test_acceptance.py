@@ -87,7 +87,7 @@ def test_criterion_04_realization_tables_and_relations(enumerated):
         for k in (4, 5, 6):
             table = {t: v for t, v in realization_table(k, n).items() if v}
             ok = ok and table == enumerated[(k, n)].by_isotype
-    relations = linear_relations_check((4, 5, 6, 7, 8))
+    relations = linear_relations_check()
     ok = ok and relations["ok"]
     report(
         4,
@@ -98,7 +98,7 @@ def test_criterion_04_realization_tables_and_relations(enumerated):
 
 
 def test_criterion_05_rank_identities():
-    drops = rank_drop_pointwise(4)
+    drops = rank_drop_pointwise()
     ok = all(c["ok"] for c in drops)
     for s, t in ((3, 3), (4, 4)):
         ok = ok and rank_census(s, t).verify()["all_ok"]
@@ -118,7 +118,7 @@ def test_criterion_06_recipe_equivalence():
 
 
 def test_criterion_07_averaging_and_sign_forgetting():
-    checks = averaging_checks(3)
+    checks = averaging_checks()
     ok = all(c["ok"] for c in checks)
     report(
         7,
@@ -129,8 +129,8 @@ def test_criterion_07_averaging_and_sign_forgetting():
 
 
 def test_criterion_08_switching():
-    orbits = orbit_transitivity_check(6)
-    ranks = rank_invariance_all_patterns(3)
+    orbits = orbit_transitivity_check()
+    ranks = rank_invariance_all_patterns()
     report(
         8,
         orbits["ok"] and ranks["ok"],

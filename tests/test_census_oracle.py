@@ -339,7 +339,7 @@ class TestPreimageSupportCheck:
         scans = []
         scan = signed_graph._scan
         monkeypatch.setattr(signed_graph, "_scan", lambda *a: scans.append(a) or scan(*a))
-        monkeypatch.setattr(signed_graph, "_CYCLE_MEMO", {})
+        signed_graph.support_cycles.cache_clear()
         assert preimage_support_check(n, *pair)["ok"]
         assert len(scans) == 1 << (n - 1) ** 2
 

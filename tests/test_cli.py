@@ -1,6 +1,7 @@
 """Command-line interface: parsing, reports, exit codes, stability."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,33 @@ import pytest
 
 import chio
 from chio.cli import build_parser, main, parse_sign_matrix, parse_ternary_matrix
+
+
+# The stdout of classify, switch-orbit, pchio and recipe on each matrix, as
+# the first 16 hex digits of its SHA-256, so that any change to the bytes
+# of these reports shows; None where the recipe refuses a matrix of more
+# than six entries (exit 2, no stdout).
+# Among them: the empty matrix, an unbalanced 4-circuit (++/+-) and two
+# full 4 x 4 grids.
+MATRIX_COMMANDS = ("classify", "switch-orbit", "pchio", "recipe")
+PINNED_REPORTS = {
+    '{"dims": [3, 3], "entries": []}': (
+        "6872820dcd7fe876", "38cfc26106efb4db", "dcab4bd61be3cc3b", "87e7315e4b8b2bd4",
+    ),
+    "++/+-": ("9fc6cab737b7107c", "45a965983e0c2f8c", "9f9e99eef33aadd4", "e997e460efc4749b"),
+    "--/--": ("157c1a6ffeafc8d2", "54875d9938c62a5a", "7cd3a1c68c3a29ce", "dd5f3b77cbaaa6b8"),
+    "+0/0-": ("6d25a0896552e4d2", "4eb968b3e57bf35b", "f63adbe68616f86a", "bf8a3f9ac3d2ce69"),
+    "+./.-": ("6d25a0896552e4d2", "4eb968b3e57bf35b", "2035eb559e9f06a8", "278200ebf26c8c56"),
+    "+++/+-+": ("655773f51eef1646", "3b2d39a90b1c3d78", "c850c20505243b83", "72691a7af82b7fad"),
+    "++./.++/+.+": ("c5a9c00a4e7e6453", "1393daf8b58459a8", "543bc3a2ce1fe94d", "80e5ff47ae18baf4"),
+    "++0/+-+/0++": ("8a6d0dda5a86eca8", "2d688c6fa43b71d1", "5ff3587b8ed5712e", None),
+    "+.+/..-/+.+": ("bf832d6ccaeff51d", "99abef15e0361d84", "8b94564bda45086e", "27c8f4a7f9d0ea6b"),
+    "000/000/000": ("efbcbd6b2b52ab1c", "38cfc26106efb4db", "3c4e3bd6b547522e", None),
+    "+-+-/-+.+": ("c8d719c62afc35e9", "2195ee596b8da5f9", "e08f47a0b0afbe69", None),
+    "-.-/.++/+..": ("327cd86c2cb0a0a0", "b0e6005c03935c5e", "91bb6f9b1dfb8b6f", "52626dd087331921"),
+    "++++/+-+-/++--/+--+": ("e998d64eb629a964", "78cad2ffda8fffab", "54a129591b39b61b", None),
+    "-+-+/+-+-/-+-+/+-+-": ("c9ffd8f87ad440f7", "66eaa25fdd43464c", "ccb4f669c4c02bac", None),
+}
 
 
 def run(capsys, *argv):
@@ -447,6 +475,14 @@ class TestExitCodes:
 
 
 class TestStability:
+    @pytest.mark.parametrize("matrix", list(PINNED_REPORTS))
+    def test_matrix_reports_are_pinned(self, capsys, matrix):
+        got = []
+        for command in MATRIX_COMMANDS:
+            code, out, _ = run(capsys, command, f"--matrix={matrix}")
+            got.append(hashlib.sha256(out.encode()).hexdigest()[:16] if code == 0 else (code, out))
+        assert got == [digest or (2, "") for digest in PINNED_REPORTS[matrix]]
+
     def test_verify_relations_suite_stable(self, capsys):
         code1, out1, _ = run(capsys, "verify", "--suite", "relations")
         code2, out2, _ = run(capsys, "verify", "--suite", "relations")

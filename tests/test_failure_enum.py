@@ -38,7 +38,6 @@ from chio.failure_enum import (
     failure_density_bound,
     grid_positions,
     h_counts,
-    realization_count_formula,
     realization_table,
     total_event_count,
     xi,
@@ -347,24 +346,24 @@ class TestClosedForms:
 
 class TestRealizations:
     def test_examples(self):
-        assert realization_count_formula(IsoType.T1, 4, 5) == xi(5)
-        assert realization_count_formula(IsoType.T2, 5, 4) == 576
+        assert realization_table(4, 5)[IsoType.T1] == xi(5)
+        assert realization_table(5, 4)[IsoType.T2] == 576
         for n in (4, 5, 6):
             from chio.signed_graph import circuit_count_formula
 
-            assert realization_count_formula(IsoType.T12, 6, n) == 64 * circuit_count_formula(6, n, n)
+            assert realization_table(6, n)[IsoType.T12] == 64 * circuit_count_formula(6, n, n)
 
     def test_rejects_unlisted_pairs(self):
+        assert IsoType.T1 not in realization_table(5, 4)
+        assert IsoType.FOREST not in realization_table(4, 4)
         with pytest.raises(ValueError):
-            realization_count_formula(IsoType.T1, 5, 4)
-        with pytest.raises(ValueError):
-            realization_count_formula(IsoType.FOREST, 4, 4)
+            realization_table(7, 4)
 
     @pytest.mark.parametrize("n", [2, 1, 0])
     def test_closed_forms_need_n_at_least_3(self, n):
         for call in (
             lambda: h_counts(n),
-            lambda: realization_count_formula(IsoType.T1, 4, n),
+            lambda: realization_table(4, n)[IsoType.T1],
             lambda: realization_table(6, n),
             lambda: check_linear_relations(n),
         ):
@@ -405,15 +404,6 @@ class TestRealizations:
 class TestRelations:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_closed_form_relations(self, n):
-        assert all(entry["holds"] for entry in check_linear_relations(n))
-
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_relations_on_enumerated_counts(self, n):
-        # The relations hold on the enumerated counts because these equal
-        # the realization table, on which the relations hold.
-        for k in (5, 6):
-            table = {t: v for t, v in realization_table(k, n).items() if v}
-            assert count_failures(k, n, workers=1).by_isotype == table
         assert all(entry["holds"] for entry in check_linear_relations(n))
 
 

@@ -294,7 +294,7 @@ class TestFibres:
         # event fails it once per ambient set around that event's domain.
         from chio import verify
 
-        assert verify.j_independence_check(3) == {
+        assert verify.j_independence_check() == {
             "check": "measure independent of ambient set, n=3",
             "ok": True,
             "cases": 625,
@@ -307,7 +307,7 @@ class TestFibres:
             return DyadicProb.zero() if event.matrix == wrong else real(event)
 
         monkeypatch.setattr(verify, "p_chio", p_chio)
-        report = verify.j_independence_check(3)
+        report = verify.j_independence_check()
         assert not report["ok"] and report["cases"] == 625 and report["mismatches"] == 4
 
     @given(st.data())
@@ -392,7 +392,7 @@ class TestOneScanPerMatrix:
         calls = []
         real = signed_graph._scan
         monkeypatch.setattr(signed_graph, "_scan", lambda *args: calls.append(1) or real(*args))
-        monkeypatch.setattr(signed_graph, "_CYCLE_MEMO", {})
+        signed_graph.support_cycles.cache_clear()
         ambient = full_inner_box(4, 4)
         supports = set()
         for matrix in all_matrices(4, 4):
@@ -405,14 +405,14 @@ class TestOneScanPerMatrix:
         # One scan per support: the subsets of at most four of the nine cells.
         assert len(calls) == len(supports) == 256
 
-    def test_one_memo_entry_per_support(self, monkeypatch):
+    def test_one_memo_entry_per_support(self):
         # p_chio and p_chio_averaged both key the memo by the support in
         # entries order, so unsorted entries are scanned and held once.
-        monkeypatch.setattr(signed_graph, "_CYCLE_MEMO", {})
+        signed_graph.support_cycles.cache_clear()
         matrix = ternary(3, {(2, 2): 1, (1, 1): 1, (1, 2): -1, (2, 1): 1})
         assert p_chio(Event(matrix)).is_zero
         assert p_chio_averaged(matrix) == p_lcf(Event(matrix))
-        assert len(signed_graph._CYCLE_MEMO) == 1
+        assert signed_graph.support_cycles.cache_info().currsize == 1
 
     def test_averaged_scans_once_per_matrix(self, monkeypatch):
         # The averaged measure reads the per-support memo: one scan on the
@@ -420,7 +420,7 @@ class TestOneScanPerMatrix:
         calls = []
         real = signed_graph._scan
         monkeypatch.setattr(signed_graph, "_scan", lambda *args: calls.append(1) or real(*args))
-        monkeypatch.setattr(signed_graph, "_CYCLE_MEMO", {})
+        signed_graph.support_cycles.cache_clear()
         entries = {(i, j): 1 for i in range(1, 4) for j in range(1, 4)}
         assert p_chio_averaged(ternary(4, entries)) == p_lcf(Event(ternary(4, entries)))
         assert len(calls) == 1

@@ -1,13 +1,16 @@
-"""Every name the benchmark imports from ``chio`` exists.
+"""Every name the benchmark imports from ``chio`` exists, and every
+keyword it passes to a ``chio`` callable is a parameter of that callable.
 
-The benchmark under ``perfbench/`` imports library functions by name, so
-renaming or deleting one would break it only when it next runs.  This
-reads its source with ``ast`` and imports nothing from it.
+The benchmark under ``perfbench/`` imports library functions by name and
+calls them with keywords, so renaming or deleting either would break it
+only when it next runs.  This reads its source with ``ast`` and imports
+nothing from it.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -48,3 +51,74 @@ def test_every_chio_name_the_benchmark_imports_exists():
     assert {module for _, module, _ in imports} >= {"chio.signed_graph", "chio.switching"}
     missing = [entry for entry in imports if not resolves(*entry[1:])]
     assert not missing, f"perfbench imports names chio lacks: {missing}"
+
+
+def chio_bindings(tree: ast.AST) -> dict[str, object]:
+    """Local name -> object of every ``from chio... import name [as alias]``."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module == "chio" or node.module.startswith("chio."):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    if not hasattr(module, alias.name):
+                        try:
+                            importlib.import_module(f"{node.module}.{alias.name}")
+                        except ImportError:
+                            continue  # a missing name, reported by the test above
+                    bound[alias.asname or alias.name] = getattr(module, alias.name)
+    return bound
+
+
+def callee(func: ast.expr, bound: dict[str, object]):
+    """The chio object a call's ``name`` or ``name.attr...`` refers to, or None."""
+    if isinstance(func, ast.Name):
+        return bound.get(func.id)
+    if isinstance(func, ast.Attribute):
+        owner = callee(func.value, bound)
+        return None if owner is None else getattr(owner, func.attr, None)
+    return None
+
+
+def chio_keyword_calls() -> list[tuple[str, int, object, list[str]]]:
+    """(file, line, callable, keywords) of every keyword call of a chio name."""
+    found = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = chio_bindings(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            keywords = [k.arg for k in node.keywords if k.arg is not None]
+            target = callee(node.func, bound)
+            if keywords and callable(target):
+                found.append((path.name, node.lineno, target, keywords))
+    return found
+
+
+def accepts(target, keyword: str) -> bool:
+    params = inspect.signature(target).parameters
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+        return True
+    param = params.get(keyword)
+    return param is not None and param.kind is not inspect.Parameter.POSITIONAL_ONLY
+
+
+def test_every_keyword_the_benchmark_passes_is_a_parameter():
+    calls = chio_keyword_calls()
+    names = {(target.__name__, k) for _, _, target, keywords in calls for k in keywords}
+    # The walk reaches the calls the benchmark's workloads depend on.
+    assert names >= {
+        ("count_failures", "workers"),
+        ("run_suites", "seed"),
+        ("run_suites", "workers"),
+        ("CensusConfig", "filters"),
+        ("CensusConfig", "chunk_size"),
+    }
+    wrong = [
+        (file, line, target.__name__, k)
+        for file, line, target, keywords in calls
+        for k in keywords
+        if not accepts(target, k)
+    ]
+    assert not wrong, f"perfbench passes keywords chio does not take: {wrong}"

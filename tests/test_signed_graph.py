@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chio import signed_graph
 from chio.measures import p_chio_sign_patterns
 from chio.matrix_core import IndexSet, PartialTernaryMatrix
 from chio.signed_graph import (
@@ -19,9 +18,9 @@ from chio.signed_graph import (
     build_graph,
     circuit_count_formula,
     classify_isotype,
-    balance_and_betti,
     cycle_masks,
     matrix_balance,
+    support_cycles,
 )
 
 from oracles import (
@@ -38,13 +37,12 @@ C4 = {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
 def is_balanced(graph):
-    return balance_and_betti(graph)[0]
+    return balance_summary(graph.dims, graph.sign)[0]
 
 
 def count_colorings(graph):
     """(-)-constant (+)-proper 2-colourings by the formula: 0 or 2^beta0."""
-    balanced, data = balance_and_betti(graph)
-    return 2**data.beta0 if balanced else 0
+    return 2 ** betti(graph).beta0 if is_balanced(graph) else 0
 
 
 def count_balanced_signings(graph):
@@ -366,19 +364,20 @@ class TestCycleMasks:
         assert (rank, len(masks)) == (8, 12)
         self.check((5, 6), grid)
 
-    def test_support_outside_domain_refused(self, monkeypatch):
+    def test_support_outside_domain_refused(self):
         # cycle_masks takes the support alone; the domain check sits in
         # p_chio_sign_patterns, ahead of the memo, so a refused support is
         # never scanned and leaves no memo entry.
-        monkeypatch.setattr(signed_graph, "_CYCLE_MEMO", {})
+        support_cycles.cache_clear()
         for domain, support in (([(1, 1)], [(1, 1), (2, 2)]), ([(1, 1), (2, 2)], [(1, 2)])):
             with pytest.raises(ValueError, match="not in the domain"):
                 p_chio_sign_patterns((4, 4), domain, support)
-        assert signed_graph._CYCLE_MEMO == {}
+        assert support_cycles.cache_info().currsize == 0
 
 
 class TestMatrixBalanceMemo:
-    """The per-support cycle memo against an uncached scan of every matrix."""
+    """The per-support cycle memo against the uncached kernel and the
+    circuit definition, on every matrix."""
 
     GRID = [(i, j) for i in range(1, 4) for j in range(1, 4)]
 
@@ -392,11 +391,20 @@ class TestMatrixBalanceMemo:
         minus = {pos for pos, v in signing.items() if v < 0}
         return all(len(minus & circuit) % 2 == 0 for circuit in circuits[support])
 
-    def test_memo_matches_uncached_scan(self, monkeypatch):
+    @staticmethod
+    def uncached(dims, entries):
+        """(balanced, f0, beta0) from cycle_masks alone, outside the memo."""
+        support = [pos for pos, v in entries.items() if v]
+        rank, masks = cycle_masks(dims, support)
+        minus = sum(1 << e for e, pos in enumerate(support) if entries[pos] < 0)
+        f0 = len({i for i, _ in entries}) + len({j for _, j in entries})
+        return not any((mask & minus).bit_count() & 1 for mask in masks), f0, f0 - rank
+
+    def test_memo_matches_uncached_scan(self):
         dims = (4, 4)
-        monkeypatch.setattr(signed_graph, "_CYCLE_MEMO", {})
-        # Both paths share cycle_masks, so balance is also held against
-        # the circuit definition, once per signing of the grid.
+        support_cycles.cache_clear()
+        # The memo holds cycle_masks, so balance is also held against the
+        # circuit definition, once per signing of the grid.
         circuits: dict = {}
         brute: dict = {}
         count = 0
@@ -404,7 +412,7 @@ class TestMatrixBalanceMemo:
         # or one of -1, 0, +1.
         for values in product((None, -1, 0, 1), repeat=len(self.GRID)):
             entries = {pos: v for pos, v in zip(self.GRID, values) if v is not None}
-            want = balance_summary(dims, entries)
+            want = self.uncached(dims, entries)
             signs = tuple(v or 0 for v in values)
             if signs not in brute:
                 brute[signs] = self.brute_balanced(dict(zip(self.GRID, signs)), circuits)
@@ -416,6 +424,7 @@ class TestMatrixBalanceMemo:
             assert matrix_balance(matrix) == want
             object.__setattr__(matrix, "_balance", None)
             assert matrix_balance(matrix) == want
+            assert balance_summary(dims, entries) == want
             # Reversed insertion order: a new support key, with the minus
             # bits and the cycle masks in the reversed order.
             reverse = dict(reversed(entries.items()))
@@ -423,19 +432,21 @@ class TestMatrixBalanceMemo:
             count += 1
         assert count == 4**9
         # One key per support each way round; at most one cell reads the same.
-        assert len(signed_graph._CYCLE_MEMO) == 2 * 2**9 - 1 - 9
+        assert support_cycles.cache_info().currsize == 2 * 2**9 - 1 - 9
 
-    def test_memo_overflow_clears_and_keeps_results(self, monkeypatch):
-        dims = (4, 4)
-        monkeypatch.setattr(signed_graph, "_CYCLE_MEMO", {})
-        monkeypatch.setattr(signed_graph, "_CYCLE_MEMO_CAP", 16)
-        clears = 0
-        for values in product((-1, 0, 1), repeat=len(self.GRID)):
-            entries = dict(zip(self.GRID, values))
-            before = len(signed_graph._CYCLE_MEMO)
-            got = matrix_balance(PartialTernaryMatrix(dims, entries))
-            assert got == balance_summary(dims, entries)
-            after = len(signed_graph._CYCLE_MEMO)
-            assert after <= 16
-            clears += after < before
-        assert clears > 0
+    def test_memo_is_bounded_and_keeps_results(self):
+        # 2^13 distinct supports, on 13 cells of the 4x4 inner grid, pass
+        # through a memo of 2^12.
+        dims = (5, 5)
+        cells = [(i, j) for i in range(1, 5) for j in range(1, 5)][:13]
+        support_cycles.cache_clear()
+        assert support_cycles.cache_info().maxsize == 4096
+        for bits in product((0, 1), repeat=len(cells)):
+            # One fixed signing, restricted to each support in turn.
+            entries = {pos: b * (-1) ** (pos[0] * pos[1]) for pos, b in zip(cells, bits)}
+            assert matrix_balance(PartialTernaryMatrix(dims, entries)) == self.uncached(
+                dims, entries
+            )
+            assert support_cycles.cache_info().currsize <= 4096
+        info = support_cycles.cache_info()
+        assert info.misses == 2 ** len(cells) and info.currsize == 4096

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from chio import signed_graph, switching
 from chio.matrix_core import PartialTernaryMatrix
-from chio.signed_graph import SignedBipartiteGraph, balance_and_betti, betti, build_graph
+from chio.signed_graph import SignedBipartiteGraph, balance_summary, betti, build_graph
 from chio.switching import (
     SwitchElement,
     all_switches,
     balanced_extension,
+    balanced_sign_maps,
     balanced_signings,
     orbit,
     rank_invariance_check,
@@ -25,6 +26,10 @@ from chio.switching import (
 from oracles import brute_count_balanced_signings, brute_is_balanced
 
 C4 = {(1, 1), (1, 2), (2, 1), (2, 2)}
+
+
+def is_balanced(graph):
+    return balance_summary(graph.dims, graph.sign)[0]
 
 
 def circuit_graph(sign=None, dims=(4, 4)):
@@ -87,20 +92,20 @@ class TestAction:
         for values in product((-1, 0, 1), repeat=4):
             matrix = PartialTernaryMatrix((3, 3), dict(zip(cells, values)))
             graph = build_graph(matrix)
-            balanced_before = balance_and_betti(graph)[0] if graph.edges else True
+            balanced_before = is_balanced(graph) if graph.edges else True
             for g in all_switches(3, 3):
                 switched = build_graph(switch_matrix(matrix, g))
                 assert switched.edges == graph.edges
                 if graph.edges:
                     assert switched.sign == switch_signing(graph, g).sign
-                    assert balance_and_betti(switched)[0] == balanced_before
+                    assert is_balanced(switched) == balanced_before
 
     def test_balance_is_switching_invariant(self):
         for signs in product((-1, 1), repeat=4):
             graph = circuit_graph(dict(zip(sorted(C4), signs)))
-            before = balance_and_betti(graph)[0]
+            before = is_balanced(graph)
             for g in all_switches(4, 4):
-                assert balance_and_betti(switch_signing(graph, g))[0] == before
+                assert is_balanced(switch_signing(graph, g)) == before
 
 
 class TestOrbits:
@@ -166,7 +171,7 @@ class TestBalancedExtension:
         tree = {(1, 1): -1, (1, 2): -1, (2, 1): -1}
         extended = balanced_extension(graph, tree)
         assert extended.sign[(2, 2)] == -1
-        assert balance_and_betti(extended)[0]
+        assert is_balanced(extended)
 
     def test_all_tree_signings_of_k23_extend(self):
         k23 = {(i, j) for i in (1, 2) for j in (1, 2, 3)}
@@ -180,7 +185,7 @@ class TestBalancedExtension:
         seen = set()
         for signs in product((-1, 1), repeat=4):
             extended = balanced_extension(graph, dict(zip(tree, signs)))
-            assert balance_and_betti(extended)[0]
+            assert is_balanced(extended)
             seen.add(signing_tuple(extended))
         assert len(seen) == 16  # bijection with balanced signings
 
@@ -217,7 +222,9 @@ class TestBalancedExtension:
                 col_vertices=frozenset({1, 2, 3}),
                 edges=frozenset(edges),
             )
-            signings = [signed.sign for signed in balanced_signings(graph)]
+            signings = list(balanced_sign_maps(graph))
+            # balanced_signings wraps the same maps, in the same order.
+            assert [signed.sign for signed in balanced_signings(graph)] == signings
             assert all(brute_is_balanced(sign) for sign in signings)
             assert len(signings) == brute_count_balanced_signings(sorted(edges))
 
