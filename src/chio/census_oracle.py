@@ -9,10 +9,15 @@ integers into the free bits (an unfiltered chunk is its code range
 itself).  A chunk's admissible codes go through the kernels in tiles of
 ``_TILE`` (2^15) codes, whatever the chunk size and the filters, so a
 kernel batch is large enough to amortise NumPy's per-call cost and small
-enough for its work arrays to stay in cache.  Codes are decoded into a
-structure-of-arrays batch, one contiguous length-N int8 vector per
-matrix entry, so that every vectorized step runs over whole batch
-vectors.  Condensation is a 2x2-minor computation on those
+enough for its work arrays to stay in cache.  Tiles are cut at every
+multiple of ``_TILE`` and of 2^15 in the deposited integer x, so a tile
+never crosses a 2^15-code block: within one, the bits of x from 15 up
+are constant, bits 8 to 14 are constant over each group of 256
+consecutive x, and bits 0 to 7 repeat one small +-1 table in every
+group.  A tile is decoded from that layout, one code bit at a time and
+with no code built, into a structure-of-arrays batch, one contiguous
+length-N int8 vector per matrix entry, so that every vectorized step
+runs over whole batch vectors.  Condensation is a 2x2-minor computation on those
 vectors.  Rank is a batched Bareiss elimination with column pivoting
 (:func:`_rank_soa`) in the narrowest integer dtype that the Hadamard
 bound of the input proves safe (inputs whose bound overflows int64 are
@@ -43,7 +48,8 @@ checkpoint's writer and reader all follow it.
 The {0,1} and {-1,0,+1} rank histograms, which the rank identities
 compare against the census, come from one brute-force loop over all
 base-b codes, ``_TILE`` at a time (:func:`_rank_supp_counts`).  Its
-digit loop also decodes condensate codes for
+digit decode (one divmod per matrix row, then a lookup of that row's
+digits in a small table) also decodes condensate codes for
 :func:`preimage_support_check`, which reads the sparse condensate
 counts one support at a time; only :func:`kwise_agreement_check`
 scatters them into a dense cube, at n <= 4.
@@ -51,6 +57,7 @@ scatters them into a dense cube, at n <= 4.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -104,8 +111,9 @@ class CensusConfig:
             raise ValueError("census dims must both be >= 2")
         if s * t > BUDGET_LOG2:
             raise BudgetExceeded(f"2^{s * t} matrices exceed the 2^{BUDGET_LOG2} budget")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
+        # The checkpoint header stores the chunk size as int64.
+        if not 1 <= self.chunk_size < 1 << 63:
+            raise ValueError(f"chunk_size must be in 1 .. 2^63 - 1, not {self.chunk_size}")
         for (i, j), sign in (self.filters or {}).items():
             if not (1 <= i <= s and 1 <= j <= t) or sign not in (-1, 1):
                 raise ValueError(f"bad census filter: entry {(i, j)} fixed to {sign}")
@@ -269,19 +277,39 @@ def decode_condensate(code: int, s: int, t: int) -> PartialTernaryMatrix:
     return PartialTernaryMatrix((s, t), entries)
 
 
-def _digits(codes: np.ndarray, base: int, cells: int) -> np.ndarray:
-    """Base-``base`` digits ``0..cells-1`` of int64 codes, as a ``(cells, N)`` int8 array."""
-    digits = np.empty((cells, codes.size), dtype=np.int8)
-    for b in range(cells):
-        codes, digits[b] = np.divmod(codes, base)
-    return digits
+@functools.cache
+def _digit_table(base: int, cols: int) -> np.ndarray:
+    """``(cols, base^cols)`` int8, read-only: column r holds the ``cols``
+    base-``base`` digits of r, lowest first."""
+    values = np.arange(base**cols)
+    table = np.empty((cols, values.size), dtype=np.int8)
+    for j in range(cols):
+        values, table[j] = np.divmod(values, base)
+    table.flags.writeable = False
+    return table
+
+
+def _digits(codes: np.ndarray, base: int, rows: int, cols: int) -> np.ndarray:
+    """Base-``base`` digits ``0 .. rows*cols - 1`` of int64 codes, as a
+    ``(rows*cols, N)`` int8 array.
+
+    One ``divmod`` by ``base^cols`` per row splits off that row's digits as
+    one number, and its ``cols`` digits are then taken from
+    :func:`_digit_table`.
+    """
+    table = _digit_table(base, cols)
+    digits = np.empty((rows, cols, codes.size), dtype=np.int8)
+    for i in range(rows):
+        codes, row = np.divmod(codes, table.shape[1])
+        np.take(table, row, axis=1, out=digits[i], mode="clip")
+    return digits.reshape(rows * cols, -1)
 
 
 def _condensate_masks(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``(support, minus)`` bitmasks of condensate codes, bit b for entry b of
     :func:`decode_condensate`: set when the entry is nonzero, and when it is -1."""
     weights = np.left_shift(1, np.arange((n - 1) ** 2, dtype=np.int64))
-    digits = _digits(np.asarray(codes, dtype=np.int64), 3, weights.size)
+    digits = _digits(np.asarray(codes, dtype=np.int64), 3, n - 1, n - 1)
     return weights @ (digits != 1), weights @ (digits == 0)
 
 
@@ -311,11 +339,13 @@ def _free_runs(st: int, mask: int) -> list[tuple[int, int, int]]:
     return runs
 
 
-def _deposit(x, runs: list[tuple[int, int, int]], value: int):
-    """The code whose free bits, low to high, are the bits of ``x``.
+def _deposit(x: int, runs: list[tuple[int, int, int]], value: int) -> int:
+    """The code whose free bits, low to high, are the bits of ``x``, and
+    whose fixed bits are those of ``value``; strictly increasing in ``x``.
 
-    Works on Python ints and int64 arrays alike, and is strictly
-    increasing in ``x``.
+    A census tile's codes are ``_deposit(x)`` for a run of x, but they are
+    never built: :func:`_decode` reads the tile's entries from the
+    free-bit layout.
     """
     for src, dst, width in runs:
         value = value | ((x >> src) & ((1 << width) - 1)) << dst
@@ -359,17 +389,79 @@ def _popcount64(words: np.ndarray) -> np.ndarray:
     return words
 
 
-def _decode(s: int, t: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(s, t, N)`` int8 +-1 entries of N int64 matrix codes, each entry's
-    vector C-contiguous, and their ``(s-1, t-1, N)`` half condensates: the
-    2x2 minors against the corner entry (s, t), halved, each in {-1, 0, 1}."""
-    raw = codes.astype("<i8").view(np.uint8).reshape(-1, 8)
-    bits = np.unpackbits(raw, axis=1, count=s * t, bitorder="little")
-    entries = np.ascontiguousarray(bits.T).view(np.int8).reshape(s, t, -1)
-    entries <<= 1
-    entries -= 1
-    minors = entries[:-1, :-1] * entries[-1, -1] - entries[:-1, -1:] * entries[-1:, :-1]
-    return entries, minors >> 1
+# Tiles never cross a multiple of 2^_BLOCK_BITS in x, so that in a tile the
+# bits of x from _BLOCK_BITS up are constant.  _decode reads the bits below
+# from groups of 2^_GROUP_BITS consecutive x, which needs
+# _BLOCK_BITS <= 2 * _GROUP_BITS.
+_BLOCK_BITS = 15
+_GROUP_BITS = 8
+
+
+@functools.cache
+def _bit_table() -> np.ndarray:
+    """``(_GROUP_BITS, 2^_GROUP_BITS)`` int8, read-only: entry (b, y) is +1
+    where bit b of y is set, else -1."""
+    table = np.empty((_GROUP_BITS, 1 << _GROUP_BITS), dtype=np.int8)
+    signs = np.array([[-1], [1]], dtype=np.int8)
+    for b in range(_GROUP_BITS):
+        # Row b alternates runs of 2^b entries, -1 then +1.
+        table[b].reshape(-1, 2, 1 << b)[:] = signs
+    table.flags.writeable = False
+    return table
+
+
+def _decode(
+    s: int, t: int, first: int, n: int, runs: list[tuple[int, int, int]], value: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of codes ``_deposit(x, runs, value)`` for x in
+    ``first .. first + n - 1``, as ``(s, t, n)`` int8 +-1 entries, each
+    entry's vector C-contiguous, and their ``(s-1, t-1, n)`` half
+    condensates: the 2x2 minors against the corner entry (s, t), halved,
+    each in {-1, 0, 1}.
+
+    The x must lie in one block of 2^``_BLOCK_BITS``, as every tile of
+    :func:`_tiles` does.  The tile is decoded padded out to whole groups
+    of 2^``_GROUP_BITS`` x, a ``(groups, 2^_GROUP_BITS)`` array per code
+    bit, and each code bit is read from one of three places, through the
+    free runs:
+
+    - a bit fed by bit b < ``_GROUP_BITS`` of x is row b of
+      :func:`_bit_table`, the same in every group;
+    - a bit fed by a higher bit b of x below ``_BLOCK_BITS`` is constant
+      in each group: bit b - ``_GROUP_BITS`` of the group's index in the
+      block, read from the same table;
+    - a bit fed by bit b >= ``_BLOCK_BITS`` of x is constant over the
+      tile, as is a bit the filters fix: both are read from the code of
+      the block's first x.
+
+    Raises:
+        ValueError: if the x cross a multiple of 2^``_BLOCK_BITS``.
+    """
+    block, offset = divmod(first, 1 << _BLOCK_BITS)
+    if offset + n > 1 << _BLOCK_BITS:
+        raise ValueError(f"tile of {n} codes from x = {first} crosses a 2^{_BLOCK_BITS}-code block")
+    group, lead = divmod(offset, 1 << _GROUP_BITS)
+    groups = -(-(lead + n) >> _GROUP_BITS)
+    table = _bit_table()
+    # The code bits fed by the low bits of x, in the order of those bits.
+    low = _deposit((1 << _BLOCK_BITS) - 1, runs, 0)
+    constant = _deposit(block << _BLOCK_BITS, runs, value)
+    padded = np.empty((s * t, groups, 1 << _GROUP_BITS), dtype=np.int8)
+    b = 0
+    for c in range(s * t):
+        if not low >> c & 1:
+            padded[c] = 1 if constant >> c & 1 else -1
+            continue
+        if b < _GROUP_BITS:
+            padded[c] = table[b]
+        else:
+            padded[c] = table[b - _GROUP_BITS, group : group + groups, None]
+        b += 1
+    entries = padded.reshape(s * t, -1)[:, lead : lead + n].reshape(s, t, n)
+    minors = entries[:-1, :-1] * entries[-1, -1]
+    minors -= entries[:-1, -1:] * entries[-1:, :-1]
+    minors >>= 1
+    return entries, minors
 
 
 # Admissible codes per kernel batch: small enough that a batch's int16
@@ -377,16 +469,23 @@ def _decode(s: int, t: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _TILE = 1 << 15
 
 
-def _tiles(start: int, stop: int) -> Iterator[np.ndarray]:
-    """The integers ``start .. stop - 1``, as int64 arrays of ``_TILE`` or fewer."""
-    for first in range(start, stop, _TILE):
-        yield np.arange(first, min(first + _TILE, stop), dtype=np.int64)
+def _tiles(start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """The integers ``start .. stop - 1`` as ``(first, count)`` runs, cut at
+    every multiple of ``_TILE`` and of 2^``_BLOCK_BITS``: no run is longer
+    than ``_TILE`` or crosses a 2^``_BLOCK_BITS`` block."""
+    first = start
+    while first < stop:
+        end = min(stop, (first // _TILE + 1) * _TILE, ((first >> _BLOCK_BITS) + 1) << _BLOCK_BITS)
+        yield first, end - first
+        first = end
 
 
 def _chunk_task(args: tuple) -> dict:
     """Process the admissible codes of one contiguous code range.
 
-    The codes are run through the kernels ``_TILE`` at a time, and the
+    The codes are those ``_deposit(x)`` for a range of x, found by
+    bisection; the x are cut into :func:`_tiles`, each decoded from the
+    free-bit layout (:func:`_decode`) and run through the kernels, and the
     tiles' aggregates summed; ``cond_counts`` is a list of one sorted
     ``(codes, counts)`` piece per tile.  The pieces live until the result
     settles, so they are int64 views into two memory maps (:func:`_mapped`)
@@ -405,10 +504,8 @@ def _chunk_task(args: tuple) -> dict:
         piece_codes = _mapped(stop - start, np.int64)
         piece_counts = _mapped(stop - start, np.int64)
         at = 0
-    for x in _tiles(start, stop):
-        # With every bit fixed, _deposit returns a plain int.
-        codes = np.broadcast_to(_deposit(x, runs, value), x.shape)
-        for name, part in _tile_aggregates(s, t, codes, names).items():
+    for first, n in _tiles(start, stop):
+        for name, part in _tile_aggregates(s, t, first, n, runs, value, names).items():
             if name == "cond_counts":
                 end = at + part[0].size
                 piece_codes[at:end], piece_counts[at:end] = part
@@ -419,10 +516,19 @@ def _chunk_task(args: tuple) -> dict:
     return out
 
 
-def _tile_aggregates(s: int, t: int, codes: np.ndarray, names: tuple[str, ...]) -> dict:
-    """The named aggregates of one batch of matrix codes."""
+def _tile_aggregates(
+    s: int,
+    t: int,
+    first: int,
+    n: int,
+    runs: list[tuple[int, int, int]],
+    value: int,
+    names: tuple[str, ...],
+) -> dict:
+    """The named aggregates of one tile: the matrices of codes
+    ``_deposit(x, runs, value)`` for x in ``first .. first + n - 1``."""
     m = (s - 1) * (t - 1)
-    entries, cond = _decode(s, t, codes)
+    entries, cond = _decode(s, t, first, n, runs, value)
     cond = cond.reshape(m, -1)
     out: dict[str, object] = {}
 
@@ -458,7 +564,6 @@ def _tile_aggregates(s: int, t: int, codes: np.ndarray, names: tuple[str, ...]) 
     if "edge_pairs" in names:
         # Pair counts of the nonzero patterns, 64 matrices to a word (the
         # last word zero-padded), for the row pairs p <= q, then mirrored.
-        n = cond.shape[1]
         words = np.zeros((m, -(-n // 64)), dtype=np.uint64)
         words.view(np.uint8)[:, : -(-n // 8)] = np.packbits(cond != 0, axis=1, bitorder="little")
         p, q = np.triu_indices(m)
@@ -475,9 +580,10 @@ def chio_identity_chunk(args: tuple[int, int, int]) -> int:
     identity det C(A) = a^(n-2) det(A), with a = A[n][n] and C(A) the full
     condensate (twice the half one); both determinants from :func:`_rank_soa`."""
     n, lo, hi = args
+    runs = _free_runs(n * n, 0)
     mismatches = 0
-    for codes in _tiles(lo, hi):
-        entries, cond = _decode(n, n, codes)
+    for first, size in _tiles(lo, hi):
+        entries, cond = _decode(n, n, first, size, runs, 0)
         _, det_a = _rank_soa(entries, det=True)
         _, det_c = _rank_soa(cond, det=True)
         # a^(n-2), for a = +-1.
@@ -828,8 +934,8 @@ def _rank_supp_counts(rows: int, cols: int, base: int, offset: int) -> np.ndarra
     cells = rows * cols
     joint = np.zeros((min(rows, cols) + 1, cells + 1), dtype=np.int64)
     total = base**cells
-    for codes in _tiles(0, total):
-        digits = _digits(codes, base, cells)
+    for first, n in _tiles(0, total):
+        digits = _digits(np.arange(first, first + n, dtype=np.int64), base, rows, cols)
         digits += offset
         supp = np.count_nonzero(digits, axis=0)
         ranks = _rank_soa(digits.reshape(rows, cols, -1))

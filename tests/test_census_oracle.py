@@ -467,6 +467,19 @@ class TestChioIdentity:
 
 
 class TestTiles:
+    @pytest.mark.parametrize("tile", [7, 100, 333, 1 << 15])
+    def test_tiles_cover_the_range_within_blocks(self, monkeypatch, tile):
+        monkeypatch.setattr(census_oracle, "_TILE", tile)
+        block = 1 << 15
+        ranges = [(0, 1), (5, 5), (3, 1000), (block - 10, block + 10), (12345, 4 * block + 77)]
+        for start, stop in ranges:
+            at = start
+            for first, n in census_oracle._tiles(start, stop):
+                assert first == at and 1 <= n <= tile
+                assert first // block == (first + n - 1) // block
+                at = first + n
+            assert at == stop
+
     @pytest.mark.parametrize("tile", [7, 100])
     @pytest.mark.parametrize("filters", [None, {(1, 2): -1, (3, 3): 1}])
     @pytest.mark.parametrize("dims", [(3, 4), (4, 4)])
@@ -475,7 +488,7 @@ class TestTiles:
             cfg = CensusConfig(dims=dims, worker_count=1, chunk_size=chunk_size, filters=filters)
             return run_census(cfg, aggregates=AGGREGATE_NAMES)
 
-        # One chunk and one tile for the whole census.
+        # One chunk, and tiles as long as the 2^15-code blocks allow.
         monkeypatch.setattr(census_oracle, "_TILE", 1 << 30)
         whole = census(1 << 16)
         monkeypatch.setattr(census_oracle, "_TILE", tile)
@@ -532,8 +545,18 @@ class TestKernels:
     @pytest.mark.parametrize("size", [1, 63, 64, 65, 1000])
     def test_edge_pairs_match_matrix_product(self, size):
         # Tiles around one 64-code word, and one of many words and a remainder.
-        codes = np.random.default_rng(size).integers(0, 1 << 25, size=size)
-        got = census_oracle._tile_aggregates(5, 5, codes, ("edge_pairs",))["edge_pairs"]
+        # Just enough free code bits for the tile, at random places, and the
+        # others fixed at random, so that every free bit varies in the tile.
+        rng = np.random.default_rng(size)
+        width = (size - 1).bit_length()
+        free = rng.choice(25, size=width, replace=False).tolist()
+        mask = sum(1 << b for b in range(25) if b not in free)
+        value = int(rng.integers(0, 1 << 25)) & mask
+        runs = census_oracle._free_runs(25, mask)
+        first = int(rng.integers(0, (1 << width) - size + 1))
+        codes = np.array([census_oracle._deposit(x, runs, value) for x in range(first, first + size)])
+        got = census_oracle._tile_aggregates(5, 5, first, size, runs, value, ("edge_pairs",))
+        got = got["edge_pairs"]
         positions = [(i, j) for i in range(1, 5) for j in range(1, 5)]
         nz = np.array(
             [
@@ -566,9 +589,99 @@ class TestKernels:
 
     def test_codes_past_int32_refused(self):
         # A 5x6 condensate has 20 entries, and 3^20 > 2^31.
-        codes = np.arange(4, dtype=np.int64)
+        runs = census_oracle._free_runs(30, 0)
         with pytest.raises(ValueError, match="int32"):
-            census_oracle._tile_aggregates(5, 6, codes, ("cond_counts",))
+            census_oracle._tile_aggregates(5, 6, 0, 4, runs, 0, ("cond_counts",))
+
+
+def _decode_bit_by_bit(s, t, first, n, runs, value):
+    """``(entries, half condensates)`` of the codes ``_deposit(x)``, x in
+    ``first .. first + n - 1``, read one code bit at a time, as nested lists
+    indexed ``[i][j][k]`` for the k-th code."""
+    codes = [census_oracle._deposit(x, runs, value) for x in range(first, first + n)]
+    entries = [
+        [[1 if code >> (i * t + j) & 1 else -1 for code in codes] for j in range(t)]
+        for i in range(s)
+    ]
+    half = [
+        [
+            [
+                (entries[i][j][k] * entries[-1][-1][k] - entries[i][-1][k] * entries[-1][j][k]) // 2
+                for k in range(n)
+            ]
+            for j in range(t - 1)
+        ]
+        for i in range(s - 1)
+    ]
+    return entries, half
+
+
+class TestDecode:
+    @staticmethod
+    def _check(dims, filters, first, n):
+        s, t = dims
+        mask, value = census_oracle._fixed_bits(filters, t)
+        runs = census_oracle._free_runs(s * t, mask)
+        entries, half = census_oracle._decode(s, t, first, n, runs, value)
+        want_entries, want_half = _decode_bit_by_bit(s, t, first, n, runs, value)
+        assert entries.dtype == half.dtype == np.int8
+        assert entries.shape == (s, t, n) and half.shape == (s - 1, t - 1, n)
+        assert all(entries[i, j].flags.c_contiguous for i in range(s) for j in range(t))
+        assert entries.tolist() == want_entries
+        assert half.tolist() == want_half
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 4), (5, 5)])
+    def test_unfiltered(self, dims):
+        s, t = dims
+        top = 1 << (s * t)
+        # The first block, one with a nonzero offset, and the last code.
+        for first, n in ((0, min(top, 3000)), (min(top, 1 << 15) // 3, 500), (top - 1, 1)):
+            self._check(dims, None, first, n)
+
+    @pytest.mark.parametrize(
+        "filters",
+        [
+            {(1, 1): 1},
+            {(5, 5): -1, (2, 3): 1},
+            {(1, j): (-1) ** j for j in range(1, 6)},
+            {(i, 3): 1 for i in range(1, 6)} | {(4, 4): -1, (5, 1): -1},
+        ],
+    )
+    def test_filtered(self, filters):
+        # x keeps at least 18 free bits, so blocks past the first have high bits.
+        for block in (0, 1, 5):
+            self._check((5, 5), filters, (block << 15) + 777, 1500)
+
+    def test_every_bit_fixed(self):
+        filters = {(i, j): 1 if (i * j) % 3 else -1 for i in range(1, 4) for j in range(1, 5)}
+        mask, _ = census_oracle._fixed_bits(filters, 4)
+        assert census_oracle._free_runs(12, mask) == []
+        self._check((3, 4), filters, 0, 1)
+
+    def test_offset_and_high_bits(self):
+        # A tile at offset 12,345 of block 0b101_0110, and tiles next to it.
+        for first in (86 << 15, (86 << 15) + 12345, (86 << 15) + 12346):
+            self._check((5, 5), None, first, 2000)
+        self._check((5, 5), {(1, 2): -1, (3, 3): 1}, (86 << 15) + 12345, 2000)
+
+    def test_tile_ending_on_a_block_edge(self):
+        self._check((5, 5), None, (3 << 15) - 700, 700)
+        self._check((4, 5), {(2, 2): 1}, (1 << 15) - 1, 1)
+
+    def test_tile_crossing_a_block_refused(self):
+        runs = census_oracle._free_runs(25, 0)
+        with pytest.raises(ValueError, match="block"):
+            census_oracle._decode(5, 5, (1 << 15) - 5, 10, runs, 0)
+        with pytest.raises(ValueError, match="block"):
+            census_oracle._decode(5, 5, 0, (1 << 15) + 1, runs, 0)
+
+    def test_bit_table_is_built_once_and_read_only(self):
+        table = census_oracle._bit_table()
+        assert table is census_oracle._bit_table()
+        assert table.dtype == np.int8 and table.shape == (8, 256)
+        assert not table.flags.writeable
+        y = np.arange(256)
+        assert (table == np.where((y >> np.arange(8)[:, None]) & 1, 1, -1)).all()
 
 
 def _admissible(mask, value, bits):
@@ -712,6 +825,21 @@ class TestCheckpoints:
         assert list(loaded.rank_pm) == list(full.rank_pm)
         resumed = run_census(cfg, aggregates=("rank_pm", "cond_counts"), resume=True)
         assert resumed.cond_counts.tobytes() == full.cond_counts.tobytes()
+
+    def test_chunk_size_past_int64_refused(self, tmp_path):
+        # The header stores the chunk size as int64: the largest one round-trips.
+        path = str(tmp_path / "census.ckpt")
+        cfg = CensusConfig(dims=(3, 3), worker_count=1, chunk_size=(1 << 63) - 1, checkpoint_path=path)
+        full = run_census(cfg, aggregates=("rank_pm",))
+        assert load_checkpoint(path, cfg)[0].rank_pm.tolist() == full.rank_pm.tolist()
+        os.remove(path)
+        for chunk_size in (1 << 63, 10**20, 0):
+            with pytest.raises(ValueError, match="chunk_size"):
+                run_census(
+                    CensusConfig(dims=(3, 3), chunk_size=chunk_size, checkpoint_path=path),
+                    aggregates=("rank_pm",),
+                )
+        assert os.listdir(tmp_path) == []
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.ckpt"

@@ -386,6 +386,16 @@ class TestExitCodes:
         with np.load(path, allow_pickle=False) as ckpt:
             assert int(ckpt["header"][3]) == CensusConfig((3, 3)).chunk_size
 
+    def test_census_chunk_size_past_int64_refused(self, capsys, tmp_path):
+        # The checkpoint header stores the chunk size as int64.
+        path = tmp_path / "c.ckpt"
+        code, out, err = run(
+            capsys, "census", "--n", "3", "--workers", "1",
+            "--chunk-size", "99999999999999999999", "--checkpoint", str(path),
+        )
+        assert code == 2 and out == "" and "chunk_size" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_census_resume_needs_checkpoint(self, capsys):
         code, out, err = run(capsys, "census", "--n", "3", "--workers", "1", "--resume")
         assert code == 2 and out == "" and "--checkpoint" in err
