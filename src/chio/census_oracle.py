@@ -1081,7 +1081,7 @@ def preimage_support_check(n: int, codes: np.ndarray, counts: np.ndarray) -> dic
         pattern = PartialTernaryMatrix((n, n), {p: s >> b & 1 for b, p in enumerate(positions)})
         event = Event.on_full_grid(pattern)
         expected[s] = fibre_cardinality(event)
-        rank[s], masks = support_cycles((n, n), tuple(positions[b] for b in bits))
+        rank[s], masks = support_cycles(tuple(positions[b] for b in bits))
         for c, mask in enumerate(masks):
             cycles[c, s] = sum(1 << b for e, b in enumerate(bits) if mask >> e & 1)
         averaged = p_lcf(event).as_fraction() * (scale << len(bits))

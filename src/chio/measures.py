@@ -115,23 +115,6 @@ class DyadicProb:
             return Fraction(0)
         return Fraction(1, 2**self.exponent)
 
-    def __mul__(self, other: "DyadicProb") -> "DyadicProb":
-        if self.is_zero or other.is_zero:
-            return DyadicProb.zero()
-        return DyadicProb.pow_half(self.exponent + other.exponent)
-
-    def __lt__(self, other: "DyadicProb") -> bool:
-        return self.as_fraction() < other.as_fraction()
-
-    def __le__(self, other: "DyadicProb") -> bool:
-        return self.as_fraction() <= other.as_fraction()
-
-    def ratio_log2(self, other: "DyadicProb") -> int:
-        """Exact log2 of self/other; both must be nonzero."""
-        if self.is_zero or other.is_zero:
-            raise ZeroDivisionError("ratio of dyadic probabilities with a zero")
-        return other.exponent - self.exponent
-
     def to_json_dict(self) -> dict:
         if self.is_zero:
             return {"zero": True}
@@ -261,13 +244,12 @@ def fibre_cardinality(event: Event) -> int:
     return 2 ** (len(extended) - m.dom - f0 + beta0)
 
 
-def p_chio_sign_patterns(
-    dims: tuple[int, int], domain: Collection[Index2], support: Sequence[Index2]
-) -> list[DyadicProb]:
+def p_chio_sign_patterns(domain: Collection[Index2], support: Sequence[Index2]) -> list[DyadicProb]:
     """p_chio of every sign pattern on one support, from the cycle memo.
 
     ``domain`` holds the specified positions and ``support`` the nonzero
-    ones among them.  Entry ``p`` of the result is p_chio of the matrix
+    ones among them; no grid size is taken, since none of the values
+    depends on it.  Entry ``p`` of the result is p_chio of the matrix
     that is -1 on the e-th support position when bit e of ``p`` is set,
     +1 on the other support positions and 0 on the rest of the domain.
     The rank f0 - beta0 of the graph and its fundamental cycles depend on
@@ -285,7 +267,7 @@ def p_chio_sign_patterns(
     for pos in support:
         if pos not in domain:
             raise ValueError(f"support position {pos} is not in the domain")
-    rank, masks = support_cycles(dims, tuple(support))
+    rank, masks = support_cycles(tuple(support))
     balanced = DyadicProb.pow_half(len(domain) + rank)
     zero = DyadicProb.zero()
     # parities[p] has bit c set when cycle c holds an odd number of the
@@ -308,7 +290,7 @@ def p_chio_averaged(matrix: PartialTernaryMatrix) -> DyadicProb:
     """
     # In entries order, the memo key balance_summary uses for this support.
     support = [pos for pos, v in matrix.entries.items() if v]
-    values = p_chio_sign_patterns(matrix.dims, matrix.entries, support)
+    values = p_chio_sign_patterns(matrix.entries, support)
     exponents = [v.exponent for v in values if not v.is_zero]
     top = max(exponents, default=0)
     total = sum(1 << (top - e) for e in exponents)

@@ -4,7 +4,10 @@ A partially specified {-1,0,+1} matrix ``B`` on a domain ``I`` inside
 ``[s-1] x [t-1]`` determines a labelled bipartite graph: one vertex
 ``(i, t)`` per row of the domain, one vertex ``(s, j)`` per column, and
 one edge per nonzero entry, signed by that entry.  Vertices depend only
-on the domain, edges only on the support, signs on the entries.
+on the domain, edges only on the support, signs on the entries; none of
+them depends on the grid size.  Wherever the library turns vertices into
+integers, row vertex i is ``i`` and column vertex j is ``-j``: labels are
+positive, so the encoding is injective at every grid size.
 
 A signed graph is *balanced* when every circuit carries an even number of
 negative edges (Harary 1953).  The library has one balance test, the
@@ -45,23 +48,14 @@ from .matrix_core import Index2, PartialTernaryMatrix
 Vertex = tuple[str, int]
 
 
-def _vertex_sort_key(dims: tuple[int, int]):
-    s, _ = dims
-
-    def key(v: Vertex) -> tuple[int, int]:
-        kind, idx = v
-        return (idx, 0) if kind == "r" else (s, idx)
-
-    return key
-
-
 @dataclass(frozen=True)
 class SignedBipartiteGraph:
     """Labelled bipartite graph on row labels (i,t) and column labels (s,j).
 
     ``edges`` are stored as the underlying matrix positions ``(i, j)``;
     the edge for position ``(i, j)`` joins ``("r", i)`` to ``("c", j)``.
-    ``sign`` may be ``None`` for unsigned use.
+    ``sign`` may be ``None`` for unsigned use.  Row labels lie in
+    ``[s-1]`` and column labels in ``[t-1]``.
     """
 
     dims: tuple[int, int]
@@ -71,6 +65,11 @@ class SignedBipartiteGraph:
     sign: Mapping[Index2, int] | None = None
 
     def __post_init__(self) -> None:
+        s, t = self.dims
+        if not all(0 < i < s for i in self.row_vertices) or not all(
+            0 < j < t for j in self.col_vertices
+        ):
+            raise ValueError(f"vertex labels must lie in [{s - 1}] and [{t - 1}]")
         for i, j in self.edges:
             if i not in self.row_vertices or j not in self.col_vertices:
                 raise ValueError(f"edge {(i, j)} has a missing endpoint")
@@ -92,13 +91,10 @@ class SignedBipartiteGraph:
 
     @property
     def vertices(self) -> list[Vertex]:
-        vs = [("r", i) for i in self.row_vertices] + [("c", j) for j in self.col_vertices]
-        return sorted(vs, key=_vertex_sort_key(self.dims))
-
-    def unsigned(self) -> "SignedBipartiteGraph":
-        return SignedBipartiteGraph(
-            self.dims, self.row_vertices, self.col_vertices, self.edges, None
-        )
+        """The sorted rows, then the sorted columns."""
+        return [("r", i) for i in sorted(self.row_vertices)] + [
+            ("c", j) for j in sorted(self.col_vertices)
+        ]
 
     def with_sign(self, sign: Mapping[Index2, int]) -> "SignedBipartiteGraph":
         return SignedBipartiteGraph(
@@ -181,23 +177,24 @@ def build_graph(matrix: PartialTernaryMatrix) -> SignedBipartiteGraph:
 
 
 def _scan(
-    s: int, rows: Iterable[int], cols: Iterable[int], edges: Iterable[Index2]
+    rows: Iterable[int], cols: Iterable[int], edges: Iterable[Index2]
 ) -> tuple[int, dict[int, int], dict[int, int]]:
     """One iterative DFS in label order over an integer-encoded graph.
 
     The only graph traversal of the library; it ignores signs.  Row
-    vertex i is encoded as i, column vertex j as s + j, so numeric order
-    equals the lexicographic order of the labels (i,t) and (s,j).
-    Returns ``(beta0, component, parent)``: ``component`` numbers the
-    components in discovery order; ``parent`` maps each non-root vertex
-    to the vertex it was discovered from, parents before children, so its
-    items are the edges of a spanning forest.
+    vertex i is encoded as i, column vertex j as -j; the scan starts from
+    the sorted rows, then the sorted columns, the order of the labels
+    (i,t) and (s,j).  Returns ``(beta0, component, parent)``:
+    ``component`` numbers the components in discovery order; ``parent``
+    maps each non-root vertex to the vertex it was discovered from,
+    parents before children, so its items are the edges of a spanning
+    forest.
     """
-    order = sorted(rows) + [s + j for j in sorted(cols)]
+    order = sorted(rows) + [-j for j in sorted(cols)]
     adj: dict[int, list[int]] = {v: [] for v in order}
     for i, j in edges:
-        adj[i].append(s + j)
-        adj[s + j].append(i)
+        adj[i].append(-j)
+        adj[-j].append(i)
     component: dict[int, int] = {}
     parent: dict[int, int] = {}
     components = 0
@@ -221,7 +218,7 @@ def _graph_scan(graph: SignedBipartiteGraph, edges: Iterable[Index2] | None = No
     """:func:`_scan` of the graph's vertices with ``edges`` (by default its
     own), in sorted order."""
     edges = sorted(graph.edges if edges is None else edges)
-    return _scan(graph.dims[0], graph.row_vertices, graph.col_vertices, edges)
+    return _scan(graph.row_vertices, graph.col_vertices, edges)
 
 
 def balance_summary(
@@ -229,14 +226,16 @@ def balance_summary(
 ) -> tuple[bool, int, int]:
     """(balanced, f0, beta0) of the signed graph of an entries map.
 
-    One pass over the entries gives the domain's rows and columns (so f0),
-    the support in entries order and the bitmask of its -1 entries.  The
-    rank f0 - beta0 of the support graph and its cycle masks depend on the
-    support alone, so they come from :func:`support_cycles`: the 3^k
-    events on one index set share 2^k supports, and each support is
-    scanned once.  The signing is balanced iff every mask holds an even
-    number of -1 entries; each domain vertex off the support is a
-    component of its own, so beta0 is f0 minus that rank.
+    ``dims`` is ignored: the graph depends on the labels the
+    entries join, not on the grid size.  One pass over the entries gives
+    the domain's rows and columns (so f0), the support in entries order
+    and the bitmask of its -1 entries.  The rank f0 - beta0 of the
+    support graph and its cycle masks depend on the support alone, so
+    they come from :func:`support_cycles`: the 3^k events on one index
+    set share 2^k supports, and each support is scanned once.  The
+    signing is balanced iff every mask holds an even number of -1
+    entries; each domain vertex off the support is a component of its
+    own, so beta0 is f0 minus that rank.
     """
     rows = set()
     cols = set()
@@ -249,7 +248,7 @@ def balance_summary(
             if v < 0:
                 minus |= 1 << len(support)
             support.append(pos)
-    rank, masks = support_cycles(dims, tuple(support))
+    rank, masks = support_cycles(tuple(support))
     f0 = len(rows) + len(cols)
     balanced = True
     for mask in masks:
@@ -268,7 +267,7 @@ def matrix_balance(matrix: PartialTernaryMatrix) -> tuple[bool, int, int]:
     return summary
 
 
-def cycle_masks(dims: tuple[int, int], support: Sequence[Index2]) -> tuple[int, list[int]]:
+def cycle_masks(support: Sequence[Index2]) -> tuple[int, list[int]]:
     """``(f0 - beta0, masks)`` of the graph whose edges are the positions
     of ``support`` and whose vertices are their rows and columns.
 
@@ -278,26 +277,29 @@ def cycle_masks(dims: tuple[int, int], support: Sequence[Index2]) -> tuple[int, 
     beta1 masks and they form a basis of the cycle space, so a signing
     is balanced iff each mask holds an even number of its -1 edges.
     The rank f0 - beta0 is the number of forest edges.
+
+    Raises:
+        ValueError: if a row or column label is below 1, where the
+            encoding of :func:`_scan` would merge a row with a column.
     """
-    s = dims[0]
     bit = {pos: 1 << e for e, pos in enumerate(support)}
     rows = {i for i, _ in support}
     cols = {j for _, j in support}
-    _, _, parent = _scan(s, rows, cols, support)
+    if min(rows, default=1) < 1 or min(cols, default=1) < 1:
+        raise ValueError("row and column labels must be positive")
+    _, _, parent = _scan(rows, cols, support)
     # Forest path from each vertex to its root, as an edge mask.  Parents
     # are discovered before their children, and roots have path 0.  The
     # forest edges leave ``bit``; each edge left closes one cycle.
     path: dict[int, int] = {}
     for v, u in parent.items():
-        edge = (u, v - s) if u < s else (v, u - s)
+        edge = (u, -v) if v < 0 else (v, -u)
         path[v] = path.get(u, 0) ^ bit.pop(edge)
-    masks = [
-        path.get(i, 0) ^ path.get(s + j, 0) ^ b for (i, j), b in bit.items()
-    ]
+    masks = [path.get(i, 0) ^ path.get(-j, 0) ^ b for (i, j), b in bit.items()]
     return len(parent), masks
 
 
-# cycle_masks memoised per (dims, support tuple), shared by every reader of
+# cycle_masks memoised per support tuple, shared by every reader of
 # balance; callers pass the support in entries order and leave the masks
 # as they are.  The 4096 most recently used supports are kept.
 support_cycles = functools.lru_cache(maxsize=1 << 12)(cycle_masks)
@@ -356,7 +358,7 @@ _CATALOGUE: dict[tuple[str, ...], IsoType] = {
 }
 
 
-def _component_shape(fc0: int, edges: list[Index2], s: int) -> str | None:
+def _component_shape(fc0: int, edges: list[Index2]) -> str | None:
     """Fingerprint one connected component, or None if uncatalogued."""
     fc1 = len(edges)
     if fc1 == 0:
@@ -372,11 +374,11 @@ def _component_shape(fc0: int, edges: list[Index2], s: int) -> str | None:
     if (fc0, fc1) == (5, 6):
         return _COMPONENT_K23
     if (fc0, fc1) == (6, 6):
-        # Vertices in the integer encoding of _scan: row i, column s + j.
+        # Vertices in the integer encoding of _scan: row i, column -j.
         degree: dict[int, int] = {}
         for i, j in edges:
             degree[i] = degree.get(i, 0) + 1
-            degree[s + j] = degree.get(s + j, 0) + 1
+            degree[-j] = degree.get(-j, 0) + 1
         degrees = sorted(degree.values(), reverse=True)
         if degrees == [2, 2, 2, 2, 2, 2]:
             return _COMPONENT_C6
@@ -386,7 +388,7 @@ def _component_shape(fc0: int, edges: list[Index2], s: int) -> str | None:
             return _COMPONENT_C4_TAIL2
         if degrees == [3, 3, 2, 2, 1, 1]:
             h0, h1 = sorted(v for v, d in degree.items() if d == 3)
-            adjacent = h0 < s < h1 and (h0, h1 - s) in edges
+            adjacent = h0 < 0 < h1 and (h1, -h0) in edges
             return _COMPONENT_C4_PP_ADJ if adjacent else _COMPONENT_C4_PP_OPP
     return None
 
@@ -410,7 +412,7 @@ def isotype_and_betti(graph: SignedBipartiteGraph) -> tuple[IsoType, BettiData]:
     edges: list[list[Index2]] = [[] for _ in sizes]
     for i, j in graph.edges:
         edges[component[i]].append((i, j))
-    shapes = [_component_shape(fc0, es, graph.dims[0]) for fc0, es in zip(sizes, edges)]
+    shapes = [_component_shape(fc0, es) for fc0, es in zip(sizes, edges)]
     if None in shapes:
         return IsoType.OTHER_NONFOREST, data
     return _CATALOGUE.get(tuple(sorted(shapes)), IsoType.OTHER_NONFOREST), data

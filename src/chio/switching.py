@@ -2,9 +2,11 @@
 
 The group (Z/2)^(s-1) + (Z/2)^(t-1) acts by flipping the sign of every
 entry (edge) whose row or column index carries a set bit; flipping both
-endpoints cancels.  The action preserves balance and support, the kernel
-is {identity, all-ones}, and on a fixed graph the orbit of any balanced
-signing is the whole set of balanced signings.
+endpoints cancels.  A switching is an int bitmask ``g`` in
+``0 .. 2^(s+t-2) - 1``: bit i-1 flips row i and bit s-2+j flips column
+j, and XOR is the group operation.  The action preserves balance and
+support, the kernel is {0, all-ones}, and on a fixed graph the orbit of
+any balanced signing is the whole set of balanced signings.
 
 Balanced signings are rigid: the signing of a spanning forest extends in
 exactly one balanced way, which both constructs orbits without search
@@ -12,10 +14,11 @@ and shows that all balanced signings of a {0,1} pattern share its rank.
 The forest comes from the library's one unsigned depth-first search
 (``signed_graph._scan``); its parent map, which lists parents before
 children, colours the vertices, and the colouring forces every other
-sign.  An orbit is computed on the bitmask of the -1 edges in sorted
-edge order: switching one vertex XORs in its incidence mask.  A pattern
-and all of its balanced signings are ranked together, in one call of the
-census's batched Bareiss kernel (``batch_rank``).
+sign; vertices are the integers of that scan, row i as ``i`` and column
+j as ``-j``.  An orbit is computed on the bitmask of the -1 edges in
+sorted edge order: switching one vertex XORs in its incidence mask.  A
+pattern and all of its balanced signings are ranked together, in one
+call of the census's batched Bareiss kernel (``batch_rank``).
 """
 
 from __future__ import annotations
@@ -31,61 +34,37 @@ from .matrix_core import Index2, PartialTernaryMatrix
 from .signed_graph import SignedBipartiteGraph, _graph_scan, build_graph
 
 
-@dataclass(frozen=True)
-class SwitchElement:
-    """One switching: a bit per row index and per column index."""
-
-    row_bits: tuple[int, ...]
-    col_bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.row_bits + self.col_bits):
-            raise ValueError("switch bits must be 0 or 1")
-
-    @classmethod
-    def identity(cls, s: int, t: int) -> "SwitchElement":
-        return cls((0,) * (s - 1), (0,) * (t - 1))
-
-    def __add__(self, other: "SwitchElement") -> "SwitchElement":
-        if len(self.row_bits) != len(other.row_bits) or len(self.col_bits) != len(
-            other.col_bits
-        ):
-            raise ValueError("mismatched switch shapes")
-        return SwitchElement(
-            tuple(a ^ b for a, b in zip(self.row_bits, other.row_bits)),
-            tuple(a ^ b for a, b in zip(self.col_bits, other.col_bits)),
-        )
-
-    def factor(self, pos: Index2) -> int:
-        """Sign multiplier for the entry at a position (1-based)."""
-        i, j = pos
-        return (-1) ** (self.row_bits[i - 1] ^ self.col_bits[j - 1])
+def all_switches(s: int, t: int) -> range:
+    """All 2^(s+t-2) group elements, as bitmasks in counter order."""
+    return range(1 << (s + t - 2))
 
 
-def all_switches(s: int, t: int) -> Iterator[SwitchElement]:
-    """All 2^(s+t-2) group elements, in binary counter order."""
-    for bits in product((0, 1), repeat=(s - 1) + (t - 1)):
-        yield SwitchElement(bits[: s - 1], bits[s - 1 :])
+def _switch(dims: tuple[int, int], g: int, signs: Mapping[Index2, int]) -> dict[Index2, int]:
+    """``signs`` with the entry at (i, j) negated when bits i-1 and s-2+j
+    of ``g`` differ.
+
+    Raises:
+        ValueError: if ``g`` is not in ``0 .. 2^(s+t-2) - 1``.
+    """
+    s, t = dims
+    if not 0 <= g < 1 << (s + t - 2):
+        raise ValueError(f"switch {g} is not in 0 .. 2^{s + t - 2} - 1")
+    return {
+        (i, j): -v if (g >> (i - 1) ^ g >> (s - 2 + j)) & 1 else v
+        for (i, j), v in signs.items()
+    }
 
 
-def switch_matrix(matrix: PartialTernaryMatrix, g: SwitchElement) -> PartialTernaryMatrix:
+def switch_matrix(matrix: PartialTernaryMatrix, g: int) -> PartialTernaryMatrix:
     """Entrywise sign flip; the support never changes."""
-    s, t = matrix.dims
-    if len(g.row_bits) != s - 1 or len(g.col_bits) != t - 1:
-        raise ValueError("switch shape does not match matrix dims")
-    return PartialTernaryMatrix(
-        matrix.dims, {pos: g.factor(pos) * v for pos, v in matrix.entries.items()}
-    )
+    return PartialTernaryMatrix(matrix.dims, _switch(matrix.dims, g, matrix.entries))
 
 
-def switch_signing(graph: SignedBipartiteGraph, g: SwitchElement) -> SignedBipartiteGraph:
+def switch_signing(graph: SignedBipartiteGraph, g: int) -> SignedBipartiteGraph:
     """Apply a switching to the sign function of a graph."""
     if graph.sign is None:
         raise ValueError("graph carries no sign function")
-    s, t = graph.dims
-    if len(g.row_bits) != s - 1 or len(g.col_bits) != t - 1:
-        raise ValueError("switch shape does not match graph dims")
-    return graph.with_sign({e: g.factor(e) * v for e, v in graph.sign.items()})
+    return graph.with_sign(_switch(graph.dims, g, graph.sign))
 
 
 def signing_tuple(graph: SignedBipartiteGraph) -> tuple[int, ...]:
@@ -107,11 +86,11 @@ def orbit(graph: SignedBipartiteGraph) -> set[tuple[int, ...]]:
     if graph.sign is None:
         raise ValueError("graph carries no sign function")
     edges = sorted(graph.edges)
-    incidence: dict[tuple[str, int], int] = {}
+    incidence: dict[int, int] = {}
     minus = 0
     for e, (i, j) in enumerate(edges):
-        incidence[("r", i)] = incidence.get(("r", i), 0) | 1 << e
-        incidence[("c", j)] = incidence.get(("c", j), 0) | 1 << e
+        incidence[i] = incidence.get(i, 0) | 1 << e
+        incidence[-j] = incidence.get(-j, 0) | 1 << e
         if graph.sign[(i, j)] < 0:
             minus |= 1 << e
     masks = {minus}
@@ -138,11 +117,10 @@ def balanced_extension(
     forest = dict(forest_signing)
     if not forest.keys() <= graph.edges:
         raise ValueError("forest edges must be edges of the graph")
-    s = graph.dims[0]
     beta0, component, parent = _graph_scan(graph, forest)
     if len(forest) != graph.f0 - beta0:
         raise ValueError("not a spanning forest: contains a cycle")
-    if any(component[i] != component[s + j] for i, j in graph.edges):
+    if any(component[i] != component[-j] for i, j in graph.edges):
         raise ValueError("not a spanning forest: component split")
     return graph.with_sign(_extend(graph, parent, forest))
 
@@ -157,12 +135,11 @@ def _extend(
     sign of the edge between them; every edge then gets the sign
     ``-colour(u) * colour(v)``, which keeps the forest's own signs.
     """
-    s = graph.dims[0]
     colour: dict[int, int] = {}
     for v, u in parent.items():
-        edge = (u, v - s) if u < s else (v, u - s)
+        edge = (u, -v) if v < 0 else (v, -u)
         colour[v] = -forest[edge] * colour.get(u, 1)
-    return {(i, j): -colour.get(i, 1) * colour.get(s + j, 1) for i, j in graph.edges}
+    return {(i, j): -colour.get(i, 1) * colour.get(-j, 1) for i, j in graph.edges}
 
 
 def balanced_sign_maps(graph: SignedBipartiteGraph) -> Iterator[dict[Index2, int]]:
@@ -172,9 +149,8 @@ def balanced_sign_maps(graph: SignedBipartiteGraph) -> Iterator[dict[Index2, int
     forest (:func:`_extend`), in sorted forest-edge order; yields
     2^(f0 - beta0) maps from the graph's edges to -1 or +1.
     """
-    s = graph.dims[0]
     _, _, parent = _graph_scan(graph)
-    forest_edges = sorted((u, v - s) if u < s else (v, u - s) for v, u in parent.items())
+    forest_edges = sorted((u, -v) if v < 0 else (v, -u) for v, u in parent.items())
     for signs in product((-1, 1), repeat=len(forest_edges)):
         yield _extend(graph, parent, dict(zip(forest_edges, signs)))
 

@@ -160,7 +160,7 @@ def _recipe_chunk(args: tuple[int, int, int, int]) -> tuple[int, int]:
             chio = by_support.get(support)
             if chio is None:
                 nonzero = [p for a, p in enumerate(chosen) if support >> a & 1]
-                chio = by_support[support] = p_chio_sign_patterns((n, n), chosen, nonzero)
+                chio = by_support[support] = p_chio_sign_patterns(chosen, nonzero)
             matrix = PartialTernaryMatrix((n, n), dict(zip(chosen, values)))
             total += 1
             if recipe_p_chio(matrix) != chio[pattern]:
@@ -561,21 +561,21 @@ def rank_invariance_all_patterns() -> dict:
 
 
 def switch_action_laws() -> dict:
-    """Group action laws and the two-element kernel on the full grid."""
+    """The group law on every pair of switchings, and the two-element
+    kernel, on the full grid."""
     n = 4
     positions = [(i, j) for i in range(1, n) for j in range(1, n)]
     base = PartialTernaryMatrix(
         (n, n), {p: (1 if (p[0] + p[1]) % 2 else -1) for p in positions}
     )
-    switches = list(all_switches(n, n))
-    ok = True
-    for g in switches[:16]:
-        for h in switches[:16]:
-            lhs = switch_matrix(switch_matrix(base, g), h)
-            rhs = switch_matrix(base, g + h)
-            if lhs.entries != rhs.entries:
-                ok = False
-    kernel = [g for g in switches if switch_matrix(base, g).entries == base.entries]
+    switches = all_switches(n, n)
+    switched = [switch_matrix(base, g) for g in switches]
+    ok = all(
+        switch_matrix(switched[g], h).entries == switched[g ^ h].entries
+        for g in switches
+        for h in switches
+    )
+    kernel = [g for g in switches if switched[g].entries == base.entries]
     ok = ok and len(kernel) == 2
     return _check(f"switch action laws n={n}", ok, kernel_size=len(kernel))
 

@@ -48,13 +48,9 @@ def all_matrices(n, k):
 
 class TestDyadicProb:
     def test_arithmetic(self):
-        half = DyadicProb.pow_half(1)
-        assert (half * half).exponent == 2
-        assert (half * DyadicProb.zero()).is_zero
         assert DyadicProb.one().as_fraction() == 1
-
-    def test_ordering(self):
-        assert DyadicProb.zero() < DyadicProb.pow_half(9) < DyadicProb.pow_half(2)
+        assert DyadicProb.pow_half(3).as_fraction() == Fraction(1, 8)
+        assert DyadicProb.zero().as_fraction() == 0
 
     def test_from_fraction(self):
         assert DyadicProb.from_fraction(Fraction(1, 8)).exponent == 3
@@ -65,11 +61,6 @@ class TestDyadicProb:
     def test_json(self):
         assert DyadicProb.zero().to_json_dict() == {"zero": True}
         assert DyadicProb.pow_half(5).to_json_dict() == {"log2": -5}
-
-    def test_ratio_log2(self):
-        assert DyadicProb.pow_half(7).ratio_log2(DyadicProb.pow_half(8)) == 1
-        with pytest.raises(ZeroDivisionError):
-            DyadicProb.zero().ratio_log2(DyadicProb.pow_half(1))
 
     def test_shared_instances(self):
         assert DyadicProb.pow_half(9) is DyadicProb.pow_half(9)
@@ -90,7 +81,6 @@ class TestDyadicProb:
         assert DyadicProb(None) is DyadicProb.zero()
         assert DyadicProb(exponent=0) is DyadicProb.one()
         assert DyadicProb.from_fraction(Fraction(1, 512)) is DyadicProb.pow_half(9)
-        assert DyadicProb.pow_half(4) * DyadicProb.pow_half(5) is DyadicProb.pow_half(9)
         for value in (DyadicProb.pow_half(9), DyadicProb.zero()):
             assert pickle.loads(pickle.dumps(value)) is value
             assert copy.copy(value) is value and copy.deepcopy(value) is value
@@ -330,7 +320,7 @@ def assert_kernel_matches_p_chio(dims, domain):
     """Every support of ``domain``, every sign pattern, against p_chio."""
     for r in range(len(domain) + 1):
         for support in combinations(domain, r):
-            values = p_chio_sign_patterns(dims, domain, list(support))
+            values = p_chio_sign_patterns(domain, list(support))
             assert len(values) == 1 << r
             for pattern, value in enumerate(values):
                 entries = dict.fromkeys(domain, 0)
@@ -355,12 +345,12 @@ class TestSignPatternKernel:
 
     def test_support_outside_domain_raises(self):
         # Checked on every call, also when the memo already holds the support.
-        p_chio_sign_patterns((4, 4), [(1, 1), (2, 2)], [(1, 1), (2, 2)])
+        p_chio_sign_patterns([(1, 1), (2, 2)], [(1, 1), (2, 2)])
         for domain in ([(1, 1)], [(1, 1), (2, 1)], []):
             with pytest.raises(ValueError, match="not in the domain"):
-                p_chio_sign_patterns((4, 4), domain, [(1, 1), (2, 2)])
+                p_chio_sign_patterns(domain, [(1, 1), (2, 2)])
         with pytest.raises(ValueError, match="not in the domain"):
-            p_chio_sign_patterns((4, 4), [(1, 1), (2, 2)], [(1, 2)])
+            p_chio_sign_patterns([(1, 1), (2, 2)], [(1, 2)])
 
     def test_every_support_of_the_n4_grid_against_circuits(self):
         # The full 3x3 grid as the domain and each support inside it:
@@ -374,7 +364,7 @@ class TestSignPatternKernel:
                 colourings = brute_count_colorings({1, 2, 3}, {1, 2, 3}, dict.fromkeys(support, -1))
                 beta0 = colourings.bit_length() - 1
                 balanced = DyadicProb.pow_half(len(grid) + 6 - beta0)
-                values = p_chio_sign_patterns((4, 4), grid, list(support))
+                values = p_chio_sign_patterns(grid, list(support))
                 for pattern, value in enumerate(values):
                     minus = {pos for e, pos in enumerate(support) if pattern >> e & 1}
                     even = all(len(minus & circuit) % 2 == 0 for circuit in circuits)
@@ -382,7 +372,7 @@ class TestSignPatternKernel:
 
     def test_pattern_bits(self):
         # The all -1 four-circuit is balanced, one +1 on it is not.
-        values = p_chio_sign_patterns((4, 4), sorted(C4), sorted(C4))
+        values = p_chio_sign_patterns(sorted(C4), sorted(C4))
         assert values[0b1111] == DyadicProb.pow_half(7)
         assert values[0b1110].is_zero and values[0b0000] == DyadicProb.pow_half(7)
 

@@ -1,10 +1,10 @@
-"""Every name the benchmark imports from ``chio`` exists, and every
-keyword it passes to a ``chio`` callable is a parameter of that callable.
+"""Every name the benchmark imports from ``chio`` exists, and every call
+it makes of a ``chio`` callable binds to that callable's signature.
 
 The benchmark under ``perfbench/`` imports library functions by name and
-calls them with keywords, so renaming or deleting either would break it
-only when it next runs.  This reads its source with ``ast`` and imports
-nothing from it.
+calls them with positional arguments and keywords, so renaming or
+deleting a function or a parameter would break it only when it next
+runs.  This reads its source with ``ast`` and imports nothing from it.
 """
 
 import ast
@@ -80,8 +80,10 @@ def callee(func: ast.expr, bound: dict[str, object]):
     return None
 
 
-def chio_keyword_calls() -> list[tuple[str, int, object, list[str]]]:
-    """(file, line, callable, keywords) of every keyword call of a chio name."""
+def chio_calls() -> list[tuple[str, int, object, int, list[str], bool]]:
+    """(file, line, callable, positional count, keywords, starred) of every
+    call of a chio name; ``starred`` is set when a ``*`` or ``**`` argument
+    hides how many arguments the call passes."""
     found = []
     for path in sorted(PERFBENCH.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -89,24 +91,31 @@ def chio_keyword_calls() -> list[tuple[str, int, object, list[str]]]:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            keywords = [k.arg for k in node.keywords if k.arg is not None]
             target = callee(node.func, bound)
-            if keywords and callable(target):
-                found.append((path.name, node.lineno, target, keywords))
+            if not callable(target):
+                continue
+            positional = [a for a in node.args if not isinstance(a, ast.Starred)]
+            keywords = [k.arg for k in node.keywords if k.arg is not None]
+            starred = len(positional) < len(node.args) or len(keywords) < len(node.keywords)
+            found.append((path.name, node.lineno, target, len(positional), keywords, starred))
     return found
 
 
-def accepts(target, keyword: str) -> bool:
-    params = inspect.signature(target).parameters
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
-        return True
-    param = params.get(keyword)
-    return param is not None and param.kind is not inspect.Parameter.POSITIONAL_ONLY
+def binds(target, npos: int, keywords: list[str], partial: bool) -> bool:
+    """Whether ``npos`` positional arguments and ``keywords`` bind to the
+    signature of ``target``; ``partial`` lets required parameters go unbound."""
+    signature = inspect.signature(target)
+    bind = signature.bind_partial if partial else signature.bind
+    try:
+        bind(*[None] * npos, **dict.fromkeys(keywords))
+    except TypeError:
+        return False
+    return True
 
 
 def test_every_keyword_the_benchmark_passes_is_a_parameter():
-    calls = chio_keyword_calls()
-    names = {(target.__name__, k) for _, _, target, keywords in calls for k in keywords}
+    calls = [call for call in chio_calls() if call[4]]
+    names = {(target.__name__, k) for _, _, target, _, keywords, _ in calls for k in keywords}
     # The walk reaches the calls the benchmark's workloads depend on.
     assert names >= {
         ("count_failures", "workers"),
@@ -117,8 +126,21 @@ def test_every_keyword_the_benchmark_passes_is_a_parameter():
     }
     wrong = [
         (file, line, target.__name__, k)
-        for file, line, target, keywords in calls
+        for file, line, target, _, keywords, _ in calls
         for k in keywords
-        if not accepts(target, k)
+        if not binds(target, 0, [k], partial=True)
     ]
     assert not wrong, f"perfbench passes keywords chio does not take: {wrong}"
+
+
+def test_every_call_the_benchmark_makes_binds():
+    calls = chio_calls()
+    # The walk reaches positional calls too, among them the one that keeps
+    # balance_summary's unused grid size in its signature.
+    assert ("balance_summary", 2) in {(target.__name__, npos) for _, _, target, npos, _, _ in calls}
+    wrong = [
+        (file, line, target.__name__, npos, keywords)
+        for file, line, target, npos, keywords, starred in calls
+        if not binds(target, npos, keywords, partial=starred)
+    ]
+    assert not wrong, f"perfbench calls chio with arguments that do not bind: {wrong}"

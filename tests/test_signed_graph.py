@@ -331,7 +331,7 @@ class TestMatrixCircuits:
 class TestCycleMasks:
     @staticmethod
     def check(dims, support):
-        rank, masks = cycle_masks(dims, support)
+        rank, masks = cycle_masks(support)
         graph = unsigned({i for i, _ in support}, {j for _, j in support}, set(support), dims)
         data = betti(graph)
         assert rank == data.f0 - data.beta0
@@ -360,9 +360,34 @@ class TestCycleMasks:
 
     def test_complete_bipartite_k45(self):
         grid = [(i, j) for i in range(1, 5) for j in range(1, 6)]
-        rank, masks = cycle_masks((5, 6), grid)
+        rank, masks = cycle_masks(grid)
         assert (rank, len(masks)) == (8, 12)
         self.check((5, 6), grid)
+
+    def test_labels_past_the_grid_size(self):
+        # A path of two edges on rows 1 and 3 is a tree with one component,
+        # whatever the grid size the caller names: the same answer as the
+        # path moved inside a grid that holds it.
+        support = ((1, 1), (3, 1))
+        assert cycle_masks(support) == cycle_masks(((1, 1), (2, 1))) == (2, [])
+        moved = PartialTernaryMatrix((3, 2), {(1, 1): 1, (2, 1): -1})
+        assert balance_summary((2, 2), {(1, 1): 1, (3, 1): -1}) == (True, 3, 1)
+        assert balance_summary((2, 2), {(1, 1): 1, (3, 1): -1}) == matrix_balance(moved)
+
+    def test_one_memo_entry_per_support_at_every_grid_size(self):
+        support_cycles.cache_clear()
+        entries = {(1, 1): -1, (1, 2): 1, (2, 1): 1, (2, 2): 1}
+        assert balance_summary((3, 3), entries) == balance_summary((6, 6), entries)
+        assert support_cycles.cache_info().currsize == 1
+
+    def test_labels_below_one_refused(self):
+        # Row i and column -j would meet at 0.
+        for support in (((0, 1),), ((1, 0),), ((0, 0), (1, 1))):
+            with pytest.raises(ValueError, match="positive"):
+                cycle_masks(support)
+        for rows, cols in (({0, 1}, {1}), ({1}, {0}), ({4}, {1}), ({1}, {5})):
+            with pytest.raises(ValueError, match="must lie in"):
+                unsigned(rows, cols, set(), dims=(4, 5))
 
     def test_support_outside_domain_refused(self):
         # cycle_masks takes the support alone; the domain check sits in
@@ -371,7 +396,7 @@ class TestCycleMasks:
         support_cycles.cache_clear()
         for domain, support in (([(1, 1)], [(1, 1), (2, 2)]), ([(1, 1), (2, 2)], [(1, 2)])):
             with pytest.raises(ValueError, match="not in the domain"):
-                p_chio_sign_patterns((4, 4), domain, support)
+                p_chio_sign_patterns(domain, support)
         assert support_cycles.cache_info().currsize == 0
 
 
@@ -392,10 +417,10 @@ class TestMatrixBalanceMemo:
         return all(len(minus & circuit) % 2 == 0 for circuit in circuits[support])
 
     @staticmethod
-    def uncached(dims, entries):
+    def uncached(entries):
         """(balanced, f0, beta0) from cycle_masks alone, outside the memo."""
         support = [pos for pos, v in entries.items() if v]
-        rank, masks = cycle_masks(dims, support)
+        rank, masks = cycle_masks(support)
         minus = sum(1 << e for e, pos in enumerate(support) if entries[pos] < 0)
         f0 = len({i for i, _ in entries}) + len({j for _, j in entries})
         return not any((mask & minus).bit_count() & 1 for mask in masks), f0, f0 - rank
@@ -412,7 +437,7 @@ class TestMatrixBalanceMemo:
         # or one of -1, 0, +1.
         for values in product((None, -1, 0, 1), repeat=len(self.GRID)):
             entries = {pos: v for pos, v in zip(self.GRID, values) if v is not None}
-            want = self.uncached(dims, entries)
+            want = self.uncached(entries)
             signs = tuple(v or 0 for v in values)
             if signs not in brute:
                 brute[signs] = self.brute_balanced(dict(zip(self.GRID, signs)), circuits)
@@ -444,9 +469,7 @@ class TestMatrixBalanceMemo:
         for bits in product((0, 1), repeat=len(cells)):
             # One fixed signing, restricted to each support in turn.
             entries = {pos: b * (-1) ** (pos[0] * pos[1]) for pos, b in zip(cells, bits)}
-            assert matrix_balance(PartialTernaryMatrix(dims, entries)) == self.uncached(
-                dims, entries
-            )
+            assert matrix_balance(PartialTernaryMatrix(dims, entries)) == self.uncached(entries)
             assert support_cycles.cache_info().currsize <= 4096
         info = support_cycles.cache_info()
         assert info.misses == 2 ** len(cells) and info.currsize == 4096

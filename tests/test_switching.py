@@ -11,7 +11,6 @@ from chio import signed_graph, switching
 from chio.matrix_core import PartialTernaryMatrix
 from chio.signed_graph import SignedBipartiteGraph, balance_summary, betti, build_graph
 from chio.switching import (
-    SwitchElement,
     all_switches,
     balanced_extension,
     balanced_sign_maps,
@@ -26,14 +25,15 @@ from chio.switching import (
 from oracles import brute_count_balanced_signings, brute_is_balanced
 
 C4 = {(1, 1), (1, 2), (2, 1), (2, 2)}
+ALL_MINUS = {p: -1 for p in C4}
 
 
 def is_balanced(graph):
     return balance_summary(graph.dims, graph.sign)[0]
 
 
-def circuit_graph(sign=None, dims=(4, 4)):
-    sign = sign or {p: -1 for p in C4}
+def circuit_graph(sign=ALL_MINUS, dims=(4, 4)):
+    """The 4-circuit on rows and columns {1, 2}; unsigned for ``sign=None``."""
     return SignedBipartiteGraph(
         dims=dims,
         row_vertices=frozenset({1, 2}),
@@ -46,20 +46,34 @@ def circuit_graph(sign=None, dims=(4, 4)):
 class TestAction:
     def test_identity_fixes_matrices(self):
         matrix = PartialTernaryMatrix((4, 4), {p: -1 for p in C4})
-        g = SwitchElement.identity(4, 4)
-        assert switch_matrix(matrix, g).entries == matrix.entries
+        assert switch_matrix(matrix, 0).entries == matrix.entries
 
     def test_all_ones_is_in_the_kernel(self):
         matrix = PartialTernaryMatrix((4, 4), {p: -1 for p in C4})
-        g = SwitchElement((1, 1, 1), (1, 1, 1))
-        assert switch_matrix(matrix, g).entries == matrix.entries
+        assert switch_matrix(matrix, 0b111111).entries == matrix.entries
 
     def test_row_flip(self):
         matrix = PartialTernaryMatrix((4, 4), {p: -1 for p in C4})
-        g = SwitchElement((1, 0, 0), (0, 0, 0))
-        flipped = switch_matrix(matrix, g)
+        flipped = switch_matrix(matrix, 0b000001)
         assert flipped[(1, 1)] == flipped[(1, 2)] == 1
         assert flipped[(2, 1)] == flipped[(2, 2)] == -1
+
+    def test_column_flip(self):
+        # Bit s-2+j flips column j: bit 5 is column 2 on a 5 x 4 grid.
+        matrix = PartialTernaryMatrix((5, 4), {(i, j): -1 for i in (1, 4) for j in (1, 2)})
+        flipped = switch_matrix(matrix, 1 << 5)
+        assert flipped[(1, 2)] == flipped[(4, 2)] == 1
+        assert flipped[(1, 1)] == flipped[(4, 1)] == -1
+
+    def test_switch_outside_the_group_refused(self):
+        matrix = PartialTernaryMatrix((4, 5), {(1, 1): 1})
+        graph = build_graph(matrix)
+        for g in (-1, 1 << 7):
+            with pytest.raises(ValueError, match=r"not in 0 \.\. 2\^7 - 1"):
+                switch_matrix(matrix, g)
+            with pytest.raises(ValueError, match=r"not in 0 \.\. 2\^7 - 1"):
+                switch_signing(graph, g)
+        assert switch_matrix(matrix, (1 << 7) - 1).entries == matrix.entries
 
     def test_support_is_preserved(self):
         matrix = PartialTernaryMatrix((4, 4), {(1, 1): 0, (2, 2): 1})
@@ -75,7 +89,7 @@ class TestAction:
         for g in switches:
             for h in switches:
                 lhs = switch_matrix(switch_matrix(matrix, g), h)
-                rhs = switch_matrix(matrix, g + h)
+                rhs = switch_matrix(matrix, g ^ h)
                 assert lhs.entries == rhs.entries
 
     def test_kernel_is_exactly_two_elements(self):
@@ -85,7 +99,8 @@ class TestAction:
             g for g in all_switches(4, 4)
             if switch_matrix(matrix, g).entries == matrix.entries
         ]
-        assert len(kernel) == 2
+        # The identity and the all-ones mask.
+        assert kernel == [0, (1 << 6) - 1]
 
     def test_matrix_and_signing_actions_agree_exhaustively_n3(self):
         cells = [(i, j) for i in range(1, 3) for j in range(1, 3)]
@@ -167,7 +182,7 @@ class TestOrbits:
 
 class TestBalancedExtension:
     def test_circuit_parity_forced(self):
-        graph = circuit_graph().unsigned()
+        graph = circuit_graph(None)
         tree = {(1, 1): -1, (1, 2): -1, (2, 1): -1}
         extended = balanced_extension(graph, tree)
         assert extended.sign[(2, 2)] == -1
@@ -229,7 +244,7 @@ class TestBalancedExtension:
             assert len(signings) == brute_count_balanced_signings(sorted(edges))
 
     def test_extension_count_matches_formula(self):
-        graph = circuit_graph().unsigned()
+        graph = circuit_graph(None)
         signings = {signing_tuple(g) for g in balanced_signings(graph)}
         data = betti(graph)
         assert len(signings) == 2 ** (data.f0 - data.beta0)
@@ -265,7 +280,7 @@ class TestBalancedExtension:
                 assert greedy == dict(expected)
 
     def test_rejects_cycles_and_wrong_counts(self):
-        graph = circuit_graph().unsigned()
+        graph = circuit_graph(None)
         with pytest.raises(ValueError, match="contains a cycle"):
             balanced_extension(graph, {p: -1 for p in C4})
         with pytest.raises(ValueError, match="component split"):
