@@ -16,7 +16,6 @@ from .matrix_core import (
 from .measures import (
     DyadicProb,
     Event,
-    cover_height,
     fibre_cardinality,
     p_chio,
     p_chio_abs,
@@ -51,7 +50,6 @@ __all__ = [
     "rank_int",
     "DyadicProb",
     "Event",
-    "cover_height",
     "fibre_cardinality",
     "p_chio",
     "p_chio_abs",

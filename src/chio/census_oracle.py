@@ -49,10 +49,14 @@ The {0,1} and {-1,0,+1} rank histograms, which the rank identities
 compare against the census, come from one brute-force loop over all
 base-b codes, ``_TILE`` at a time (:func:`_rank_supp_counts`).  Its
 digit decode (one divmod per matrix row, then a lookup of that row's
-digits in a small table) also decodes condensate codes for
-:func:`preimage_support_check`, which reads the sparse condensate
-counts one support at a time; only :func:`kwise_agreement_check`
-scatters them into a dense cube, at n <= 4.
+digits in a small table) also decodes condensate codes into support
+and sign masks (:func:`_condensate_masks`), through which
+``chio.verify.preimage_support_check`` reads the sparse condensate
+counts one support at a time: the census's checks live in ``verify``,
+apart from the engine they check.  The one check left here,
+:func:`kwise_agreement_check`, scatters the counts into a dense cube
+at n <= 4; it is the only code in this module that imports more of the
+package than ``matrix_core`` and ``parallel``.
 """
 
 from __future__ import annotations
@@ -1042,84 +1046,8 @@ def singular_count(n: int, workers: int | None = None) -> SingularReport:
     )
 
 
-def preimage_support_check(n: int, codes: np.ndarray, counts: np.ndarray) -> dict:
-    """Check the sparse ``cond_counts`` pair of the n x n census, support by support.
-
-    By the paper's characterization, the codes on a support S with a
-    nonzero count are its 2^rank(S) signings that are even on every cycle
-    mask of S (this parity test is the reader's own), each counted
-    ``fibre_cardinality`` of S's all-plus event, whose one graph scan
-    also gives the masks; S's total is what ``p_lcf`` (averaged over
-    signs) and ``p_chio_abs`` of its {0,1} pattern give.
-
-    Returns ``mismatches`` (codes, of all 3^((n-1)^2), whose count is not
-    the formula's), ``non_power_of_two``, ``missing_supports``, and
-    ``averaged_mismatches`` and ``forgetting_mismatches`` (supports), with
-    ``condensates``, ``supports``, ``total`` and ``ok``.
-
-    Raises:
-        ValueError: unless the codes are sorted distinct condensate codes, one count each.
-    """
-    from .measures import Event, fibre_cardinality, p_chio_abs, p_lcf
-    from .signed_graph import support_cycles
-
-    m = (n - 1) ** 2
-    n_supports = 1 << m
-    if codes.shape != counts.shape or (np.diff(codes) <= 0).any() or (
-        codes.size and (codes[0] < 0 or codes[-1] >= 3**m)
-    ):
-        raise ValueError("not a sparse condensate census: codes must be sorted, distinct, in range")
-    positions = [(i, j) for i in range(1, n) for j in range(1, n)]
-    # cycles[c, S]: the code bits of S's c-th cycle mask, 0 past beta1(S).
-    cycles = np.zeros(((n - 2) ** 2, n_supports), dtype=np.int64)
-    rank = np.zeros(n_supports, dtype=np.int64)
-    expected = np.zeros(n_supports, dtype=np.int64)
-    targets = []
-    scale = 1 << (n * n)
-    for s in range(n_supports):
-        bits = [b for b in range(m) if s >> b & 1]
-        pattern = PartialTernaryMatrix((n, n), {p: s >> b & 1 for b, p in enumerate(positions)})
-        event = Event.on_full_grid(pattern)
-        expected[s] = fibre_cardinality(event)
-        rank[s], masks = support_cycles(tuple(positions[b] for b in bits))
-        for c, mask in enumerate(masks):
-            cycles[c, s] = sum(1 << b for e, b in enumerate(bits) if mask >> e & 1)
-        averaged = p_lcf(event).as_fraction() * (scale << len(bits))
-        targets.append((averaged, p_chio_abs(pattern).as_fraction() * scale))
-
-    # parity[x] is 1 when x has an odd number of set bits.
-    parity = np.zeros(n_supports, dtype=np.uint8)
-    for b in range(m):
-        parity[1 << b : 2 << b] = parity[: 1 << b] ^ 1
-    mismatches = nonpow = 0
-    balanced_present = np.zeros(n_supports, dtype=np.int64)
-    totals = np.zeros(n_supports, dtype=np.int64)
-    chunk = 1 << 16
-    for lo in range(0, codes.size, chunk):
-        support, minus = _condensate_masks(codes[lo : lo + chunk], n)
-        count = counts[lo : lo + chunk]
-        odd = np.zeros(support.size, dtype=np.uint8)
-        for row in cycles:
-            odd |= parity[row[support] & minus]
-        balanced = odd == 0
-        mismatches += np.count_nonzero(np.where(balanced, count != expected[support], count != 0))
-        nonpow += np.count_nonzero(count & (count - 1))
-        balanced_present += np.bincount(support[balanced], minlength=n_supports)
-        np.add.at(totals, support, count)
-    # Balanced codes absent from the census.
-    mismatches += ((1 << rank) - balanced_present).sum()
-    failures = {
-        "mismatches": int(mismatches),
-        "non_power_of_two": int(nonpow),
-        "missing_supports": int((totals == 0).sum()),
-        "averaged_mismatches": sum(t != a for t, (a, _) in zip(totals.tolist(), targets)),
-        "forgetting_mismatches": sum(t != f for t, (_, f) in zip(totals.tolist(), targets)),
-    }
-    total = int(counts.sum())
-    ok = total == scale and not any(failures.values())
-    return {"condensates": 3**m, "supports": n_supports, **failures, "total": total, "ok": ok}
-
-
+# A check of the engine, not part of it: it stays in this module only because
+# perfbench/layers.py imports it from here.  Its home is chio.verify.
 def kwise_agreement_check(n: int, workers: int | None = None) -> dict:
     """Compare empirical event measures against the lazy coin flip values.
 

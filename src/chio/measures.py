@@ -180,22 +180,6 @@ _set_matrix = Event.matrix.__set__
 _set_ambient = Event._ambient.__set__
 
 
-def cover_height(domain: IndexSet, ambient: IndexSet) -> int:
-    """Free sign choices when realizing an event by condensation.
-
-    Equals ``|ambient~| - |I| - |p1(I)| - |p2(I)|`` where ``ambient~`` is
-    the Chio extension of the ambient set; always at least 1 (the pivot
-    sign is always free).
-    """
-    if not domain.members <= ambient.members:
-        raise ValueError("domain must be contained in the ambient set")
-    extended = chio_extend(ambient)
-    h = len(extended) - len(domain) - len(domain.rows) - len(domain.cols)
-    if h < 1:
-        raise AssertionError("cover height must be >= 1")
-    return h
-
-
 def p_lcf(event: Event) -> DyadicProb:
     """Lazy coin flip measure: 2^-(dom + supp); never zero."""
     m = event.matrix

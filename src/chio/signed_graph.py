@@ -214,11 +214,9 @@ def _scan(
     return components, component, parent
 
 
-def _graph_scan(graph: SignedBipartiteGraph, edges: Iterable[Index2] | None = None):
-    """:func:`_scan` of the graph's vertices with ``edges`` (by default its
-    own), in sorted order."""
-    edges = sorted(graph.edges if edges is None else edges)
-    return _scan(graph.row_vertices, graph.col_vertices, edges)
+def _graph_scan(graph: SignedBipartiteGraph):
+    """:func:`_scan` of the graph's vertices and edges, in sorted order."""
+    return _scan(graph.row_vertices, graph.col_vertices, sorted(graph.edges))
 
 
 def balance_summary(

@@ -60,13 +60,6 @@ def switch_matrix(matrix: PartialTernaryMatrix, g: int) -> PartialTernaryMatrix:
     return PartialTernaryMatrix(matrix.dims, _switch(matrix.dims, g, matrix.entries))
 
 
-def switch_signing(graph: SignedBipartiteGraph, g: int) -> SignedBipartiteGraph:
-    """Apply a switching to the sign function of a graph."""
-    if graph.sign is None:
-        raise ValueError("graph carries no sign function")
-    return graph.with_sign(_switch(graph.dims, g, graph.sign))
-
-
 def signing_tuple(graph: SignedBipartiteGraph) -> tuple[int, ...]:
     """Signs in sorted edge order; canonical key for orbit sets."""
     if graph.sign is None:
@@ -97,32 +90,6 @@ def orbit(graph: SignedBipartiteGraph) -> set[tuple[int, ...]]:
     for flip in incidence.values():
         masks |= {mask ^ flip for mask in masks}
     return {tuple(-1 if mask >> e & 1 else 1 for e in range(len(edges))) for mask in masks}
-
-
-def balanced_extension(
-    graph: SignedBipartiteGraph, forest_signing: Mapping[Index2, int]
-) -> SignedBipartiteGraph:
-    """The unique balanced signing extending a spanning-forest signing.
-
-    One unsigned scan of the given edges on the graph's vertices checks
-    them: they are acyclic iff there are f0 - beta0 of them, and they
-    span iff every graph edge joins two vertices of one of their
-    components.  The scan's parent map then colours the vertices.
-
-    Raises:
-        ValueError: if the given edges are not a spanning forest of the
-            graph (cycle, missing coverage, or unknown edge), or a sign
-            is not -1 or +1 (refused by the signed graph built last).
-    """
-    forest = dict(forest_signing)
-    if not forest.keys() <= graph.edges:
-        raise ValueError("forest edges must be edges of the graph")
-    beta0, component, parent = _graph_scan(graph, forest)
-    if len(forest) != graph.f0 - beta0:
-        raise ValueError("not a spanning forest: contains a cycle")
-    if any(component[i] != component[-j] for i, j in graph.edges):
-        raise ValueError("not a spanning forest: component split")
-    return graph.with_sign(_extend(graph, parent, forest))
 
 
 def _extend(

@@ -8,7 +8,10 @@ the test suite cannot drift apart.
 Suites: chio-identity (Chio's determinant identity on every sign matrix
 at n = 4 and, with ``big``, 5; rank drop), measures
 (census preimages, read per support from the sparse census at n = 3, 4
-and, with ``big``, 5; recipe equivalence, averaging, worst-case ratio,
+and, with ``big``, 5, by :func:`preimage_support_check`, which lives
+here, apart from the census engine it checks, and whose one n = 3
+reading also serves the census-level averaging check; recipe
+equivalence, averaging, worst-case ratio,
 ambient-set independence counted over condensed sign matrices),
 failures (enumerated counts against closed forms), census (partition,
 determinism across process pools, k-wise agreement, singular counts),
@@ -23,16 +26,20 @@ from collections import Counter
 from itertools import combinations, islice, product
 from math import comb
 
+import numpy as np
+
 from .matrix_core import IndexSet, PartialTernaryMatrix, SignMatrix, chio_condense, chio_extend
 from .measures import (
     Event,
+    fibre_cardinality,
     p_chio,
+    p_chio_abs,
     p_chio_averaged,
     p_chio_sign_patterns,
     p_lcf,
     recipe_p_chio,
 )
-from .signed_graph import IsoType, SignedBipartiteGraph, balance_summary, betti
+from .signed_graph import IsoType, SignedBipartiteGraph, balance_summary, betti, support_cycles
 from .failure_enum import (
     check_linear_relations,
     count_failures,
@@ -43,9 +50,9 @@ from .failure_enum import (
 )
 from .census_oracle import (
     CensusConfig,
+    _condensate_masks,
     chio_identity_chunk,
     kwise_agreement_check,
-    preimage_support_check,
     rank_census,
     run_census,
     singular_count,
@@ -119,15 +126,95 @@ def suite_chio_identity(big: bool = False, workers: int | None = None) -> list[d
 # --- measures ----------------------------------------------------------------
 
 
-def census_measure_agreement(n: int, workers: int | None = None) -> dict:
+def preimage_support_check(n: int, codes: np.ndarray, counts: np.ndarray) -> dict:
+    """Check the sparse ``cond_counts`` pair of the n x n census, support by support.
+
+    By the paper's characterization, the codes on a support S with a
+    nonzero count are its 2^rank(S) signings that are even on every cycle
+    mask of S (this parity test is the reader's own), each counted
+    ``fibre_cardinality`` of S's all-plus event, whose one graph scan
+    also gives the masks; S's total is what ``p_lcf`` (averaged over
+    signs) and ``p_chio_abs`` of its {0,1} pattern give.
+
+    Returns ``mismatches`` (codes, of all 3^((n-1)^2), whose count is not
+    the formula's), ``non_power_of_two``, ``missing_supports``, and
+    ``averaged_mismatches`` and ``forgetting_mismatches`` (supports), with
+    ``condensates``, ``supports``, ``total`` and ``ok``.
+
+    Raises:
+        ValueError: unless the codes are sorted distinct condensate codes, one count each.
+    """
+    m = (n - 1) ** 2
+    n_supports = 1 << m
+    if codes.shape != counts.shape or (np.diff(codes) <= 0).any() or (
+        codes.size and (codes[0] < 0 or codes[-1] >= 3**m)
+    ):
+        raise ValueError("not a sparse condensate census: codes must be sorted, distinct, in range")
+    positions = [(i, j) for i in range(1, n) for j in range(1, n)]
+    # cycles[c, S]: the code bits of S's c-th cycle mask, 0 past beta1(S).
+    cycles = np.zeros(((n - 2) ** 2, n_supports), dtype=np.int64)
+    rank = np.zeros(n_supports, dtype=np.int64)
+    expected = np.zeros(n_supports, dtype=np.int64)
+    targets = []
+    scale = 1 << (n * n)
+    for s in range(n_supports):
+        bits = [b for b in range(m) if s >> b & 1]
+        pattern = PartialTernaryMatrix((n, n), {p: s >> b & 1 for b, p in enumerate(positions)})
+        event = Event.on_full_grid(pattern)
+        expected[s] = fibre_cardinality(event)
+        rank[s], masks = support_cycles(tuple(positions[b] for b in bits))
+        for c, mask in enumerate(masks):
+            cycles[c, s] = sum(1 << b for e, b in enumerate(bits) if mask >> e & 1)
+        averaged = p_lcf(event).as_fraction() * (scale << len(bits))
+        targets.append((averaged, p_chio_abs(pattern).as_fraction() * scale))
+
+    # parity[x] is 1 when x has an odd number of set bits.
+    parity = np.zeros(n_supports, dtype=np.uint8)
+    for b in range(m):
+        parity[1 << b : 2 << b] = parity[: 1 << b] ^ 1
+    mismatches = nonpow = 0
+    balanced_present = np.zeros(n_supports, dtype=np.int64)
+    totals = np.zeros(n_supports, dtype=np.int64)
+    chunk = 1 << 16
+    for lo in range(0, codes.size, chunk):
+        support, minus = _condensate_masks(codes[lo : lo + chunk], n)
+        count = counts[lo : lo + chunk]
+        odd = np.zeros(support.size, dtype=np.uint8)
+        for row in cycles:
+            odd |= parity[row[support] & minus]
+        balanced = odd == 0
+        mismatches += np.count_nonzero(np.where(balanced, count != expected[support], count != 0))
+        nonpow += np.count_nonzero(count & (count - 1))
+        balanced_present += np.bincount(support[balanced], minlength=n_supports)
+        np.add.at(totals, support, count)
+    # Balanced codes absent from the census.
+    mismatches += ((1 << rank) - balanced_present).sum()
+    failures = {
+        "mismatches": int(mismatches),
+        "non_power_of_two": int(nonpow),
+        "missing_supports": int((totals == 0).sum()),
+        "averaged_mismatches": sum(t != a for t, (a, _) in zip(totals.tolist(), targets)),
+        "forgetting_mismatches": sum(t != f for t, (_, f) in zip(totals.tolist(), targets)),
+    }
+    total = int(counts.sum())
+    ok = total == scale and not any(failures.values())
+    return {"condensates": 3**m, "supports": n_supports, **failures, "total": total, "ok": ok}
+
+
+def census_preimage_report(n: int, workers: int | None = None) -> dict:
+    """:func:`preimage_support_check` of the n x n census's ``cond_counts``."""
+    res = run_census(CensusConfig(dims=(n, n), worker_count=workers), aggregates=("cond_counts",))
+    return preimage_support_check(n, res.cond_codes, res.cond_counts)
+
+
+def census_measure_agreement(n: int, report: dict) -> dict:
     """Every condensate preimage count equals the closed fibre formula.
 
     ``fibre_cardinality`` is called once per support, on its all-plus
     event; which signings are balanced, and so counted, is decided by the
-    reader's own cycle-parity test (:func:`preimage_support_check`).
+    reader's own cycle-parity test.  ``report`` is
+    :func:`census_preimage_report` of the n x n census.
     """
-    res = run_census(CensusConfig(dims=(n, n), worker_count=workers), aggregates=("cond_counts",))
-    report = preimage_support_check(n, res.cond_codes, res.cond_counts)
     return _check(
         f"census preimages == fibre formula n={n}",
         report["ok"],
@@ -196,12 +283,9 @@ def recipe_equivalence_scan(n: int, workers: int | None = None) -> dict:
     )
 
 
-def averaging_checks(workers: int | None = None) -> list[dict]:
-    """Averaged measure equals lazy coin flip; |.|-measure is uniform.
-
-    Formula-level over every domain, and census-level at n by comparing
-    each support's summed preimage counts (:func:`preimage_support_check`).
-    """
+def averaging_check() -> dict:
+    """Averaged measure equals lazy coin flip, formula-level over every
+    domain at n = 3."""
     n = 3
     positions = [(i, j) for i in range(1, n) for j in range(1, n)]
     mismatches = 0
@@ -213,23 +297,25 @@ def averaging_checks(workers: int | None = None) -> list[dict]:
                 events += 1
                 if p_chio_averaged(matrix) != p_lcf(Event(matrix)):
                     mismatches += 1
-    formula_check = _check(
+    return _check(
         f"averaged measure == lazy coin flip, all domains, n={n}",
         mismatches == 0,
         events=events,
         mismatches=mismatches,
     )
 
-    res = run_census(CensusConfig(dims=(n, n), worker_count=workers), aggregates=("cond_counts",))
-    report = preimage_support_check(n, res.cond_codes, res.cond_counts)
-    census_check = _check(
+
+def averaging_census_check(n: int, report: dict) -> dict:
+    """Averaged measure equals lazy coin flip and the |.|-measure is
+    uniform, census-level: each support's summed preimage counts, read
+    from ``report`` (:func:`census_preimage_report` of the n x n census)."""
+    return _check(
         f"averaging and sign-forgetting vs census counts, n={n}",
         report["averaged_mismatches"] == 0 and report["forgetting_mismatches"] == 0,
         patterns=report["supports"],
         averaged_mismatches=report["averaged_mismatches"],
         forgetting_mismatches=report["forgetting_mismatches"],
     )
-    return [formula_check, census_check]
 
 
 def worst_ratio_scan(n: int) -> dict:
@@ -296,13 +382,19 @@ def j_independence_check() -> dict:
 
 
 def suite_measures(big: bool = False, workers: int | None = None) -> list[dict]:
-    checks = [census_measure_agreement(3, workers), census_measure_agreement(4, workers)]
+    # One n = 3 census and one reading of it serve two checks.
+    report3 = census_preimage_report(3, workers)
+    checks = [
+        census_measure_agreement(3, report3),
+        census_measure_agreement(4, census_preimage_report(4, workers)),
+    ]
     if big:
-        checks.append(census_measure_agreement(5, workers))
+        checks.append(census_measure_agreement(5, census_preimage_report(5, workers)))
     checks.append(recipe_equivalence_scan(4, workers))
     if big:
         checks.append(recipe_equivalence_scan(5, workers))
-    checks.extend(averaging_checks(workers))
+    checks.append(averaging_check())
+    checks.append(averaging_census_check(3, report3))
     checks.append(worst_ratio_scan(3))
     checks.append(worst_ratio_scan(4))
     checks.append(j_independence_check())

@@ -15,9 +15,11 @@ from chio.measures import DyadicProb, Event, p_chio_averaged, p_lcf, p_chio_abs
 from chio.matrix_core import PartialTernaryMatrix
 from chio.census_oracle import CensusConfig, condensate_code, rank_census, run_census
 from chio.verify import (
-    averaging_checks,
+    averaging_census_check,
+    averaging_check,
     census_determinism,
     census_measure_agreement,
+    census_preimage_report,
     chio_identity_exhaustive,
     h_identity_check,
     linear_relations_check,
@@ -52,8 +54,8 @@ def test_criterion_01_chio_identity_exhaustive():
 
 def test_criterion_02_measure_oracle():
     start = time.time()
-    ok3 = census_measure_agreement(3, workers=4)["ok"]
-    ok4 = census_measure_agreement(4, workers=4)["ok"]
+    ok3 = census_measure_agreement(3, census_preimage_report(3, workers=4))["ok"]
+    ok4 = census_measure_agreement(4, census_preimage_report(4, workers=4))["ok"]
     elapsed = time.time() - start
     report(
         2,
@@ -118,7 +120,7 @@ def test_criterion_06_recipe_equivalence():
 
 
 def test_criterion_07_averaging_and_sign_forgetting():
-    checks = averaging_checks()
+    checks = [averaging_check(), averaging_census_check(3, census_preimage_report(3))]
     ok = all(c["ok"] for c in checks)
     report(
         7,

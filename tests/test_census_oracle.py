@@ -21,6 +21,7 @@ from chio.matrix_core import (
 )
 from chio import census_oracle, parallel, signed_graph, verify
 from chio.measures import Event, fibre_cardinality
+from chio.verify import preimage_support_check
 from chio.census_oracle import (
     AGGREGATE_NAMES,
     CHECKPOINT_VERSION,
@@ -34,7 +35,6 @@ from chio.census_oracle import (
     decode_condensate,
     kwise_agreement_check,
     load_checkpoint,
-    preimage_support_check,
     rank_census,
     run_census,
     save_checkpoint,
@@ -342,6 +342,21 @@ class TestPreimageSupportCheck:
         signed_graph.support_cycles.cache_clear()
         assert preimage_support_check(n, *pair)["ok"]
         assert len(scans) == 1 << (n - 1) ** 2
+
+    def test_suite_measures_reads_the_3x3_census_once(self, monkeypatch):
+        # Its preimage check and its census-level averaging check share one report.
+        censuses = []
+        real = verify.run_census
+
+        def counting(cfg, aggregates, *args, **kwargs):
+            censuses.append((cfg.dims, tuple(aggregates)))
+            return real(cfg, aggregates, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "run_census", counting)
+        checks = {c["check"]: c for c in verify.suite_measures(workers=1)}
+        assert censuses.count(((3, 3), ("cond_counts",))) == 1
+        assert checks["census preimages == fibre formula n=3"]["ok"]
+        assert checks["averaging and sign-forgetting vs census counts, n=3"]["ok"]
 
     def test_does_not_need_bitwise_count(self, monkeypatch):
         # numpy >= 1.24 is supported; np.bitwise_count only came in 2.0.

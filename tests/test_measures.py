@@ -17,7 +17,6 @@ from chio.matrix_core import IndexSet, PartialTernaryMatrix, chio_extend, full_i
 from chio.measures import (
     DyadicProb,
     Event,
-    cover_height,
     fibre_cardinality,
     p_chio,
     p_chio_abs,
@@ -149,8 +148,9 @@ class TestEvents:
         assert event == Event(matrix, matrix.domain)
 
     def test_cover_height_fully_specified(self):
+        # The cover height of an event is |ambient~| - |I| - |p1(I)| - |p2(I)|.
         empty = IndexSet((2, 2), frozenset())
-        assert cover_height(empty, empty) == 1
+        assert len(chio_extend(empty)) == 1
 
     @given(st.data())
     @settings(max_examples=60)
@@ -158,10 +158,9 @@ class TestEvents:
         cells = [(i, j) for i in range(1, 4) for j in range(1, 4)]
         ambient = data.draw(st.sets(st.sampled_from(cells)))
         domain = data.draw(st.sets(st.sampled_from(sorted(ambient)))) if ambient else set()
-        h = cover_height(
-            IndexSet((4, 4), frozenset(domain)), IndexSet((4, 4), frozenset(ambient))
-        )
-        assert h >= 1
+        index = IndexSet((4, 4), frozenset(domain))
+        extended = chio_extend(IndexSet((4, 4), frozenset(ambient)))
+        assert len(extended) - len(index) - len(index.rows) - len(index.cols) >= 1
 
 
 class TestLcf:
@@ -260,7 +259,8 @@ class TestFibres:
                     matrix = PartialTernaryMatrix((3, 4), dict(zip(chosen, values)))
                     ambient = IndexSet((3, 4), frozenset(cells))
                     event = Event(matrix, ambient)
-                    h = cover_height(matrix.domain, ambient)
+                    domain = matrix.domain
+                    h = len(chio_extend(ambient)) - len(domain) - len(domain.rows) - len(domain.cols)
                     graph = build_graph(matrix)
                     colourings = brute_count_colorings(
                         graph.row_vertices, graph.col_vertices, graph.sign

@@ -11,15 +11,14 @@ from chio import signed_graph, switching
 from chio.matrix_core import PartialTernaryMatrix
 from chio.signed_graph import SignedBipartiteGraph, balance_summary, betti, build_graph
 from chio.switching import (
+    _switch,
     all_switches,
-    balanced_extension,
     balanced_sign_maps,
     balanced_signings,
     orbit,
     rank_invariance_check,
     signing_tuple,
     switch_matrix,
-    switch_signing,
 )
 
 from oracles import brute_count_balanced_signings, brute_is_balanced
@@ -30,6 +29,13 @@ ALL_MINUS = {p: -1 for p in C4}
 
 def is_balanced(graph):
     return balance_summary(graph.dims, graph.sign)[0]
+
+
+def scan_forest(graph):
+    """The edges of the spanning forest whose signings ``balanced_sign_maps``
+    extends: the parent edges of the graph's scan."""
+    _, _, parent = signed_graph._graph_scan(graph)
+    return sorted((u, -v) if v < 0 else (v, -u) for v, u in parent.items())
 
 
 def circuit_graph(sign=ALL_MINUS, dims=(4, 4)):
@@ -72,7 +78,7 @@ class TestAction:
             with pytest.raises(ValueError, match=r"not in 0 \.\. 2\^7 - 1"):
                 switch_matrix(matrix, g)
             with pytest.raises(ValueError, match=r"not in 0 \.\. 2\^7 - 1"):
-                switch_signing(graph, g)
+                _switch(graph.dims, g, graph.sign)
         assert switch_matrix(matrix, (1 << 7) - 1).entries == matrix.entries
 
     def test_support_is_preserved(self):
@@ -112,7 +118,7 @@ class TestAction:
                 switched = build_graph(switch_matrix(matrix, g))
                 assert switched.edges == graph.edges
                 if graph.edges:
-                    assert switched.sign == switch_signing(graph, g).sign
+                    assert switched.sign == _switch(graph.dims, g, graph.sign)
                     assert is_balanced(switched) == balanced_before
 
     def test_balance_is_switching_invariant(self):
@@ -120,7 +126,7 @@ class TestAction:
             graph = circuit_graph(dict(zip(sorted(C4), signs)))
             before = is_balanced(graph)
             for g in all_switches(4, 4):
-                assert is_balanced(switch_signing(graph, g)) == before
+                assert is_balanced(graph.with_sign(_switch(graph.dims, g, graph.sign))) == before
 
 
 class TestOrbits:
@@ -176,17 +182,22 @@ class TestOrbits:
                 edges=frozenset(edges),
                 sign={e: rng.choice((-1, 1)) for e in edges},
             )
-            every = {signing_tuple(switch_signing(graph, g)) for g in all_switches(5, 6)}
+            every = {
+                signing_tuple(graph.with_sign(_switch(graph.dims, g, graph.sign)))
+                for g in all_switches(5, 6)
+            }
             assert orbit(graph) == every
 
 
 class TestBalancedExtension:
     def test_circuit_parity_forced(self):
         graph = circuit_graph(None)
-        tree = {(1, 1): -1, (1, 2): -1, (2, 1): -1}
-        extended = balanced_extension(graph, tree)
-        assert extended.sign[(2, 2)] == -1
-        assert is_balanced(extended)
+        forest = scan_forest(graph)
+        assert len(forest) == 3
+        (extended,) = [s for s in balanced_sign_maps(graph) if all(s[e] == -1 for e in forest)]
+        (rest,) = C4 - set(forest)
+        assert extended[rest] == -1
+        assert is_balanced(graph.with_sign(extended))
 
     def test_all_tree_signings_of_k23_extend(self):
         k23 = {(i, j) for i in (1, 2) for j in (1, 2, 3)}
@@ -196,13 +207,12 @@ class TestBalancedExtension:
             col_vertices=frozenset({1, 2, 3}),
             edges=frozenset(k23),
         )
-        tree = [(1, 1), (1, 2), (1, 3), (2, 1)]
-        seen = set()
-        for signs in product((-1, 1), repeat=4):
-            extended = balanced_extension(graph, dict(zip(tree, signs)))
-            assert is_balanced(extended)
-            seen.add(signing_tuple(extended))
-        assert len(seen) == 16  # bijection with balanced signings
+        forest = scan_forest(graph)
+        signs = list(balanced_sign_maps(graph))
+        assert all(is_balanced(graph.with_sign(sign)) for sign in signs)
+        # A bijection between the signings of the forest and the balanced signings.
+        restricted = sorted(tuple(sign[e] for e in forest) for sign in signs)
+        assert restricted == sorted(product((-1, 1), repeat=4))
 
     def test_one_scan_per_graph(self, monkeypatch):
         calls = []
@@ -259,10 +269,9 @@ class TestBalancedExtension:
             col_vertices=frozenset({1, 2, 3}),
             edges=frozenset(k23),
         )
-        tree = [(1, 1), (1, 2), (1, 3), (2, 1)]
-        for signs in product((-1, 1), repeat=4):
-            tree_sign = dict(zip(tree, signs))
-            expected = balanced_extension(graph, tree_sign).sign
+        forest = scan_forest(graph)
+        for expected in balanced_sign_maps(graph):
+            tree_sign = {e: expected[e] for e in forest}
             for _ in range(4):
                 remaining = [e for e in k23 if e not in tree_sign]
                 rng.shuffle(remaining)
@@ -278,17 +287,6 @@ class TestBalancedExtension:
                     assert choice is not None
                     greedy[edge] = choice
                 assert greedy == dict(expected)
-
-    def test_rejects_cycles_and_wrong_counts(self):
-        graph = circuit_graph(None)
-        with pytest.raises(ValueError, match="contains a cycle"):
-            balanced_extension(graph, {p: -1 for p in C4})
-        with pytest.raises(ValueError, match="component split"):
-            balanced_extension(graph, {(1, 1): -1})
-        with pytest.raises(ValueError, match="edges of the graph"):
-            balanced_extension(graph, {(1, 1): -1, (1, 2): -1, (3, 3): 1})
-        with pytest.raises(ValueError, match="-1 or \\+1"):
-            balanced_extension(graph, {(1, 1): -1, (1, 2): 0, (2, 1): 1})
 
 
 class TestRankInvariance:
