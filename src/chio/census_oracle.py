@@ -260,27 +260,6 @@ def _bit_index(i: int, j: int, t: int) -> int:
     return (i - 1) * t + (j - 1)
 
 
-def condensate_code(matrix: PartialTernaryMatrix) -> int:
-    """Base-3 code of a fully specified ternary (s-1) x (t-1) matrix."""
-    s, t = matrix.dims
-    code = 0
-    for i in range(1, s):
-        for j in range(1, t):
-            idx = (i - 1) * (t - 1) + (j - 1)
-            code += (matrix[(i, j)] + 1) * 3**idx
-    return code
-
-
-def decode_condensate(code: int, s: int, t: int) -> PartialTernaryMatrix:
-    """Inverse of :func:`condensate_code`."""
-    entries = {}
-    for i in range(1, s):
-        for j in range(1, t):
-            entries[(i, j)] = code % 3 - 1
-            code //= 3
-    return PartialTernaryMatrix((s, t), entries)
-
-
 @functools.cache
 def _digit_table(base: int, cols: int) -> np.ndarray:
     """``(cols, base^cols)`` int8, read-only: column r holds the ``cols``
@@ -310,8 +289,9 @@ def _digits(codes: np.ndarray, base: int, rows: int, cols: int) -> np.ndarray:
 
 
 def _condensate_masks(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(support, minus)`` bitmasks of condensate codes, bit b for entry b of
-    :func:`decode_condensate`: set when the entry is nonzero, and when it is -1."""
+    """``(support, minus)`` bitmasks of condensate codes, whose base-3 digit b
+    is row-major entry b plus one.  Bit b is set when entry b is nonzero,
+    and when it is -1."""
     weights = np.left_shift(1, np.arange((n - 1) ** 2, dtype=np.int64))
     digits = _digits(np.asarray(codes, dtype=np.int64), 3, n - 1, n - 1)
     return weights @ (digits != 1), weights @ (digits == 0)

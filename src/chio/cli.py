@@ -229,19 +229,13 @@ def _rank_rows(header: list[str], *histograms) -> list[list]:
 
 def cmd_census(args) -> int:
     s, t = _dims(args)
-    if s * t >= 25 and not args.big:
-        raise UsageError("censuses with 2^25 matrices need --big")
     if args.resume and not args.checkpoint:
         raise UsageError("--resume needs --checkpoint")
     if args.checkpoint:
         # A save writes beside the path and moves the file over it.
         check_writable(args.checkpoint)
         check_writable(args.checkpoint + ".tmp")
-    # Without --chunk-size, CensusConfig's own default applies.
-    chunk = {} if args.chunk_size is None else {"chunk_size": args.chunk_size}
-    cfg = CensusConfig(
-        dims=(s, t), worker_count=args.workers, checkpoint_path=args.checkpoint, **chunk
-    )
+    cfg = CensusConfig(dims=(s, t), worker_count=args.workers, checkpoint_path=args.checkpoint)
     aggregates = ["rank_pm", "rank_cond", "rank_drop_violations"]
     if (s - 1) * (t - 1) <= 9:
         aggregates.append("edge_pairs")
@@ -388,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="exhaustive sign-matrix census")
     common(p, dims=True, workers=True, formats=("json", "csv"))
-    p.add_argument("--big", action="store_true", help="allow 2^25-sized runs")
-    p.add_argument("--chunk-size", type=int, help="codes per chunk (default: the library's)")
     p.add_argument("--checkpoint", help="checkpoint file for resumable runs")
     p.add_argument("--resume", action="store_true", help="resume from the checkpoint")
     p.set_defaults(func=cmd_census)

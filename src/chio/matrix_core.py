@@ -14,23 +14,14 @@ Floating point is never used.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Index2 = tuple[int, int]
 
 SIGNS = (-1, 1)
 TERNARY = (-1, 0, 1)
-
-
-def project_rows(members: Iterable[Index2]) -> frozenset[int]:
-    """First-coordinate projection p1 of a set of positions."""
-    return frozenset(i for i, _ in members)
-
-
-def project_cols(members: Iterable[Index2]) -> frozenset[int]:
-    """Second-coordinate projection p2 of a set of positions."""
-    return frozenset(j for _, j in members)
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,14 +32,12 @@ class IndexSet:
     may live anywhere in ``[s] x [t]``; most call sites restrict them to
     ``[s-1] x [t-1]`` and the restriction is checked where it matters.
 
-    The projections, the inner-box flag and the Chio extension are
-    computed on first use and kept; they take no part in equality.
+    The inner-box flag and the Chio extension are computed on first use
+    and kept; they take no part in equality.
     """
 
     dims: tuple[int, int]
     members: frozenset[Index2] = field(default_factory=frozenset)
-    _rows: frozenset[int] | None = field(default=None, init=False, repr=False, compare=False)
-    _cols: frozenset[int] | None = field(default=None, init=False, repr=False, compare=False)
     _inner: bool | None = field(default=None, init=False, repr=False, compare=False)
     _extension: IndexSet | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -72,15 +61,13 @@ class IndexSet:
 
     @property
     def rows(self) -> frozenset[int]:
-        if self._rows is None:
-            object.__setattr__(self, "_rows", project_rows(self.members))
-        return self._rows
+        """First-coordinate projection p1 of the members."""
+        return frozenset(i for i, _ in self.members)
 
     @property
     def cols(self) -> frozenset[int]:
-        if self._cols is None:
-            object.__setattr__(self, "_cols", project_cols(self.members))
-        return self._cols
+        """Second-coordinate projection p2 of the members."""
+        return frozenset(j for _, j in self.members)
 
     def in_inner_box(self) -> bool:
         """True iff all members lie in ``[s-1] x [t-1]``."""
@@ -91,23 +78,14 @@ class IndexSet:
         return self._inner
 
 
-_FULL_INNER_BOXES: dict[tuple[int, int], IndexSet] = {}
-
-
+@functools.cache
 def full_inner_box(s: int, t: int) -> IndexSet:
     """The full index set ``[s-1] x [t-1]`` with pivot dims ``(s, t)``.
 
-    One shared instance per ``(s, t)``, so its projections and Chio
+    One shared instance per ``(s, t)``, so its inner-box flag and Chio
     extension are computed once.
     """
-    box = _FULL_INNER_BOXES.get((s, t))
-    if box is None:
-        box = IndexSet(
-            (s, t),
-            frozenset((i, j) for i in range(1, s) for j in range(1, t)),
-        )
-        _FULL_INNER_BOXES[(s, t)] = box
-    return box
+    return IndexSet((s, t), frozenset((i, j) for i in range(1, s) for j in range(1, t)))
 
 
 def chio_extend(index_set: IndexSet) -> IndexSet:
@@ -197,13 +175,6 @@ class SignMatrix:
                     raise ValueError(f"invalid sign character {ch!r}")
             rows.append(row)
         return cls.from_rows(rows)
-
-    def to_json_dict(self) -> dict:
-        s, t = self.domain.dims
-        return {
-            "dims": [s, t],
-            "entries": [[i, j, self.entries[(i, j)]] for i, j in sorted(self.entries)],
-        }
 
 
 @dataclass(frozen=True, slots=True, init=False)

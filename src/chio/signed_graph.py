@@ -166,13 +166,18 @@ NONFOREST_TAGS = tuple(IsoType(f"t{k}") for k in range(1, 21))
 
 def build_graph(matrix: PartialTernaryMatrix) -> SignedBipartiteGraph:
     """Graph of a partial ternary matrix: domain gives vertices, support edges."""
-    support = matrix.support
+    rows, cols, sign = set(), set(), {}
+    for (i, j), value in matrix.entries.items():
+        rows.add(i)
+        cols.add(j)
+        if value:
+            sign[(i, j)] = value
     return SignedBipartiteGraph(
         dims=matrix.dims,
-        row_vertices=matrix.domain.rows,
-        col_vertices=matrix.domain.cols,
-        edges=support,
-        sign={pos: matrix[pos] for pos in support},
+        row_vertices=frozenset(rows),
+        col_vertices=frozenset(cols),
+        edges=frozenset(sign),
+        sign=sign,
     )
 
 

@@ -139,14 +139,6 @@ class RankInvarianceReport:
     def all_equal(self) -> bool:
         return self.mismatches == 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "pattern_rank": self.pattern_rank,
-            "signings_checked": self.signings_checked,
-            "mismatches": self.mismatches,
-            "all_equal": self.all_equal,
-        }
-
 
 def rank_invariance_check(pattern: PartialTernaryMatrix) -> RankInvarianceReport:
     """Verify that every balanced signing of a {0,1} pattern keeps its rank.

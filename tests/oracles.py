@@ -251,3 +251,18 @@ def brute_fibre_count(
         if ok:
             count += 1
     return count
+
+
+def condensate_code(entries: dict[tuple[int, int], int]) -> int:
+    """Base-3 code of a full ternary grid: row-major digit b is entry b plus one."""
+    return sum((entries[pos] + 1) * 3**b for b, pos in enumerate(sorted(entries)))
+
+
+def decode_condensate(code: int, s: int, t: int) -> dict[tuple[int, int], int]:
+    """The entries of the ``(s-1) x (t-1)`` grid with ``condensate_code`` ``code``."""
+    entries = {}
+    for i in range(1, s):
+        for j in range(1, t):
+            code, digit = divmod(code, 3)
+            entries[(i, j)] = digit - 1
+    return entries

@@ -22,6 +22,7 @@ from chio.matrix_core import (
 from chio import census_oracle, parallel, signed_graph, verify
 from chio.measures import Event, fibre_cardinality
 from chio.verify import preimage_support_check
+from oracles import condensate_code, decode_condensate
 from chio.census_oracle import (
     AGGREGATE_NAMES,
     CHECKPOINT_VERSION,
@@ -30,9 +31,7 @@ from chio.census_oracle import (
     CensusResult,
     batch_rank,
     binary_rank_counts,
-    condensate_code,
     _condensate_masks,
-    decode_condensate,
     kwise_agreement_check,
     load_checkpoint,
     rank_census,
@@ -208,7 +207,7 @@ class TestCondensateCounts:
         assert codes.tolist() == [0, 1, 2]
         found = dict(zip(codes.tolist(), counts.tolist()))
         values = {
-            v: found[condensate_code(PartialTernaryMatrix((2, 2), {(1, 1): v}))]
+            v: found[condensate_code({(1, 1): v})]
             for v in (-1, 0, 1)
         }
         assert values == {-1: 4, 0: 8, 1: 4}
@@ -218,7 +217,7 @@ class TestCondensateCounts:
         assert int(counts.sum()) == 512
         found = dict(zip(codes.tolist(), counts.tolist()))
         for code in range(3**4):
-            matrix = decode_condensate(code, 3, 3)
+            matrix = PartialTernaryMatrix((3, 3), decode_condensate(code, 3, 3))
             assert found.get(code, 0) == fibre_cardinality(Event.on_full_grid(matrix))
 
     def test_counts_are_zero_or_powers_of_two(self):
@@ -228,10 +227,8 @@ class TestCondensateCounts:
             assert v > 0 and (v & (v - 1)) == 0
 
     def test_code_roundtrip(self):
-        matrix = PartialTernaryMatrix((4, 4), {
-            (i, j): ((i + j) % 3 - 1) for i in range(1, 4) for j in range(1, 4)
-        })
-        assert decode_condensate(condensate_code(matrix), 4, 4).entries == matrix.entries
+        entries = {(i, j): ((i + j) % 3 - 1) for i in range(1, 4) for j in range(1, 4)}
+        assert decode_condensate(condensate_code(entries), 4, 4) == entries
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -243,17 +240,18 @@ class TestCondensateCounts:
 def _dense_mismatches(n, codes, counts):
     """Codes, among all 3^((n-1)^2), whose count is not the fibre formula's."""
     found = dict(zip(codes.tolist(), counts.tolist()))
-    return sum(
-        found.get(code, 0) != fibre_cardinality(Event.on_full_grid(decode_condensate(code, n, n)))
-        for code in range(3 ** ((n - 1) ** 2))
-    )
+    mismatches = 0
+    for code in range(3 ** ((n - 1) ** 2)):
+        matrix = PartialTernaryMatrix((n, n), decode_condensate(code, n, n))
+        mismatches += found.get(code, 0) != fibre_cardinality(Event.on_full_grid(matrix))
+    return mismatches
 
 
 def _full_support_code(n, minus=()):
     """The code of the condensate that is -1 at the entries ``minus``, +1 elsewhere."""
     positions = [(i, j) for i in range(1, n) for j in range(1, n)]
     entries = {p: -1 if p in minus else 1 for p in positions}
-    return condensate_code(PartialTernaryMatrix((n, n), entries))
+    return condensate_code(entries)
 
 
 class TestPreimageSupportCheck:
@@ -263,9 +261,9 @@ class TestPreimageSupportCheck:
         codes = np.arange(3 ** len(positions), dtype=np.int64)
         support, minus = _condensate_masks(codes, n)
         for code in codes.tolist():
-            matrix = decode_condensate(code, n, n)
-            assert support[code] == sum(1 << b for b, p in enumerate(positions) if matrix[p])
-            assert minus[code] == sum(1 << b for b, p in enumerate(positions) if matrix[p] < 0)
+            entries = decode_condensate(code, n, n)
+            assert support[code] == sum(1 << b for b, p in enumerate(positions) if entries[p])
+            assert minus[code] == sum(1 << b for b, p in enumerate(positions) if entries[p] < 0)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_census_passes(self, n):
@@ -594,7 +592,7 @@ class TestKernels:
         res = run_census(cfg, aggregates=("cond_counts",))
         mask, value = census_oracle._fixed_bits(filters, 5)
         brute = Counter(
-            condensate_code(chio_condense(_sign_matrix(code, 5, 5)))
+            condensate_code(chio_condense(_sign_matrix(code, 5, 5)).entries)
             for code in _admissible(mask, value, 25)
         )
         assert res.visited == 256 and sum(brute.values()) == 256

@@ -295,12 +295,12 @@ class TestExitCodes:
             "classify": matrix,
             "failures": report | {"--k", "--n", "--formula-only"},
             "formulas": {"--out", "--n"},
-            "census": dims | {"--big", "--chunk-size", "--checkpoint", "--resume"},
+            "census": dims | {"--checkpoint", "--resume"},
             "ranks": dims,
             "switch-orbit": matrix,
             "verify": report | {"--suite", "--big", "--workers", "--timings"},
         }
-        assert sum(map(len, options.values())) == 44
+        assert sum(map(len, options.values())) == 42
 
     @pytest.mark.parametrize(
         "argv",
@@ -354,9 +354,25 @@ class TestExitCodes:
         code, out, err = run(capsys, "ranks", "--s", "3", "--workers", "1")
         assert code == 2 and out == "" and "--n or both --s and --t" in err
 
-    def test_census_budget_needs_big(self, capsys):
-        code, _, err = run(capsys, "census", "--n", "5")
-        assert code == 2 and "--big" in err
+    @pytest.mark.parametrize("command", ["census", "ranks"])
+    def test_census_past_the_budget_refused(self, capsys, command):
+        code, out, err = run(capsys, command, "--s", "2", "--t", "13", "--workers", "1")
+        assert code == 2 and out == "" and "2^25 budget" in err and "Traceback" not in err
+
+    def test_census_at_the_budget_needs_no_flag(self, capsys, monkeypatch):
+        import chio.cli
+        from chio.census_oracle import CensusResult
+
+        calls = []
+
+        def stub(cfg, aggregates, resume):
+            calls.append((cfg.dims, cfg.chunk_size))
+            return CensusResult.empty(cfg.dims, aggregates)
+
+        monkeypatch.setattr(chio.cli, "run_census", stub)
+        code, out, err = run(capsys, "census", "--n", "5", "--workers", "1")
+        assert code == 0 and err == "" and json.loads(out)["dims"] == [5, 5]
+        assert calls == [((5, 5), chio.cli.CensusConfig((5, 5)).chunk_size)]
 
     def test_census_resume_bad_checkpoint(self, capsys, tmp_path):
         from chio.census_oracle import CensusConfig, run_census
@@ -385,16 +401,6 @@ class TestExitCodes:
         assert code == 0
         with np.load(path, allow_pickle=False) as ckpt:
             assert int(ckpt["header"][3]) == CensusConfig((3, 3)).chunk_size
-
-    def test_census_chunk_size_past_int64_refused(self, capsys, tmp_path):
-        # The checkpoint header stores the chunk size as int64.
-        path = tmp_path / "c.ckpt"
-        code, out, err = run(
-            capsys, "census", "--n", "3", "--workers", "1",
-            "--chunk-size", "99999999999999999999", "--checkpoint", str(path),
-        )
-        assert code == 2 and out == "" and "chunk_size" in err and "Traceback" not in err
-        assert list(tmp_path.iterdir()) == []
 
     def test_census_resume_needs_checkpoint(self, capsys):
         code, out, err = run(capsys, "census", "--n", "3", "--workers", "1", "--resume")

@@ -9,7 +9,8 @@ through a ``from .x import y`` binding, top-level or inside the body,
 and to ``(x, y)`` for ``x.y`` where ``x`` is a package module.
 Annotations are skipped: ``from __future__ import annotations`` leaves
 them unevaluated.  One table, ``RULES``, pins what each checked path
-may not reach.
+may not reach.  The same graph pins that the library holds no function
+or class that only the tests reach.
 """
 
 import ast
@@ -17,6 +18,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+
+from test_perfbench_imports import chio_imports
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "chio"
@@ -114,12 +117,14 @@ def _module_nodes(tree: ast.Module):
     return nodes, bindings
 
 
+PARSED = {m: _module_nodes(ast.parse((PACKAGE / f"{m}.py").read_text())) for m in MODULES}
+
+
 def reach_graph() -> dict[tuple[str, str | None], set[tuple[str, str | None]]]:
     """Edges of the name-level reach graph of ``src/chio``.  A module node
     ``(m, None)`` has an edge to every node of m."""
-    parsed = {m: _module_nodes(ast.parse((PACKAGE / f"{m}.py").read_text())) for m in MODULES}
     graph = {}
-    for module, (nodes, bindings) in parsed.items():
+    for module, (nodes, bindings) in PARSED.items():
         graph[(module, None)] = {(module, name) for name in nodes}
         for name, body in nodes.items():
             edges = set()
@@ -222,3 +227,39 @@ def test_oracles_import_nothing_from_chio():
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
     assert not {m for m in imported if m.startswith(".") or m.split(".")[0] == "chio"}
+
+
+def defining_node(module: str, name: str | None) -> tuple[str, str | None]:
+    """The node that ``name``, as bound in ``module``, refers to: followed
+    through ``from .x import y`` bindings to where it is defined."""
+    while name is not None and (module, name) not in GRAPH:
+        module, name = PARSED[module][1][name]
+    return module, name
+
+
+def test_every_module_level_def_is_reached_from_a_caller():
+    """Every module-level ``def`` and ``class`` of ``src/chio`` is reached from
+    ``cli.main``, from the names ``chio/__init__.py`` binds, or from the
+    ``chio`` names the benchmark imports.  Anything else is reached only by
+    the tests, and belongs in them.
+
+    Method bodies are out of scope: the graph does not follow a call on an
+    object, so it cannot tell a dead method from a live one.  A class counts
+    as reached as a whole, and what its methods name counts as reached too.
+    """
+    roots = {("cli", "main")}
+    roots.update(defining_node(*target) for target in PARSED["__init__"][1].values())
+    for _, module, name in chio_imports():
+        sub = module.partition(".")[2]
+        if not sub:  # from chio import name
+            sub, name = (name, None) if name in MODULES else ("__init__", name)
+        roots.add(defining_node(sub, name))
+    reached = set(roots).union(*(reach(root) for root in roots))
+    defs = {
+        (module, name)
+        for module, (nodes, _) in PARSED.items()
+        for name, body in nodes.items()
+        if isinstance(body, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    unreached = sorted(f"{module}.{name}" for module, name in defs - reached)
+    assert not unreached, f"reached by no command, check or benchmark: {unreached}"
