@@ -36,6 +36,10 @@ from .signed_graph import (
 
 __version__ = "0.1.0"
 
+# The verify suites, in run order; here rather than in verify, so that the
+# CLI can name them without loading numpy.
+SUITES = ("chio-identity", "measures", "failures", "census", "switching", "relations")
+
 __all__ = [
     "IndexSet",
     "IntMatrix",

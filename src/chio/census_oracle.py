@@ -95,7 +95,7 @@ _ENTRIES = {
 AGGREGATE_NAMES = tuple(dict.fromkeys(agg for agg, _ in _ENTRIES.values() if agg))
 
 
-class BudgetExceeded(Exception):
+class BudgetExceeded(ValueError):
     """Enumeration space larger than the configured budget."""
 
 

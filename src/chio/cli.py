@@ -39,10 +39,10 @@ from .failure_enum import (
     realization_table,
     xi,
 )
-from .census_oracle import BudgetExceeded, CensusConfig, rank_census, run_census
-from .switching import balanced_signings, orbit, signing_tuple
-from .verify import SUITES, run_suites
-from . import __version__, parallel
+from . import SUITES, __version__, parallel
+
+# The commands that use census_oracle, switching or verify import them when
+# they run: census_oracle and verify load numpy, which no other command needs.
 
 
 class UsageError(Exception):
@@ -228,6 +228,8 @@ def _rank_rows(header: list[str], *histograms) -> list[list]:
 
 
 def cmd_census(args) -> int:
+    from .census_oracle import CensusConfig, run_census
+
     s, t = _dims(args)
     if args.resume and not args.checkpoint:
         raise UsageError("--resume needs --checkpoint")
@@ -246,6 +248,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_ranks(args) -> int:
+    from .census_oracle import rank_census
+
     s, t = _dims(args)
     census = rank_census(s, t, workers=args.workers)
     payload = census.to_json_dict()
@@ -260,6 +264,8 @@ def cmd_ranks(args) -> int:
 
 
 def cmd_switch_orbit(args) -> int:
+    from .switching import balanced_signings, orbit, signing_tuple
+
     matrix = parse_ternary_matrix(args.matrix, args.n)
     graph = build_graph(matrix)
     balanced, f0, beta0 = matrix_balance(matrix)
@@ -280,6 +286,8 @@ def cmd_switch_orbit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suites
+
     names = []
     for item in args.suite:
         names.extend(part for part in item.split(",") if part)
@@ -422,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             check_writable(args.out)
         return args.func(args)
-    except (UsageError, BudgetExceeded, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

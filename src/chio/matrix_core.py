@@ -226,10 +226,6 @@ class PartialTernaryMatrix:
         return IndexSet(self.dims, frozenset(self.entries))
 
     @property
-    def support(self) -> frozenset[Index2]:
-        return frozenset(pos for pos, v in self.entries.items() if v != 0)
-
-    @property
     def dom(self) -> int:
         return len(self.entries)
 

@@ -8,7 +8,6 @@ default worker count (available parallelism).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -52,5 +51,8 @@ def run_tasks_iter(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> It
         for task in tasks:
             yield fn(task)
         return
+    # Imported here, so that a process that starts no pool never loads it.
+    import multiprocessing
+
     with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
         yield from pool.imap(fn, tasks)

@@ -27,9 +27,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping
 
-import numpy as np
-
-from .census_oracle import batch_rank
 from .matrix_core import Index2, PartialTernaryMatrix
 from .signed_graph import SignedBipartiteGraph, _graph_scan, build_graph
 
@@ -149,6 +146,11 @@ def rank_invariance_check(pattern: PartialTernaryMatrix) -> RankInvarianceReport
     Raises:
         ValueError: if the pattern has entries outside {0,1}.
     """
+    # Imported here: the CLI's switch-orbit command starts without numpy.
+    import numpy as np
+
+    from .census_oracle import batch_rank
+
     if any(v not in (0, 1) for v in pattern.entries.values()):
         raise ValueError("pattern entries must be 0 or 1")
     s, t = pattern.dims

@@ -64,9 +64,7 @@ from .switching import (
     rank_invariance_check,
     switch_matrix,
 )
-from . import parallel
-
-SUITES = ("chio-identity", "measures", "failures", "census", "switching", "relations")
+from . import SUITES, parallel
 
 
 def _check(name: str, ok: bool, **details) -> dict:

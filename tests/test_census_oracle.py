@@ -1,5 +1,6 @@
 """Census engine: preimage counts, rank histograms, checkpoints, determinism."""
 
+import multiprocessing
 import os
 import zipfile
 from collections import Counter
@@ -19,7 +20,7 @@ from chio.matrix_core import (
     det_int,
     rank_int,
 )
-from chio import census_oracle, parallel, signed_graph, verify
+from chio import census_oracle, signed_graph, verify
 from chio.measures import Event, fibre_cardinality
 from chio.verify import preimage_support_check
 from oracles import condensate_code, decode_condensate
@@ -775,14 +776,14 @@ class TestEngine:
             assert key == reference
 
     def test_determinism_check_starts_pools(self, monkeypatch):
-        real = parallel.multiprocessing.Pool
+        real = multiprocessing.Pool
         started = []
 
         def counting(**kwargs):
             started.append(kwargs["processes"])
             return real(**kwargs)
 
-        monkeypatch.setattr(parallel.multiprocessing, "Pool", counting)
+        monkeypatch.setattr(multiprocessing, "Pool", counting)
         for dims in ((3, 3), (4, 4)):
             started.clear()
             assert verify.census_determinism(dims)["ok"]
@@ -792,7 +793,7 @@ class TestEngine:
         def refuse(**kwargs):
             raise RuntimeError("no pool")
 
-        monkeypatch.setattr(parallel.multiprocessing, "Pool", refuse)
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
         for dims in ((3, 3), (4, 4)):
             with pytest.raises(RuntimeError, match="no pool"):
                 verify.census_determinism(dims)

@@ -360,19 +360,18 @@ class TestExitCodes:
         assert code == 2 and out == "" and "2^25 budget" in err and "Traceback" not in err
 
     def test_census_at_the_budget_needs_no_flag(self, capsys, monkeypatch):
-        import chio.cli
-        from chio.census_oracle import CensusResult
+        from chio import census_oracle
 
         calls = []
 
         def stub(cfg, aggregates, resume):
             calls.append((cfg.dims, cfg.chunk_size))
-            return CensusResult.empty(cfg.dims, aggregates)
+            return census_oracle.CensusResult.empty(cfg.dims, aggregates)
 
-        monkeypatch.setattr(chio.cli, "run_census", stub)
+        monkeypatch.setattr(census_oracle, "run_census", stub)
         code, out, err = run(capsys, "census", "--n", "5", "--workers", "1")
         assert code == 0 and err == "" and json.loads(out)["dims"] == [5, 5]
-        assert calls == [((5, 5), chio.cli.CensusConfig((5, 5)).chunk_size)]
+        assert calls == [((5, 5), census_oracle.CensusConfig((5, 5)).chunk_size)]
 
     def test_census_resume_bad_checkpoint(self, capsys, tmp_path):
         from chio.census_oracle import CensusConfig, run_census
@@ -457,10 +456,10 @@ class TestExitCodes:
         assert run(capsys, command, "--matrix", matrix, "--n", "3")[0] == 0
 
     def test_unwritable_out_is_refused_before_work(self, capsys, monkeypatch, tmp_path):
-        import chio.cli
+        from chio import verify
 
         calls = []
-        monkeypatch.setattr(chio.cli, "run_suites", lambda *a, **k: calls.append(1) or [])
+        monkeypatch.setattr(verify, "run_suites", lambda *a, **k: calls.append(1) or [])
         for target in (tmp_path / "missing" / "x.txt", tmp_path):
             code, out, err = run(capsys, "verify", "--suite", "census", "--out", str(target))
             assert code == 2 and out == "" and "error" in err
@@ -478,10 +477,10 @@ class TestExitCodes:
     def test_unwritable_checkpoint_is_refused_before_the_census(
         self, capsys, monkeypatch, tmp_path
     ):
-        import chio.cli
+        from chio import census_oracle
 
         calls = []
-        monkeypatch.setattr(chio.cli, "run_census", lambda *a, **k: calls.append(1))
+        monkeypatch.setattr(census_oracle, "run_census", lambda *a, **k: calls.append(1))
         for path in (tmp_path / "missing" / "c.ckpt", tmp_path):
             code, out, err = run(
                 capsys, "census", "--n", "3", "--workers", "1", "--checkpoint", str(path)
@@ -533,10 +532,10 @@ class TestStability:
         assert record["seconds"] == pytest.approx(sum(e["seconds"] for e in suites), abs=1e-3)
 
     def test_verify_timings_unwritable_path_exits_2(self, capsys, monkeypatch, tmp_path):
-        from chio import cli
+        from chio import verify
 
         calls = []
-        monkeypatch.setattr(cli, "run_suites", lambda *a, **k: calls.append(a) or [])
+        monkeypatch.setattr(verify, "run_suites", lambda *a, **k: calls.append(a) or [])
         code, out, err = run(
             capsys, "verify", "--suite", "relations", "--timings", str(tmp_path / "no" / "t.json")
         )
@@ -617,3 +616,49 @@ class TestWorkers:
         monkeypatch.setenv("CHIO_WORKERS", "0")
         assert run(capsys, "failures", "--k", "4", "--n", "4") == usual
         assert usual[0] == 0 and usual[1]
+
+
+# Run in a fresh interpreter: imports chio.cli, runs one command with stdout
+# silenced, and prints the exit code with which of numpy and multiprocessing
+# were loaded after the import and after the command.
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+HEAVY = {"numpy", "multiprocessing"}
+import chio.cli
+after_import = sorted(HEAVY & set(sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = chio.cli.main(sys.argv[1:])
+print(json.dumps([code, after_import, sorted(HEAVY & set(sys.modules))]))
+"""
+
+
+def startup_probe(*argv):
+    src = str(Path(chio.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, *argv],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+class TestStartup:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pchio", "--matrix=+-/-+"],
+            ["recipe", "--matrix=+-/-+"],
+            ["classify", "--matrix=+-/-+"],
+            ["condense", "--matrix", "+-/--"],
+            ["formulas", "--n", "4"],
+            ["failures", "--k", "4", "--n", "4"],
+            ["switch-orbit", "--matrix=+-/-+"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_commands_without_a_census_load_neither_numpy_nor_multiprocessing(self, argv):
+        assert startup_probe(*argv) == [0, [], []]
+
+    def test_census_loads_numpy(self):
+        code, after_import, after_census = startup_probe("census", "--n", "3", "--workers", "1")
+        assert code == 0 and after_import == [] and "numpy" in after_census
