@@ -52,8 +52,9 @@ digit decode (one divmod per matrix row, then a lookup of that row's
 digits in a small table) also decodes condensate codes into support
 and sign masks (:func:`_condensate_masks`), through which
 ``chio.verify.preimage_support_check`` reads the sparse condensate
-counts one support at a time: the census's checks live in ``verify``,
-apart from the engine they check.  The one check left here,
+counts in 2^16-code slices against a table it builds once per support:
+the census's checks live in ``verify``, apart from the engine they
+check.  The one check left here,
 :func:`kwise_agreement_check`, scatters the counts into a dense cube
 at n <= 4; it is the only code in this module that imports more of the
 package than ``matrix_core`` and ``parallel``.
@@ -807,7 +808,7 @@ def _is_int64(arr) -> bool:
 
 def run_census(
     cfg: CensusConfig,
-    aggregates: tuple[str, ...] = ("rank_pm", "rank_cond", "rank_drop_violations"),
+    aggregates: tuple[str, ...],
     resume: bool = False,
 ) -> CensusResult:
     """Visit every admissible sign matrix once and merge the aggregates.
@@ -1002,10 +1003,8 @@ def singular_count(n: int, workers: int | None = None) -> SingularReport:
     support-weighted reformulation (no asymptotic claim asserted).
 
     Raises:
-        BudgetExceeded: for n > 5.
+        BudgetExceeded: for n > 5, from :meth:`CensusConfig.validate`.
     """
-    if n > 5:
-        raise BudgetExceeded("singular census supports n <= 5")
     cfg = CensusConfig(dims=(n, n), worker_count=workers)
     result = run_census(cfg, aggregates=("rank_pm",))
     singular = int(sum(result.rank_pm[:n]))

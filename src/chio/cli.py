@@ -49,6 +49,11 @@ class UsageError(Exception):
     pass
 
 
+# switch-orbit lists the orbit and every balanced signing, 2^(f0 - beta0)
+# of each; past this rank that exhausts time and memory.
+ORBIT_RANK_LIMIT = 16
+
+
 def json_rows(text: str) -> list[list[int | None]]:
     """JSON rows whose entries are integers or null, never a bool or float."""
     rows = json.loads(text)
@@ -266,9 +271,11 @@ def cmd_ranks(args) -> int:
 def cmd_switch_orbit(args) -> int:
     from .switching import balanced_signings, orbit, signing_tuple
 
-    matrix = parse_ternary_matrix(args.matrix, args.n)
-    graph = build_graph(matrix)
+    matrix = parse_ternary_matrix(args.matrix)
     balanced, f0, beta0 = matrix_balance(matrix)
+    if f0 - beta0 > ORBIT_RANK_LIMIT:
+        raise UsageError(f"the orbit has 2^{f0 - beta0} signings, past 2^{ORBIT_RANK_LIMIT}")
+    graph = build_graph(matrix)
     orb = sorted(orbit(graph))
     expected = 2 ** (f0 - beta0)
     payload = {
@@ -399,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ranks)
 
     p = sub.add_parser("switch-orbit", help="switching orbit of a signing")
-    common(p, matrix=True)
+    common(p)
+    p.add_argument("--matrix", required=True, help="matrix literal (JSON or compact rows)")
     p.set_defaults(func=cmd_switch_orbit)
 
     p = sub.add_parser("verify", help="run verification suites")

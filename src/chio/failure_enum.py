@@ -108,14 +108,6 @@ class FailureRecord:
             object.__setattr__(self, "_matrix", matrix)
         return self._matrix
 
-    def to_json_dict(self) -> dict:
-        return {
-            "B": self.matrix.to_json_dict(),
-            "isotype": self.isotype.label,
-            "ratio_log2": None if self.ratio == 0 else self.ratio.bit_length() - 1,
-            "value": self.value.to_json_dict(),
-        }
-
 
 # The record stream fills each slot through its descriptor: a frozen
 # dataclass __init__ goes through object.__setattr__ once per field.  The

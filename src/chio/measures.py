@@ -58,7 +58,7 @@ class DyadicProb:
 
     ``exponent`` is ``None`` for zero, otherwise the non-negative int ``e``
     in ``2^-e``.  There is one instance per value: the constructor,
-    ``zero``, ``one``, ``pow_half``, unpickling, ``copy`` and
+    ``zero``, ``pow_half``, unpickling, ``copy`` and
     ``dataclasses.replace`` all return it, so equality and hashing are
     object identity.
     """
@@ -90,10 +90,6 @@ class DyadicProb:
         # Two threads may both miss a cache on a first call; setdefault is
         # atomic, so they still get one instance.
         return _INSTANCES.setdefault(exponent, self)
-
-    @staticmethod
-    def one() -> "DyadicProb":
-        return DyadicProb.pow_half(0)
 
     def __reduce__(self):
         return DyadicProb, (self.exponent,)

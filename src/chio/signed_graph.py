@@ -44,16 +44,13 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 from .matrix_core import Index2, PartialTernaryMatrix
 
-# A vertex is ("r", i) for the label (i, t) or ("c", j) for the label (s, j).
-Vertex = tuple[str, int]
-
 
 @dataclass(frozen=True)
 class SignedBipartiteGraph:
     """Labelled bipartite graph on row labels (i,t) and column labels (s,j).
 
     ``edges`` are stored as the underlying matrix positions ``(i, j)``;
-    the edge for position ``(i, j)`` joins ``("r", i)`` to ``("c", j)``.
+    the edge for position ``(i, j)`` joins row vertex i to column vertex j.
     ``sign`` may be ``None`` for unsigned use.  Row labels lie in
     ``[s-1]`` and column labels in ``[t-1]``.
     """
@@ -89,13 +86,6 @@ class SignedBipartiteGraph:
     def f1(self) -> int:
         return len(self.edges)
 
-    @property
-    def vertices(self) -> list[Vertex]:
-        """The sorted rows, then the sorted columns."""
-        return [("r", i) for i in sorted(self.row_vertices)] + [
-            ("c", j) for j in sorted(self.col_vertices)
-        ]
-
     def with_sign(self, sign: Mapping[Index2, int]) -> "SignedBipartiteGraph":
         return SignedBipartiteGraph(
             self.dims, self.row_vertices, self.col_vertices, self.edges, sign
@@ -104,7 +94,8 @@ class SignedBipartiteGraph:
     def to_json_dict(self) -> dict:
         return {
             "dims": list(self.dims),
-            "vertices": [[k, i] for k, i in self.vertices],
+            "vertices": [["r", i] for i in sorted(self.row_vertices)]
+            + [["c", j] for j in sorted(self.col_vertices)],
             "edges": [
                 [i, j, (self.sign[(i, j)] if self.sign is not None else 0)]
                 for i, j in sorted(self.edges)

@@ -76,7 +76,7 @@ def _check(name: str, ok: bool, **details) -> dict:
 # --- chio-identity ----------------------------------------------------------
 
 
-def chio_identity_exhaustive(n: int = 4, workers: int | None = None) -> dict:
+def chio_identity_exhaustive(n: int, workers: int | None = None) -> dict:
     """det of the full condensate equals pivot^(n-2) times det, all 2^(n^2),
     over the chunks of the n x n census (``CensusConfig.chunk_size`` codes)."""
     start = time.perf_counter()
@@ -461,7 +461,7 @@ def suite_failures() -> list[dict]:
 # --- census -------------------------------------------------------------------
 
 
-def census_determinism(dims: tuple[int, int] = (4, 4)) -> dict:
+def census_determinism(dims: tuple[int, int]) -> dict:
     """Aggregates, condensate codes included, are bit-identical for worker
     counts 1, 2 and 8.
 

@@ -236,6 +236,8 @@ class TestCondensateCounts:
             run_census(CensusConfig(dims=(6, 6)), aggregates=("cond_counts",))
         with pytest.raises(BudgetExceeded):
             CensusConfig(dims=(6, 6)).validate()
+        with pytest.raises(BudgetExceeded):
+            singular_count(6)
 
 
 def _dense_mismatches(n, codes, counts):

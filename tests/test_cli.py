@@ -137,9 +137,18 @@ class TestCommands:
 
     def test_switch_orbit_switches_only_the_graph(self, capsys):
         # One edge on a 30 x 30 grid: 4 switchings act, not 2^58.
-        code, out, _ = run(capsys, "switch-orbit", "--n", "30", "--matrix", "[[1]]")
+        matrix = '{"dims": [30, 30], "entries": [[1, 1, 1]]}'
+        code, out, _ = run(capsys, "switch-orbit", "--matrix", matrix)
         payload = json.loads(out)
         assert code == 0 and payload["orbit_size"] == 2 and payload["orbit"] == [[-1], [1]]
+
+    def test_switch_orbit_refuses_an_orbit_past_its_limit(self, capsys):
+        # All-plus k x k: rank f0 - beta0 = 2k - 1, so 8 x 8 lists 2^15
+        # signings and 9 x 9, at 2^17, is refused before any orbit work.
+        code, out, _ = run(capsys, "switch-orbit", "--matrix", "/".join(["+" * 8] * 8))
+        assert code == 0 and json.loads(out)["orbit_size"] == 32768
+        code, out, err = run(capsys, "switch-orbit", "--matrix", "/".join(["+" * 9] * 9))
+        assert code == 2 and out == "" and "2^17" in err and "Traceback" not in err
 
     def test_ranks(self, capsys):
         code, out, _ = run(capsys, "ranks", "--n", "3")
@@ -297,10 +306,10 @@ class TestExitCodes:
             "formulas": {"--out", "--n"},
             "census": dims | {"--checkpoint", "--resume"},
             "ranks": dims,
-            "switch-orbit": matrix,
+            "switch-orbit": {"--out", "--matrix"},
             "verify": report | {"--suite", "--big", "--workers", "--timings"},
         }
-        assert sum(map(len, options.values())) == 42
+        assert sum(map(len, options.values())) == 41
 
     @pytest.mark.parametrize(
         "argv",
@@ -312,6 +321,7 @@ class TestExitCodes:
             ("formulas", "--n", "4", "--format", "json"),
             ("switch-orbit", "--matrix=--/--", "--format", "json"),
             ("condense", "--matrix", "+-/--", "--n", "3"),
+            ("switch-orbit", "--matrix=--/--", "--n", "4"),
         ],
     )
     def test_options_that_choose_nothing_are_gone(self, capsys, argv):
@@ -448,7 +458,7 @@ class TestExitCodes:
         code, _, err = run(capsys, "recipe", "--matrix=+++/+++/+..")
         assert code == 2 and "six" in err
 
-    @pytest.mark.parametrize("command", ["pchio", "recipe", "classify", "switch-orbit"])
+    @pytest.mark.parametrize("command", ["pchio", "recipe", "classify"])
     def test_n_must_match_object_dims(self, capsys, command):
         matrix = '{"dims": [3, 3], "entries": [[1, 1, 1]]}'
         code, out, err = run(capsys, command, "--matrix", matrix, "--n", "5")

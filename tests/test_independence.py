@@ -9,8 +9,8 @@ through a ``from .x import y`` binding, top-level or inside the body,
 and to ``(x, y)`` for ``x.y`` where ``x`` is a package module.
 Annotations are skipped: ``from __future__ import annotations`` leaves
 them unevaluated.  One table, ``RULES``, pins what each checked path
-may not reach.  The same graph pins that the library holds no function
-or class that only the tests reach.
+may not reach.  The same graph pins that the library holds no function,
+class or method that only the tests reach.
 """
 
 import ast
@@ -237,16 +237,9 @@ def defining_node(module: str, name: str | None) -> tuple[str, str | None]:
     return module, name
 
 
-def test_every_module_level_def_is_reached_from_a_caller():
-    """Every module-level ``def`` and ``class`` of ``src/chio`` is reached from
-    ``cli.main``, from the names ``chio/__init__.py`` binds, or from the
-    ``chio`` names the benchmark imports.  Anything else is reached only by
-    the tests, and belongs in them.
-
-    Method bodies are out of scope: the graph does not follow a call on an
-    object, so it cannot tell a dead method from a live one.  A class counts
-    as reached as a whole, and what its methods name counts as reached too.
-    """
+def reached_nodes() -> set[tuple[str, str | None]]:
+    """The nodes reached from ``cli.main``, from the names ``chio/__init__.py``
+    binds and from the ``chio`` names the benchmark imports, roots included."""
     roots = {("cli", "main")}
     roots.update(defining_node(*target) for target in PARSED["__init__"][1].values())
     for _, module, name in chio_imports():
@@ -254,12 +247,53 @@ def test_every_module_level_def_is_reached_from_a_caller():
         if not sub:  # from chio import name
             sub, name = (name, None) if name in MODULES else ("__init__", name)
         roots.add(defining_node(sub, name))
-    reached = set(roots).union(*(reach(root) for root in roots))
+    return set(roots).union(*(reach(root) for root in roots))
+
+
+def test_every_module_level_def_is_reached_from_a_caller():
+    """Every module-level ``def`` and ``class`` of ``src/chio`` is reached from
+    ``cli.main``, from the names ``chio/__init__.py`` binds, or from the
+    ``chio`` names the benchmark imports.  Anything else is reached only by
+    the tests, and belongs in them.
+
+    The graph does not follow a call on an object, so a class counts as
+    reached as a whole, and what its methods name counts as reached too;
+    the next test checks the methods.
+    """
     defs = {
         (module, name)
         for module, (nodes, _) in PARSED.items()
         for name, body in nodes.items()
         if isinstance(body, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     }
-    unreached = sorted(f"{module}.{name}" for module, name in defs - reached)
+    unreached = sorted(f"{module}.{name}" for module, name in defs - reached_nodes())
     assert not unreached, f"reached by no command, check or benchmark: {unreached}"
+
+
+def test_every_method_is_named_by_a_caller():
+    """Every method, property, classmethod and staticmethod of a ``src/chio``
+    class, dunders aside, is named as an attribute (``x.name``) in the body
+    of a node reached from the roots above, or in ``perfbench/*.py``.
+
+    The check goes by name, not by class: a dead method whose name another
+    class uses, such as a second ``to_json_dict``, slips through.
+    """
+    named = set()
+    for module, name in reached_nodes():
+        if name is not None:
+            body = PARSED[module][0][name]
+            named.update(sub.attr for sub in _walk(body) if isinstance(sub, ast.Attribute))
+    for path in (ROOT / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        named.update(sub.attr for sub in ast.walk(tree) if isinstance(sub, ast.Attribute))
+    unnamed = sorted(
+        f"{module}.{cls}.{method.name}"
+        for module, (nodes, _) in PARSED.items()
+        for cls, body in nodes.items()
+        if isinstance(body, ast.ClassDef)
+        for method in body.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (method.name.startswith("__") and method.name.endswith("__"))
+        and method.name not in named
+    )
+    assert not unnamed, f"named by no command, check or benchmark: {unnamed}"

@@ -47,7 +47,7 @@ def all_matrices(n, k):
 
 class TestDyadicProb:
     def test_arithmetic(self):
-        assert DyadicProb.one().as_fraction() == 1
+        assert DyadicProb.pow_half(0).as_fraction() == 1
         assert DyadicProb.pow_half(3).as_fraction() == Fraction(1, 8)
         assert DyadicProb.zero().as_fraction() == 0
 
@@ -64,7 +64,6 @@ class TestDyadicProb:
     def test_shared_instances(self):
         assert DyadicProb.pow_half(9) is DyadicProb.pow_half(9)
         assert DyadicProb.zero() is DyadicProb.zero()
-        assert DyadicProb.one() is DyadicProb.pow_half(0)
         with pytest.raises(ValueError):
             DyadicProb.pow_half(-1)
         with pytest.raises(ValueError):
@@ -78,7 +77,7 @@ class TestDyadicProb:
 
     def test_one_instance_per_value(self):
         assert DyadicProb(None) is DyadicProb.zero()
-        assert DyadicProb(exponent=0) is DyadicProb.one()
+        assert DyadicProb(exponent=0) is DyadicProb.pow_half(0)
         assert DyadicProb.from_fraction(Fraction(1, 512)) is DyadicProb.pow_half(9)
         for value in (DyadicProb.pow_half(9), DyadicProb.zero()):
             assert pickle.loads(pickle.dumps(value)) is value
@@ -165,7 +164,7 @@ class TestEvents:
 
 class TestLcf:
     def test_empty_event_is_certain(self):
-        assert p_lcf(Event(ternary(4, {}))) == DyadicProb.one()
+        assert p_lcf(Event(ternary(4, {}))) == DyadicProb.pow_half(0)
 
     def test_signed_circuit(self):
         matrix = ternary(4, {p: -1 for p in C4})
@@ -420,7 +419,7 @@ class TestOneScanPerMatrix:
 
 class TestAveragedAndForgetting:
     def test_empty_average(self):
-        assert p_chio_averaged(ternary(4, {})) == DyadicProb.one()
+        assert p_chio_averaged(ternary(4, {})) == DyadicProb.pow_half(0)
 
     def test_circuit_average_equals_lcf(self):
         matrix = ternary(4, {p: -1 for p in C4})
@@ -432,7 +431,7 @@ class TestAveragedAndForgetting:
                 assert p_chio_averaged(matrix) == p_lcf(Event(matrix))
 
     def test_abs_measure_uniform(self):
-        assert p_chio_abs(ternary(4, {})) == DyadicProb.one()
+        assert p_chio_abs(ternary(4, {})) == DyadicProb.pow_half(0)
         pattern = ternary(4, {p: 1 for p in C4})
         assert p_chio_abs(pattern) == DyadicProb.pow_half(4)
         with pytest.raises(ValueError):
