@@ -29,20 +29,11 @@ from .matrix_core import (
 )
 from .measures import Event, p_chio, p_lcf, ratio_chio_lcf, recipe_p_chio
 from .signed_graph import build_graph, classify_isotype, isotype_and_betti, matrix_balance
-from .failure_enum import (
-    CountReport,
-    check_linear_relations,
-    count_failures,
-    failure_count_formula,
-    failure_density_bound,
-    h_counts,
-    realization_table,
-    xi,
-)
 from . import SUITES, __version__, parallel
 
-# The commands that use census_oracle, switching or verify import them when
-# they run: census_oracle and verify load numpy, which no other command needs.
+# The commands that use failure_enum, census_oracle, switching or verify
+# import them when they run: census_oracle and verify load numpy, which no
+# other command needs, and only failures and formulas use failure_enum.
 
 
 class UsageError(Exception):
@@ -181,6 +172,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_failures(args) -> int:
+    from .failure_enum import CountReport, count_failures, failure_count_formula
+
     if args.formula_only:
         report = failure_count_formula(args.k, args.n)
     else:
@@ -190,6 +183,14 @@ def cmd_failures(args) -> int:
 
 
 def cmd_formulas(args) -> int:
+    from .failure_enum import (
+        check_linear_relations,
+        failure_density_bound,
+        h_counts,
+        realization_table,
+        xi,
+    )
+
     n = args.n
     h_c6, h_k23, h_c4, h_geq = h_counts(n)
     payload = {

@@ -40,13 +40,16 @@ k = 4, 5, 6), and a shape on r rows and c columns is the shape of
 exactly C(n-1, r) C(n-1, c) index sets, one per choice of rows and
 columns.  The counter walks each shape's table, testing every signing of
 every failing support for balance, once per distinct circuit pattern,
-and weights it by that number; the record stream embeds each shape at
-every choice of rows and columns (:func:`_circuit_sets`) and looks up
-each assignment's support in the shape's table.  The tables share one
-memo of support graphs, keyed by the support's own shape and the set's
-rows and columns: graphs with one key are isomorphic, so each is
-classified once.  The enumerator keeps only its list of shapes across
-calls; the tables and the graph memo are rebuilt by every call.  A record
+and sums the tallies of the shapes with one extent (r, c) into one
+n-independent table per k (:func:`_extent_tallies`), built once per
+process; a count weights each extent's tallies by C(n-1, r) C(n-1, c).
+The record stream embeds each shape at every choice of rows and columns
+(:func:`_circuit_sets`) and looks up each assignment's support in the
+shape's table, rebuilt by every call.  The tables share one memo of
+support graphs, keyed by the support's own shape and the set's rows and
+columns: graphs with one key are isomorphic, so each is classified
+once.  Across calls the enumerator keeps only its list of shapes and the
+counter's extent tables, 81 counts over 8 extents at k = 6.  A record
 keeps its positions and values and builds its matrix only when read; the
 stream allocates each record and fills its slots directly
 (:func:`_record`), skipping the per-field ``object.__setattr__`` of the
@@ -277,7 +280,7 @@ def _circuit_sets(k: int, n: int) -> list[tuple[tuple[Index2, ...], tuple[Index2
 
 
 def _failing_supports(
-    n: int, shape: tuple[Index2, ...], graphs: dict
+    shape: tuple[Index2, ...], graphs: dict
 ) -> dict[int, tuple[tuple[int, ...], IsoType, int, int]]:
     """{support mask: (circuit masks, isotype, value exponent, beta1)} per failing support.
 
@@ -285,8 +288,10 @@ def _failing_supports(
     when the whole set is one, the 6-circuit.  Isotype and Betti data come
     from the graph of the support on all vertices of the set.  That graph
     is fixed up to isomorphism by the support's own shape and the set's
-    rows and columns, so ``graphs``, a dict the caller keeps for one call,
-    classifies each such key once across shapes.
+    rows and columns, so ``graphs``, a dict the caller keeps for one
+    build, classifies each such key once across shapes.  The graph's grid
+    is the smallest that holds the set: neither the classification nor
+    the Betti data depends on it.
     """
     k = len(shape)
     slot = {pos: b for b, pos in enumerate(shape)}
@@ -294,6 +299,7 @@ def _failing_supports(
     six = (1 << k) - 1 if is_six_circuit(shape) else 0
     rows = frozenset(i for i, _ in shape)
     cols = frozenset(j for _, j in shape)
+    dims = (max(rows) + 1, max(cols) + 1)
     table = {}
     for mask in range(1 << k):
         circuits = tuple(c for c in fours if c & mask == c)
@@ -306,7 +312,7 @@ def _failing_supports(
         classified = graphs.get(key)
         if classified is None:
             graph = SignedBipartiteGraph(
-                dims=(n, n), row_vertices=rows, col_vertices=cols, edges=frozenset(support)
+                dims=dims, row_vertices=rows, col_vertices=cols, edges=frozenset(support)
             )
             classified = graphs[key] = isotype_and_betti(graph)
         isotype, data = classified
@@ -314,9 +320,9 @@ def _failing_supports(
     return table
 
 
-def _failing_assignments(n: int, shape: tuple[Index2, ...], graphs: dict) -> list[tuple]:
+def _failing_assignments(shape: tuple[Index2, ...], graphs: dict) -> list[tuple]:
     """(values, isotype, ratio, value) of every failing assignment, in base-3 order."""
-    table = _failing_supports(n, shape, graphs)
+    table = _failing_supports(shape, graphs)
     failing = []
     for values in product((-1, 0, 1), repeat=len(shape)):
         support_mask = 0
@@ -357,7 +363,7 @@ def enumerate_failures(k: int, n: int) -> Iterator[FailureRecord]:
     for chosen, shape in _circuit_sets(k, n):
         failing = memo.get(shape)
         if failing is None:
-            failing = memo[shape] = _failing_assignments(n, shape, graphs)
+            failing = memo[shape] = _failing_assignments(shape, graphs)
         for values, isotype, ratio, value in failing:
             yield _record(dims, chosen, values, isotype, ratio, value)
 
@@ -377,48 +383,73 @@ def _balanced_signings(support_mask: int, circuits: tuple[int, ...]) -> int:
         minus_mask = (minus_mask - 1) & support_mask
 
 
+@cache
+def _extent_tallies(k: int) -> tuple[tuple[tuple[int, int], tuple[tuple, tuple, tuple]], ...]:
+    """(extent, (ratio, value, isotype tallies)) per extent (r, c), sorted; built once per k.
+
+    Each tally is a tuple of (key, count) pairs, the counts summed over
+    the shapes on r rows and c columns (:func:`_shapes`) for one index set
+    of that shape each: every signing of every failing support
+    (:func:`_failing_supports`) is decided from circuit parities, each
+    distinct circuit pattern (a support with its circuit masks) walked
+    once.  Nothing here depends on n; the tallies are tuples, so no caller
+    can change them.
+    """
+    tallies: dict[tuple[int, int], tuple[Counter, Counter, Counter]] = {}
+    walks: dict[tuple[int, tuple[int, ...]], int] = {}
+    graphs: dict = {}
+    for shape in _shapes(k):
+        extent = _extent(shape)
+        if extent not in tallies:
+            tallies[extent] = (Counter(), Counter(), Counter())
+        by_ratio, by_value, by_isotype = tallies[extent]
+        for support_mask, (circuits, isotype, exponent, beta1) in _failing_supports(
+            shape, graphs
+        ).items():
+            pattern = (support_mask, circuits)
+            balanced = walks.get(pattern)
+            if balanced is None:
+                balanced = walks[pattern] = _balanced_signings(*pattern)
+            total = 1 << support_mask.bit_count()
+            by_ratio[2**beta1] += balanced
+            by_ratio[0] += total - balanced
+            by_value[DyadicProb.pow_half(exponent)] += balanced
+            by_value[DyadicProb.zero()] += total - balanced
+            by_isotype[isotype] += total
+    return tuple(
+        (extent, tuple(tuple(tally.items()) for tally in tallies[extent]))
+        for extent in sorted(tallies)
+    )
+
+
 def count_failures(k: int, n: int, workers: int | None = None) -> CountReport:
     """Count failures by exhaustive enumeration, aggregated per class.
 
-    Each shape of the circuit-bearing k-sets (:func:`_shapes`) gets its
-    table of failing supports (:func:`_failing_supports`), and its
-    tallies are weighted by the number of index sets of that shape,
-    C(n-1, r) C(n-1, c) for r rows and c columns: that is exact because
-    the rank relabelling is an isomorphism that keeps the slot order, so
-    every set of a shape has the same circuit masks and the same isotype
-    and Betti data on every support.  Per shape, every signing of every
-    failing support is still decided from circuit parities, each distinct
-    circuit pattern (a support with its circuit masks) walked once per
-    call.  The tables and the graph memo are rebuilt by every call.
+    The tallies of each extent (r, c) of the circuit-bearing k-sets
+    (:func:`_extent_tallies`) are weighted by the number of index sets on
+    r rows and c columns of each shape, C(n-1, r) C(n-1, c): that is exact
+    because the rank relabelling is an isomorphism that keeps the slot
+    order, so every set of a shape has the same circuit masks and the same
+    isotype and Betti data on every support.  The tallies still come from
+    deciding every signing of every failing support from circuit
+    parities; they are built on the first call for a k and kept for the
+    process, and every call sums them into fresh counters.
 
-    ``workers`` is ignored: the work per shape does not grow with n, so
-    the whole count runs inline and starts no pool.
+    ``workers`` is ignored: the work does not grow with n, so the whole
+    count runs inline and starts no pool.
 
     Raises:
         ValueError: for k outside 0..6 or n < 2.
     """
     _check_range(k, n)
     by_ratio, by_value, by_isotype = Counter(), Counter(), Counter()
-    walks: dict[tuple[int, tuple[int, ...]], int] = {}
-    graphs: dict = {}
-    for shape in _shapes(k):
-        r, c = _extent(shape)
+    for (r, c), tallies in _extent_tallies(k):
         sets = comb(n - 1, r) * comb(n - 1, c)
         if not sets:
             continue
-        table = _failing_supports(n, shape, graphs)
-        for support_mask, (circuits, isotype, exponent, beta1) in table.items():
-            pattern = (support_mask, circuits)
-            balanced = walks.get(pattern)
-            if balanced is None:
-                balanced = walks[pattern] = _balanced_signings(*pattern)
-            total = sets << support_mask.bit_count()
-            balanced *= sets
-            by_ratio[2**beta1] += balanced
-            by_ratio[0] += total - balanced
-            by_value[DyadicProb.pow_half(exponent)] += balanced
-            by_value[DyadicProb.zero()] += total - balanced
-            by_isotype[isotype] += total
+        for counter, tally in zip((by_ratio, by_value, by_isotype), tallies):
+            for key, count in tally:
+                counter[key] += sets * count
     report = CountReport(
         k=k,
         n=n,

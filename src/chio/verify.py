@@ -404,6 +404,7 @@ def suite_measures(big: bool = False, workers: int | None = None) -> list[dict]:
 
 def failure_agreement(k: int, n: int) -> dict:
     """Enumerated counts equal the closed forms including every split."""
+    start = time.perf_counter()
     enum = count_failures(k, n)
     form = failure_count_formula(k, n)
     ok = (
@@ -412,11 +413,13 @@ def failure_agreement(k: int, n: int) -> dict:
         and enum.by_value == form.by_value
         and enum.by_isotype == form.by_isotype
     )
+    elapsed = time.perf_counter() - start
     return _check(
         f"failure census k={k} n={n}",
         ok,
         enumerated=enum.failure_count,
         formula=form.failure_count,
+        seconds=round(elapsed, 4),
     )
 
 

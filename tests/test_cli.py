@@ -538,7 +538,14 @@ class TestStability:
             shown = [line.split("[")[1].split("]")[0] for line in plain.splitlines()[:-1]]
         assert [e["checks"] for e in suites] == [shown.count("failures"), shown.count("relations")]
         assert all(e["failed"] == 0 and e["seconds"] >= 0 for e in suites)
-        assert [e["check_seconds"] for e in suites] == [{}, {"timed": 0.5}]
+        # Each failure census times itself; the h identity does not.
+        failures, relations = (e["check_seconds"] for e in suites)
+        assert sorted(failures) == sorted(
+            f"failure census k={k} n={n}" for n in range(4, 13) for k in (4, 5, 6)
+        )
+        assert all(seconds >= 0 for seconds in failures.values())
+        assert relations == {"timed": 0.5}
+        assert "seconds" not in plain
         assert record["seconds"] == pytest.approx(sum(e["seconds"] for e in suites), abs=1e-3)
 
     def test_verify_timings_unwritable_path_exits_2(self, capsys, monkeypatch, tmp_path):
@@ -629,11 +636,11 @@ class TestWorkers:
 
 
 # Run in a fresh interpreter: imports chio.cli, runs one command with stdout
-# silenced, and prints the exit code with which of numpy and multiprocessing
-# were loaded after the import and after the command.
+# silenced, and prints the exit code with which of numpy, multiprocessing and
+# chio.failure_enum were loaded after the import and after the command.
 STARTUP_PROBE = """
 import contextlib, io, json, sys
-HEAVY = {"numpy", "multiprocessing"}
+HEAVY = {"numpy", "multiprocessing", "chio.failure_enum"}
 import chio.cli
 after_import = sorted(HEAVY & set(sys.modules))
 with contextlib.redirect_stdout(io.StringIO()):
@@ -667,7 +674,9 @@ class TestStartup:
         ids=lambda argv: argv[0],
     )
     def test_commands_without_a_census_load_neither_numpy_nor_multiprocessing(self, argv):
-        assert startup_probe(*argv) == [0, [], []]
+        # Only failures and formulas load failure_enum, and only when they run.
+        lazy = ["chio.failure_enum"] if argv[0] in ("failures", "formulas") else []
+        assert startup_probe(*argv) == [0, [], lazy]
 
     def test_census_loads_numpy(self):
         code, after_import, after_census = startup_probe("census", "--n", "3", "--workers", "1")

@@ -11,6 +11,7 @@ from math import comb
 
 import pytest
 
+from chio import failure_enum
 from chio.matrix_core import PartialTernaryMatrix
 from chio.measures import DyadicProb, Event, p_chio, p_lcf, ratio_chio_lcf
 from chio.signed_graph import (
@@ -26,7 +27,9 @@ from chio.failure_enum import (
     CountReport,
     FailureRecord,
     _EDGES_AND_RANK,
+    _balanced_signings,
     _circuit_sets,
+    _extent,
     _failing_supports,
     _record,
     _shape,
@@ -126,6 +129,77 @@ class TestEnumeration:
         assert report.by_isotype == by_isotype
 
 
+def per_shape_count(k, n):
+    """(failures, by_ratio, by_value, by_isotype) weighted shape by shape.
+
+    The counter as it was before its extent tables: every shape's table
+    and balance walks built afresh for this call, its tallies weighted by
+    C(n-1, r) C(n-1, c) on their own, nothing kept across calls.
+    """
+    by_ratio, by_value, by_isotype = Counter(), Counter(), Counter()
+    walks, graphs = {}, {}
+    for shape in _shapes(k):
+        r, c = _extent(shape)
+        sets = comb(n - 1, r) * comb(n - 1, c)
+        if not sets:
+            continue
+        for mask, (circuits, isotype, exponent, beta1) in _failing_supports(shape, graphs).items():
+            pattern = (mask, circuits)
+            if pattern not in walks:
+                walks[pattern] = _balanced_signings(mask, circuits)
+            total = sets << mask.bit_count()
+            balanced = sets * walks[pattern]
+            by_ratio[2**beta1] += balanced
+            by_ratio[0] += total - balanced
+            by_value[DyadicProb.pow_half(exponent)] += balanced
+            by_value[DyadicProb.zero()] += total - balanced
+            by_isotype[isotype] += total
+    return by_isotype.total(), dict(by_ratio), dict(by_value), dict(by_isotype)
+
+
+class TestExtentTables:
+    @pytest.mark.parametrize("k", range(7))
+    def test_counts_match_the_per_shape_weighting(self, k):
+        # n = 2 and 3 leave some extents, or all of them, with no index set.
+        for n in range(2, 14):
+            report = count_failures(k, n)
+            assert report.total_events == total_event_count(k, n)
+            assert (
+                report.failure_count, report.by_ratio, report.by_value, report.by_isotype
+            ) == per_shape_count(k, n)
+
+    def test_table_is_built_once_per_k(self, monkeypatch, fresh_extent_tallies):
+        real = failure_enum._failing_supports
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(failure_enum, "_failing_supports", counted)
+        first = count_failures(6, 5)
+        assert len(calls) == len(_shapes(6))
+        second = count_failures(6, 7)
+        assert len(calls) == len(_shapes(6))
+        assert first.failure_count == failure_count_formula(6, 5).failure_count
+        assert second.failure_count == failure_count_formula(6, 7).failure_count
+        count_failures(5, 7)
+        assert len(calls) == len(_shapes(6)) + len(_shapes(5))
+
+    @pytest.mark.parametrize("k, n", [(4, 4), (5, 6), (6, 5)])
+    def test_reports_share_no_counters(self, k, n):
+        report = count_failures(k, n)
+        want = per_shape_count(k, n)
+        for counts in (report.by_ratio, report.by_value, report.by_isotype):
+            for key in list(counts):
+                counts[key] += 1
+            counts["stray"] = 1
+        report.by_value.clear()
+        again = count_failures(k, n)
+        assert (again.failure_count, again.by_ratio, again.by_value, again.by_isotype) == want
+        assert again.by_ratio is not report.by_ratio
+
+
 def circuit_listing(k, n):
     """The circuit-bearing k-subsets of the grid, from the oracle's circuits.
 
@@ -210,9 +284,9 @@ class TestShapes:
             assert shape == tuple(sorted(shape))
             assert {i for i, _ in shape} == set(range(1, len({i for i, _ in chosen}) + 1))
             assert {j for _, j in shape} == set(range(1, len({j for _, j in chosen}) + 1))
-            table = _failing_supports(n, chosen, {})
+            table = _failing_supports(chosen, {})
             assert table or trial % 3 == 0  # built around a circuit: never empty
-            assert table == _failing_supports(n, shape, {})
+            assert table == _failing_supports(shape, {})
 
     @pytest.mark.parametrize("k, n", [(6, 5), (5, 6)])
     def test_graph_memo_matches_direct_classification(self, k, n):
@@ -221,8 +295,8 @@ class TestShapes:
         graphs: dict = {}
         lookups = 0
         for shape in _shapes(k):
-            table = _failing_supports(n, shape, graphs)
-            assert table.keys() == _failing_supports(n, shape, {}).keys()
+            table = _failing_supports(shape, graphs)
+            assert table.keys() == _failing_supports(shape, {}).keys()
             rows = frozenset(i for i, _ in shape)
             cols = frozenset(j for _, j in shape)
             for mask, (_, isotype, exponent, beta1) in table.items():
