@@ -713,7 +713,9 @@ def failure_density_bound(k: int, n: int) -> tuple[int | None, int]:
     The bound sums, over circuit lengths 2j <= k that fit on the grid,
     the ways to place a signed circuit and fill the remaining positions
     arbitrarily.  The count is the closed form for k in {4, 5, 6}, zero
-    for k <= 3 and None beyond the catalogued range.
+    for k <= 3 and None beyond the catalogued range.  The pair is
+    returned as computed, a count above the bound included: comparing
+    them is the caller's check.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -731,6 +733,4 @@ def failure_density_bound(k: int, n: int) -> tuple[int | None, int]:
         count = failure_count_formula(k, n).failure_count
     else:
         count = None
-    if count is not None and count > bound:
-        raise AssertionError("exact count exceeds the union bound")
     return count, bound

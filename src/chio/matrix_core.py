@@ -204,11 +204,12 @@ class PartialTernaryMatrix:
         s, t = dims
         if s < 2 or t < 2:
             raise ValueError(f"dims must both be >= 2, got {dims}")
+        rows, cols = s - 1, t - 1
         supp = 0
         for pos, value in entries.items():
             i, j = pos
-            if not (1 <= i <= s - 1 and 1 <= j <= t - 1):
-                raise ValueError(f"position {pos} outside [{s - 1}] x [{t - 1}]")
+            if not (1 <= i <= rows and 1 <= j <= cols):
+                raise ValueError(f"position {pos} outside [{rows}] x [{cols}]")
             if value not in TERNARY:
                 raise ValueError(f"entry {value} at {pos} not in {{-1,0,+1}}")
             if value:

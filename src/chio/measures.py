@@ -29,7 +29,11 @@ value.
 entries by a literal case split on matrix circuits and sign parities,
 sharing no balance or component-count code with ``p_chio``, so testing
 the two against each other is meaningful.  It takes the matrix alone,
-since the value does not depend on the ambient index set.
+since the value does not depend on the ambient index set.  What it needs
+of the domain alone (the domain's 4-circuits, whether it is one 6-circuit,
+whether it is a full 2x3 or 3x2 grid) is found once per index set and kept
+in one bounded memo; per event the case split stays literal, reading only
+which entries are zero and which are +1.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from operator import countOf
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .matrix_core import (
@@ -128,7 +133,10 @@ class Event:
     The default ambient set is built on the first read of ``ambient``;
     ``p_lcf``, ``p_chio`` and ``ratio_chio_lcf`` never read it.  The
     constructor checks the ambient set, then fills both slots through
-    their descriptors.
+    their descriptors.  An ambient set of the matrix's dims that lies in
+    the inner box and has (s-1)(t-1) members is the whole inner box, which
+    holds every position the matrix constructor accepts; for it the
+    containment test is skipped, exactly, and every smaller set takes it.
     """
 
     __slots__ = ("matrix", "_ambient")
@@ -139,7 +147,14 @@ class Event:
                 raise ValueError("ambient index set has mismatched dims")
             if not ambient.in_inner_box():
                 raise ValueError("ambient index set must lie inside [s-1] x [t-1]")
-            if not matrix.entries.keys() <= ambient.members:
+            # An inner-box set of (s-1)(t-1) members is the whole inner box,
+            # and the matrix constructor keeps every position inside it, so
+            # the containment test can only fail for a smaller set.
+            s, t = ambient.dims
+            if (
+                len(ambient.members) != (s - 1) * (t - 1)
+                and not matrix.entries.keys() <= ambient.members
+            ):
                 raise ValueError("event domain must be contained in the ambient set")
         _set_matrix(self, matrix)
         _set_ambient(self, ambient)
@@ -179,7 +194,7 @@ _set_ambient = Event._ambient.__set__
 def p_lcf(event: Event) -> DyadicProb:
     """Lazy coin flip measure: 2^-(dom + supp); never zero."""
     m = event.matrix
-    return DyadicProb.pow_half(m.dom + m.supp)
+    return DyadicProb.pow_half(len(m.entries) + m.supp)
 
 
 def p_chio(event: Event) -> DyadicProb:
@@ -191,10 +206,10 @@ def p_chio(event: Event) -> DyadicProb:
     The value does not depend on the ambient index set.
     """
     m = event.matrix
-    balanced, f0, beta0 = matrix_balance(m)
+    balanced, f0, beta0 = m._balance or matrix_balance(m)
     if not balanced:
         return DyadicProb.zero()
-    return DyadicProb.pow_half(m.dom + f0 - beta0)
+    return DyadicProb.pow_half(len(m.entries) + f0 - beta0)
 
 
 def ratio_chio_lcf(event: Event) -> int:
@@ -203,7 +218,7 @@ def ratio_chio_lcf(event: Event) -> int:
     Equals 1 exactly when the graph of the matrix is a forest.
     """
     m = event.matrix
-    balanced, f0, beta0 = matrix_balance(m)
+    balanced, f0, beta0 = m._balance or matrix_balance(m)
     if not balanced:
         return 0
     beta1 = m.supp - f0 + beta0
@@ -217,11 +232,11 @@ def fibre_cardinality(event: Event) -> int:
     dividing by ``2^|ambient~|`` recovers the condensation measure.
     """
     m = event.matrix
-    balanced, f0, beta0 = matrix_balance(m)
+    balanced, f0, beta0 = m._balance or matrix_balance(m)
     if not balanced:
         return 0
     extended = chio_extend(event.ambient)
-    return 2 ** (len(extended) - m.dom - f0 + beta0)
+    return 2 ** (len(extended.members) - len(m.entries) - f0 + beta0)
 
 
 def p_chio_sign_patterns(domain: Collection[Index2], support: Sequence[Index2]) -> list[DyadicProb]:
@@ -292,14 +307,27 @@ def p_chio_abs(matrix: PartialTernaryMatrix) -> DyadicProb:
 
 
 def _odd_plus_count(entries: Mapping[Index2, int], positions: Iterable[Index2]) -> bool:
-    return sum(1 for pos in positions if entries[pos] == 1) % 2 == 1
+    return countOf(map(entries.__getitem__, positions), 1) % 2 == 1
 
 
 @lru_cache(maxsize=1 << 10)
-def _domain_four_circuits(domain: frozenset[Index2]) -> tuple[frozenset[Index2], ...]:
-    """:func:`four_circuits` of a domain, searched once per domain: the
-    3^k assignments of one index set share it."""
-    return tuple(four_circuits(domain))
+def _domain_facts(
+    positions: tuple[Index2, ...],
+) -> tuple[frozenset[Index2], tuple[frozenset[Index2], ...], bool, bool]:
+    """The recipe's facts about a domain alone, found once per index set.
+
+    Returns the domain, its :func:`four_circuits`, whether it is a single
+    6-circuit and whether it is a full 2x3 or 3x2 grid.  Keyed by the
+    positions in entries order, so an event builds no set to look them
+    up; the 3^k assignments of one index set share the row.
+    """
+    domain = frozenset(positions)
+    rows = {i for i, _ in domain}
+    cols = {j for _, j in domain}
+    is_grid = len(rows) * len(cols) == 6 and all(
+        (i, j) in domain for i in rows for j in cols
+    )
+    return domain, tuple(four_circuits(domain)), is_six_circuit(domain), is_grid
 
 
 def recipe_p_chio(matrix: PartialTernaryMatrix) -> DyadicProb:
@@ -322,10 +350,13 @@ def recipe_p_chio(matrix: PartialTernaryMatrix) -> DyadicProb:
     if k <= 3:
         return lcf
 
-    domain = frozenset(entries)
-    circuits = [
-        c for c in _domain_four_circuits(domain) if all(entries[p] != 0 for p in c)
-    ]
+    domain, domain_circuits, six_circuit, is_grid = _domain_facts(tuple(entries))
+    # The circuits whose four entries are all nonzero.  A plain loop: a
+    # comprehension costs a call even on the many domains with no circuit.
+    circuits = []
+    for c in domain_circuits:
+        if all(map(entries.__getitem__, c)):
+            circuits.append(c)
 
     if k == 4:
         if circuits and circuits[0] == domain:
@@ -347,7 +378,7 @@ def recipe_p_chio(matrix: PartialTernaryMatrix) -> DyadicProb:
     if supp < 4:
         return lcf
     if not circuits:
-        if supp == 6 and is_six_circuit(domain):
+        if supp == 6 and six_circuit:
             if _odd_plus_count(entries, domain):
                 return DyadicProb.zero()
             return DyadicProb.pow_half(11)
@@ -363,14 +394,9 @@ def recipe_p_chio(matrix: PartialTernaryMatrix) -> DyadicProb:
         return DyadicProb.pow_half(10)
     # Both extra entries nonzero: only the two 2x3 / 3x2 grid layouts can
     # hide further circuits; anywhere else the value is pinned.
-    rows = {i for i, _ in domain}
-    cols = {j for _, j in domain}
-    is_grid = len(rows) * len(cols) == 6 and all(
-        (i, j) in domain for i in rows for j in cols
-    )
     if not is_grid:
         return DyadicProb.pow_half(11)
-    others = [c for c in _domain_four_circuits(domain) if c != circuit]
+    others = [c for c in domain_circuits if c != circuit]
     if any(_odd_plus_count(entries, c) for c in others):
         return DyadicProb.zero()
     return DyadicProb.pow_half(10)

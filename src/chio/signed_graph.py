@@ -252,12 +252,17 @@ def balance_summary(
     return balanced, f0, f0 - rank
 
 
+# The slot descriptor of the kept triple, which the matrix constructor also
+# fills: the frozen matrix refuses plain assignment.
+_set_balance = PartialTernaryMatrix._balance.__set__
+
+
 def matrix_balance(matrix: PartialTernaryMatrix) -> tuple[bool, int, int]:
     """:func:`balance_summary` of a matrix, computed once and kept on it."""
     summary = matrix._balance
     if summary is None:
         summary = balance_summary(matrix.dims, matrix.entries)
-        object.__setattr__(matrix, "_balance", summary)
+        _set_balance(matrix, summary)
     return summary
 
 

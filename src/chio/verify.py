@@ -259,6 +259,7 @@ def recipe_equivalence_scan(n: int, workers: int | None = None) -> dict:
     The graph side comes from :func:`p_chio_sign_patterns`, one scan per
     support; the comparison is per event.
     """
+    start = time.perf_counter()
     workers = parallel.resolve_workers(workers)
     m = (n - 1) ** 2
     tasks = []
@@ -273,17 +274,20 @@ def recipe_equivalence_scan(n: int, workers: int | None = None) -> dict:
     total = sum(r[0] for r in results)
     mismatches = sum(r[1] for r in results)
     expected = sum(3**k * comb(m, k) for k in range(min(6, m) + 1))
+    elapsed = time.perf_counter() - start
     return _check(
         f"recipe == p_chio for dom <= 6, n={n}",
         mismatches == 0 and total == expected,
         events=total,
         mismatches=mismatches,
+        seconds=round(elapsed, 4),
     )
 
 
 def averaging_check() -> dict:
     """Averaged measure equals lazy coin flip, formula-level over every
     domain at n = 3."""
+    start = time.perf_counter()
     n = 3
     positions = [(i, j) for i in range(1, n) for j in range(1, n)]
     mismatches = 0
@@ -295,11 +299,13 @@ def averaging_check() -> dict:
                 events += 1
                 if p_chio_averaged(matrix) != p_lcf(Event(matrix)):
                     mismatches += 1
+    elapsed = time.perf_counter() - start
     return _check(
         f"averaged measure == lazy coin flip, all domains, n={n}",
         mismatches == 0,
         events=events,
         mismatches=mismatches,
+        seconds=round(elapsed, 4),
     )
 
 
@@ -319,6 +325,7 @@ def averaging_census_check(n: int, report: dict) -> dict:
 def worst_ratio_scan(n: int) -> dict:
     """Max measure ratio over realizable full specifications is 2^((n-2)^2),
     attained exactly at the complete bipartite graph."""
+    start = time.perf_counter()
     positions = [(i, j) for i in range(1, n) for j in range(1, n)]
     m = len(positions)
     best = -1
@@ -339,6 +346,7 @@ def worst_ratio_scan(n: int) -> dict:
             attained += 1
             argmax_full_support = argmax_full_support and supp == m
     expected = (n - 2) ** 2
+    elapsed = time.perf_counter() - start
     return _check(
         f"worst-case ratio 2^((n-2)^2) at n={n}",
         best == expected and argmax_full_support,
@@ -346,6 +354,7 @@ def worst_ratio_scan(n: int) -> dict:
         expected_log2=expected,
         maximizers=attained,
         maximizers_complete_bipartite=argmax_full_support,
+        seconds=round(elapsed, 4),
     )
 
 
@@ -353,6 +362,7 @@ def j_independence_check() -> dict:
     """The event measure does not depend on the ambient index set J: for
     every J inside [n-1]^2, the condensates of all sign matrices on the Chio
     extension J~ hit each event B on a domain inside J p_chio(B) 2^|J~| times."""
+    start = time.perf_counter()
     n = 3
     positions = [(i, j) for i in range(1, n) for j in range(1, n)]
     agrees = []
@@ -371,11 +381,13 @@ def j_independence_check() -> dict:
                     matrix = PartialTernaryMatrix((n, n), dict(zip(chosen, values)))
                     expected = p_chio(Event(matrix, ambient)).as_fraction() * 2 ** len(extended)
                     agrees.append(hits[chosen, values] == expected)
+    elapsed = time.perf_counter() - start
     return _check(
         f"measure independent of ambient set, n={n}",
         all(agrees),
         cases=len(agrees),
         mismatches=agrees.count(False),
+        seconds=round(elapsed, 4),
     )
 
 

@@ -515,6 +515,21 @@ class TestStability:
         assert out1 == out2
         assert "PASS" in out1 and "FAIL" not in out1
 
+    def test_verify_reports_a_broken_union_bound(self, capsys, monkeypatch):
+        from chio import failure_enum, verify
+
+        real = failure_enum.circuit_count
+        # The closed forms read only 6-circuits, so this breaks the bound alone.
+        monkeypatch.setattr(
+            failure_enum, "circuit_count", lambda length, n: 0 if length == 4 else real(length, n)
+        )
+        assert verify.density_bound_check()["ok"] is False
+        code, out, err = run(capsys, "verify", "--suite", "relations")
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+        assert len(failed) == 1 and "failure counts within union bound" in failed[0]
+        assert "Traceback" not in out + err
+
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_verify_timings_leave_stdout_unchanged(self, capsys, monkeypatch, tmp_path, fmt):
         from chio import verify
@@ -524,22 +539,33 @@ class TestStability:
         monkeypatch.setattr(
             verify, "suite_relations", lambda: real() + [verify._check("timed", True, seconds=0.5)]
         )
-        argv = ["verify", "--suite", "failures,relations", "--format", fmt]
+        argv = ["verify", "--suite", "measures,failures,relations", "--format", fmt]
         code1, plain, _ = run(capsys, *argv)
         target = tmp_path / "timings.json"
         code2, timed, _ = run(capsys, *argv, "--timings", str(target))
         assert code1 == code2 == 0 and plain == timed
         record = json.loads(target.read_text())
         suites = record["suites"]
-        assert [e["suite"] for e in suites] == ["failures", "relations"]
+        assert [e["suite"] for e in suites] == ["measures", "failures", "relations"]
         if fmt == "json":
             shown = [e["suite"] for e in json.loads(plain)]
         else:
             shown = [line.split("[")[1].split("]")[0] for line in plain.splitlines()[:-1]]
-        assert [e["checks"] for e in suites] == [shown.count("failures"), shown.count("relations")]
+        assert [e["checks"] for e in suites] == [
+            shown.count("measures"), shown.count("failures"), shown.count("relations")
+        ]
         assert all(e["failed"] == 0 and e["seconds"] >= 0 for e in suites)
-        # Each failure census times itself; the h identity does not.
-        failures, relations = (e["check_seconds"] for e in suites)
+        # Each failure census and each per-event measure check times itself;
+        # the h identity and the census-backed measure checks do not.
+        measures, failures, relations = (e["check_seconds"] for e in suites)
+        assert sorted(measures) == sorted([
+            "recipe == p_chio for dom <= 6, n=4",
+            "averaged measure == lazy coin flip, all domains, n=3",
+            "worst-case ratio 2^((n-2)^2) at n=3",
+            "worst-case ratio 2^((n-2)^2) at n=4",
+            "measure independent of ambient set, n=3",
+        ])
+        assert all(seconds >= 0 for seconds in measures.values())
         assert sorted(failures) == sorted(
             f"failure census k={k} n={n}" for n in range(4, 13) for k in (4, 5, 6)
         )

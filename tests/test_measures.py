@@ -26,7 +26,7 @@ from chio.measures import (
     ratio_chio_lcf,
     recipe_p_chio,
 )
-from chio import signed_graph
+from chio import measures, signed_graph
 from chio.signed_graph import build_graph
 
 from oracles import brute_count_colorings, brute_fibre_count, edge_subsets_forming_circuits
@@ -127,6 +127,35 @@ class TestEvents:
         matrix = ternary(4, {(1, 1): 1})
         with pytest.raises(ValueError):
             Event(matrix, IndexSet((4, 4), frozenset({(2, 2)})))
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_ambient_check_matches_brute_containment(self, data):
+        # The whole inner box skips the containment test; every other
+        # ambient set still takes it.
+        s, t = data.draw(st.tuples(st.integers(3, 8), st.integers(3, 8)))
+        box = sorted(full_inner_box(s, t).members)
+        domain = sorted(data.draw(st.sets(st.sampled_from(box), max_size=6)))
+        values = data.draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=len(domain), max_size=len(domain)))
+        matrix = PartialTernaryMatrix((s, t), dict(zip(domain, values)))
+        kind = data.draw(st.sampled_from(["full box", "box minus one", "subset", "other dims"]))
+        if kind == "full box":
+            ambient = full_inner_box(s, t)
+        elif kind == "box minus one":
+            # Half the time the dropped cell is one the matrix specifies.
+            cell = data.draw(st.sampled_from(domain if domain and data.draw(st.booleans()) else box))
+            ambient = IndexSet((s, t), frozenset(box) - {cell})
+        elif kind == "subset":
+            extra = data.draw(st.sets(st.sampled_from(box)))
+            ambient = IndexSet((s, t), frozenset(extra | set(domain[data.draw(st.integers(0, 6)):])))
+        else:
+            dims = data.draw(st.tuples(st.integers(3, 8), st.integers(3, 8)).filter(lambda d: d != (s, t)))
+            ambient = full_inner_box(*dims)
+        if ambient.dims == (s, t) and set(matrix.entries) <= set(ambient.members):
+            assert Event(matrix, ambient).ambient is ambient
+        else:
+            with pytest.raises(ValueError):
+                Event(matrix, ambient)
 
     def test_events_are_immutable(self):
         matrix = ternary(4, {(1, 1): 1})
@@ -283,7 +312,9 @@ class TestFibres:
         # event fails it once per ambient set around that event's domain.
         from chio import verify
 
-        assert verify.j_independence_check() == {
+        report = verify.j_independence_check()
+        assert report.pop("seconds") >= 0
+        assert report == {
             "check": "measure independent of ambient set, n=3",
             "ok": True,
             "cases": 625,
@@ -394,6 +425,19 @@ class TestOneScanPerMatrix:
         # One scan per support: the subsets of at most four of the nine cells.
         assert len(calls) == len(supports) == 256
 
+    def test_kept_triple_is_read_without_a_rescan(self, monkeypatch):
+        calls = []
+        real = signed_graph.balance_summary
+        monkeypatch.setattr(signed_graph, "balance_summary", lambda *a: calls.append(1) or real(*a))
+        unbalanced = {p: 1 for p in C4} | {(1, 1): -1}
+        for entries in ({p: 1 for p in C4}, unbalanced, {(1, 1): 0}):
+            event = Event.on_full_grid(ternary(4, entries))
+            p_chio(event)
+            assert len(calls) == 1
+            p_chio(event), ratio_chio_lcf(event), fibre_cardinality(event)
+            assert len(calls) == 1
+            calls.clear()
+
     def test_one_memo_entry_per_support(self):
         # p_chio and p_chio_averaged both key the memo by the support in
         # entries order, so unsorted entries are scanned and held once.
@@ -476,3 +520,19 @@ class TestRecipe:
         for k in range(7):
             for matrix in all_matrices(4, k):
                 assert recipe_p_chio(matrix) == p_chio(Event(matrix))
+
+    @given(st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_entry_order_does_not_change_the_value(self, data):
+        # The domain memo is keyed by the positions in entries order; the
+        # value of every event on the index set must not depend on it.
+        cells = [(i, j) for i in range(1, 5) for j in range(1, 5)]
+        positions = data.draw(st.lists(st.sampled_from(cells), min_size=4, max_size=6, unique=True))
+        orders = [positions] + [data.draw(st.permutations(positions)) for _ in range(2)]
+        for values in product((-1, 0, 1), repeat=len(positions)):
+            entries = dict(zip(positions, values))
+            got = {recipe_p_chio(ternary(5, {p: entries[p] for p in order})) for order in orders}
+            assert got == {p_chio(Event(ternary(5, entries)))}
+
+    def test_domain_memo_is_bounded(self):
+        assert measures._domain_facts.cache_parameters()["maxsize"] is not None
