@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .matrix_core import Index2, PartialTernaryMatrix
+from .matrix_core import Index2, PartialTernaryMatrix, _set_balance
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,6 @@ class BettiData:
     f1: int
     beta0: int
     beta1: int
-
-    def __post_init__(self) -> None:
-        if self.beta1 - self.beta0 != self.f1 - self.f0:
-            raise ValueError("Euler relation beta1 - beta0 = f1 - f0 violated")
 
 
 class IsoType(enum.Enum):
@@ -250,11 +246,6 @@ def balance_summary(
             balanced = False
             break
     return balanced, f0, f0 - rank
-
-
-# The slot descriptor of the kept triple, which the matrix constructor also
-# fills: the frozen matrix refuses plain assignment.
-_set_balance = PartialTernaryMatrix._balance.__set__
 
 
 def matrix_balance(matrix: PartialTernaryMatrix) -> tuple[bool, int, int]:

@@ -13,16 +13,18 @@ here, apart from the census engine it checks, and whose one n = 3
 reading also serves the census-level averaging check; recipe
 equivalence, averaging, worst-case ratio,
 ambient-set independence counted over condensed sign matrices),
-failures (enumerated counts against closed forms), census (partition,
-determinism across process pools, k-wise agreement, singular counts),
-switching (orbits and rank invariance), relations (linear relations and
-density bounds).
+failures (enumerated counts against closed forms, and the closed forms
+against the subgraph counts and the paper's k = 6 polynomials), census
+(partition, determinism across process pools, k-wise agreement, singular
+counts), switching (orbits and rank invariance), relations (linear
+relations and density bounds).
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, islice, product
 from math import comb
 
@@ -46,7 +48,6 @@ from .failure_enum import (
     failure_count_formula,
     failure_density_bound,
     h_counts,
-    realization_table,
 )
 from .census_oracle import (
     CensusConfig,
@@ -435,31 +436,86 @@ def failure_agreement(k: int, n: int) -> dict:
     )
 
 
-def h_identity_check(n: int) -> dict:
-    """The three subgraph counts assemble the k=6 closed form."""
-    h_c6, h_k23, h_c4, h_geq = h_counts(n)
-    form = failure_count_formula(6, n)
-    table = realization_table(6, n)
-    seventeen = sum(
-        v for t, v in table.items() if t not in (IsoType.T4, IsoType.T12)
-    )
-    ok = (
-        h_c6 + h_k23 + h_c4 == form.failure_count
-        and h_c4 == h_geq - 3 * h_k23
-        and seventeen == h_c4
-    )
+# The paper's polynomials for the k = 6 failure classes: exact rational
+# coefficients, highest degree first.
+_POLY_F6 = (
+    Fraction(18), Fraction(-180), Fraction(1868, 3), Fraction(-2176, 3),
+    Fraction(-754, 3), Fraction(428, 3), Fraction(8144, 3),
+    Fraction(-11536, 3), Fraction(1504),
+)
+_POLY_F6_RATIO0 = (
+    Fraction(9), Fraction(-90), Fraction(934, 3), Fraction(-360),
+    Fraction(-449, 3), Fraction(154), Fraction(3664, 3),
+    Fraction(-1816), Fraction(720),
+)
+_POLY_F6_RATIO2 = (
+    Fraction(9), Fraction(-90), Fraction(934, 3), Fraction(-368),
+    Fraction(-233, 3), Fraction(-94), Fraction(4888, 3),
+    Fraction(-2136), Fraction(816),
+)
+_POLY_F6_RATIO4 = (
+    Fraction(8, 3), Fraction(-24), Fraction(248, 3), Fraction(-136),
+    Fraction(320, 3), Fraction(-32),
+)
+_POLY_H_C4_NOT_K23 = (
+    Fraction(18), Fraction(-180), Fraction(612), Fraction(-608),
+    Fraction(-774), Fraction(1348), Fraction(1200), Fraction(-2864),
+    Fraction(1248),
+)
+
+
+def _poly(coeffs: tuple[Fraction, ...], n: int) -> Fraction:
+    value = Fraction(0)
+    for c in coeffs:
+        value = value * n + c
+    return value
+
+
+def closed_form_check() -> dict:
+    """The k = 5 and k = 6 closed forms agree with their constructions, n = 4..12.
+
+    At each n it compares the k = 5 realization table's sum with
+    48 ((n-1)^2 - 4) C(n-1,2)^2; the k = 6 table's sum with the subgraph
+    counts h_c6 + h_k23 + h_c4 of :func:`h_counts`; the seventeen types
+    other than T4 and T12 with h_c4; and each of the paper's five
+    polynomials, evaluated exactly, with the k = 6 total, its ratio 0, 2
+    and 4 classes, and h_c4.  A polynomial value that is not an integer
+    matches no count.  Every side is a polynomial of degree at most 8 in
+    n for n >= 3, so agreement on these nine points certifies every such n.
+    """
+    points = range(4, 13)
+    bad = []
+    for n in points:
+        h_c6, h_k23, h_c4, _ = h_counts(n)
+        k6 = failure_count_formula(6, n)
+        seventeen = sum(
+            v for t, v in k6.by_isotype.items() if t not in (IsoType.T4, IsoType.T12)
+        )
+        sides = {
+            "k=5 total": (
+                failure_count_formula(5, n).failure_count,
+                48 * ((n - 1) ** 2 - 4) * comb(n - 1, 2) ** 2,
+            ),
+            "k=6 total": (k6.failure_count, h_c6 + h_k23 + h_c4),
+            "seventeen types": (seventeen, h_c4),
+            "total polynomial": (k6.failure_count, _poly(_POLY_F6, n)),
+            "ratio 0 polynomial": (k6.by_ratio.get(0, 0), _poly(_POLY_F6_RATIO0, n)),
+            "ratio 2 polynomial": (k6.by_ratio.get(2, 0), _poly(_POLY_F6_RATIO2, n)),
+            "ratio 4 polynomial": (k6.by_ratio.get(4, 0), _poly(_POLY_F6_RATIO4, n)),
+            "h_c4 polynomial": (h_c4, _poly(_POLY_H_C4_NOT_K23, n)),
+        }
+        bad.extend((n, name) for name, (lhs, rhs) in sides.items() if lhs != rhs)
     return _check(
-        f"k=6 subgraph-count identity n={n}",
-        ok,
-        h_c6=h_c6,
-        h_k23=h_k23,
-        h_c4_not_k23=h_c4,
-        total=form.failure_count,
+        "k=5,6 closed forms against their constructions",
+        not bad,
+        n_values=list(points),
+        failures=bad,
     )
 
 
 def suite_failures() -> list[dict]:
-    """Enumerated failure counts against the closed forms, k = 4, 5, 6, n = 4..12.
+    """Enumerated failure counts against the closed forms, k = 4, 5, 6,
+    n = 4..12, then the closed forms against their constructions.
 
     Every count on both sides, split by ratio, value or isotype, is a
     polynomial of degree at most 8 in n (for n >= 3), so agreement on the
@@ -469,7 +525,7 @@ def suite_failures() -> list[dict]:
     for n in range(4, 13):
         for k in (4, 5, 6):
             checks.append(failure_agreement(k, n))
-    checks.append(h_identity_check(6))
+    checks.append(closed_form_check())
     return checks
 
 

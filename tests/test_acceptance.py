@@ -21,7 +21,7 @@ from chio.verify import (
     census_measure_agreement,
     census_preimage_report,
     chio_identity_exhaustive,
-    h_identity_check,
+    closed_form_check,
     linear_relations_check,
     orbit_transitivity_check,
     rank_drop_pointwise,
@@ -75,7 +75,7 @@ def test_criterion_03_failure_counts(enumerated):
             and enum.by_value == form.by_value
             and enum.by_isotype == form.by_isotype
         )
-    ok = ok and h_identity_check(6)["ok"]
+    ok = ok and closed_form_check()["ok"]
     report(
         3,
         ok,

@@ -515,21 +515,6 @@ class TestStability:
         assert out1 == out2
         assert "PASS" in out1 and "FAIL" not in out1
 
-    def test_verify_reports_a_broken_union_bound(self, capsys, monkeypatch):
-        from chio import failure_enum, verify
-
-        real = failure_enum.circuit_count
-        # The closed forms read only 6-circuits, so this breaks the bound alone.
-        monkeypatch.setattr(
-            failure_enum, "circuit_count", lambda length, n: 0 if length == 4 else real(length, n)
-        )
-        assert verify.density_bound_check()["ok"] is False
-        code, out, err = run(capsys, "verify", "--suite", "relations")
-        assert code == 1
-        failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
-        assert len(failed) == 1 and "failure counts within union bound" in failed[0]
-        assert "Traceback" not in out + err
-
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_verify_timings_leave_stdout_unchanged(self, capsys, monkeypatch, tmp_path, fmt):
         from chio import verify
@@ -556,7 +541,7 @@ class TestStability:
         ]
         assert all(e["failed"] == 0 and e["seconds"] >= 0 for e in suites)
         # Each failure census and each per-event measure check times itself;
-        # the h identity and the census-backed measure checks do not.
+        # the closed-form check and the census-backed measure checks do not.
         measures, failures, relations = (e["check_seconds"] for e in suites)
         assert sorted(measures) == sorted([
             "recipe == p_chio for dom <= 6, n=4",

@@ -110,8 +110,11 @@ def _module_nodes(tree: ast.Module):
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             for target in targets:
-                if isinstance(target, ast.Name):
-                    nodes[target.id] = stmt.value
+                # ``a, b = ...`` binds each name of the tuple to the whole value.
+                names = target.elts if isinstance(target, ast.Tuple) else [target]
+                for name in names:
+                    if isinstance(name, ast.Name):
+                        nodes[name.id] = stmt.value
         elif isinstance(stmt, ast.ImportFrom):
             bindings.update(_import_targets(stmt))
     return nodes, bindings
@@ -227,6 +230,22 @@ def test_oracles_import_nothing_from_chio():
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
     assert not {m for m in imported if m.startswith(".") or m.split(".")[0] == "chio"}
+
+
+def test_the_library_asserts_nothing():
+    """Formulas compute and ``verify`` compares: a self-check inside a
+    formula would crash ``chio verify`` before the check that can FAIL."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            raised = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(raised, ast.Call):
+                raised = raised.func
+            if isinstance(node, ast.Assert) or (
+                isinstance(raised, ast.Name) and raised.id == "AssertionError"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"assert or raise AssertionError in src/chio: {found}"
 
 
 def defining_node(module: str, name: str | None) -> tuple[str, str | None]:
