@@ -11,13 +11,11 @@ error (an unexpected exception; its traceback goes to stderr).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
 import os
 import sys
-import time
 
 from .matrix_core import (
     PartialTernaryMatrix,
@@ -293,6 +291,31 @@ def cmd_switch_orbit(args) -> int:
     return 0
 
 
+def _timings_record(names: list[str], checks: list[dict]) -> dict:
+    """Per suite, its seconds, check count, failures and each check's
+    seconds, from the ``suite`` and ``seconds`` that ``run_suites`` stamps;
+    every figure is rounded here, and only here."""
+    groups = {name: [] for name in names}
+    for entry in checks:
+        groups[entry["suite"]].append(entry)
+    suites = []
+    for name, part in groups.items():
+        # A suite named twice runs twice; its checks' seconds add up.
+        check_seconds = {}
+        for e in part:
+            check_seconds[e["check"]] = check_seconds.get(e["check"], 0.0) + e["seconds"]
+        suites.append(
+            {
+                "suite": name,
+                "seconds": round(sum(check_seconds.values()), 4),
+                "checks": len(part),
+                "failed": sum(not e["ok"] for e in part),
+                "check_seconds": {check: round(s, 4) for check, s in check_seconds.items()},
+            }
+        )
+    return {"seconds": round(sum(e["seconds"] for e in checks), 4), "suites": suites}
+
+
 def cmd_verify(args) -> int:
     from .verify import run_suites
 
@@ -304,27 +327,13 @@ def cmd_verify(args) -> int:
     unknown = [name for name in names if name not in SUITES]
     if unknown:
         raise UsageError(f"unknown suite {unknown[0]!r}; choose from {', '.join(SUITES)} or 'all'")
-    # Opened first, so that an unwritable --timings path is refused before any work.
-    with open(args.timings, "w") if args.timings else contextlib.nullcontext() as timings:
-        checks = []
-        suites = []
-        for name in names:
-            start = time.perf_counter()
-            part = run_suites([name], big=args.big, workers=args.workers)
-            suites.append(
-                {
-                    "suite": name,
-                    "seconds": round(time.perf_counter() - start, 3),
-                    "checks": len(part),
-                    "failed": sum(not entry["ok"] for entry in part),
-                    # The checks that time themselves.
-                    "check_seconds": {e["check"]: e["seconds"] for e in part if "seconds" in e},
-                }
-            )
-            checks.extend(part)
-        if timings:
-            record = {"seconds": round(sum(e["seconds"] for e in suites), 3), "suites": suites}
-            timings.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    if args.timings:
+        # Refused before any work; written only once every suite has run.
+        check_writable(args.timings)
+    checks = run_suites(names, big=args.big, workers=args.workers)
+    if args.timings:
+        with open(args.timings, "w") as fh:
+            fh.write(json.dumps(_timings_record(names, checks), sort_keys=True, indent=2) + "\n")
     ok = all(entry["ok"] for entry in checks)
     if args.format == "json":
         report = [
@@ -420,7 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"suite name or comma list; one of {', '.join(SUITES)} or 'all'",
     )
     p.add_argument("--big", action="store_true", help="add the n = 5 and 2^25-scale checks")
-    p.add_argument("--timings", help="write per-suite seconds and check counts to this JSON file")
+    p.add_argument(
+        "--timings",
+        help="write each suite's and each check's seconds, and the check counts, to this JSON file",
+    )
     p.set_defaults(func=cmd_verify)
 
     return parser

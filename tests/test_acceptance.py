@@ -48,9 +48,11 @@ def enumerated():
 
 
 def test_criterion_01_chio_identity_exhaustive():
+    start = time.perf_counter()
     check = chio_identity_exhaustive(4)
-    ok = check["ok"] and check["seconds"] < 5.0
-    report(1, ok, f"determinant identity on 2^16 matrices in {check['seconds']}s (limit 5s)")
+    seconds = round(time.perf_counter() - start, 2)
+    ok = check["ok"] and seconds < 5.0
+    report(1, ok, f"determinant identity on 2^16 matrices in {seconds}s (limit 5s)")
 
 
 def test_criterion_02_measure_oracle():

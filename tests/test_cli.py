@@ -516,48 +516,69 @@ class TestStability:
         assert "PASS" in out1 and "FAIL" not in out1
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
-    def test_verify_timings_leave_stdout_unchanged(self, capsys, monkeypatch, tmp_path, fmt):
-        from chio import verify
-
-        real = verify.suite_relations
-        # A check that times itself, as chio-identity's exhaustive check does.
-        monkeypatch.setattr(
-            verify, "suite_relations", lambda: real() + [verify._check("timed", True, seconds=0.5)]
-        )
-        argv = ["verify", "--suite", "measures,failures,relations", "--format", fmt]
+    def test_verify_timings_leave_stdout_unchanged(self, capsys, tmp_path, fmt):
+        # Every suite but census, whose determinism check starts pools of 8.
+        names = ["chio-identity", "measures", "failures", "switching", "relations"]
+        argv = ["verify", "--suite", ",".join(names), "--workers", "1", "--format", fmt]
         code1, plain, _ = run(capsys, *argv)
         target = tmp_path / "timings.json"
         code2, timed, _ = run(capsys, *argv, "--timings", str(target))
         assert code1 == code2 == 0 and plain == timed
+        assert "seconds" not in plain
         record = json.loads(target.read_text())
         suites = record["suites"]
-        assert [e["suite"] for e in suites] == ["measures", "failures", "relations"]
+        assert [e["suite"] for e in suites] == names
         if fmt == "json":
-            shown = [e["suite"] for e in json.loads(plain)]
+            shown = [(e["suite"], e["check"]) for e in json.loads(plain)]
         else:
-            shown = [line.split("[")[1].split("]")[0] for line in plain.splitlines()[:-1]]
-        assert [e["checks"] for e in suites] == [
-            shown.count("measures"), shown.count("failures"), shown.count("relations")
-        ]
-        assert all(e["failed"] == 0 and e["seconds"] >= 0 for e in suites)
-        # Each failure census and each per-event measure check times itself;
-        # the closed-form check and the census-backed measure checks do not.
-        measures, failures, relations = (e["check_seconds"] for e in suites)
-        assert sorted(measures) == sorted([
-            "recipe == p_chio for dom <= 6, n=4",
-            "averaged measure == lazy coin flip, all domains, n=3",
-            "worst-case ratio 2^((n-2)^2) at n=3",
-            "worst-case ratio 2^((n-2)^2) at n=4",
-            "measure independent of ambient set, n=3",
-        ])
-        assert all(seconds >= 0 for seconds in measures.values())
-        assert sorted(failures) == sorted(
-            f"failure census k={k} n={n}" for n in range(4, 13) for k in (4, 5, 6)
+            shown = [
+                tuple(line.split(" [", 1)[1].split("] ", 1)) for line in plain.splitlines()[:-1]
+            ]
+        # Every check shown is timed, and a suite's seconds are its checks'.
+        assert sorted(shown) == sorted(
+            (e["suite"], check) for e in suites for check in e["check_seconds"]
         )
-        assert all(seconds >= 0 for seconds in failures.values())
-        assert relations == {"timed": 0.5}
-        assert "seconds" not in plain
-        assert record["seconds"] == pytest.approx(sum(e["seconds"] for e in suites), abs=1e-3)
+        for e in suites:
+            assert e["failed"] == 0 and e["checks"] == len(e["check_seconds"])
+            assert all(seconds >= 0 for seconds in e["check_seconds"].values())
+            assert e["seconds"] == pytest.approx(
+                sum(e["check_seconds"].values()), abs=1e-4 * (e["checks"] + 1)
+            )
+        assert record["seconds"] == pytest.approx(
+            sum(e["seconds"] for e in suites), abs=1e-4 * (len(suites) + 1)
+        )
+
+    def test_run_suites_stamps_every_check(self):
+        from chio import verify
+
+        checks = verify.run_suites(["relations", "failures"])
+        assert type(checks) is list and len(checks) == 2 + 28
+        assert [e["suite"] for e in checks] == ["relations"] * 2 + ["failures"] * 28
+        assert all(e["seconds"] >= 0 for e in checks)
+
+    def test_verify_timings_file_kept_on_exit_2(self, capsys, monkeypatch, tmp_path):
+        # A worker count of 0 is refused where the census reads it, mid-run.
+        monkeypatch.setenv("CHIO_WORKERS", "0")
+        target = tmp_path / "t.json"
+        target.write_bytes(b'{"old": 1}\n')
+        code, out, err = run(capsys, "verify", "--suite", "census", "--timings", str(target))
+        assert code == 2 and out == "" and "error" in err
+        assert target.read_bytes() == b'{"old": 1}\n'
+
+    def test_verify_timings_written_on_exit_1(self, capsys, monkeypatch, tmp_path):
+        from chio import verify
+
+        monkeypatch.setattr(
+            verify, "density_bound_check", lambda: verify._check("bound", False)
+        )
+        target = tmp_path / "t.json"
+        target.write_bytes(b'{"old": 1}\n')
+        code, out, _ = run(capsys, "verify", "--suite", "relations", "--timings", str(target))
+        assert code == 1 and "FAIL  [relations] bound" in out
+        [suite] = json.loads(target.read_text())["suites"]
+        assert suite["failed"] == 1 and sorted(suite["check_seconds"]) == [
+            "bound", "linear relations among realization counts"
+        ]
 
     def test_verify_timings_unwritable_path_exits_2(self, capsys, monkeypatch, tmp_path):
         from chio import verify

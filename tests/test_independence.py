@@ -248,6 +248,23 @@ def test_the_library_asserts_nothing():
     assert not found, f"assert or raise AssertionError in src/chio: {found}"
 
 
+def test_only_run_suites_reads_a_clock():
+    """``verify.run_suites`` times every check of ``chio verify``; a check
+    or a command that read a clock itself would be a second timer beside it,
+    with its own rounding.  A clock is anything of the ``time`` module."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "time"
+                ) or (isinstance(node, ast.ImportFrom) and node.module == "time"):
+                    found.add(f"{path.stem}.{getattr(stmt, 'name', '<module>')}")
+    assert found == {"verify.run_suites"}, f"the time module read in src/chio at: {sorted(found)}"
+
+
 def defining_node(module: str, name: str | None) -> tuple[str, str | None]:
     """The node that ``name``, as bound in ``module``, refers to: followed
     through ``from .x import y`` bindings to where it is defined."""

@@ -312,9 +312,7 @@ class TestFibres:
         # event fails it once per ambient set around that event's domain.
         from chio import verify
 
-        report = verify.j_independence_check()
-        assert report.pop("seconds") >= 0
-        assert report == {
+        assert verify.j_independence_check() == {
             "check": "measure independent of ambient set, n=3",
             "ok": True,
             "cases": 625,

@@ -137,7 +137,7 @@ ROWS = {
     ),
     "_rank_soa capped at 2": Row(
         wrap(census_oracle, "_rank_soa", rank_capped),
-        lambda: verify.rank_drop_pointwise(workers=1)[-1],  # the 4x4 census
+        lambda: list(verify.rank_drop_pointwise(workers=1))[-1],  # the 4x4 census
     ),
     "chio_condense flips (1,1)": Row(
         wrap(verify, "chio_condense", flip_first), verify.j_independence_check
@@ -150,6 +150,11 @@ ROWS = {
     "support_cycles without masks": Row(
         wrap(signed_graph, "support_cycles", lambda cycles, support: (cycles[0], [])),
         verify.j_independence_check,
+    ),
+    # Every full signing counted: 16 maximizers at n = 3, not 8.
+    "support_cycles without masks, worst ratio": Row(
+        wrap(signed_graph, "support_cycles", lambda cycles, support: (cycles[0], [])),
+        lambda: verify.worst_ratio_scan(3),
     ),
     "orbit drops a signing": Row(
         wrap(verify, "orbit", lambda signings, graph: set(sorted(signings)[1:])),
