@@ -271,12 +271,12 @@ def cmd_switch_orbit(args) -> int:
     from .switching import balanced_signings, orbit, signing_tuple
 
     matrix = parse_ternary_matrix(args.matrix)
-    balanced, f0, beta0 = matrix_balance(matrix)
-    if f0 - beta0 > ORBIT_RANK_LIMIT:
-        raise UsageError(f"the orbit has 2^{f0 - beta0} signings, past 2^{ORBIT_RANK_LIMIT}")
+    balanced, rank = matrix_balance(matrix)
+    if rank > ORBIT_RANK_LIMIT:
+        raise UsageError(f"the orbit has 2^{rank} signings, past 2^{ORBIT_RANK_LIMIT}")
     graph = build_graph(matrix)
     orb = sorted(orbit(graph))
-    expected = 2 ** (f0 - beta0)
+    expected = 2**rank
     payload = {
         "edges": sorted([i, j] for i, j in graph.edges),
         "balanced": balanced,
@@ -445,8 +445,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if getattr(args, "workers", None) is not None:
-            # Refused before any work; CHIO_WORKERS is checked where it is read.
+        if hasattr(args, "workers"):
+            # A worker count below 1, from --workers or CHIO_WORKERS, is
+            # refused before any work, whether or not a pool would start.
             parallel.resolve_workers(args.workers)
         if args.out:
             check_writable(args.out)

@@ -187,17 +187,19 @@ class PartialTernaryMatrix:
     The constructor copies the entries, validates the dims, every position
     and every value, counts the support, and then fills its slots directly
     through their descriptors (a frozen dataclass ``__init__`` would go
-    through ``object.__setattr__`` once per field).  ``_supp`` holds that
-    count.  ``_balance`` keeps the ``(balanced, f0, beta0)`` triple of the
-    signed graph once :func:`chio.signed_graph.matrix_balance` has read it
-    from :func:`chio.signed_graph.balance_summary`.  Neither takes part in
+    through ``object.__setattr__`` once per field).  ``supp`` is that
+    slot itself, so reading it calls nothing.  ``_balance`` keeps the
+    ``(balanced, rank)`` pair of the signed graph, rank being f0 - beta0
+    of the graph of the support, once
+    :func:`chio.signed_graph.matrix_balance` has read it from
+    :func:`chio.signed_graph.balance_rank`.  Neither takes part in
     equality or ``repr``.
     """
 
     dims: tuple[int, int]
     entries: Mapping[Index2, int]
-    _supp: int = field(init=False, repr=False, compare=False)
-    _balance: tuple[bool, int, int] | None = field(init=False, repr=False, compare=False)
+    supp: int = field(init=False, repr=False, compare=False)
+    _balance: tuple[bool, int] | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, dims: tuple[int, int], entries: Mapping[Index2, int]) -> None:
         entries = dict(entries)
@@ -229,10 +231,6 @@ class PartialTernaryMatrix:
     @property
     def dom(self) -> int:
         return len(self.entries)
-
-    @property
-    def supp(self) -> int:
-        return self._supp
 
     @classmethod
     def from_rows(cls, rows: list[list[int | None]], dims: tuple[int, int] | None = None) -> "PartialTernaryMatrix":

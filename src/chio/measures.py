@@ -10,10 +10,12 @@ int ``e >= 0``, held in the one shared ``DyadicProb`` instance of that
 value, so values compare and hash by identity at C speed.  The
 condensation measure of an event specifying ``B`` is zero unless the
 signed graph of ``B`` is balanced, in which case it equals
-``2^-(dom + f0 - beta0)`` independently of the ambient index set; its
-ratio to the lazy coin flip value is ``2^beta1``.  Balance comes from
-``signed_graph.balance_summary``, through ``matrix_balance``, which keeps
-the triple on the matrix for ``p_chio``, ``ratio_chio_lcf`` and
+``2^-(dom + rank)`` independently of the ambient index set, where rank is
+f0 - beta0, the rank of the graph of the support alone; its ratio to the
+lazy coin flip value is ``2^beta1 = 2^(supp - rank)``.  So every
+per-event measure reads two facts of the support, balance and rank.  They
+come from ``signed_graph.balance_rank``, through ``matrix_balance``,
+which keeps the pair on the matrix for ``p_chio``, ``ratio_chio_lcf`` and
 ``fibre_cardinality``: the graph of a support is scanned once, its cycle
 basis held in the bounded memo ``signed_graph.support_cycles``, and each
 sign pattern on it is decided by the minus-parity of its fundamental
@@ -31,9 +33,10 @@ sharing no balance or component-count code with ``p_chio``, so testing
 the two against each other is meaningful.  It takes the matrix alone,
 since the value does not depend on the ambient index set.  What it needs
 of the domain alone (the domain's 4-circuits, whether it is one 6-circuit,
-whether it is a full 2x3 or 3x2 grid) is found once per index set and kept
-in one bounded memo; per event the case split stays literal, reading only
-which entries are zero and which are +1.
+whether it is a full 2x3 or 3x2 grid, and the positions each 4-circuit
+leaves over) is found once per index set and kept in one bounded memo;
+per event the case split stays literal, reading only which entries are
+zero and which are +1.
 """
 
 from __future__ import annotations
@@ -201,42 +204,42 @@ def p_chio(event: Event) -> DyadicProb:
     """Condensation measure of the event.
 
     Zero iff the signed graph of the matrix is unbalanced, else
-    ``2^-(dom + f0 - beta0)``; balance and the component count come from
+    ``2^-(dom + rank)`` with rank = f0 - beta0; balance and rank come from
     the memoised cycle basis of the support and are kept on the matrix.
     The value does not depend on the ambient index set.
     """
     m = event.matrix
-    balanced, f0, beta0 = m._balance or matrix_balance(m)
+    balanced, rank = m._balance or matrix_balance(m)
     if not balanced:
         return DyadicProb.zero()
-    return DyadicProb.pow_half(len(m.entries) + f0 - beta0)
+    return DyadicProb.pow_half(len(m.entries) + rank)
 
 
 def ratio_chio_lcf(event: Event) -> int:
-    """Exact ratio p_chio / p_lcf: 0 when p_chio is zero, else 2^beta1.
+    """Exact ratio p_chio / p_lcf: 0 when p_chio is zero, else
+    2^beta1 = 2^(supp - rank).
 
     Equals 1 exactly when the graph of the matrix is a forest.
     """
     m = event.matrix
-    balanced, f0, beta0 = m._balance or matrix_balance(m)
+    balanced, rank = m._balance or matrix_balance(m)
     if not balanced:
         return 0
-    beta1 = m.supp - f0 + beta0
-    return 2**beta1
+    return 2 ** (m.supp - rank)
 
 
 def fibre_cardinality(event: Event) -> int:
     """Number of sign matrices on the extended ambient set realizing the event.
 
-    Zero when unbalanced, else ``2^(|ambient~| - dom - f0 + beta0)``;
-    dividing by ``2^|ambient~|`` recovers the condensation measure.
+    Zero when unbalanced, else ``2^(|ambient~| - dom - rank)``; dividing
+    by ``2^|ambient~|`` recovers the condensation measure.
     """
     m = event.matrix
-    balanced, f0, beta0 = m._balance or matrix_balance(m)
+    balanced, rank = m._balance or matrix_balance(m)
     if not balanced:
         return 0
     extended = chio_extend(event.ambient)
-    return 2 ** (len(extended.members) - len(m.entries) - f0 + beta0)
+    return 2 ** (len(extended.members) - len(m.entries) - rank)
 
 
 def p_chio_sign_patterns(domain: Collection[Index2], support: Sequence[Index2]) -> list[DyadicProb]:
@@ -250,7 +253,7 @@ def p_chio_sign_patterns(domain: Collection[Index2], support: Sequence[Index2]) 
     The rank f0 - beta0 of the graph and its fundamental cycles depend on
     the support alone (a domain vertex off the support is a component of
     its own), so they come from :func:`chio.signed_graph.support_cycles`,
-    the memo ``balance_summary`` fills.  A pattern is balanced iff every
+    the memo ``balance_rank`` fills.  A pattern is balanced iff every
     fundamental cycle holds an even number of its -1 entries.  Those
     parities are linear in the pattern, so the parity vector of each
     pattern is built from one with a lower bit cleared, one support
@@ -283,7 +286,7 @@ def p_chio_averaged(matrix: PartialTernaryMatrix) -> DyadicProb:
     largest power of two among the terms; the result is always a single
     dyadic value (and equals the lazy coin flip value).
     """
-    # In entries order, the memo key balance_summary uses for this support.
+    # In entries order, the memo key balance_rank uses for this support.
     support = [pos for pos, v in matrix.entries.items() if v]
     values = p_chio_sign_patterns(matrix.entries, support)
     exponents = [v.exponent for v in values if not v.is_zero]
@@ -313,13 +316,17 @@ def _odd_plus_count(entries: Mapping[Index2, int], positions: Iterable[Index2]) 
 @lru_cache(maxsize=1 << 10)
 def _domain_facts(
     positions: tuple[Index2, ...],
-) -> tuple[frozenset[Index2], tuple[frozenset[Index2], ...], bool, bool]:
+) -> tuple[
+    frozenset[Index2], tuple[tuple[frozenset[Index2], tuple[Index2, ...]], ...], bool, bool
+]:
     """The recipe's facts about a domain alone, found once per index set.
 
-    Returns the domain, its :func:`four_circuits`, whether it is a single
-    6-circuit and whether it is a full 2x3 or 3x2 grid.  Keyed by the
-    positions in entries order, so an event builds no set to look them
-    up; the 3^k assignments of one index set share the row.
+    Returns the domain; its :func:`four_circuits`, each with the domain
+    positions it leaves over, sorted, and the circuits ordered by their
+    sorted positions; whether the domain is a single 6-circuit; and
+    whether it is a full 2x3 or 3x2 grid.  Keyed by the positions in
+    entries order, so an event builds no set to look them up; the 3^k
+    assignments of one index set share the row.
     """
     domain = frozenset(positions)
     rows = {i for i, _ in domain}
@@ -327,7 +334,10 @@ def _domain_facts(
     is_grid = len(rows) * len(cols) == 6 and all(
         (i, j) in domain for i in rows for j in cols
     )
-    return domain, tuple(four_circuits(domain)), is_six_circuit(domain), is_grid
+    circuits = tuple(
+        (c, tuple(sorted(domain - c))) for c in sorted(four_circuits(domain), key=sorted)
+    )
+    return domain, circuits, is_six_circuit(domain), is_grid
 
 
 def recipe_p_chio(matrix: PartialTernaryMatrix) -> DyadicProb:
@@ -351,43 +361,42 @@ def recipe_p_chio(matrix: PartialTernaryMatrix) -> DyadicProb:
         return lcf
 
     domain, domain_circuits, six_circuit, is_grid = _domain_facts(tuple(entries))
-    # The circuits whose four entries are all nonzero.  A plain loop: a
-    # comprehension costs a call even on the many domains with no circuit.
-    circuits = []
-    for c in domain_circuits:
+    # The first circuit, in sorted-positions order, whose four entries are
+    # all nonzero, and the positions it leaves over.  A domain of at most
+    # five positions holds at most one 4-circuit.
+    circuit = extras = None
+    for c, x in domain_circuits:
         if all(map(entries.__getitem__, c)):
-            circuits.append(c)
+            circuit, extras = c, x
+            break
 
     if k == 4:
-        if circuits and circuits[0] == domain:
+        if circuit == domain:
             if _odd_plus_count(entries, domain):
                 return DyadicProb.zero()
             return DyadicProb.pow_half(7)
         return lcf
 
     if k == 5:
-        if not circuits:
+        if circuit is None:
             return lcf
-        circuit = circuits[0]
         if _odd_plus_count(entries, circuit):
             return DyadicProb.zero()
-        (off_pos,) = domain - circuit
+        (off_pos,) = extras
         return DyadicProb.pow_half(8 if entries[off_pos] == 0 else 9)
 
     # k == 6
     if supp < 4:
         return lcf
-    if not circuits:
+    if circuit is None:
         if supp == 6 and six_circuit:
             if _odd_plus_count(entries, domain):
                 return DyadicProb.zero()
             return DyadicProb.pow_half(11)
         return lcf
-    circuit = min(circuits, key=sorted)
     if _odd_plus_count(entries, circuit):
         return DyadicProb.zero()
-    extras = sorted(domain - circuit)
-    zero_count = sum(1 for pos in extras if entries[pos] == 0)
+    zero_count = countOf(map(entries.__getitem__, extras), 0)
     if zero_count == 2:
         return DyadicProb.pow_half(9)
     if zero_count == 1:
@@ -396,7 +405,7 @@ def recipe_p_chio(matrix: PartialTernaryMatrix) -> DyadicProb:
     # hide further circuits; anywhere else the value is pinned.
     if not is_grid:
         return DyadicProb.pow_half(11)
-    others = [c for c in domain_circuits if c != circuit]
+    others = [c for c, _ in domain_circuits if c != circuit]
     if any(_odd_plus_count(entries, c) for c in others):
         return DyadicProb.zero()
     return DyadicProb.pow_half(10)

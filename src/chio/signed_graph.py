@@ -17,11 +17,15 @@ order; it gives the components, the Betti data and a spanning forest,
 deterministically.  ``cycle_masks`` turns the forest of an edge set into
 edge bitmasks of its fundamental cycles, and a signing is balanced iff
 each of them holds an even number of negative edges (Zaslavsky 1982), so
-one scan decides every signing of one edge set.  ``balance_summary`` is
-the one reader of balance: it parses an entries map and reads the masks
-of its support from ``support_cycles``, a bounded ``lru_cache`` of
-``cycle_masks`` that ``p_chio_sign_patterns`` and the census share;
-``matrix_balance`` keeps its answer on the matrix.
+one scan decides every signing of one edge set.  ``balance_rank`` is
+the one reader of balance: it parses an entries map into its support and
+the bitmask of its -1 entries, reads the rank and the masks of the
+support from ``support_cycles``, a bounded ``lru_cache`` of
+``cycle_masks`` that ``p_chio_sign_patterns`` and the census share, and
+returns ``(balanced, rank)``, where the rank f0 - beta0 of the support
+graph is all the per-event measures need.  ``matrix_balance`` keeps that
+pair on the matrix; ``balance_summary`` adapts it to ``(balanced, f0,
+beta0)`` of the whole domain.
 
 Isomorphism types of the bipartite nonforests with at most six edges are
 classified into a fixed catalogue ``t1 .. t20`` via per-component degree
@@ -211,50 +215,53 @@ def _graph_scan(graph: SignedBipartiteGraph):
     return _scan(graph.row_vertices, graph.col_vertices, sorted(graph.edges))
 
 
-def balance_summary(
-    dims: tuple[int, int], entries: Mapping[Index2, int]
-) -> tuple[bool, int, int]:
-    """(balanced, f0, beta0) of the signed graph of an entries map.
+def balance_rank(entries: Mapping[Index2, int]) -> tuple[bool, int]:
+    """(balanced, rank) of the signed graph of an entries map.
 
-    ``dims`` is ignored: the graph depends on the labels the
-    entries join, not on the grid size.  One pass over the entries gives
-    the domain's rows and columns (so f0), the support in entries order
-    and the bitmask of its -1 entries.  The rank f0 - beta0 of the
-    support graph and its cycle masks depend on the support alone, so
-    they come from :func:`support_cycles`: the 3^k events on one index
-    set share 2^k supports, and each support is scanned once.  The
-    signing is balanced iff every mask holds an even number of -1
-    entries; each domain vertex off the support is a component of its
-    own, so beta0 is f0 minus that rank.
+    The rank is f0 - beta0 of the graph of the support alone: a domain
+    vertex off the support is a component of its own, so it adds one to
+    f0 and one to beta0.  One pass over the entries gives the support, in
+    entries order, and the bitmask of its -1 entries; the rank and the
+    cycle masks depend on the support alone, so they come from
+    :func:`support_cycles`: the 3^k events on one index set share 2^k
+    supports, and each support is scanned once.  The signing is balanced
+    iff every mask holds an even number of -1 entries.
     """
-    rows = set()
-    cols = set()
     support = []
     minus = 0
     for pos, v in entries.items():
-        rows.add(pos[0])
-        cols.add(pos[1])
         if v:
             if v < 0:
                 minus |= 1 << len(support)
             support.append(pos)
     rank, masks = support_cycles(tuple(support))
-    f0 = len(rows) + len(cols)
-    balanced = True
     for mask in masks:
         if (mask & minus).bit_count() & 1:
-            balanced = False
-            break
+            return False, rank
+    return True, rank
+
+
+def balance_summary(
+    dims: tuple[int, int], entries: Mapping[Index2, int]
+) -> tuple[bool, int, int]:
+    """(balanced, f0, beta0) of the signed graph of an entries map.
+
+    ``dims`` is ignored: the graph depends on the labels the entries
+    join, not on the grid size.  f0 counts the domain's rows and columns,
+    and beta0 is f0 minus the rank of :func:`balance_rank`.
+    """
+    balanced, rank = balance_rank(entries)
+    f0 = len({i for i, _ in entries}) + len({j for _, j in entries})
     return balanced, f0, f0 - rank
 
 
-def matrix_balance(matrix: PartialTernaryMatrix) -> tuple[bool, int, int]:
-    """:func:`balance_summary` of a matrix, computed once and kept on it."""
-    summary = matrix._balance
-    if summary is None:
-        summary = balance_summary(matrix.dims, matrix.entries)
-        _set_balance(matrix, summary)
-    return summary
+def matrix_balance(matrix: PartialTernaryMatrix) -> tuple[bool, int]:
+    """:func:`balance_rank` of a matrix, computed once and kept on it."""
+    pair = matrix._balance
+    if pair is None:
+        pair = balance_rank(matrix.entries)
+        _set_balance(matrix, pair)
+    return pair
 
 
 def cycle_masks(support: Sequence[Index2]) -> tuple[int, list[int]]:

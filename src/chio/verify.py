@@ -44,7 +44,7 @@ from .measures import (
     p_lcf,
     recipe_p_chio,
 )
-from .signed_graph import IsoType, SignedBipartiteGraph, balance_summary, betti, support_cycles
+from .signed_graph import IsoType, SignedBipartiteGraph, balance_rank, betti, support_cycles
 from .failure_enum import (
     check_linear_relations,
     count_failures,
@@ -323,11 +323,11 @@ def worst_ratio_scan(n: int) -> dict:
     attained = 0
     for values in product((-1, 0, 1), repeat=m):
         entries = dict(zip(positions, values))
-        balanced, f0, beta0 = balance_summary((n, n), entries)
+        balanced, rank = balance_rank(entries)
         if not balanced:
             continue
         supp = sum(1 for v in values if v)
-        beta1 = supp - f0 + beta0
+        beta1 = supp - rank
         if beta1 > best:
             best = beta1
             attained = 1

@@ -557,7 +557,7 @@ class TestStability:
         assert all(e["seconds"] >= 0 for e in checks)
 
     def test_verify_timings_file_kept_on_exit_2(self, capsys, monkeypatch, tmp_path):
-        # A worker count of 0 is refused where the census reads it, mid-run.
+        # A worker count of 0 is refused before any suite runs.
         monkeypatch.setenv("CHIO_WORKERS", "0")
         target = tmp_path / "t.json"
         target.write_bytes(b'{"old": 1}\n')
@@ -659,6 +659,20 @@ class TestWorkers:
         code, out, err = run(capsys, "census", "--n", "3")
         assert code == 2 and out == ""
         assert "CHIO_WORKERS must be an integer of at least 1" in err
+
+    @pytest.mark.parametrize("suite", ["relations", "switching", "failures", "census"])
+    def test_verify_refuses_env_workers_before_any_suite(self, capsys, monkeypatch, suite):
+        import multiprocessing
+
+        def pool(*args, **kwargs):
+            raise AssertionError("a pool started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", pool)
+        monkeypatch.setenv("CHIO_WORKERS", "0")
+        code, out, err = run(capsys, "verify", "--suite", suite)
+        assert code == 2 and out == ""
+        assert "CHIO_WORKERS must be an integer of at least 1" in err
+        assert "Traceback" not in err
 
     def test_commands_without_a_pool_ignore_env_workers(self, capsys, monkeypatch):
         usual = run(capsys, "failures", "--k", "4", "--n", "4")

@@ -248,7 +248,7 @@ class TestTernaryConstructor:
         source[(1, 1)] = 1
         assert matrix.entries == {(1, 1): -1, (2, 3): 0, (3, 2): 1}
         assert matrix.dims == (4, 4) and matrix.supp == 2 and matrix._balance is None
-        for name in ("dims", "entries", "_supp", "_balance"):
+        for name in ("dims", "entries", "supp", "_balance"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(matrix, name, None)
 
@@ -298,16 +298,19 @@ class TestMemoisedData:
         assert pickle.loads(pickle.dumps(used)) == fresh
 
     def test_matrix_with_filled_memo_equals_fresh(self):
-        from chio.signed_graph import matrix_balance
+        from chio.signed_graph import balance_summary, matrix_balance
 
         entries = {(1, 1): -1, (1, 2): 1, (2, 1): 1, (2, 2): 1, (3, 3): 0}
+        # An unbalanced 4-circuit: rank 3 of its support; the zero at (3, 3)
+        # adds two isolated vertices, so f0 = 6 and beta0 = 3.
         used = PartialTernaryMatrix((4, 4), entries)
-        assert matrix_balance(used) == (False, 6, 3)
+        assert matrix_balance(used) == (False, 3)
+        assert balance_summary((4, 4), entries) == (False, 6, 3)
         fresh = PartialTernaryMatrix((4, 4), entries)
         assert used == fresh and repr(used) == repr(fresh)
         for copy in (pickle.loads(pickle.dumps(used)), pickle.loads(pickle.dumps(fresh))):
             assert copy == fresh and repr(copy) == repr(fresh)
-            assert matrix_balance(copy) == (False, 6, 3)
+            assert matrix_balance(copy) == (False, 3)
 
     def test_instances_have_no_dict(self):
         assert not hasattr(PartialTernaryMatrix((3, 3), {}), "__dict__")

@@ -27,7 +27,7 @@ from chio.measures import (
     recipe_p_chio,
 )
 from chio import measures, signed_graph
-from chio.signed_graph import build_graph
+from chio.signed_graph import build_graph, four_circuits
 
 from oracles import brute_count_colorings, brute_fibre_count, edge_subsets_forming_circuits
 
@@ -423,15 +423,17 @@ class TestOneScanPerMatrix:
         # One scan per support: the subsets of at most four of the nine cells.
         assert len(calls) == len(supports) == 256
 
-    def test_kept_triple_is_read_without_a_rescan(self, monkeypatch):
+    def test_kept_pair_is_read_without_a_rescan(self, monkeypatch):
         calls = []
-        real = signed_graph.balance_summary
-        monkeypatch.setattr(signed_graph, "balance_summary", lambda *a: calls.append(1) or real(*a))
+        real = signed_graph.balance_rank
+        monkeypatch.setattr(signed_graph, "balance_rank", lambda *a: calls.append(1) or real(*a))
         unbalanced = {p: 1 for p in C4} | {(1, 1): -1}
-        for entries in ({p: 1 for p in C4}, unbalanced, {(1, 1): 0}):
+        cases = (({p: 1 for p in C4}, (True, 3)), (unbalanced, (False, 3)), ({(1, 1): 0}, (True, 0)))
+        for entries, pair in cases:
             event = Event.on_full_grid(ternary(4, entries))
             p_chio(event)
             assert len(calls) == 1
+            assert event.matrix._balance == pair
             p_chio(event), ratio_chio_lcf(event), fibre_cardinality(event)
             assert len(calls) == 1
             calls.clear()
@@ -514,10 +516,46 @@ class TestRecipe:
         entries[(1, 3)] = 1  # the first rectangle stays balanced, another breaks
         assert recipe_p_chio(ternary(4, entries)).is_zero
 
+    @staticmethod
+    def assert_reads_least_circuit(n, positions):
+        """On every assignment of ``positions``: the circuit the recipe
+        reads from its domain row, the first one with four nonzero
+        entries, is the least such 4-circuit by sorted positions, and its
+        extras are the rest of the domain, sorted; the recipe equals
+        p_chio."""
+        domain = frozenset(positions)
+        _, circuits, _, _ = measures._domain_facts(tuple(positions))
+        assert [sorted(c) for c, _ in circuits] == sorted(sorted(c) for c in four_circuits(domain))
+        for values in product((-1, 0, 1), repeat=len(positions)):
+            entries = dict(zip(positions, values))
+            nonzero = [c for c in four_circuits(domain) if all(entries[p] for p in c)]
+            read = next(((c, x) for c, x in circuits if all(entries[p] for p in c)), None)
+            if nonzero:
+                least = min(nonzero, key=sorted)
+                assert read == (least, tuple(sorted(domain - least)))
+            else:
+                assert read is None
+            matrix = ternary(n, entries)
+            assert recipe_p_chio(matrix) == p_chio(Event(matrix))
+
     def test_matches_measure_exhaustively_n4(self):
+        cells = [(i, j) for i in range(1, 4) for j in range(1, 4)]
         for k in range(7):
-            for matrix in all_matrices(4, k):
-                assert recipe_p_chio(matrix) == p_chio(Event(matrix))
+            for positions in combinations(cells, k):
+                self.assert_reads_least_circuit(4, positions)
+
+    def test_reads_least_circuit_on_random_six_sets(self):
+        rng = random.Random(35)
+        for n in range(5, 9):
+            cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+            rows = sorted(rng.sample(range(1, n), 3))
+            cols = sorted(rng.sample(range(1, n), 3))
+            grids = [
+                [(i, j) for i in rows[:2] for j in cols],
+                [(i, j) for i in rows for j in cols[:2]],
+            ]
+            for positions in grids + [rng.sample(cells, 6) for _ in range(8)]:
+                self.assert_reads_least_circuit(n, positions)
 
     @given(st.data())
     @settings(max_examples=15, deadline=None)

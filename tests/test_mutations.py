@@ -156,6 +156,12 @@ ROWS = {
         wrap(signed_graph, "support_cycles", lambda cycles, support: (cycles[0], [])),
         lambda: verify.worst_ratio_scan(3),
     ),
+    # Rank one too high: every nonzero p_chio halves, so no event's
+    # preimage count is p_chio(B) 2^|J~|.
+    "balance_rank rank + 1": Row(
+        wrap(signed_graph, "balance_rank", lambda pair, entries: (pair[0], pair[1] + 1)),
+        verify.j_independence_check,
+    ),
     "orbit drops a signing": Row(
         wrap(verify, "orbit", lambda signings, graph: set(sorted(signings)[1:])),
         verify.orbit_transitivity_check,

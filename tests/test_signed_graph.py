@@ -13,6 +13,7 @@ from chio.matrix_core import IndexSet, PartialTernaryMatrix
 from chio.signed_graph import (
     IsoType,
     SignedBipartiteGraph,
+    balance_rank,
     balance_summary,
     betti,
     build_graph,
@@ -372,7 +373,8 @@ class TestCycleMasks:
         assert cycle_masks(support) == cycle_masks(((1, 1), (2, 1))) == (2, [])
         moved = PartialTernaryMatrix((3, 2), {(1, 1): 1, (2, 1): -1})
         assert balance_summary((2, 2), {(1, 1): 1, (3, 1): -1}) == (True, 3, 1)
-        assert balance_summary((2, 2), {(1, 1): 1, (3, 1): -1}) == matrix_balance(moved)
+        assert balance_rank({(1, 1): 1, (3, 1): -1}) == (True, 2)
+        assert balance_rank({(1, 1): 1, (3, 1): -1}) == matrix_balance(moved)
 
     def test_one_memo_entry_per_support_at_every_grid_size(self):
         support_cycles.cache_clear()
@@ -400,6 +402,56 @@ class TestCycleMasks:
         assert support_cycles.cache_info().currsize == 0
 
 
+def union_find_rank(support):
+    """f0 - beta0 of the graph of ``support``: the edges that join two
+    components, by union-find on row vertices ("r", i) and column
+    vertices ("c", j)."""
+    parent = {}
+
+    def root(v):
+        parent.setdefault(v, v)
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    rank = 0
+    for i, j in support:
+        a, b = root(("r", i)), root(("c", j))
+        if a != b:
+            parent[a] = b
+            rank += 1
+    return rank
+
+
+class TestBalanceRank:
+    """The kernel's (balanced, rank) against the circuit definition of
+    balance and a union-find rank, on random partial matrices."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_pair_matches_circuits_and_union_find(self, data):
+        a = data.draw(st.integers(1, 8))
+        b = data.draw(st.integers(1, 8))
+        cells = [(i, j) for i in range(1, a + 1) for j in range(1, b + 1)]
+        domain = data.draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))
+        # At most ten nonzero entries: the circuit oracle visits every even
+        # subset of the support.
+        support = set()
+        if domain:
+            support = set(data.draw(st.lists(st.sampled_from(domain), unique=True, max_size=10)))
+        minus = {pos for pos in support if data.draw(st.booleans())}
+        order = data.draw(st.permutations(domain))
+        entries = {pos: (-1 if pos in minus else 1) if pos in support else 0 for pos in order}
+        sign = {pos: v for pos, v in entries.items() if v}
+        balanced, rank = balance_rank(entries)
+        assert balanced == brute_is_balanced(sign)
+        assert rank == union_find_rank(sign)
+        assert matrix_balance(PartialTernaryMatrix((a + 1, b + 1), entries)) == (balanced, rank)
+        f0 = len({i for i, _ in entries}) + len({j for _, j in entries})
+        assert balance_summary((a + 1, b + 1), entries) == (balanced, f0, f0 - rank)
+
+
 class TestMatrixBalanceMemo:
     """The per-support cycle memo against the uncached kernel and the
     circuit definition, on every matrix."""
@@ -418,12 +470,11 @@ class TestMatrixBalanceMemo:
 
     @staticmethod
     def uncached(entries):
-        """(balanced, f0, beta0) from cycle_masks alone, outside the memo."""
+        """(balanced, rank) from cycle_masks alone, outside the memo."""
         support = [pos for pos, v in entries.items() if v]
         rank, masks = cycle_masks(support)
         minus = sum(1 << e for e, pos in enumerate(support) if entries[pos] < 0)
-        f0 = len({i for i, _ in entries}) + len({j for _, j in entries})
-        return not any((mask & minus).bit_count() & 1 for mask in masks), f0, f0 - rank
+        return not any((mask & minus).bit_count() & 1 for mask in masks), rank
 
     def test_memo_matches_uncached_scan(self):
         dims = (4, 4)
@@ -443,13 +494,15 @@ class TestMatrixBalanceMemo:
                 brute[signs] = self.brute_balanced(dict(zip(self.GRID, signs)), circuits)
             assert want[0] == brute[signs]
             # The memo starts cold, so the first matrix of each support
-            # misses it; once the triple kept on the matrix is dropped, the
+            # misses it; once the pair kept on the matrix is dropped, the
             # same matrix hits it.
             matrix = PartialTernaryMatrix(dims, entries)
             assert matrix_balance(matrix) == want
             object.__setattr__(matrix, "_balance", None)
             assert matrix_balance(matrix) == want
-            assert balance_summary(dims, entries) == want
+            assert balance_rank(entries) == want
+            f0 = len({i for i, _ in entries}) + len({j for _, j in entries})
+            assert balance_summary(dims, entries) == (want[0], f0, f0 - want[1])
             # Reversed insertion order: a new support key, with the minus
             # bits and the cycle masks in the reversed order.
             reverse = dict(reversed(entries.items()))
